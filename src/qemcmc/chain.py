@@ -116,7 +116,9 @@ def sample_chain(state: ChainState, kernel: ProposalKernel,
 
 
 def total_variation(p: np.ndarray, q: np.ndarray) -> float:
-    return 0.5 * float(np.abs(p - q).sum())
+    """Half the l1 distance, clamped to 1: for disjoint supports the rounded
+    sum can land a few ulps above it."""
+    return min(1.0, 0.5 * float(np.abs(p - q).sum()))
 
 
 def tv_distance_curve(p: TransitionMatrix, start: int, max_t: int) -> np.ndarray:

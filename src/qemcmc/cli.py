@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import io
+import math
 import sys
 from dataclasses import dataclass, replace
 
@@ -29,7 +30,7 @@ from .chain import (
     sample_chain,
     total_variation,
 )
-from .errors import BudgetExceeded, NoConvergence, NonConvergence
+from .errors import BudgetExceeded, NoConvergence
 from .model import MarkedStateHamiltonian, gibbs_measure
 from .quantum import (
     GROVER,
@@ -82,12 +83,17 @@ class ExperimentConfig:
             raise ValueError(f"unknown experiment {self.experiment!r}")
         if self.n_min < 1 or self.n_max < self.n_min:
             raise ValueError(f"empty N range {self.n_min}..{self.n_max}")
+        if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
+            raise ValueError("alpha and beta must be finite, not "
+                             f"{self.alpha!r} and {self.beta!r}")
         if self.beta < 0:
             raise ValueError("beta must be nonnegative")
         if self.mixer not in (GROVER, TRANSVERSE):
             raise ValueError(f"unknown mixer {self.mixer!r}")
         if self.avg_samples < 1:
             raise ValueError("avg-samples must be >= 1")
+        if self.steps < 1:
+            raise ValueError("steps must be >= 1")
         _parse_spec(self.h, allow_resonance=True)
         _parse_spec(self.t, allow_resonance=False)
 
@@ -102,12 +108,15 @@ def _parse_spec(text: str, allow_resonance: bool):
         if not allow_resonance:
             raise ValueError("'resonance' is only valid for --h")
         return "resonance"
-    if ":" in text:
-        lo, hi = (float(part) for part in text.split(":", 1))
-        if not hi >= lo:
-            raise ValueError(f"empty range {text!r}")
-        return (lo, hi)
-    return float(text)
+    values = tuple(float(part) for part in text.split(":", 1))
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError(f"{text!r} is not finite")
+    if len(values) == 1:
+        return values[0]
+    lo, hi = values
+    if not hi >= lo:
+        raise ValueError(f"empty range {text!r}")
+    return values
 
 
 def _resolve_h(cfg: ExperimentConfig, n: int):
@@ -171,8 +180,9 @@ def run_figure_a(cfg: ExperimentConfig):
 
 
 def run_figure_b(cfg: ExperimentConfig):
-    """Transverse-field chain: marked-state bound for all N, exact dense gap
-    where the eigensolve is affordable."""
+    """Transverse-field chain: marked-state bound for all N from the marked
+    state's symmetric sector, exact dense gap where the eigensolve is
+    affordable."""
     t_spec = _parse_spec(cfg.t, allow_resonance=False)
     if isinstance(t_spec, tuple):
         raise ValueError("figure-b expects a fixed t")
@@ -185,16 +195,20 @@ def run_figure_b(cfg: ExperimentConfig):
         mixer = MixerSpec(TRANSVERSE, h)
         try:
             col = quantum_proposal_column(h_c, mixer, t_spec, h_c.marked)
-        except (NonConvergence, BudgetExceeded) as exc:
+        except BudgetExceeded as exc:
             _skip("bound", n, exc)
             continue
         bound = marked_state_bound(col, n, cfg.alpha, cfg.beta, h_c.marked)
         rows.append(("figure-b", n, cfg.alpha, cfg.beta, h, t_spec,
                      "bound", bound, "marked-state-cut", cfg.seed))
         if n <= cfg.max_dense_n:
-            kern = quantum_kernel(h_c, mixer, t_spec)
-            p = build_transition_matrix(kern, gibbs_measure(h_c, cfg.beta))
-            delta = spectral_gap_dense(p, max_n=cfg.max_dense_n).delta
+            try:
+                kern = quantum_kernel(h_c, mixer, t_spec)
+                p = build_transition_matrix(kern, gibbs_measure(h_c, cfg.beta))
+                delta = spectral_gap_dense(p, max_n=cfg.max_dense_n).delta
+            except BudgetExceeded as exc:
+                _skip("delta_exact", n, exc)
+                continue
             rows.append(("figure-b", n, cfg.alpha, cfg.beta, h, t_spec,
                          "delta_exact", delta, "dense-eigensolve", cfg.seed))
     return rows

@@ -1,11 +1,15 @@
 """Statevector evolution under H = H_c + h*H_mix and quantum proposal kernels.
 
 Two mixing terms are supported: the rank-1 "grover" mixer N|s><s| (|s> the
-uniform superposition) and the "transverse" mixer sum_i sigma^x_i.  Evolution
-uses dense diagonalization for small systems and an adaptive Lanczos
-propagator above that; the grover mixer additionally admits an exact O(1)
-propagator on its two-dimensional invariant subspace, which is what makes
-single-column proposals tractable up to N = 24.
+uniform superposition) and the "transverse" mixer sum_i sigma^x_i.  Proposal
+kernels and columns come from the invariant subspaces of each mixer: the
+grover mixer has an exact O(1) propagator on a two-dimensional subspace, and
+the transverse mixer an (N+1)-dimensional one on the Dicke states around the
+marked configuration, outside of which H is the free mixer.  A marked-state
+column then costs one tridiagonal eigensolve of order N+1 plus an O(2^N)
+expansion, and a full kernel an O(4^N) fill.  Dense diagonalization and an
+adaptive Lanczos propagator evolve arbitrary states and serve as the
+independent cross-checks of both structured routes.
 """
 
 from __future__ import annotations
@@ -58,7 +62,13 @@ def transverse_field_mixer(field_strength: float) -> MixerSpec:
 
 @dataclass(frozen=True)
 class PropagatorConfig:
-    """How e^{-iHt} is applied: dense diagonalization or adaptive Lanczos."""
+    """How e^{-iHt} is applied.
+
+    ``auto`` takes each mixer's invariant-subspace route for kernels and
+    columns, and in :func:`evolve` picks dense or Lanczos by size.  ``dense``
+    and ``krylov`` force one generic propagator; they are the cross-checks of
+    the structured routes, and the acceptance suite compares the two.
+    """
 
     method: str = "auto"        # auto | dense | krylov
     krylov_dim: int = 30
@@ -262,41 +272,123 @@ def _grover_rank2_kernel(h_c, h, t) -> StructuredMarkedKernel:
 
 
 # ---------------------------------------------------------------------------
+# transverse symmetric sector
+
+def _sector_propagator(n, h, marked_energy, t):
+    """e^{-iHt} on the Dicke states |D_w> around the marked state, w = 0..n.
+
+    There h*sum(sigma^x) is tridiagonal with hops h*sqrt((w+1)(n-w)), and the
+    marked term adds ``marked_energy`` at w = 0.
+    """
+    w = np.arange(n)
+    diag = np.zeros(n + 1)
+    diag[0] = marked_energy
+    lam, vec = eigh_tridiagonal(diag, h * np.sqrt((w + 1.0) * (n - w)))
+    return (vec * np.exp(-1j * lam * t)) @ vec.T
+
+
+def _transverse_table(h_c, h, t):
+    """Transverse-mixer Q(x|y) as a table over (d, w_x, w_y): d = |x^y| and
+    w_x, w_y the Hamming distances of x and y from the marked state k.
+
+    H leaves the symmetric sector S spanned by the Dicke states around k
+    invariant and equals the free mixer on its complement, so
+    U = U0 + B (U_S - U0_S) B^T with U0 = (cos ht I - i sin ht X)^{(x)N} and
+    B the Dicke basis.  Hence <x|U|y> = cos^{N-d}(ht) (-i sin ht)^d
+    + (U_S - U0_S)(w_x, w_y) / sqrt(C(N,w_x) C(N,w_y)).  Entries with x = k
+    or y = k are read off U_S alone, so the marked column carries no
+    cancellation against U0.
+    """
+    n = h_c.n_spins
+    u_s = _sector_propagator(n, h, -h_c.alpha * n, t)
+    u_0 = _sector_propagator(n, h, 0.0, t)
+    w = np.arange(n + 1)
+    scale = 1.0 / np.sqrt([math.comb(n, j) for j in w])
+    c, s = math.cos(h * t), math.sin(h * t)
+    free = c ** (n - w) * s ** w * np.array([1, -1j, -1, 1j])[w % 4]
+    amp = free[:, None, None] + ((u_s - u_0) * scale * scale[:, None])[None]
+    amp[w, w, 0] = u_s[:, 0] * scale
+    amp[w, 0, w] = u_s[0, :] * scale
+    return amp.real ** 2 + amp.imag ** 2
+
+
+def _transverse_kernel(h_c, h, t) -> DenseKernel:
+    """Dense transverse kernel, filled from the table in blocks of rows."""
+    n, dim = h_c.n_spins, h_c.dim
+    table = _transverse_table(h_c, h, t).ravel()
+    x = np.arange(dim, dtype=np.int32)
+    w = np.bitwise_count(x ^ h_c.marked).astype(np.int32)
+    w_row = w * (n + 1)
+    q = np.empty((dim, dim))
+    rows = max(1, (1 << 20) // dim)     # about 2^20 entries per block
+    for x0 in range(0, dim, rows):
+        block = slice(x0, x0 + rows)
+        # flat table index d*(n+1)^2 + w_x*(n+1) + w_y
+        idx = np.multiply(np.bitwise_count(x[block, None] ^ x), (n + 1) ** 2,
+                          dtype=np.int32)
+        idx += w_row[block, None]
+        idx += w
+        np.take(table, idx, out=q[block])
+    return DenseKernel(q, n)
+
+
+def _transverse_column(h_c, h, t, y) -> np.ndarray:
+    """Transverse proposal column out of y in O(2^N)."""
+    x = np.arange(h_c.dim)
+    w_y = int(y ^ h_c.marked).bit_count()
+    table = _transverse_table(h_c, h, t)[:, :, w_y]
+    return table[np.bitwise_count(x ^ y), np.bitwise_count(x ^ h_c.marked)]
+
+
+# ---------------------------------------------------------------------------
 # proposal kernels
 
 def quantum_kernel(h_c: MarkedStateHamiltonian, mixer: MixerSpec, t: float,
                    cfg: PropagatorConfig = DEFAULT_PROPAGATOR) -> ProposalKernel:
-    """Dense proposal kernel Q(x|y) = |<x| e^{-iHt} |y>|^2."""
+    """Proposal kernel Q(x|y) = |<x| e^{-iHt} |y>|^2.
+
+    ``auto`` builds it on the mixer's invariant subspace: the grover rank-2
+    form, or the transverse symmetric sector in O(4^N).  ``dense`` is the
+    cross-check, an O(8^N) diagonalization of H; Lanczos evolves single
+    states only, so ``krylov`` has no kernel route.
+    """
     n = h_c.n_spins
     if n > _DENSE_KERNEL_BUDGET:
         raise BudgetExceeded(f"dense kernel limited to N <= {_DENSE_KERNEL_BUDGET}")
-    method = cfg.method
-    if method == "auto":
+    if not math.isfinite(t):
+        raise ValueError("evolution time must be finite")
+    if cfg.method == "auto":
         if mixer.variant == GROVER:
             return _grover_rank2_kernel(h_c, mixer.field_strength, t)
-        method = "dense" if n <= _DENSE_H_BUDGET else "krylov"
-    if method == "dense":
-        lam, vec = _eigendecomposition(h_c, mixer)
-        u = (vec * np.exp(-1j * lam * t)) @ vec.T
-        return DenseKernel(np.abs(u) ** 2, n)
-    cols = np.empty((h_c.dim, h_c.dim))
-    for y in range(h_c.dim):
-        amps = evolve(h_c, mixer, basis_state(n, y), t, cfg)
-        cols[:, y] = np.abs(amps) ** 2
-    return DenseKernel(cols, n)
+        return _transverse_kernel(h_c, mixer.field_strength, t)
+    if cfg.method == "krylov":
+        raise ValueError("the krylov propagator evolves single states; "
+                         "kernels take method 'auto' or 'dense'")
+    lam, vec = _eigendecomposition(h_c, mixer)
+    re = (vec * np.cos(lam * t)) @ vec.T
+    im = (vec * np.sin(lam * t)) @ vec.T
+    return DenseKernel(re * re + im * im, n)
 
 
 def quantum_proposal_column(h_c: MarkedStateHamiltonian, mixer: MixerSpec,
                             t: float, y: int,
                             cfg: PropagatorConfig = DEFAULT_PROPAGATOR) -> np.ndarray:
-    """Measurement distribution after one evolution from basis state y."""
+    """Measurement distribution after one evolution from basis state y.
+
+    ``auto`` reads it off the mixer's invariant subspace in O(2^N);
+    ``dense`` and ``krylov`` evolve the basis state as cross-checks.
+    """
     n = h_c.n_spins
     if n > _COLUMN_BUDGET:
         raise BudgetExceeded(f"proposal columns limited to N <= {_COLUMN_BUDGET}")
     if not 0 <= y < h_c.dim:
         raise IndexError(f"configuration {y} out of range")
-    if cfg.method == "auto" and mixer.variant == GROVER:
-        return _grover_rank2_kernel(h_c, mixer.field_strength, t).column(y)
+    if not math.isfinite(t):
+        raise ValueError("evolution time must be finite")
+    if cfg.method == "auto":
+        if mixer.variant == GROVER:
+            return _grover_rank2_kernel(h_c, mixer.field_strength, t).column(y)
+        return _transverse_column(h_c, mixer.field_strength, t, y)
     amps = evolve(h_c, mixer, basis_state(n, y), t, cfg)
     return np.abs(amps) ** 2
 

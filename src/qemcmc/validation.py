@@ -39,6 +39,8 @@ from .spectral import (
     uniform_gap_closed_form,
 )
 
+# The checks build kernels by dense diagonalization, independently of the
+# invariant-subspace routes the experiments take.
 _DENSE = PropagatorConfig(method="dense")
 
 
@@ -226,7 +228,8 @@ def check_mixing_sandwich(n_values=range(4, 9), betas=(1.0, 5.0), alpha=1.0,
 
 def check_propagator(n_values=range(4, 11), n_draws=20,
                      seed=20240819) -> CriterionResult:
-    """Krylov evolution against dense diagonalization on random states."""
+    """Krylov evolution against dense diagonalization on random states: the
+    two generic propagators that cross-check the structured routes."""
     rng = _rng(seed)
     krylov = PropagatorConfig(method="krylov")
     worst = 0.0

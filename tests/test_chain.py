@@ -142,6 +142,11 @@ def test_chain_reproducible():
 def test_total_variation():
     assert total_variation(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 1.0
     assert total_variation(np.array([0.5, 0.5]), np.array([0.5, 0.5])) == 0.0
+    # a point mass off the marked state: the rounded sum would exceed 1
+    pi = gibbs_measure(MarkedStateHamiltonian(8, 1.0), 5.0).probabilities()
+    point = np.zeros(256)
+    point[1] = 1.0
+    assert 1.0 - 1e-12 < total_variation(point, pi) <= 1.0
 
 
 def test_tv_curve_from_stationary():

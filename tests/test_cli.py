@@ -145,3 +145,34 @@ def test_value_spec_parsing():
         cli._parse_spec("resonance", allow_resonance=False)
     with pytest.raises(ValueError):
         cli._parse_spec("3:1", allow_resonance=False)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--experiment", "figure-b", "--t", "nan"],
+    ["--experiment", "scan", "--t", "nan"],
+    ["--experiment", "scan", "--h", "inf"],
+    ["--experiment", "figure-a", "--t", "2:inf"],
+    ["--experiment", "scan", "--alpha", "nan"],
+    ["--experiment", "scan", "--beta", "nan"],
+])
+def test_non_finite_values_exit_2(argv, capsys):
+    assert cli.main(argv + ["--n-min", "4", "--n-max", "4"]) == 2
+    assert "finite" in capsys.readouterr().err
+
+
+def test_sample_without_steps_exits_2(capsys):
+    argv = ["--experiment", "sample", "--n-min", "4", "--n-max", "4",
+            "--steps", "0"]
+    assert cli.main(argv) == 2
+    assert "steps" in capsys.readouterr().err
+
+
+def test_figure_b_kernel_budget_skips_exact_row(tmp_path, capsys):
+    out = tmp_path / "figure-b.csv"
+    status = cli.main(["--experiment", "figure-b", "--n-min", "15",
+                       "--n-max", "15", "--max-dense-n", "15",
+                       "--out", str(out)])
+    assert status == 0
+    rows = _rows(out.read_text())
+    assert [r[6] for r in rows] == ["bound"]
+    assert "skipped delta_exact at N=15" in capsys.readouterr().err

@@ -180,6 +180,54 @@ def test_transverse_kernel_symmetric_doubly_stochastic():
     assert cert.max_row_deviation < 1e-10
 
 
+def test_transverse_sector_kernel_matches_dense():
+    rng = _rng(23)
+    for n in range(2, 11):
+        h_c = MarkedStateHamiltonian(n, rng.uniform(0.5, 2.0),
+                                     int(rng.integers(1, 1 << n)))
+        mixer = MixerSpec(TRANSVERSE, rng.uniform(-2.0, 2.0))
+        t = rng.uniform(0.0, 4.0)
+        auto = quantum_kernel(h_c, mixer, t).dense()       # symmetric sector
+        sim = quantum_kernel(h_c, mixer, t, DENSE).dense()
+        assert np.max(np.abs(auto - sim)) < 1e-12
+
+
+def test_transverse_sector_edge_cases():
+    h_c = MarkedStateHamiltonian(5, 1.0, marked=11)
+    for h, t in ((1.3, 0.0), (0.0, 2.0)):
+        q = quantum_kernel(h_c, MixerSpec(TRANSVERSE, h), t).dense()
+        assert np.max(np.abs(q - np.eye(32))) < 1e-14
+    # with a negligible marked term, ht = pi/2 flips every spin: x = y ^ 31
+    free = MarkedStateHamiltonian(5, 1e-300, marked=11)
+    q = quantum_kernel(free, MixerSpec(TRANSVERSE, 0.5), math.pi).dense()
+    assert np.max(np.abs(q - np.eye(32)[::-1])) < 1e-14
+
+
+def test_transverse_sector_column_matches_dense():
+    h_c = MarkedStateHamiltonian(7, 1.2, marked=45)
+    mixer = MixerSpec(TRANSVERSE, -0.8)
+    for y in (45, 0, 100):
+        auto = quantum_proposal_column(h_c, mixer, 2.3, y)
+        sim = quantum_proposal_column(h_c, mixer, 2.3, y, DENSE)
+        assert np.max(np.abs(auto - sim)) < 1e-12
+
+
+@pytest.mark.parametrize("n", [14, 16])
+def test_transverse_marked_escape_matches_krylov(n):
+    h_c = MarkedStateHamiltonian(n, 1.3, marked=5)
+    mixer = MixerSpec(TRANSVERSE, 0.7)
+    auto = quantum_proposal_column(h_c, mixer, 1.7, 5)
+    ref = quantum_proposal_column(h_c, mixer, 1.7, 5, KRYLOV)
+    escape, escape_ref = np.delete(auto, 5).sum(), np.delete(ref, 5).sum()
+    assert abs(escape - escape_ref) < 1e-10 * escape_ref
+
+
+def test_kernel_has_no_krylov_route():
+    with pytest.raises(ValueError):
+        quantum_kernel(MarkedStateHamiltonian(3, 1.0),
+                       MixerSpec(TRANSVERSE, 1.0), 1.0, KRYLOV)
+
+
 def test_proposal_column_point_mass_at_t0():
     col = quantum_proposal_column(MarkedStateHamiltonian(4, 1.0),
                                   MixerSpec(TRANSVERSE, 1.0), 0.0, 6, DENSE)
