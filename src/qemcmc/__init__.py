@@ -15,6 +15,7 @@ from .proposal import (
     ColumnOracleKernel,
     DenseKernel,
     KernelCertificate,
+    PermutationInvariantKernel,
     ProposalKernel,
     StructuredMarkedKernel,
     affine_combination,
@@ -58,6 +59,7 @@ from .spectral import (
     grover_gap_closed_form,
     mixing_time_bounds,
     scaling_fit,
+    spectral_gap_blocks,
     spectral_gap_dense,
     time_averaged_kernel,
     two_level_reduction,

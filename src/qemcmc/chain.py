@@ -3,7 +3,10 @@ exact total-variation mixing diagnostics.
 
 Transition matrices use the row orientation p[y, x] = Pr(y -> x).  Diagonals
 are always completed from row stochasticity rather than any closed-form
-expression, so rejection mass is absorbed exactly.
+expression, so rejection mass is absorbed exactly.  The dense matrix serves
+chain sampling experiments, the mixing-time search and the dense gap
+cross-check; the exact-gap experiments assemble the chain on its pair
+classes instead (:func:`qemcmc.spectral.spectral_gap_blocks`).
 """
 
 from __future__ import annotations
@@ -23,6 +26,10 @@ from .model import GibbsMeasure
 from .proposal import ProposalKernel, validate_kernel
 
 _POWERING_BUDGET = 12  # max n_spins for dense matrix powering
+_ORBIT_ROWS = 256      # rows per block of the orbit-structure scan
+# largest kernel asymmetry a chain is assembled from; the pair-class assembly
+# (qemcmc.spectral) holds the kernel's column sums to it as well
+SYMMETRY_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,7 +65,7 @@ def mh_acceptance(delta_e: float, beta: float, log_q_ratio: float = 0.0) -> floa
 
 
 def build_transition_matrix(kernel: ProposalKernel, measure: GibbsMeasure,
-                            symmetry_tol: float = 1e-9) -> TransitionMatrix:
+                            symmetry_tol: float = SYMMETRY_TOL) -> TransitionMatrix:
     """Assemble P(y,x) = Q(x|y) * A(x|y) with the diagonal fixed by row sums.
 
     The kernel must be symmetric (certificate checked) so that acceptance
@@ -140,7 +147,14 @@ def tv_distance_curve(p: TransitionMatrix, start: int, max_t: int) -> np.ndarray
 # exact mixing time
 
 def _orbit_values(p: TransitionMatrix, atol: float = 1e-12):
-    """Detect the five-value marked-orbit structure; return its values or None."""
+    """Detect the five-value marked-orbit structure; return its values or None.
+
+    The marked row, the marked column, the unmarked diagonal and the
+    off-diagonal unmarked entries must each span at most ``atol`` (a NaN
+    fails).  The last set is scanned in blocks of rows through one small
+    buffer, with the entries outside it overwritten by one inside, which
+    leaves its range unchanged.
+    """
     mat = p.p
     dim = p.dim
     if dim < 3:
@@ -149,11 +163,24 @@ def _orbit_values(p: TransitionMatrix, atol: float = 1e-12):
     un = np.arange(dim) != m
     row_m = mat[m, un]
     col_m = mat[un, m]
-    block = mat[np.ix_(un, un)]
-    diag = np.diag(block)
-    off = block[~np.eye(dim - 1, dtype=bool)]
-    for vals in (row_m, col_m, diag, off):
-        if np.ptp(vals) > atol:
+    diag = np.diag(mat)[un]
+    for vals in (row_m, col_m, diag):
+        if not np.ptp(vals) <= atol:
+            return None
+    u0, u1 = np.flatnonzero(un)[:2]
+    p_xy = mat[u0, u1]
+    low = high = p_xy
+    buf = np.empty((min(_ORBIT_ROWS, dim), dim))
+    for r0 in range(0, dim, _ORBIT_ROWS):
+        rows = buf[:min(_ORBIT_ROWS, dim - r0)]
+        np.copyto(rows, mat[r0:r0 + _ORBIT_ROWS])
+        rows[:, m] = p_xy
+        at = np.arange(rows.shape[0])
+        rows[at, r0 + at] = p_xy
+        if r0 <= m < r0 + rows.shape[0]:
+            rows[m - r0] = p_xy
+        low, high = np.minimum(low, rows.min()), np.maximum(high, rows.max())
+        if not high - low <= atol:
             return None
     return {
         "marked": m,
@@ -161,7 +188,7 @@ def _orbit_values(p: TransitionMatrix, atol: float = 1e-12):
         "p_kx": float(row_m[0]),
         "p_xk": float(col_m[0]),
         "p_xx": float(diag[0]),
-        "p_xy": float(off[0]),
+        "p_xy": float(p_xy),
     }
 
 

@@ -17,6 +17,10 @@ class AsymmetricKernel(QemcmcError):
     """A symmetric proposal kernel was required but the certificate failed."""
 
 
+class NotStochastic(QemcmcError):
+    """A proposal kernel's columns do not sum to one."""
+
+
 class NegativeDiagonal(QemcmcError):
     """Transition-matrix assembly produced a negative rejection mass."""
 

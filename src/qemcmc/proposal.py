@@ -3,11 +3,17 @@
 Orientation convention: the second argument is the source state, so a dense
 kernel is column-indexed by the current configuration and every column is a
 probability distribution over proposed configurations.
+
+A kernel invariant under permutations of the spins about the marked state k
+is carried as its table over (d, w_x, w_y), with d = |x^y| and w_x = |x^k|,
+w_y = |y^k|; its certificate is measured on that table in O(N^3).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -15,6 +21,14 @@ from .errors import MismatchedDimensions, NegativeProbability
 
 # Entries above this negative floor are treated as rounding noise and clamped.
 _CLAMP_FLOOR = -1e-14
+
+
+def _clamped(a: np.ndarray) -> np.ndarray:
+    """``a`` with entries in [_CLAMP_FLOOR, 0) set to 0; below the floor,
+    NegativeProbability."""
+    if np.min(a) < _CLAMP_FLOOR:
+        raise NegativeProbability(f"kernel entry {np.min(a):.3e} below clamp floor")
+    return np.clip(a, 0.0, None)
 
 
 @dataclass(frozen=True)
@@ -45,12 +59,7 @@ class ProposalKernel:
     def dense(self) -> np.ndarray:
         """Dense matrix q[x, y] = Q(x|y), built once and cached."""
         if self._dense is None:
-            q = np.asarray(self._build_dense(), dtype=float)
-            if np.min(q) < _CLAMP_FLOOR:
-                raise NegativeProbability(
-                    f"kernel entry {np.min(q):.3e} below clamp floor"
-                )
-            self._dense = np.clip(q, 0.0, None)
+            self._dense = _clamped(np.asarray(self._build_dense(), dtype=float))
         return self._dense
 
     def column(self, y: int) -> np.ndarray:
@@ -74,7 +83,79 @@ class DenseKernel(ProposalKernel):
         return self._matrix
 
 
-class StructuredMarkedKernel(ProposalKernel):
+@lru_cache(maxsize=None)
+def weight_classes(n_spins: int):
+    """Pair classes about the marked state, over (i, j, t).
+
+    For x at distance i from the marked state, ``count[i, j, t]`` is the
+    number C(i, t) C(N - i, j - t) of states y at distance j that differ
+    from the marked state in t of the i spins where x does, and
+    ``distance[i, j, t]`` is |x^y| = i + j - 2t (clipped into range where
+    the count is 0).
+    """
+    n = n_spins
+    w = np.arange(n + 1)
+    i, j, t = w[:, None, None], w[None, :, None], w[None, None, :]
+    count = np.array([[[math.comb(a, c) * math.comb(n - a, b - c) if c <= b else 0
+                        for c in w] for b in w] for a in w], dtype=float)
+    distance = np.clip(i + j - 2 * t, 0, n)
+    count.flags.writeable = distance.flags.writeable = False
+    return count, distance
+
+
+class PermutationInvariantKernel(ProposalKernel):
+    """Kernel invariant under permutations of the spins about a marked state k.
+
+    Q(x|y) = T[d, w_x, w_y] depends only on d = |x^y| and the distances
+    w_x = |x^k|, w_y = |y^k|, so the (N+1)^3 table T holds every entry.
+    """
+
+    def __init__(self, n_spins, marked, table):
+        super().__init__(n_spins)
+        if not 0 <= marked < self.dim:
+            raise IndexError(f"marked index {marked} out of range")
+        self.marked = marked
+        self._raw_table = table
+        self._table = None
+
+    def table(self) -> np.ndarray:
+        """T[d, w_x, w_y], checked once.  Classes no pair of states realizes
+        read 0, and entries are clamped as :meth:`dense` clamps them."""
+        if self._table is None:
+            n = self.n_spins
+            table = np.asarray(self._raw_table, dtype=float)
+            if table.shape != (n + 1,) * 3:
+                raise MismatchedDimensions(
+                    f"expected {(n + 1,) * 3} table, got {table.shape}"
+                )
+            count, distance = weight_classes(n)
+            i, j, _ = np.nonzero(count)
+            realized = np.zeros(table.shape, dtype=bool)
+            realized[distance[count > 0], i, j] = True
+            self._table = _clamped(np.where(realized, table, 0.0))
+        return self._table
+
+    def _build_dense(self):
+        """Gather the table in blocks of about 2^20 entries."""
+        n, dim = self.n_spins, self.dim
+        table = self.table().ravel()
+        x = np.arange(dim, dtype=np.int32)
+        w = np.bitwise_count(x ^ self.marked).astype(np.int32)
+        w_row = w * (n + 1)
+        q = np.empty((dim, dim))
+        rows = max(1, (1 << 20) // dim)
+        for x0 in range(0, dim, rows):
+            block = slice(x0, x0 + rows)
+            # flat table index d*(n+1)^2 + w_x*(n+1) + w_y
+            idx = np.multiply(np.bitwise_count(x[block, None] ^ x), (n + 1) ** 2,
+                              dtype=np.int32)
+            idx += w_row[block, None]
+            idx += w
+            np.take(table, idx, out=q[block])
+        return q
+
+
+class StructuredMarkedKernel(PermutationInvariantKernel):
     """Kernel with the marked-state orbit structure: four distinct values.
 
     ``off_marked`` is Q(k|x) = Q(x|k) for any unmarked x, ``off_unmarked`` is
@@ -84,10 +165,11 @@ class StructuredMarkedKernel(ProposalKernel):
 
     def __init__(self, n_spins, marked, off_marked, off_unmarked,
                  stay_marked, stay_unmarked):
-        super().__init__(n_spins)
-        if not 0 <= marked < self.dim:
-            raise IndexError(f"marked index {marked} out of range")
-        self.marked = marked
+        table = np.full((n_spins + 1,) * 3, float(off_unmarked))
+        table[:, 0, :] = table[:, :, 0] = off_marked
+        table[0] = stay_unmarked
+        table[0, 0, 0] = stay_marked
+        super().__init__(n_spins, marked, table)
         self.off_marked = float(off_marked)
         self.off_unmarked = float(off_unmarked)
         self.stay_marked = float(stay_marked)
@@ -198,7 +280,25 @@ def affine_combination(weights, kernels) -> AffineKernel:
 
 
 def validate_kernel(kernel: ProposalKernel) -> KernelCertificate:
-    """Measure stochasticity and symmetry deviations; never raises on violation."""
+    """Measure stochasticity and symmetry deviations; never raises on violation.
+
+    A :class:`PermutationInvariantKernel` is measured on its table: each
+    column or row sum is a sum over the pair classes of one distance from the
+    marked state, and the asymmetry is that of T[d, w_x, w_y] in w_x, w_y.
+    """
+    if isinstance(kernel, PermutationInvariantKernel):
+        table = kernel.table()
+        count, distance = weight_classes(kernel.n_spins)
+        w = np.arange(kernel.n_spins + 1)
+        i, j = w[:, None, None], w[None, :, None]
+        # source (column) at distance i, proposals at j; and the transpose
+        col_sums = (count * table[distance, j, i]).sum(axis=(1, 2))
+        row_sums = (count * table[distance, i, j]).sum(axis=(1, 2))
+        return KernelCertificate(
+            float(np.max(np.abs(col_sums - 1.0))),
+            float(np.max(np.abs(row_sums - 1.0))),
+            float(np.max(np.abs(table - table.transpose(0, 2, 1)))),
+        )
     q = kernel.dense()
     col_dev = float(np.max(np.abs(q.sum(axis=0) - 1.0)))
     row_dev = float(np.max(np.abs(q.sum(axis=1) - 1.0)))

@@ -7,9 +7,10 @@ grover mixer has an exact O(1) propagator on a two-dimensional subspace, and
 the transverse mixer an (N+1)-dimensional one on the Dicke states around the
 marked configuration, outside of which H is the free mixer.  A marked-state
 column then costs one tridiagonal eigensolve of order N+1 plus an O(2^N)
-expansion, and a full kernel an O(4^N) fill.  Dense diagonalization and an
-adaptive Lanczos propagator evolve arbitrary states and serve as the
-independent cross-checks of both structured routes.
+expansion, and a full kernel is its (N+1)^3 table over (|x^y|, |x^k|, |y^k|),
+densified by an O(4^N) fill only where a dense matrix is asked for.  Dense
+diagonalization and an adaptive Lanczos propagator evolve arbitrary states
+and serve as the independent cross-checks of both structured routes.
 """
 
 from __future__ import annotations
@@ -27,7 +28,12 @@ from .errors import (
     NonConvergence,
 )
 from .model import MarkedStateHamiltonian
-from .proposal import DenseKernel, ProposalKernel, StructuredMarkedKernel
+from .proposal import (
+    DenseKernel,
+    PermutationInvariantKernel,
+    ProposalKernel,
+    StructuredMarkedKernel,
+)
 
 GROVER = "grover"
 TRANSVERSE = "transverse"
@@ -312,26 +318,6 @@ def _transverse_table(h_c, h, t):
     return amp.real ** 2 + amp.imag ** 2
 
 
-def _transverse_kernel(h_c, h, t) -> DenseKernel:
-    """Dense transverse kernel, filled from the table in blocks of rows."""
-    n, dim = h_c.n_spins, h_c.dim
-    table = _transverse_table(h_c, h, t).ravel()
-    x = np.arange(dim, dtype=np.int32)
-    w = np.bitwise_count(x ^ h_c.marked).astype(np.int32)
-    w_row = w * (n + 1)
-    q = np.empty((dim, dim))
-    rows = max(1, (1 << 20) // dim)     # about 2^20 entries per block
-    for x0 in range(0, dim, rows):
-        block = slice(x0, x0 + rows)
-        # flat table index d*(n+1)^2 + w_x*(n+1) + w_y
-        idx = np.multiply(np.bitwise_count(x[block, None] ^ x), (n + 1) ** 2,
-                          dtype=np.int32)
-        idx += w_row[block, None]
-        idx += w
-        np.take(table, idx, out=q[block])
-    return DenseKernel(q, n)
-
-
 def _transverse_column(h_c, h, t, y) -> np.ndarray:
     """Transverse proposal column out of y in O(2^N)."""
     x = np.arange(h_c.dim)
@@ -348,9 +334,10 @@ def quantum_kernel(h_c: MarkedStateHamiltonian, mixer: MixerSpec, t: float,
     """Proposal kernel Q(x|y) = |<x| e^{-iHt} |y>|^2.
 
     ``auto`` builds it on the mixer's invariant subspace: the grover rank-2
-    form, or the transverse symmetric sector in O(4^N).  ``dense`` is the
-    cross-check, an O(8^N) diagonalization of H; Lanczos evolves single
-    states only, so ``krylov`` has no kernel route.
+    form, or the transverse symmetric sector's (d, w_x, w_y) table, which
+    densifies in O(4^N) only on demand.  ``dense`` is the cross-check, an
+    O(8^N) diagonalization of H; Lanczos evolves single states only, so
+    ``krylov`` has no kernel route.
     """
     n = h_c.n_spins
     if n > _DENSE_KERNEL_BUDGET:
@@ -360,7 +347,8 @@ def quantum_kernel(h_c: MarkedStateHamiltonian, mixer: MixerSpec, t: float,
     if cfg.method == "auto":
         if mixer.variant == GROVER:
             return _grover_rank2_kernel(h_c, mixer.field_strength, t)
-        return _transverse_kernel(h_c, mixer.field_strength, t)
+        return PermutationInvariantKernel(
+            n, h_c.marked, _transverse_table(h_c, mixer.field_strength, t))
     if cfg.method == "krylov":
         raise ValueError("the krylov propagator evolves single states; "
                          "kernels take method 'auto' or 'dense'")

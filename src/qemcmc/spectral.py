@@ -1,26 +1,57 @@
-"""Spectral gaps of reversible chains: dense eigensolves, closed forms for the
-uniform and grover proposals, the two-level reduction, mixing-time bounds, and
-time-averaged kernels.
+"""Spectral gaps of reversible chains: the symmetry-block route, the dense
+eigensolve that cross-checks it, closed forms for the uniform and grover
+proposals, the two-level reduction, mixing-time bounds, and time-averaged
+kernels.
 
-The dense solve works on I - P (diagonal rebuilt from off-diagonal row sums).
+A chain on the marked model whose kernel is invariant under permutations of
+the spins about the marked state k (every kernel the experiments build) has
+L = D^1/2 (I - P) D^-1/2 in the Terwilliger algebra of the hypercube, so its
+whole spectrum comes from floor(N/2)+1 symmetric blocks of order at most N+1
+(Schrijver, IEEE Trans. Inf. Theory 51, 2859 (2005)).  Block k has
+multiplicity C(N,k) - C(N,k-1) and entries
+
+    B_k[i,j] = sum_t beta^t_{i,j,k} x^t_{i,j} / sqrt(C(N-2k,i-k) C(N-2k,j-k))
+
+over i, j in [k, N-k], where x^t_{i,j} is the entry of L between states at
+distances i and j from k whose moves away from k overlap in t spins.  Block 0
+is the symmetrized chain lumped onto the N+1 distances.
+
 An eigenvalue read off a float64 eigensolver is good only to about
-eps * |I - P|, the largest eigenvalue, however small the gap.  So each end of
-the spectrum is taken instead as the Rayleigh quotient of its Ritz vector,
-written as a Dirichlet form: a sum of nonnegative terms, whose accuracy scales
-with the gap itself rather than with 1.
+eps * |I - P|, the largest eigenvalue, however small the gap.  So the dense
+solve, and block 0 of the block route, take each end of the spectrum instead
+as the Rayleigh quotient of its Ritz vector, written as a Dirichlet form: a
+sum of nonnegative terms, whose accuracy scales with the gap itself rather
+than with 1.  The dense solve works on I - P (diagonal rebuilt from
+off-diagonal row sums) and is the cross-check of the block route, used by the
+acceptance checks and the tests.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import lapack
 
-from .errors import BudgetExceeded, EigensolverFailure, NotReversible
-from .model import MarkedStateHamiltonian
-from .proposal import DenseKernel, ProposalKernel, StructuredMarkedKernel
+from .errors import (
+    AsymmetricKernel,
+    BudgetExceeded,
+    EigensolverFailure,
+    MismatchedDimensions,
+    NegativeDiagonal,
+    NotReversible,
+    NotStochastic,
+)
+from .model import GibbsMeasure, MarkedStateHamiltonian
+from .proposal import (
+    DenseKernel,
+    PermutationInvariantKernel,
+    ProposalKernel,
+    validate_kernel,
+    weight_classes,
+)
 from .quantum import (
     DEFAULT_PROPAGATOR,
     GROVER,
@@ -28,9 +59,11 @@ from .quantum import (
     PropagatorConfig,
     quantum_kernel,
 )
-from .chain import TransitionMatrix
+from .chain import SYMMETRY_TOL, TransitionMatrix
 
 _LN2 = math.log(2.0)
+_EPSILON = 0.01              # TV target of a SpectralReport's mixing bounds
+_REVERSIBILITY_TOL = 1e-9    # largest relative detailed-balance deviation
 
 
 @dataclass(frozen=True)
@@ -73,16 +106,18 @@ def mixing_time_bounds(delta: float, pi_min: float, epsilon: float,
     return lower, upper
 
 
-def spectral_gap_dense(p: TransitionMatrix, epsilon: float = 0.01,
-                       reversibility_tol: float = 1e-9,
+def spectral_gap_dense(p: TransitionMatrix, epsilon: float = _EPSILON,
+                       reversibility_tol: float = _REVERSIBILITY_TOL,
                        max_n: int = 12) -> SpectralReport:
-    """Gap 1 - |lambda_2| of P by a symmetric eigensolve.
+    """Gap 1 - |lambda_2| of P by a symmetric eigensolve: the O(8^N)
+    cross-check of :func:`spectral_gap_blocks`.
 
-    P is conjugated with sqrt(pi(x)/pi(y)) computed from log weights; the
-    resulting symmetric matrix is cospectral with P, and its asymmetry is the
-    reversibility certificate.  Each end of the spectrum is then read as the
-    Rayleigh quotient of its Ritz vector in Dirichlet form (see
-    :func:`_dirichlet_forms`), not as a computed eigenvalue.
+    The asymmetry of P conjugated with sqrt(pi(x)/pi(y)) is the
+    reversibility certificate; the solve itself works on the cospectral
+    symmetric matrix with off-diagonal entries -sqrt(P(x,y) P(y,x)).  Each
+    end of the spectrum is then read as the Rayleigh quotient of its Ritz
+    vector in Dirichlet form (see :func:`_dirichlet_forms`), not as a
+    computed eigenvalue.
     """
     if p.n_spins > max_n:
         raise BudgetExceeded(f"dense eigensolve limited to N <= {max_n}")
@@ -90,15 +125,23 @@ def spectral_gap_dense(p: TransitionMatrix, epsilon: float = 0.01,
     np.fill_diagonal(off, 0.0)
     diag = off.sum(axis=1)
     lw = p.stationary.log_weights
-    sym = -off * np.exp(0.5 * (lw[:, None] - lw[None, :]))
-    np.fill_diagonal(sym, diag)
-    scale = max(float(np.max(np.abs(sym))), 1e-300)
-    asym = float(np.max(np.abs(sym - sym.T))) / scale
-    if asym > reversibility_tol:
+    # the factor overflows once the log weights differ by about 1420; taken
+    # only where P(x,y) > 0, no 0 * inf can put NaN into the certificate
+    conj = np.zeros_like(off)
+    with np.errstate(over="ignore"):
+        np.multiply(off, np.exp(0.5 * (lw[:, None] - lw[None, :])), out=conj,
+                    where=off > 0)
+    scale = max(float(np.max(conj)), float(np.max(diag)), 1e-300)
+    asym = float(np.max(np.abs(conj - conj.T))) / scale
+    del conj
+    if not asym <= reversibility_tol:   # NaN fails too
         raise NotReversible(
             f"detailed-balance deviation {asym:.3e} exceeds {reversibility_tol:.1e}"
         )
-    sym = 0.5 * (sym + sym.T)
+    sym = off * off.T
+    np.sqrt(sym, out=sym)
+    np.negative(sym, out=sym)
+    np.fill_diagonal(sym, diag)
     low, top = _extreme_ritz_vectors(sym)  # Ritz vectors of I - P
     # the two lowest span {sqrt(pi), phi_1} up to rounding; project out sqrt(pi)
     sqrt_pi = np.exp(0.5 * p.stationary.log_probabilities())
@@ -180,6 +223,153 @@ def _dirichlet_forms(p: np.ndarray, phi: np.ndarray, psi: np.ndarray,
         d = rows * psi[lo:hi, None] + cols * psi[None, :]
         high += float(np.einsum("ij,ij->", d, d))
     return 0.5 * low / float(phi @ phi), 0.5 * high / float(psi @ psi)
+
+
+# ---------------------------------------------------------------------------
+# symmetry blocks
+
+@lru_cache(maxsize=None)
+def _beta_coefficients(n_spins: int) -> dict:
+    """Schrijver's beta^t_{i,j,k} as exact integers, keyed (k, i, j, t) over
+    k <= N/2, i and j in [k, N-k], and t <= min(i, j)."""
+    n, comb = n_spins, math.comb
+    beta = {}
+    for k in range(n // 2 + 1):
+        for i in range(k, n - k + 1):
+            for j in range(k, n - k + 1):
+                for t in range(min(i, j) + 1):
+                    beta[k, i, j, t] = sum(
+                        (-1) ** (u - t) * comb(u, t) * comb(n - 2 * k, u - k)
+                        * comb(n - k - u, i - u) * comb(n - k - u, j - u)
+                        for u in range(max(k, t), min(i, j) + 1))
+    return beta
+
+
+@lru_cache(maxsize=None)
+def _block_coefficients(n_spins: int) -> np.ndarray:
+    """beta^t_{i,j,k} / sqrt(C(N-2k,i-k) C(N-2k,j-k)) over (k, i, j, t)."""
+    n = n_spins
+    coef = np.zeros((n // 2 + 1, n + 1, n + 1, n + 1))
+    for (k, i, j, t), beta in _beta_coefficients(n).items():
+        norm = math.comb(n - 2 * k, i - k) * math.comb(n - 2 * k, j - k)
+        coef[k, i, j, t] = beta / math.sqrt(norm)
+    coef.flags.writeable = False
+    return coef
+
+
+def _class_chain(kernel: PermutationInvariantKernel, measure: GibbsMeasure,
+                 symmetry_tol: float):
+    """The Metropolis-Hastings chain of ``kernel`` on the pair classes.
+
+    For x at distance i from the marked state and y at distance j, with
+    overlap t, P(x,y) = Q(y|x) min(1, pi_j/pi_i).  Returns the chain lumped
+    onto the N+1 distances, the entries x^t_{i,j} of L = D^1/2 (I - P) D^-1/2
+    over (i, j, t), and the lumped stationary log probabilities.  Off the
+    diagonal x^t_{i,j} = -Q(y|x) exp(-|lw_i - lw_j|/2), which cannot
+    overflow; on it, the off-diagonal row mass.  The checks of
+    :func:`~qemcmc.chain.build_transition_matrix` hold here on the classes:
+    kernel symmetry and column sums, the clamp, and the rejection mass.
+    """
+    n = kernel.n_spins
+    if kernel.dim != measure.dim:
+        raise MismatchedDimensions(
+            f"kernel dim {kernel.dim} does not match measure dim {measure.dim}"
+        )
+    distances = np.bitwise_count(np.arange(kernel.dim) ^ kernel.marked)
+    lw = np.empty(n + 1)
+    lw[distances] = measure.log_weights
+    if not np.array_equal(lw[distances], measure.log_weights):
+        raise ValueError("measure is not invariant under permutations of the "
+                         "spins about the kernel's marked state")
+    cert = validate_kernel(kernel)
+    if not cert.max_asymmetry <= symmetry_tol:
+        raise AsymmetricKernel(
+            f"kernel asymmetry {cert.max_asymmetry:.3e} exceeds {symmetry_tol:.1e}"
+        )
+    if not cert.max_column_deviation <= symmetry_tol:
+        raise NotStochastic(
+            f"kernel column sums deviate by {cert.max_column_deviation:.3e}, "
+            f"more than {symmetry_tol:.1e}"
+        )
+    count, distance = weight_classes(n)
+    w = np.arange(n + 1)
+    i, j = w[:, None, None], w[None, :, None]
+    moves = count > 0
+    moves[w, w, w] = False                       # y = x
+    q = np.where(moves, kernel.table()[distance, j, i], 0.0)   # Q(y|x)
+    step = lw[None, :] - lw[:, None]
+    lumped = np.einsum("ijt,ijt->ij", count,
+                       q * np.exp(np.minimum(0.0, step))[:, :, None])
+    off_mass = lumped.sum(axis=1)
+    rejection = 1.0 - off_mass
+    if np.min(rejection) < -1e-10:
+        raise NegativeDiagonal(
+            f"rejection mass {np.min(rejection):.3e} negative: defective kernel"
+        )
+    lumped[w, w] += np.clip(rejection, 0.0, None)
+    x = -q * np.exp(-0.5 * np.abs(step))[:, :, None]
+    x[w, w, w] = off_mass
+    log_pi = (lw + np.log([math.comb(n, a) for a in w])
+              - measure.log_partition)
+    return lumped, x, log_pi
+
+
+def _symmetry_blocks(x: np.ndarray):
+    """Blocks B_k of L from its class entries x^t_{i,j}, k = 0..floor(N/2),
+    each with its multiplicity C(N,k) - C(N,k-1).
+
+    Their asymmetry is the reversibility certificate; the blocks returned
+    are symmetrized.
+    """
+    n = x.shape[0] - 1
+    full = np.einsum("kijt,ijt->kij", _block_coefficients(n), x)
+    blocks = [full[k, k:n - k + 1, k:n - k + 1] for k in range(n // 2 + 1)]
+    scale = max(max(float(np.max(np.abs(b))) for b in blocks), 1e-300)
+    asym = max(float(np.max(np.abs(b - b.T))) for b in blocks) / scale
+    if not asym <= _REVERSIBILITY_TOL:   # NaN fails too
+        raise NotReversible(
+            f"block asymmetry {asym:.3e} exceeds {_REVERSIBILITY_TOL:.1e}"
+        )
+    return [(0.5 * (b + b.T), math.comb(n, k) - (math.comb(n, k - 1) if k else 0))
+            for k, b in enumerate(blocks)]
+
+
+def spectral_gap_blocks(kernel: ProposalKernel,
+                        measure: GibbsMeasure) -> SpectralReport:
+    """Gap 1 - |lambda_2| of the MH chain of a permutation-invariant kernel,
+    from the chain's floor(N/2)+1 symmetry blocks, with no 2^N x 2^N matrix.
+
+    Block 0 is the chain lumped onto the distances from the marked state; as
+    in :func:`spectral_gap_dense`, each end of its spectrum is the Rayleigh
+    quotient of its Ritz vector in Dirichlet form on the lumped chain, so a
+    gap far below the rest of the spectrum keeps its relative accuracy.
+    Blocks k >= 1 give their extreme eigenvalues directly, good to about
+    eps * |B_k| <= 2 eps in absolute terms only.  So the relative accuracy
+    holds only when the extreme mode lies in block 0; a tiny gap set by
+    block k >= 1 (nearly periodic transverse chains, h t near pi/2) keeps
+    about eps / delta of it.
+    """
+    if not isinstance(kernel, PermutationInvariantKernel):
+        raise TypeError("the block route needs a PermutationInvariantKernel, "
+                        f"not {type(kernel).__name__}")
+    lumped, x, log_pi = _class_chain(kernel, measure, SYMMETRY_TOL)
+    (block0, _), *rest = _symmetry_blocks(x)
+    _, vec = np.linalg.eigh(block0)
+    # the two lowest span {sqrt(pi), phi_1}; project out sqrt(pi)
+    sqrt_pi = np.exp(0.5 * log_pi)
+    low = vec[:, :2] - np.outer(sqrt_pi, sqrt_pi @ vec[:, :2])
+    phi = np.linalg.svd(low, full_matrices=False)[0][:, 0]
+    ends = list(_dirichlet_forms(lumped, phi, vec[:, -1]))
+    for block, _ in rest:
+        lam = np.linalg.eigvalsh(block)
+        ends += [float(lam[0]), 2.0 - float(lam[-1])]
+    delta = min(max(min(ends), 0.0), 1.0)
+    lower, upper = mixing_time_bounds(
+        max(delta, 1e-300), 1.0, _EPSILON, log_pi_min=measure.log_pi_min,
+    )
+    return SpectralReport(delta=delta, lambda2_abs=1.0 - delta,
+                          method="symmetry-blocks", mixing_lower=lower,
+                          mixing_upper=upper, epsilon=_EPSILON)
 
 
 def uniform_gap_closed_form(n_spins: int, alpha: float, beta: float) -> float:
@@ -317,22 +507,18 @@ def time_averaged_kernel(h_c: MarkedStateHamiltonian, variant: str,
     """Mean proposal kernel over the sampled (h, t) pairs.
 
     A convex combination of unital kernels, hence symmetric and doubly
-    stochastic; grover kernels are averaged in their four-value structured
-    form so large N stays cheap.
+    stochastic.  The kernels of the ``auto`` routes are averaged as their
+    (d, w_x, w_y) tables, so no 2^N x 2^N matrix is formed; only the dense
+    cross-check kernels are averaged densely.
     """
     kernels = [
         quantum_kernel(h_c, MixerSpec(variant, h), t, cfg)
         for h, t in scheme.samples()
     ]
     weight = 1.0 / len(kernels)
-    if all(isinstance(k, StructuredMarkedKernel) for k in kernels):
-        return StructuredMarkedKernel(
-            h_c.n_spins, h_c.marked,
-            weight * sum(k.off_marked for k in kernels),
-            weight * sum(k.off_unmarked for k in kernels),
-            weight * sum(k.stay_marked for k in kernels),
-            weight * sum(k.stay_unmarked for k in kernels),
-        )
+    if all(isinstance(k, PermutationInvariantKernel) for k in kernels):
+        return PermutationInvariantKernel(
+            h_c.n_spins, h_c.marked, weight * sum(k.table() for k in kernels))
     mean = np.zeros((h_c.dim, h_c.dim))
     for k in kernels:
         mean += weight * k.dense()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qemcmc.chain import (
+    _orbit_values,
     build_transition_matrix,
     chain_step,
     exact_mixing_time,
@@ -215,3 +216,25 @@ def test_mixing_time_dense_fallback():
     # every start must have crossed epsilon by the worst-start mixing time
     for start in range(dim):
         assert tv_distance_curve(p, start, t_mix)[t_mix] <= 0.05
+
+
+@pytest.mark.parametrize("marked", [0, 700, 1023])
+def test_orbit_test_rejects_one_off_entry(marked):
+    # N = 10 spans several row blocks of the scan; the perturbed entries sit
+    # in the last one, away from the marked row and column
+    h_c = MarkedStateHamiltonian(10, 1.0, marked)
+    p = build_transition_matrix(structured_grover_kernel(h_c, -1.0, 0.3),
+                                gibbs_measure(h_c, 5.0))
+    orbit = _orbit_values(p)
+    unmarked = [x for x in range(p.dim) if x != marked]
+    x, y = unmarked[-1], unmarked[-2]
+    assert orbit["marked"] == marked
+    assert orbit["p_xy"] == p.p[x, y] and orbit["p_xx"] == p.p[x, x]
+    assert orbit["p_kx"] == p.p[marked, x] and orbit["p_xk"] == p.p[x, marked]
+    saved = p.p[x, y]
+    p.p[x, y] = saved + 0.5e-12      # inside atol: still one orbit value
+    assert _orbit_values(p) is not None
+    p.p[x, y] = saved + 2e-12
+    assert _orbit_values(p) is None
+    p.p[x, y] = np.nan
+    assert _orbit_values(p) is None

@@ -7,12 +7,19 @@ from qemcmc.errors import MismatchedDimensions, NegativeProbability
 from qemcmc.model import MarkedStateHamiltonian
 from qemcmc.proposal import (
     DenseKernel,
+    PermutationInvariantKernel,
+    StructuredMarkedKernel,
     affine_combination,
     single_flip_kernel,
     uniform_kernel,
     validate_kernel,
 )
-from qemcmc.quantum import MixerSpec, PropagatorConfig, quantum_kernel
+from qemcmc.quantum import (
+    MixerSpec,
+    PropagatorConfig,
+    quantum_kernel,
+    structured_grover_kernel,
+)
 
 _DENSE = PropagatorConfig(method="dense")
 
@@ -128,3 +135,43 @@ def test_convex_combination_stays_doubly_stochastic(w, n):
     assert cert.max_column_deviation < 1e-10
     assert cert.max_row_deviation < 1e-10
     assert cert.max_asymmetry < 1e-12
+
+
+def _invariant_kernels():
+    h_c = MarkedStateHamiltonian(6, 1.3, marked=45)
+    return [uniform_kernel(4),
+            structured_grover_kernel(h_c, -0.9, 2.1),
+            quantum_kernel(h_c, MixerSpec("transverse", 0.7), 1.9)]
+
+
+def test_table_certificate_matches_dense():
+    for kern in _invariant_kernels():
+        table_cert = validate_kernel(kern)
+        dense_cert = validate_kernel(DenseKernel(kern.dense()))
+        for field in ("max_column_deviation", "max_row_deviation",
+                      "max_asymmetry"):
+            assert abs(getattr(table_cert, field)
+                       - getattr(dense_cert, field)) < 1e-14
+
+
+def test_structured_table_gathers_to_its_dense_matrix():
+    for kern in _invariant_kernels()[:2]:
+        gathered = PermutationInvariantKernel(kern.n_spins, kern.marked,
+                                              kern.table()).dense()
+        assert np.array_equal(gathered, kern.dense())
+
+
+def test_table_certificate_reports_corruption():
+    kern = _invariant_kernels()[2]
+    table = kern.table().copy()
+    table[3, 1, 2] += 1e-3          # realized: x, y at distances 1, 2, d = 3
+    cert = validate_kernel(PermutationInvariantKernel(6, 45, table))
+    assert cert.max_asymmetry == pytest.approx(1e-3, rel=1e-9)
+    # a source at distance 2 sees C(2,0) C(4,1) = 4 states at distance 1, d = 3
+    assert cert.max_column_deviation == pytest.approx(4e-3, rel=1e-6)
+
+
+def test_structured_negative_entry_raises():
+    kern = StructuredMarkedKernel(3, 2, 0.1, 0.1, 1.0 - 7 * 0.1, -1e-6)
+    with pytest.raises(NegativeProbability):
+        validate_kernel(kern)

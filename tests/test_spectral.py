@@ -1,12 +1,24 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from qemcmc.chain import build_transition_matrix
-from qemcmc.errors import BudgetExceeded, NotReversible
+from qemcmc.chain import SYMMETRY_TOL, build_transition_matrix
+from qemcmc.errors import (
+    AsymmetricKernel,
+    BudgetExceeded,
+    NegativeDiagonal,
+    NegativeProbability,
+    NotReversible,
+    NotStochastic,
+)
 from qemcmc.model import MarkedStateHamiltonian, gibbs_measure
-from qemcmc.proposal import DenseKernel, uniform_kernel
+from qemcmc.proposal import (
+    DenseKernel,
+    PermutationInvariantKernel,
+    uniform_kernel,
+)
 from qemcmc.quantum import (
     MixerSpec,
     PropagatorConfig,
@@ -19,7 +31,11 @@ from qemcmc.spectral import (
     averaged_grover_gap,
     grover_gap_closed_form,
     mixing_time_bounds,
+    _beta_coefficients,
+    _class_chain,
+    _symmetry_blocks,
     scaling_fit,
+    spectral_gap_blocks,
     spectral_gap_dense,
     time_averaged_kernel,
     two_level_frequency,
@@ -238,3 +254,192 @@ def test_dense_gap_relative_accuracy_at_tiny_gap():
     assert ref < 1e-9
     delta = spectral_gap_dense(_grover_chain(n, alpha, beta, h, t)).delta
     assert abs(delta - ref) / ref < 1e-8
+
+
+def test_dense_gap_survives_overflowing_weight_ratio():
+    # at beta*alpha*N = 1600 the factor sqrt(pi(x)/pi(y)) overflows; the
+    # entries it multiplies are 0 and must not turn into NaN
+    delta = spectral_gap_dense(_uniform_chain(4, 1.0, 400.0)).delta
+    assert delta == pytest.approx(uniform_gap_closed_form(4, 1.0, 400.0),
+                                  rel=1e-12)
+    assert uniform_gap_closed_form(4, 1.0, 400.0) == 0.0625
+
+
+# ---------------------------------------------------------------------------
+# symmetry blocks
+
+def _draw(rng, n):
+    """(marked Hamiltonian, beta, h, t) at random, marked state included."""
+    h_c = MarkedStateHamiltonian(n, rng.uniform(0.5, 2.0),
+                                 int(rng.integers(1 << n)))
+    return h_c, rng.uniform(0.0, 5.0), rng.uniform(-2.0, 2.0), rng.uniform(0.0, 3.0)
+
+
+def _kernel(variant, h_c, h, t):
+    if variant == "averaged":
+        scheme = AveragingScheme((t, t + 1.0), h_fixed=h, sample_count=5)
+        return time_averaged_kernel(h_c, "grover", scheme)
+    return quantum_kernel(h_c, MixerSpec(variant, h), t)
+
+
+@pytest.mark.parametrize("variant", ["transverse", "grover", "averaged"])
+def test_block_gap_matches_dense(variant):
+    rng = np.random.Generator(np.random.Philox(41))
+    for n in range(2, 11):
+        for _ in range(2):
+            h_c, beta, h, t = _draw(rng, n)
+            kern = _kernel(variant, h_c, h, t)
+            measure = gibbs_measure(h_c, beta)
+            ref = spectral_gap_dense(build_transition_matrix(kern, measure)).delta
+            delta = spectral_gap_blocks(kern, measure).delta
+            assert abs(delta - ref) <= 1e-10 * ref, (n, variant)
+
+
+@pytest.mark.parametrize("variant", ["transverse", "grover"])
+def test_block_spectrum_matches_dense(variant):
+    # every eigenvalue of L, each block repeated by its multiplicity
+    rng = np.random.Generator(np.random.Philox(43))
+    for n in range(1, 9):
+        h_c, beta, h, t = _draw(rng, n)
+        kern = _kernel(variant, h_c, h, t)
+        measure = gibbs_measure(h_c, beta)
+        p = build_transition_matrix(kern, measure).p
+        sym = -np.sqrt(p * p.T)
+        np.fill_diagonal(sym, 1.0 - np.diag(p))
+        ref = np.linalg.eigvalsh(sym)
+        _, x, _ = _class_chain(kern, measure, SYMMETRY_TOL)
+        blocks = _symmetry_blocks(x)
+        assert sum(mult * len(b) for b, mult in blocks) == 1 << n
+        lam = np.sort(np.concatenate([np.repeat(np.linalg.eigvalsh(b), mult)
+                                      for b, mult in blocks]))
+        assert np.max(np.abs(lam - ref)) < 1e-12, n
+
+
+def _beta_brute(n, k, i, j, t):
+    """beta^t_{i,j,k} summed over pairs of subsets X, Y of sizes i, j that
+    contain A = {0..k-1} and avoid B = {k..2k-1}: each U with
+    A <= U <= X & Y counts (-1)^(|U|-t) C(|U|, t)."""
+    total = 0
+    for xs in itertools.combinations(range(2 * k, n), i - k):
+        for ys in itertools.combinations(range(2 * k, n), j - k):
+            free = len(set(xs) & set(ys))
+            total += sum(math.comb(free, r) * (-1) ** (k + r - t)
+                         * math.comb(k + r, t) for r in range(free + 1))
+    return total
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_beta_coefficients_brute_force(n):
+    beta = _beta_coefficients(n)
+    assert len(beta) > 0
+    for (k, i, j, t), value in beta.items():
+        assert value == _beta_brute(n, k, i, j, t), (k, i, j, t)
+
+
+def test_block_gap_at_tiny_gap():
+    n, alpha, h, t, beta = (4, 1.8720632369324413, -1.023269195786007,
+                            4.303007324787222, 5.0)
+    h_c = MarkedStateHamiltonian(n, alpha)
+    ref = grover_gap_closed_form(n, alpha, beta, h, t)
+    delta = spectral_gap_blocks(quantum_kernel(h_c, MixerSpec("grover", h), t),
+                                gibbs_measure(h_c, beta)).delta
+    assert abs(delta - ref) / ref < 1e-10
+
+
+def test_block_gap_bulk_dominated():
+    n, alpha, h, t, beta = (7, 0.5387855542266777, -1.1702963844100096,
+                            0.7492055426875538, 1.0)
+    h_c = MarkedStateHamiltonian(n, alpha)
+    ref = grover_gap_closed_form(n, alpha, beta, h, t)
+    delta = spectral_gap_blocks(quantum_kernel(h_c, MixerSpec("grover", h), t),
+                                gibbs_measure(h_c, beta)).delta
+    assert abs(delta - ref) / ref < 1e-10
+
+
+@pytest.mark.parametrize("n, alpha", [(6, 0.1), (6, 0.03), (8, 0.1), (8, 0.03)])
+def test_block_gap_nearly_periodic(n, alpha):
+    # at h t near pi/2 the transverse mixer nearly flips every spin; the gap
+    # sits at the -1 end of block 1, which is read as a bare eigenvalue
+    h_c = MarkedStateHamiltonian(n, alpha, 5)
+    kern = quantum_kernel(h_c, MixerSpec("transverse", 1.0), math.pi / 2 - 1e-4)
+    measure = gibbs_measure(h_c, 1.0)
+    ref = spectral_gap_dense(build_transition_matrix(kern, measure)).delta
+    delta = spectral_gap_blocks(kern, measure).delta
+    assert abs(delta - ref) <= 1e-10 * ref
+    _, x, _ = _class_chain(kern, measure, SYMMETRY_TOL)
+    (block0, _), (block1, _), *_ = _symmetry_blocks(x)
+    lam0, lam1 = np.linalg.eigvalsh(block0), np.linalg.eigvalsh(block1)
+    assert abs(2.0 - lam1[-1] - delta) <= 1e-10 * ref
+    assert min(lam0[1], 2.0 - lam0[-1]) > delta
+
+
+def _transverse_table(n=5, marked=9, h=0.8, t=1.1):
+    h_c = MarkedStateHamiltonian(n, 1.0, marked)
+    return h_c, quantum_kernel(h_c, MixerSpec("transverse", h), t).table().copy()
+
+
+def test_block_route_rejects_asymmetric_table():
+    h_c, table = _transverse_table()
+    table[3, 1, 2] += 1e-6
+    with pytest.raises(AsymmetricKernel):
+        spectral_gap_blocks(PermutationInvariantKernel(5, 9, table),
+                            gibbs_measure(h_c, 2.0))
+
+
+def test_block_route_rejects_non_stochastic_table():
+    h_c, table = _transverse_table()
+    with pytest.raises(NotStochastic):
+        spectral_gap_blocks(PermutationInvariantKernel(5, 9, 0.9 * table),
+                            gibbs_measure(h_c, 2.0))
+
+
+def test_block_route_rejects_negative_entry():
+    h_c, table = _transverse_table()
+    table[2, 1, 1] = -1e-6
+    with pytest.raises(NegativeProbability):
+        spectral_gap_blocks(PermutationInvariantKernel(5, 9, table),
+                            gibbs_measure(h_c, 2.0))
+
+
+def test_block_route_rejects_negative_rejection_mass():
+    # with the column-sum check relaxed, too much off-diagonal mass is left
+    # to the rejection-mass check
+    h_c, table = _transverse_table()
+    table[1:] *= 1.5
+    with pytest.raises(NegativeDiagonal):
+        _class_chain(PermutationInvariantKernel(5, 9, table),
+                     gibbs_measure(h_c, 2.0), 1.0)
+
+
+def test_block_route_rejects_irreversible_chain():
+    h_c, table = _transverse_table()
+    table[3, 1, 2] += 1e-3
+    _, x, _ = _class_chain(PermutationInvariantKernel(5, 9, table),
+                           gibbs_measure(h_c, 2.0), 1.0)
+    with pytest.raises(NotReversible):
+        _symmetry_blocks(x)
+    # a NaN entry fails the certificate instead of passing it
+    h_c, table = _transverse_table()
+    _, x, _ = _class_chain(PermutationInvariantKernel(5, 9, table),
+                           gibbs_measure(h_c, 2.0), SYMMETRY_TOL)
+    x[2, 3, 2] = np.nan
+    with pytest.raises(NotReversible):
+        _symmetry_blocks(x)
+
+
+def test_block_route_needs_an_invariant_measure():
+    h_c, table = _transverse_table()
+    other = gibbs_measure(MarkedStateHamiltonian(5, 1.0, marked=3), 2.0)
+    with pytest.raises(ValueError):
+        spectral_gap_blocks(PermutationInvariantKernel(5, 9, table), other)
+    with pytest.raises(TypeError):
+        spectral_gap_blocks(DenseKernel(np.eye(32), 5), gibbs_measure(h_c, 2.0))
+
+
+def test_averaged_transverse_table_matches_dense_average():
+    h_c = MarkedStateHamiltonian(5, 1.2, marked=17)
+    scheme = AveragingScheme((0.5, 2.5), h_fixed=0.7, sample_count=6)
+    avg = time_averaged_kernel(h_c, "transverse", scheme)
+    assert isinstance(avg, PermutationInvariantKernel)
+    ref = time_averaged_kernel(h_c, "transverse", scheme, DENSE).dense()
+    assert np.max(np.abs(avg.dense() - ref)) < 1e-12
