@@ -3,7 +3,6 @@ marked-state Gibbs sampling problem."""
 
 from .model import (
     Config,
-    DiagonalHamiltonian,
     GibbsMeasure,
     MarkedStateHamiltonian,
     critical_temperature,
@@ -54,7 +53,6 @@ from .chain import (
 from .spectral import (
     AveragingScheme,
     SpectralReport,
-    TwoLevelReduction,
     averaged_grover_gap,
     grover_gap_closed_form,
     mixing_time_bounds,
@@ -62,7 +60,6 @@ from .spectral import (
     spectral_gap_blocks,
     spectral_gap_dense,
     time_averaged_kernel,
-    two_level_reduction,
     uniform_gap_closed_form,
 )
 from .bottleneck import (

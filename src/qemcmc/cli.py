@@ -67,6 +67,8 @@ _DEFAULTS = {
     "sample": {"mixer": GROVER, "h": "resonance", "t": "0.3"},
     "validate": {"mixer": GROVER, "h": "1", "t": "1"},
 }
+# experiments that run only their default mixer
+_ONE_MIXER = ("figure-a", "figure-b", "scan")
 
 
 @dataclass(frozen=True)
@@ -93,10 +95,16 @@ class ExperimentConfig:
         if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
             raise ValueError("alpha and beta must be finite, not "
                              f"{self.alpha!r} and {self.beta!r}")
+        if not self.alpha > 0:
+            raise ValueError(f"alpha must be positive, not {self.alpha!r}")
         if self.beta < 0:
             raise ValueError("beta must be nonnegative")
         if self.mixer not in (GROVER, TRANSVERSE):
             raise ValueError(f"unknown mixer {self.mixer!r}")
+        own = _DEFAULTS[self.experiment]["mixer"]
+        if self.experiment in _ONE_MIXER and self.mixer != own:
+            raise ValueError(f"{self.experiment} runs the {own} mixer only, "
+                             f"not {self.mixer!r}")
         if self.avg_samples < 1:
             raise ValueError("avg-samples must be >= 1")
         if self.steps < 1:

@@ -41,10 +41,6 @@ class NoConvergence(QemcmcError):
     """Mixing-time search hit the iteration cap (gap numerically zero)."""
 
 
-class DegenerateFrequency(QemcmcError):
-    """Closed-form evaluation hit the gamma = 0 degenerate point."""
-
-
 class MeasureTooLarge(QemcmcError):
     """Bottleneck set has stationary measure above one half."""
 

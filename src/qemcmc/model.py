@@ -56,34 +56,6 @@ class MarkedStateHamiltonian:
 
 
 @dataclass(frozen=True, eq=False)
-class DiagonalHamiltonian:
-    """Generic diagonal landscape given by an explicit energy table.
-
-    Used by property tests that need non-degenerate spectra; the sampling
-    problem itself only ever uses :class:`MarkedStateHamiltonian`.
-    """
-
-    n_spins: int
-    energy_table: np.ndarray
-
-    def __post_init__(self):
-        if self.energy_table.shape != (self.dim,):
-            raise ValueError("energy table must have one entry per configuration")
-
-    @property
-    def dim(self) -> int:
-        return 1 << self.n_spins
-
-    def energy(self, x: Config) -> float:
-        if not 0 <= x < self.dim:
-            raise IndexError(f"configuration {x} out of range [0, {self.dim})")
-        return float(self.energy_table[x])
-
-    def energies(self) -> np.ndarray:
-        return np.asarray(self.energy_table, dtype=float)
-
-
-@dataclass(frozen=True, eq=False)
 class GibbsMeasure:
     """Boltzmann distribution pi(x) = exp(-beta*H(x)) / Z in log space.
 

@@ -2,15 +2,19 @@
 
 Two mixing terms are supported: the rank-1 "grover" mixer N|s><s| (|s> the
 uniform superposition) and the "transverse" mixer sum_i sigma^x_i.  Proposal
-kernels and columns come from the invariant subspaces of each mixer: the
-grover mixer has an exact O(1) propagator on a two-dimensional subspace, and
-the transverse mixer an (N+1)-dimensional one on the Dicke states around the
-marked configuration, outside of which H is the free mixer.  A marked-state
-column then costs one tridiagonal eigensolve of order N+1 plus an O(2^N)
-expansion, and a full kernel is its (N+1)^3 table over (|x^y|, |x^k|, |y^k|),
-densified by an O(4^N) fill only where a dense matrix is asked for.  Dense
-diagonalization and an adaptive Lanczos propagator evolve arbitrary states
-and serve as the independent cross-checks of both structured routes.
+kernels and columns come from the invariant subspaces of each mixer.  With
+the grover mixer, H leaves span{|k>, |u>} invariant (|u> the uniform state
+over unmarked configurations) and vanishes on its complement, so one closed
+form, :func:`grover_closed_form`, gives its two-level frequency and its four
+distinct proposal probabilities, and every grover kernel and column is built
+from it.  The transverse mixer has an (N+1)-dimensional
+invariant subspace on the Dicke states around the marked configuration,
+outside of which H is the free mixer.  A marked-state column then costs one
+tridiagonal eigensolve of order N+1 plus an O(2^N) expansion, and a full
+kernel is its (N+1)^3 table over (|x^y|, |x^k|, |y^k|), densified by an
+O(4^N) fill only where a dense matrix is asked for.  Dense diagonalization
+and an adaptive Lanczos propagator evolve arbitrary states and serve as the
+independent cross-checks of both structured routes.
 """
 
 from __future__ import annotations
@@ -21,12 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .errors import (
-    BudgetExceeded,
-    DegenerateFrequency,
-    MismatchedDimensions,
-    NonConvergence,
-)
+from .errors import BudgetExceeded, MismatchedDimensions, NonConvergence
 from .model import MarkedStateHamiltonian
 from .proposal import (
     DenseKernel,
@@ -243,41 +242,6 @@ def evolve(h_c: MarkedStateHamiltonian, mixer: MixerSpec, psi0: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# grover rank-2 invariant subspace
-
-def _grover_rank2_matrix(h_c, h, t):
-    """Exact (e^{-iHt} - I) restricted to span{|k>, |u>}, |u> the normalized
-    uniform state over unmarked configurations.  Uses only generic matvecs and
-    a 2x2 eigendecomposition."""
-    n, dim, k = h_c.n_spins, h_c.dim, h_c.marked
-    mixer = MixerSpec(GROVER, h)
-    e_k = basis_state(n, k)
-    u = np.full(dim, 1.0 / math.sqrt(dim - 1), dtype=complex) if dim > 1 else e_k
-    if dim > 1:
-        u[k] = 0.0
-    cols = np.column_stack([e_k, u])
-    h2 = np.empty((2, 2))
-    for b in range(2):
-        hv = apply_hamiltonian(h_c, mixer, cols[:, b])
-        for a in range(2):
-            h2[a, b] = np.real(np.vdot(cols[:, a], hv))
-    lam, s = np.linalg.eigh(h2)
-    u2 = (s * np.exp(-1j * lam * t)) @ s.T
-    return u2 - np.eye(2)
-
-
-def _grover_rank2_kernel(h_c, h, t) -> StructuredMarkedKernel:
-    dim = h_c.dim
-    m = _grover_rank2_matrix(h_c, h, t)
-    off_marked = abs(m[1, 0]) ** 2 / (dim - 1)
-    off_unmarked = abs(m[1, 1]) ** 2 / (dim - 1) ** 2
-    stay_marked = abs(1.0 + m[0, 0]) ** 2
-    stay_unmarked = abs(1.0 + m[1, 1] / (dim - 1)) ** 2
-    return StructuredMarkedKernel(h_c.n_spins, h_c.marked, off_marked,
-                                  off_unmarked, stay_marked, stay_unmarked)
-
-
-# ---------------------------------------------------------------------------
 # transverse symmetric sector
 
 def _sector_propagator(n, h, marked_energy, t):
@@ -333,11 +297,12 @@ def quantum_kernel(h_c: MarkedStateHamiltonian, mixer: MixerSpec, t: float,
                    cfg: PropagatorConfig = DEFAULT_PROPAGATOR) -> ProposalKernel:
     """Proposal kernel Q(x|y) = |<x| e^{-iHt} |y>|^2.
 
-    ``auto`` builds it on the mixer's invariant subspace: the grover rank-2
-    form, or the transverse symmetric sector's (d, w_x, w_y) table, which
-    densifies in O(4^N) only on demand.  ``dense`` is the cross-check, an
-    O(8^N) diagonalization of H; Lanczos evolves single states only, so
-    ``krylov`` has no kernel route.
+    ``auto`` builds it on the mixer's invariant subspace: the grover closed
+    form (:func:`structured_grover_kernel`), or the transverse symmetric
+    sector's (d, w_x, w_y) table, which densifies in O(4^N) only on demand.
+    ``dense`` is the independent cross-check of both, an O(8^N)
+    diagonalization of H; Lanczos evolves single states only, so ``krylov``
+    has no kernel route.
     """
     n = h_c.n_spins
     if n > _DENSE_KERNEL_BUDGET:
@@ -346,7 +311,7 @@ def quantum_kernel(h_c: MarkedStateHamiltonian, mixer: MixerSpec, t: float,
         raise ValueError("evolution time must be finite")
     if cfg.method == "auto":
         if mixer.variant == GROVER:
-            return _grover_rank2_kernel(h_c, mixer.field_strength, t)
+            return structured_grover_kernel(h_c, mixer.field_strength, t)
         return PermutationInvariantKernel(
             n, h_c.marked, _transverse_table(h_c, mixer.field_strength, t))
     if cfg.method == "krylov":
@@ -375,25 +340,36 @@ def quantum_proposal_column(h_c: MarkedStateHamiltonian, mixer: MixerSpec,
         raise ValueError("evolution time must be finite")
     if cfg.method == "auto":
         if mixer.variant == GROVER:
-            return _grover_rank2_kernel(h_c, mixer.field_strength, t).column(y)
+            return structured_grover_kernel(h_c, mixer.field_strength,
+                                            t).column(y)
         return _transverse_column(h_c, mixer.field_strength, t, y)
     amps = evolve(h_c, mixer, basis_state(n, y), t, cfg)
     return np.abs(amps) ** 2
 
 
 # ---------------------------------------------------------------------------
-# closed forms for the grover mixer
+# grover two-level closed form
+
+def resonance_field(alpha: float, n_spins: int) -> float:
+    """Field at which the two-level frequency collapses to O(2^{-N/2})."""
+    if n_spins < 1:
+        raise ValueError("n_spins must be >= 1")
+    return -alpha / (1.0 - 2.0 ** -n_spins)
+
+
+def two_level_frequency(n_spins: int, alpha: float, h: float) -> float:
+    """omega = gamma / N, with gamma half the level splitting of H on
+    span{|k>, |u>} (|u> the uniform state over unmarked configurations)."""
+    radicand = (alpha + h) ** 2 - alpha * h * 2.0 ** (2 - n_spins)
+    return 0.5 * math.sqrt(max(radicand, 0.0))
+
 
 @dataclass(frozen=True)
 class GroverClosedForm:
-    """Two-level-subspace quantities for the grover-mixed marked-state model."""
+    """The grover-mixed evolution on its invariant span{|k>, |u>}: the
+    two-level frequency and the four distinct proposal probabilities."""
 
-    gamma: float
     omega: float
-    phi: float
-    n_z: float
-    n_x: float
-    k_factor: float
     q_marked: float
     q_unmarked: float
     q_marked_stay: float
@@ -407,54 +383,39 @@ def grover_closed_form(n_spins: int, alpha: float, h: float,
     ``q_marked`` is the probability of proposing the marked state from any
     other state (and vice versa), ``q_unmarked`` the probability of moving
     between two distinct unmarked states; the stay values follow from
-    normalization.  The sin(gamma t)/gamma factor is evaluated through sinc so
-    the gamma -> 0 limit is the removable one.
+    normalization.  With e^{-iHt} = e^{-i phi t}(cos gamma t - i sin gamma t
+    n.sigma) on the two levels, each q value is a sum of squares of terms
+    that vanish with t, so no term of order one cancels as t -> 0, and every
+    sin(gamma t)/gamma goes through sinc, so the gamma -> 0 limit is the
+    removable one.
     """
-    dim = 1 << n_spins
-    radicand = (alpha + h) ** 2 - alpha * h * 2.0 ** (2 - n_spins)
-    gamma_sq = (n_spins / 2.0) ** 2 * max(radicand, 0.0)
-    if gamma_sq < 1e-300:
-        raise DegenerateFrequency(
-            f"gamma^2 = {gamma_sq:.3e}: two-level frequency degenerate"
-        )
-    gamma = math.sqrt(gamma_sq)
-    phi = n_spins * (h - alpha) / 2.0
-    n_z = (n_spins / gamma) * (0.5 * (h + alpha) - h / dim)
-    n_x = (n_spins / gamma) * h * math.sqrt(dim - 1.0) / dim
-    # sin(gamma t)/gamma = t*sinc(gamma t/pi)
-    sin_over_gamma = t * np.sinc(gamma * t / math.pi)
-    q_marked = (n_spins * h * sin_over_gamma) ** 2 / float(dim) ** 2
-    sg, cg = math.sin(gamma * t), math.cos(gamma * t)
-    sp, cp = math.sin(phi * t), math.cos(phi * t)
-    k_factor = 1.0 - 2.0 * cp * cg + cg ** 2 + 2.0 * n_z * sp * sg + n_z ** 2 * sg ** 2
-    q_unmarked = k_factor / (dim - 1.0) ** 2
-    q_marked_stay = 1.0 - (dim - 1.0) * q_marked
-    q_unmarked_stay = 1.0 - q_marked - (dim - 2.0) * q_unmarked
+    dim = 2.0 ** n_spins
+    omega = two_level_frequency(n_spins, alpha, h)
+    gamma_t = n_spins * omega * t
+    # sin(gamma t)/gamma = t*sinc(gamma t/pi); h*N*that/2^N = sqrt(q_marked)
+    sinc = np.sinc(gamma_t / math.pi)
+    base = h * n_spins * t * sinc * 2.0 ** -n_spins
+    # (2^N - 1)^2 q_unmarked = |1 - <u|e^{-iHt}|u>|^2
+    #   = (cos phi t - cos gamma t)^2 + (sin phi t + n_z sin gamma t)^2
+    phi_t = 0.5 * n_spins * (h - alpha) * t
+    cos_diff = -2.0 * math.sin(0.5 * (phi_t + gamma_t)) * math.sin(0.5 * (phi_t - gamma_t))
+    n_z_sin = n_spins * (0.5 * (h + alpha) - h * 2.0 ** -n_spins) * t * sinc
+    q_marked = float(base * base)
+    q_unmarked = float(cos_diff ** 2 + (math.sin(phi_t) + n_z_sin) ** 2) / (dim - 1.0) ** 2
     return GroverClosedForm(
-        gamma=gamma,
-        omega=gamma / n_spins,
-        phi=phi,
-        n_z=n_z,
-        n_x=n_x,
-        k_factor=k_factor,
+        omega=omega,
         q_marked=q_marked,
         q_unmarked=q_unmarked,
-        q_marked_stay=q_marked_stay,
-        q_unmarked_stay=q_unmarked_stay,
+        q_marked_stay=1.0 - (dim - 1.0) * q_marked,
+        q_unmarked_stay=1.0 - q_marked - (dim - 2.0) * q_unmarked,
     )
 
 
 def structured_grover_kernel(h_c: MarkedStateHamiltonian, h: float,
                              t: float) -> StructuredMarkedKernel:
-    """Grover proposal kernel assembled from the closed-form q values."""
+    """The grover proposal kernel, assembled from :func:`grover_closed_form`:
+    the one grover kernel and column of the ``auto`` routes."""
     cf = grover_closed_form(h_c.n_spins, h_c.alpha, h, t)
     return StructuredMarkedKernel(h_c.n_spins, h_c.marked, cf.q_marked,
                                   cf.q_unmarked, cf.q_marked_stay,
                                   cf.q_unmarked_stay)
-
-
-def resonance_field(alpha: float, n_spins: int) -> float:
-    """Field at which the two-level frequency collapses to O(2^{-N/2})."""
-    if n_spins < 1:
-        raise ValueError("n_spins must be >= 1")
-    return -alpha / (1.0 - 2.0 ** -n_spins)

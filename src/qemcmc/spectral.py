@@ -1,7 +1,9 @@
 """Spectral gaps of reversible chains: the symmetry-block route, the dense
 eigensolve that cross-checks it, closed forms for the uniform and grover
-proposals, the two-level reduction, mixing-time bounds, and time-averaged
-kernels.
+proposals, mixing-time bounds, and time-averaged kernels.  The grover gaps,
+single and time-averaged, are read off the two block gaps of one helper,
+which takes the proposal probabilities of
+:func:`~qemcmc.quantum.grover_closed_form`.
 
 A chain on the marked model whose kernel is invariant under permutations of
 the spins about the marked state k (every kernel the experiments build) has
@@ -54,9 +56,10 @@ from .proposal import (
 )
 from .quantum import (
     DEFAULT_PROPAGATOR,
-    GROVER,
+    GroverClosedForm,
     MixerSpec,
     PropagatorConfig,
+    grover_closed_form,
     quantum_kernel,
 )
 from .chain import SYMMETRY_TOL, TransitionMatrix
@@ -74,16 +77,6 @@ class SpectralReport:
     mixing_lower: float
     mixing_upper: float
     epsilon: float
-
-
-@dataclass(frozen=True)
-class TwoLevelReduction:
-    """Symmetrized 2x2 chain matrix on span{marked, uniform-unmarked}."""
-
-    a: float  # marked diagonal entry
-    b: float  # off-diagonal entry
-    c: float  # unmarked diagonal entry
-    delta: float
 
 
 def mixing_time_bounds(delta: float, pi_min: float, epsilon: float,
@@ -391,36 +384,19 @@ def _log_pow2m1(n_spins: int) -> float:
     return n_spins * _LN2 + math.log1p(-(2.0 ** -n_spins))
 
 
-def two_level_frequency(n_spins: int, alpha: float, h: float) -> float:
-    radicand = (alpha + h) ** 2 - alpha * h * 2.0 ** (2 - n_spins)
-    return 0.5 * math.sqrt(max(radicand, 0.0))
-
-
-def _grover_block_gaps(n_spins: int, alpha: float, beta: float,
-                       h: float, t: float) -> tuple[float, float]:
-    """1 - lambda for the grover chain's two nontrivial eigenvalues.
+def _grover_gaps(n_spins: int, alpha: float, beta: float,
+                 cf: GroverClosedForm) -> tuple[float, float]:
+    """1 - lambda for the two nontrivial eigenvalues of the grover chain
+    whose proposal probabilities ``cf`` holds.
 
     The two-level block {marked, uniform-unmarked} gives
-    q_marked * (1 + (2^N - 1) e^{-N beta alpha}); the (2^N - 2)-fold unmarked
-    bulk gives q_marked + (2^N - 1) * q_unmarked.  Both are sums of
-    nonnegative terms, and every sin(x)/x goes through sinc so the
-    omega -> 0 limit is removable.
+    q_marked * (1 + (2^N - 1) e^{-N beta alpha}), the weight factor taken in
+    log space; the (2^N - 2)-fold unmarked bulk gives
+    q_marked + (2^N - 1) * q_unmarked.  Both are sums of nonnegative terms.
     """
-    omega = two_level_frequency(n_spins, alpha, h)
-    gamma_t = n_spins * omega * t
-    # sin(gamma t)/gamma = t*sinc(gamma t/pi); h*N*that/2^N = sqrt(q_marked)
-    sinc = np.sinc(gamma_t / math.pi)
-    base = h * n_spins * t * sinc * 2.0 ** -n_spins
     u = _log_pow2m1(n_spins) - n_spins * beta * alpha
-    factor = math.exp(np.logaddexp(0.0, u))
-    two_level = float(base * base * factor)
-    # (2^N - 1)^2 q_unmarked = |1 - <u|e^{-iHt}|u>|^2
-    #   = (cos phi t - cos gamma t)^2 + (sin phi t + n_z sin gamma t)^2
-    phi_t = 0.5 * n_spins * (h - alpha) * t
-    cos_diff = -2.0 * math.sin(0.5 * (phi_t + gamma_t)) * math.sin(0.5 * (phi_t - gamma_t))
-    n_z_sin = n_spins * (0.5 * (h + alpha) - h * 2.0 ** -n_spins) * t * sinc
-    k_factor = cos_diff ** 2 + (math.sin(phi_t) + n_z_sin) ** 2
-    bulk = float(base * base + k_factor / (2.0 ** n_spins - 1.0))
+    two_level = cf.q_marked * math.exp(np.logaddexp(0.0, u))
+    bulk = cf.q_marked + (2.0 ** n_spins - 1.0) * cf.q_unmarked
     return two_level, bulk
 
 
@@ -432,30 +408,9 @@ def _gap_from_blocks(*deltas: float) -> float:
 def grover_gap_closed_form(n_spins: int, alpha: float, beta: float,
                            h: float, t: float) -> float:
     """Exact gap 1 - max|lambda| of the grover-mixed chain, over the two-level
-    block and the unmarked bulk (see :func:`two_level_reduction` for the block
-    alone); the omega -> 0 limit is removable and handled through sinc."""
-    return _gap_from_blocks(*_grover_block_gaps(n_spins, alpha, beta, h, t))
-
-
-def two_level_reduction(n_spins: int, alpha: float, beta: float,
-                        h: float, t: float) -> TwoLevelReduction:
-    """Reduce the grover chain to its 2x2 invariant block and return its gap.
-
-    The gap is evaluated as hypot(2b, a - c) with a - c factored so the
-    cancellation-free identity q_marked * (1 + e^{-N beta alpha}(2^N - 1))
-    is recovered exactly.
-    """
-    from .quantum import grover_closed_form
-
-    q_m = grover_closed_form(n_spins, alpha, h, t).q_marked
-    g = 2.0 ** n_spins - 1.0
-    decay = math.exp(-n_spins * beta * alpha)
-    a = 1.0 - g * q_m * decay
-    c = 1.0 - q_m
-    b = math.sqrt(g) * q_m * math.exp(-0.5 * n_spins * beta * alpha)
-    a_minus_c = q_m * (1.0 - g * decay)
-    delta = math.hypot(2.0 * b, a_minus_c)
-    return TwoLevelReduction(a=a, b=b, c=c, delta=delta)
+    block and the unmarked bulk."""
+    cf = grover_closed_form(n_spins, alpha, h, t)
+    return _gap_from_blocks(*_grover_gaps(n_spins, alpha, beta, cf))
 
 
 # ---------------------------------------------------------------------------
@@ -533,8 +488,9 @@ def averaged_grover_gap(n_spins: int, alpha: float, beta: float,
     averaged over the scheme's (h, t) samples before the smaller is taken;
     this equals the gap of the chain driven by the averaged kernel.
     """
-    two_level, bulk = zip(*(_grover_block_gaps(n_spins, alpha, beta, h, t)
-                            for h, t in scheme.samples()))
+    two_level, bulk = zip(*(
+        _grover_gaps(n_spins, alpha, beta, grover_closed_form(n_spins, alpha, h, t))
+        for h, t in scheme.samples()))
     return _gap_from_blocks(float(np.mean(two_level)), float(np.mean(bulk)))
 
 

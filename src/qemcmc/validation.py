@@ -17,30 +17,33 @@ import numpy as np
 from .bottleneck import bottleneck_bound, marked_state_bound, sum_qa_certificate
 from .chain import build_transition_matrix, exact_mixing_time
 from .model import MarkedStateHamiltonian, gibbs_measure
-from .proposal import affine_combination, single_flip_kernel, uniform_kernel, validate_kernel
+from .proposal import affine_combination, uniform_kernel, validate_kernel
 from .quantum import (
     GROVER,
     TRANSVERSE,
     MixerSpec,
     PropagatorConfig,
-    basis_state,
     evolve,
+    grover_closed_form,
     quantum_kernel,
     quantum_proposal_column,
     resonance_field,
+    structured_grover_kernel,
+    two_level_frequency,
 )
 from .spectral import (
+    _grover_gaps,
     grover_gap_closed_form,
-    two_level_frequency,
     mixing_time_bounds,
     scaling_fit,
     spectral_gap_dense,
-    two_level_reduction,
     uniform_gap_closed_form,
 )
 
 # The checks build kernels by dense diagonalization, independently of the
-# invariant-subspace routes the experiments take.
+# invariant-subspace routes the experiments take.  For the grover mixer that
+# route is the one closed form, grover_closed_form; the dense kernels are its
+# independent cross-check in criteria 2 and 3.
 _DENSE = PropagatorConfig(method="dense")
 
 
@@ -83,9 +86,11 @@ def check_grover_closed_form(n_values=range(4, 11), betas=(1.0, 5.0),
     """Simulated grover-kernel chain gap against the closed form, plus the
     saturation of the marked-state bound.  Returns (gap_result, saturation).
 
-    The marked-state cut is saturated by the two-level block alone, so the
-    bound is compared with that block's gap rather than the full gap (which
-    the unmarked bulk sets on some draws).
+    The kernels come from dense diagonalization of H, the independent
+    cross-check of :func:`~qemcmc.quantum.grover_closed_form`.  The
+    marked-state cut is saturated by the two-level block alone, so the bound
+    is compared with that block's gap rather than the full gap (which the
+    unmarked bulk sets on some draws).
     """
     rng = _rng(seed)
     draws = [(rng.uniform(0.5, 2.0), rng.uniform(-2.0, 2.0), rng.uniform(0.0, 5.0))
@@ -97,6 +102,7 @@ def check_grover_closed_form(n_values=range(4, 11), betas=(1.0, 5.0),
             h_c = MarkedStateHamiltonian(n, alpha)
             kern = quantum_kernel(h_c, MixerSpec(GROVER, h), t, _DENSE)
             col_k = kern.dense()[:, h_c.marked]
+            cf = grover_closed_form(n, alpha, h, t)
             for beta in betas:
                 p = build_transition_matrix(kern, gibbs_measure(h_c, beta))
                 delta = spectral_gap_dense(p).delta
@@ -105,7 +111,7 @@ def check_grover_closed_form(n_values=range(4, 11), betas=(1.0, 5.0),
                 if err > worst_gap:
                     worst_gap, where_gap = err, _point(n, alpha, h, t, beta)
                 bound = marked_state_bound(col_k, n, alpha, beta, h_c.marked)
-                block = two_level_reduction(n, alpha, beta, h, t).delta
+                block = _grover_gaps(n, alpha, beta, cf)[0]
                 err = abs(bound - block) / block
                 if err > worst_sat:
                     worst_sat, where_sat = err, _point(n, alpha, h, t, beta)
@@ -203,8 +209,6 @@ def check_mixing_sandwich(n_values=range(4, 9), betas=(1.0, 5.0), alpha=1.0,
     The grover chain is taken at resonance with a quarter-period time so its
     gap, and hence the search, stays polynomial in 2^N.
     """
-    from .quantum import structured_grover_kernel
-
     worst_margin = -math.inf
     for n in n_values:
         h_c = MarkedStateHamiltonian(n, alpha)

@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -176,3 +179,46 @@ def test_figure_b_kernel_budget_skips_exact_row(tmp_path, capsys):
     rows = _rows(out.read_text())
     assert [r[6] for r in rows] == ["bound"]
     assert "skipped delta_exact at N=15" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("alpha", ["-1", "0"])
+def test_non_positive_alpha_exits_2(alpha, capsys):
+    argv = ["--experiment", "scan", "--alpha", alpha, "--n-min", "4",
+            "--n-max", "5"]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "alpha must be positive" in captured.err
+
+
+@pytest.mark.parametrize("experiment,other", [
+    ("figure-a", "transverse"),
+    ("figure-b", "grover"),
+    ("scan", "transverse"),
+])
+def test_other_mixer_exits_2(experiment, other, tmp_path, capsys):
+    base = ["--experiment", experiment, "--n-min", "4", "--n-max", "4"]
+    assert cli.main(base + ["--mixer", other]) == 2
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(f"mixer = {other}\n")
+    assert cli.main(base + ["--config", str(cfg_file)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count(f"not {other!r}") == 2
+
+
+def test_perfbench_tracer_finds_every_traced_name():
+    # perfbench/spans.py wraps names on qemcmc.cli and other modules with
+    # getattr; a name dropped from them must fail here, not in a traced run
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    before = dict(vars(cli))
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+        assert cli.structured_grover_kernel is not before["structured_grover_kernel"]
+    finally:
+        tracer.uninstall()
+    assert all(vars(cli)[name] is value for name, value in before.items())

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from qemcmc.model import (
-    DiagonalHamiltonian,
     GibbsMeasure,
     MarkedStateHamiltonian,
     critical_temperature,
@@ -115,21 +114,6 @@ def test_critical_temperature():
     assert critical_temperature(2.0) == pytest.approx(2 * critical_temperature(1.0))
     with pytest.raises(ValueError):
         critical_temperature(0.0)
-
-
-def test_diagonal_hamiltonian():
-    table = np.array([0.0, 1.0, -2.0, 0.5])
-    h = DiagonalHamiltonian(2, table)
-    assert h.energy(2) == -2.0
-    m = gibbs_measure(h, 1.0)
-    direct = np.exp(-table)
-    direct /= direct.sum()
-    assert np.allclose(m.probabilities(), direct)
-
-
-def test_diagonal_hamiltonian_shape_check():
-    with pytest.raises(ValueError):
-        DiagonalHamiltonian(2, np.zeros(5))
 
 
 def test_measure_is_immutable():

@@ -166,7 +166,7 @@ def test_structured_kernel_matches_simulation():
 
 def test_rank2_fast_path_matches_dense():
     h_c = MarkedStateHamiltonian(5, 0.8, marked=3)
-    auto = quantum_kernel(h_c, MixerSpec(GROVER, 1.7), 0.9)     # rank-2 path
+    auto = quantum_kernel(h_c, MixerSpec(GROVER, 1.7), 0.9)     # closed form
     sim = quantum_kernel(h_c, MixerSpec(GROVER, 1.7), 0.9, DENSE)
     assert np.max(np.abs(auto.dense() - sim.dense())) < 1e-12
 
@@ -255,18 +255,13 @@ def test_grover_column_uniform_off_marked():
 def test_closed_form_t0():
     cf = grover_closed_form(5, 1.0, 1.0, 0.0)
     assert cf.q_marked == 0.0
-    assert cf.k_factor == pytest.approx(0.0, abs=1e-15)
+    assert cf.q_unmarked == 0.0
+    assert cf.q_marked_stay == cf.q_unmarked_stay == 1.0
 
 
 def test_closed_form_no_mixing():
     cf = grover_closed_form(5, 1.0, 0.0, 2.0)
     assert cf.q_marked == 0.0
-
-
-def test_closed_form_bloch_vector_normalized():
-    for h in (-1.5, -0.3, 0.4, 2.0):
-        cf = grover_closed_form(6, 1.0, h, 1.0)
-        assert cf.n_z ** 2 + cf.n_x ** 2 == pytest.approx(1.0, abs=1e-12)
 
 
 def test_closed_form_column_normalization():
@@ -282,7 +277,18 @@ def test_small_gamma_limit_is_removable():
     h = resonance_field(alpha, n)
     cf = grover_closed_form(n, alpha, h, 1e-6)
     approx = (n * h * 1e-6 / 2.0 ** n) ** 2
-    assert cf.q_marked == pytest.approx(approx, rel=1e-6)
+    assert cf.q_marked == pytest.approx(approx, rel=1e-6, abs=0.0)
+
+
+def test_small_t_proposals_keep_first_order_term():
+    # both off-diagonal values are (h N t / 2^N)^2 (1 + O(t^2)); an
+    # expansion 1 - 2 cos(phi t) cos(gamma t) + ... of q_unmarked loses
+    # about 6e-4 of it to cancellation at t = 1e-7
+    n, h, t = 6, 0.7, 1e-7
+    kern = structured_grover_kernel(MarkedStateHamiltonian(n, 1.0), h, t)
+    first_order = (h * n * t / 2.0 ** n) ** 2
+    assert kern.off_marked == pytest.approx(first_order, rel=1e-9, abs=0.0)
+    assert kern.off_unmarked == pytest.approx(first_order, rel=1e-9, abs=0.0)
 
 
 def test_resonance_field_values():

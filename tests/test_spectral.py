@@ -25,6 +25,7 @@ from qemcmc.quantum import (
     grover_closed_form,
     quantum_kernel,
     structured_grover_kernel,
+    two_level_frequency,
 )
 from qemcmc.spectral import (
     AveragingScheme,
@@ -33,13 +34,12 @@ from qemcmc.spectral import (
     mixing_time_bounds,
     _beta_coefficients,
     _class_chain,
+    _grover_gaps,
     _symmetry_blocks,
     scaling_fit,
     spectral_gap_blocks,
     spectral_gap_dense,
     time_averaged_kernel,
-    two_level_frequency,
-    two_level_reduction,
     uniform_gap_closed_form,
 )
 
@@ -86,21 +86,38 @@ def test_grover_gap_t0():
     assert grover_gap_closed_form(6, 1.0, 5.0, 1.0, 0.0) == 0.0
 
 
-def test_two_level_reduction_identity():
-    red = two_level_reduction(6, 1.0, 2.0, 1.0, 0.7)
-    ref = grover_gap_closed_form(6, 1.0, 2.0, 1.0, 0.7)
-    assert red.delta == pytest.approx(ref, rel=1e-12)
+def _two_level_block_gap(n, alpha, beta, q_m):
+    """Gap of the symmetrized 2x2 chain matrix [[a, b], [b, c]] on
+    span{marked, uniform-unmarked}: its eigenvalues are 1 and a + c - 1, so
+    the gap is their difference hypot(2b, a - c)."""
+    g = 2.0 ** n - 1.0
+    decay = math.exp(-n * beta * alpha)
+    b = math.sqrt(g) * q_m * math.exp(-0.5 * n * beta * alpha)
+    a_minus_c = q_m * (1.0 - g * decay)   # (1 - g q_m decay) - (1 - q_m)
+    return math.hypot(2.0 * b, a_minus_c)
 
 
-def test_two_level_reduction_absorbing_limit():
-    # beta -> infinity: the gap collapses to q_marked
-    red = two_level_reduction(6, 1.0, 60.0, 1.0, 0.7)
-    q_m = grover_closed_form(6, 1.0, 1.0, 0.7).q_marked
-    assert red.delta == pytest.approx(q_m, rel=1e-12)
+def test_grover_two_level_gap_is_the_block_gap():
+    n, alpha, beta, h, t = 6, 1.0, 2.0, 1.0, 0.7
+    cf = grover_closed_form(n, alpha, h, t)
+    two_level, _ = _grover_gaps(n, alpha, beta, cf)
+    assert two_level == pytest.approx(
+        _two_level_block_gap(n, alpha, beta, cf.q_marked), rel=1e-12, abs=0.0)
+    # this draw's gap is set by the two-level block
+    ref = grover_gap_closed_form(n, alpha, beta, h, t)
+    assert two_level == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
-def test_two_level_reduction_t0():
-    assert two_level_reduction(5, 1.0, 2.0, 1.0, 0.0).delta == 0.0
+def test_grover_two_level_gap_absorbing_limit():
+    # beta -> infinity: the two-level gap collapses to q_marked
+    cf = grover_closed_form(6, 1.0, 1.0, 0.7)
+    two_level, _ = _grover_gaps(6, 1.0, 60.0, cf)
+    assert two_level == pytest.approx(cf.q_marked, rel=1e-12, abs=0.0)
+
+
+def test_grover_gaps_t0():
+    assert _grover_gaps(5, 1.0, 2.0, grover_closed_form(5, 1.0, 1.0, 0.0)) \
+        == (0.0, 0.0)
 
 
 def test_mixing_bounds_substitution():
@@ -153,11 +170,6 @@ def test_scaling_fit_needs_points():
         scaling_fit([(4, 0.5), (5, 0.25)])
     with pytest.raises(ValueError):
         scaling_fit([(4, 0.5), (5, 0.25), (6, 0.0), (7, 0.1)])
-
-
-def test_two_level_frequency_matches_closed_form():
-    cf = grover_closed_form(7, 1.2, -0.4, 1.0)
-    assert two_level_frequency(7, 1.2, -0.4) == pytest.approx(cf.omega, rel=1e-14)
 
 
 def test_scheme_grid_deterministic():
@@ -225,7 +237,8 @@ def test_grover_closed_form_includes_unmarked_bulk():
     n, alpha, h, t, beta = (7, 0.5387855542266777, -1.1702963844100096,
                             0.7492055426875538, 1.0)
     ref = grover_gap_closed_form(n, alpha, beta, h, t)
-    assert ref < 0.5 * two_level_reduction(n, alpha, beta, h, t).delta
+    two_level, _ = _grover_gaps(n, alpha, beta, grover_closed_form(n, alpha, h, t))
+    assert ref < 0.5 * two_level
     delta = spectral_gap_dense(_grover_chain(n, alpha, beta, h, t)).delta
     assert abs(delta - ref) / ref < 1e-10
 
