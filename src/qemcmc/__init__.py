@@ -11,7 +11,6 @@ from .model import (
 )
 from .proposal import (
     AffineKernel,
-    ColumnOracleKernel,
     DenseKernel,
     KernelCertificate,
     PermutationInvariantKernel,
@@ -31,12 +30,10 @@ from .quantum import (
     dense_hamiltonian,
     evolve,
     grover_closed_form,
-    grover_mixer,
     quantum_kernel,
     quantum_proposal_column,
     resonance_field,
     structured_grover_kernel,
-    transverse_field_mixer,
 )
 from .chain import (
     ChainState,

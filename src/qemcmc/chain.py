@@ -1,12 +1,15 @@
 """Metropolis-Hastings chains: acceptance, transition matrices, stepping, and
-exact total-variation mixing diagnostics.
+exact total-variation mixing times.
 
 Transition matrices use the row orientation p[y, x] = Pr(y -> x).  Diagonals
 are always completed from row stochasticity rather than any closed-form
-expression, so rejection mass is absorbed exactly.  The dense matrix serves
-chain sampling experiments, the mixing-time search and the dense gap
-cross-check; the exact-gap experiments assemble the chain on its pair
-classes instead (:func:`qemcmc.spectral.spectral_gap_blocks`).
+expression, so rejection mass is absorbed exactly.  A chain whose kernel is
+invariant under permutations of the spins about the marked state is also
+assembled on its pair classes (:func:`_class_chain`), with no 2^N x 2^N
+matrix: the exact gap (:func:`qemcmc.spectral.spectral_gap_blocks`) and the
+exact mixing time (:func:`exact_mixing_time`) both read that one assembly.
+The dense matrix serves the dense gap and mixing-time cross-checks and
+:func:`tv_distance_curve`.
 """
 
 from __future__ import annotations
@@ -19,16 +22,22 @@ import numpy as np
 from .errors import (
     AsymmetricKernel,
     BudgetExceeded,
+    MismatchedDimensions,
     NegativeDiagonal,
     NoConvergence,
+    NotStochastic,
 )
 from .model import GibbsMeasure
-from .proposal import ProposalKernel, validate_kernel
+from .proposal import (
+    PermutationInvariantKernel,
+    ProposalKernel,
+    validate_kernel,
+    weight_classes,
+)
 
 _POWERING_BUDGET = 12  # max n_spins for dense matrix powering
-_ORBIT_ROWS = 256      # rows per block of the orbit-structure scan
 # largest kernel asymmetry a chain is assembled from; the pair-class assembly
-# (qemcmc.spectral) holds the kernel's column sums to it as well
+# holds the kernel's column sums to it as well
 SYMMETRY_TOL = 1e-9
 
 
@@ -144,53 +153,65 @@ def tv_distance_curve(p: TransitionMatrix, start: int, max_t: int) -> np.ndarray
 
 
 # ---------------------------------------------------------------------------
-# exact mixing time
+# the chain on its pair classes
 
-def _orbit_values(p: TransitionMatrix, atol: float = 1e-12):
-    """Detect the five-value marked-orbit structure; return its values or None.
+def _class_chain(kernel: PermutationInvariantKernel, measure: GibbsMeasure,
+                 symmetry_tol: float):
+    """The Metropolis-Hastings chain of ``kernel`` on its pair classes, the
+    class twin of :func:`build_transition_matrix`.
 
-    The marked row, the marked column, the unmarked diagonal and the
-    off-diagonal unmarked entries must each span at most ``atol`` (a NaN
-    fails).  The last set is scanned in blocks of rows through one small
-    buffer, with the entries outside it overwritten by one inside, which
-    leaves its range unchanged.
+    For x at distance i from the marked state and y != x at distance j, with
+    overlap t, ``move[i, j, t]`` is P(x,y) = Q(y|x) min(1, pi_j/pi_i); it is 0
+    on the class y = x, whose rejection mass is ``stay[i]``.  ``x`` holds the
+    entries x^t_{i,j} of L = D^1/2 (I - P) D^-1/2 over (i, j, t): off the
+    diagonal -Q(y|x) exp(-|lw_i - lw_j|/2), which cannot overflow; on it, the
+    off-diagonal row mass.  ``lw`` is the log weight of a state at each
+    distance.  The checks of :func:`build_transition_matrix` hold here on the
+    classes: kernel symmetry and column sums, the clamp, and the rejection
+    mass; the measure must be invariant about the kernel's marked state.
     """
-    mat = p.p
-    dim = p.dim
-    if dim < 3:
-        return None
-    m = int(np.argmax(p.stationary.log_weights))
-    un = np.arange(dim) != m
-    row_m = mat[m, un]
-    col_m = mat[un, m]
-    diag = np.diag(mat)[un]
-    for vals in (row_m, col_m, diag):
-        if not np.ptp(vals) <= atol:
-            return None
-    u0, u1 = np.flatnonzero(un)[:2]
-    p_xy = mat[u0, u1]
-    low = high = p_xy
-    buf = np.empty((min(_ORBIT_ROWS, dim), dim))
-    for r0 in range(0, dim, _ORBIT_ROWS):
-        rows = buf[:min(_ORBIT_ROWS, dim - r0)]
-        np.copyto(rows, mat[r0:r0 + _ORBIT_ROWS])
-        rows[:, m] = p_xy
-        at = np.arange(rows.shape[0])
-        rows[at, r0 + at] = p_xy
-        if r0 <= m < r0 + rows.shape[0]:
-            rows[m - r0] = p_xy
-        low, high = np.minimum(low, rows.min()), np.maximum(high, rows.max())
-        if not high - low <= atol:
-            return None
-    return {
-        "marked": m,
-        "p_kk": float(mat[m, m]),
-        "p_kx": float(row_m[0]),
-        "p_xk": float(col_m[0]),
-        "p_xx": float(diag[0]),
-        "p_xy": float(p_xy),
-    }
+    n = kernel.n_spins
+    if kernel.dim != measure.dim:
+        raise MismatchedDimensions(
+            f"kernel dim {kernel.dim} does not match measure dim {measure.dim}"
+        )
+    distances = np.bitwise_count(np.arange(kernel.dim) ^ kernel.marked)
+    lw = np.empty(n + 1)
+    lw[distances] = measure.log_weights
+    if not np.array_equal(lw[distances], measure.log_weights):
+        raise ValueError("measure is not invariant under permutations of the "
+                         "spins about the kernel's marked state")
+    cert = validate_kernel(kernel)
+    if not cert.max_asymmetry <= symmetry_tol:
+        raise AsymmetricKernel(
+            f"kernel asymmetry {cert.max_asymmetry:.3e} exceeds {symmetry_tol:.1e}"
+        )
+    if not cert.max_column_deviation <= symmetry_tol:
+        raise NotStochastic(
+            f"kernel column sums deviate by {cert.max_column_deviation:.3e}, "
+            f"more than {symmetry_tol:.1e}"
+        )
+    count, distance = weight_classes(n)
+    w = np.arange(n + 1)
+    i, j = w[:, None, None], w[None, :, None]
+    moves = count > 0
+    moves[w, w, w] = False                       # y = x
+    q = np.where(moves, kernel.table()[distance, j, i], 0.0)   # Q(y|x)
+    step = lw[None, :] - lw[:, None]
+    move = q * np.exp(np.minimum(0.0, step))[:, :, None]
+    off_mass = np.einsum("ijt,ijt->ij", count, move).sum(axis=1)
+    rejection = 1.0 - off_mass
+    if np.min(rejection) < -1e-10:
+        raise NegativeDiagonal(
+            f"rejection mass {np.min(rejection):.3e} negative: defective kernel"
+        )
+    x = -q * np.exp(-0.5 * np.abs(step))[:, :, None]
+    x[w, w, w] = off_mass
+    return move, np.clip(rejection, 0.0, None), x, lw
 
+
+# ---------------------------------------------------------------------------
+# exact mixing time
 
 def _first_crossing(tv_at, epsilon, max_steps):
     """First integer t with tv_at(t) <= epsilon, using the monotonicity of d(t)."""
@@ -216,42 +237,9 @@ def _first_crossing(tv_at, epsilon, max_steps):
     return hi
 
 
-def _lumped_mixing_time(p, orbit, epsilon, max_steps):
-    dim = p.dim
-    pi = p.stationary.probabilities()
-    m = orbit["marked"]
-    pi_k = pi[m]
-    pi_x = pi[0 if m != 0 else 1]
-    p_kk, p_kx = orbit["p_kk"], orbit["p_kx"]
-    p_xk, p_xx, p_xy = orbit["p_xk"], orbit["p_xx"], orbit["p_xy"]
-
-    # start at the marked state: classes (marked, rest)
-    m2 = np.array([[p_kk, 1.0 - p_kk],
-                   [p_xk, 1.0 - p_xk]])
-
-    def tv_marked(t):
-        row = np.linalg.matrix_power(m2, t)[0]
-        return 0.5 * (abs(row[0] - pi_k)
-                      + (dim - 1) * abs(row[1] / (dim - 1) - pi_x))
-
-    # start at an unmarked state: classes (start, marked, rest)
-    m3 = np.array([
-        [p_xx, p_xk, (dim - 2) * p_xy],
-        [p_kx, p_kk, (dim - 2) * p_kx],
-        [p_xy, p_xk, p_xx + (dim - 3) * p_xy],
-    ])
-
-    def tv_unmarked(t):
-        row = np.linalg.matrix_power(m3, t)[0]
-        return 0.5 * (abs(row[0] - pi_x) + abs(row[1] - pi_k)
-                      + (dim - 2) * abs(row[2] / (dim - 2) - pi_x))
-
-    t_marked = _first_crossing(tv_marked, epsilon, max_steps)
-    t_unmarked = _first_crossing(tv_unmarked, epsilon, max_steps)
-    return max(t_marked, t_unmarked)
-
-
 def _dense_mixing_time(p, epsilon, max_steps):
+    """Worst-start mixing time by squaring the dense P (N <= 12): the tests'
+    independent cross-check of :func:`exact_mixing_time`."""
     if p.n_spins > _POWERING_BUDGET:
         raise BudgetExceeded(f"dense powering limited to N <= {_POWERING_BUDGET}")
     pi = p.stationary.probabilities()
@@ -276,19 +264,49 @@ def _dense_mixing_time(p, epsilon, max_steps):
     return _first_crossing(tv_at, epsilon, max_steps)
 
 
-def exact_mixing_time(p: TransitionMatrix, epsilon: float,
-                      max_steps: int = 10_000_000) -> int:
-    """Worst-start mixing time: max over starts of min{t : d(t) <= epsilon}.
+def exact_mixing_time(kernel: ProposalKernel, measure: GibbsMeasure,
+                      epsilon: float, max_steps: int = 10_000_000) -> int:
+    """Worst-start mixing time, max over starts x of min{t : d_x(t) <= epsilon},
+    of the MH chain of a permutation-invariant kernel, with no 2^N x 2^N matrix.
 
-    Chains with the marked-orbit symmetry are lumped onto two or three state
-    classes, which makes the search cost logarithmic in the answer; other
-    chains fall back to dense matrix powering (N <= 12).
+    The chain is invariant under the permutations of the spins that fix both
+    the marked state k and the start x, so its law after t steps from x is
+    uniform on each class (a, b) of states y that differ from k in a of the
+    w = |x^k| spins where x does and in b of the others.  d_x(t) is then the
+    total variation of the chain lumped onto these (w+1)(N-w+1) classes,
+    which :func:`_class_chain` gives, and one search runs per distance w.
     """
+    if not isinstance(kernel, PermutationInvariantKernel):
+        raise TypeError("the class route needs a PermutationInvariantKernel, "
+                        f"not {type(kernel).__name__}")
     if epsilon >= 1.0:
         return 0
     if not 0 < epsilon:
         raise ValueError("epsilon must be positive")
-    orbit = _orbit_values(p)
-    if orbit is not None:
-        return _lumped_mixing_time(p, orbit, epsilon, max_steps)
-    return _dense_mixing_time(p, epsilon, max_steps)
+    n = kernel.n_spins
+    move, stay, _, lw = _class_chain(kernel, measure, SYMMETRY_TOL)
+    log_pi = lw - measure.log_partition
+    worst = 0
+    for w in range(n + 1):
+        inside, _ = weight_classes(w)
+        outside, _ = weight_classes(n - w)
+        a, b = np.arange(w + 1), np.arange(n - w + 1)
+        dist = a[:, None] + b[None, :]           # distance of class (a, b)
+        # move over (a, b, a', b', t1, t2), with overlap t1 inside supp(x^k)
+        # and t2 outside it; the total overlap t1 + t2 is dist over (t1, t2)
+        pair = move[dist[:, :, None, None, None, None],
+                    dist[None, None, :, :, None, None], dist]
+        lumped = np.einsum("act,bds,abcdts->abcd", inside, outside, pair)
+        size = (w + 1) * (n - w + 1)
+        lumped = lumped.reshape(size, size)
+        lumped[np.arange(size), np.arange(size)] += stay[dist].ravel()
+        log_size = np.log([[math.comb(w, u) * math.comb(n - w, v) for v in b]
+                           for u in a])
+        pi = np.exp(log_size + log_pi[dist]).ravel()
+        start = w * (n - w + 1)                  # the class (w, 0) of x
+
+        def tv_at(t):
+            return total_variation(np.linalg.matrix_power(lumped, t)[start], pi)
+
+        worst = max(worst, _first_crossing(tv_at, epsilon, max_steps))
+    return worst

@@ -175,14 +175,6 @@ class StructuredMarkedKernel(PermutationInvariantKernel):
         self.stay_marked = float(stay_marked)
         self.stay_unmarked = float(stay_unmarked)
 
-    def _build_dense(self):
-        q = np.full((self.dim, self.dim), self.off_unmarked)
-        q[self.marked, :] = self.off_marked
-        q[:, self.marked] = self.off_marked
-        np.fill_diagonal(q, self.stay_unmarked)
-        q[self.marked, self.marked] = self.stay_marked
-        return q
-
     def column(self, y):
         col = np.full(self.dim, self.off_unmarked)
         col[self.marked] = self.off_marked
@@ -192,26 +184,6 @@ class StructuredMarkedKernel(PermutationInvariantKernel):
         else:
             col[y] = self.stay_unmarked
         return col
-
-
-class ColumnOracleKernel(ProposalKernel):
-    """Kernel defined by a reentrant procedure mapping a source state to a
-    distribution; densified on demand."""
-
-    def __init__(self, n_spins: int, oracle):
-        super().__init__(n_spins)
-        self._oracle = oracle
-
-    def column(self, y):
-        col = np.asarray(self._oracle(y), dtype=float)
-        if col.shape != (self.dim,):
-            raise MismatchedDimensions(
-                f"oracle returned shape {col.shape}, expected ({self.dim},)"
-            )
-        return col
-
-    def _build_dense(self):
-        return np.column_stack([self.column(y) for y in range(self.dim)])
 
 
 class AffineKernel(ProposalKernel):
@@ -250,16 +222,15 @@ def uniform_kernel(n_spins: int) -> ProposalKernel:
                                   1.0 / dim, 1.0 / dim)
 
 
-def single_flip_kernel(n_spins: int) -> ProposalKernel:
-    """Local proposal: flip one uniformly chosen spin."""
+def single_flip_kernel(n_spins: int) -> PermutationInvariantKernel:
+    """Local proposal: flip one uniformly chosen spin.
 
-    def oracle(y):
-        col = np.zeros(1 << n_spins)
-        for i in range(n_spins):
-            col[y ^ (1 << i)] = 1.0 / n_spins
-        return col
-
-    return ColumnOracleKernel(n_spins, oracle)
+    Invariant under permutations of the spins about every state; carried
+    about state 0 as the table T[1, w_x, w_y] = 1/N, 0 elsewhere.
+    """
+    table = np.zeros((n_spins + 1,) * 3)
+    table[1] = 1.0 / n_spins
+    return PermutationInvariantKernel(n_spins, 0, table)
 
 
 def affine_combination(weights, kernels) -> AffineKernel:

@@ -57,14 +57,6 @@ class MixerSpec:
             raise ValueError("field strength must be finite")
 
 
-def grover_mixer(field_strength: float) -> MixerSpec:
-    return MixerSpec(GROVER, field_strength)
-
-
-def transverse_field_mixer(field_strength: float) -> MixerSpec:
-    return MixerSpec(TRANSVERSE, field_strength)
-
-
 @dataclass(frozen=True)
 class PropagatorConfig:
     """How e^{-iHt} is applied.

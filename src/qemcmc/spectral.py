@@ -16,7 +16,9 @@ multiplicity C(N,k) - C(N,k-1) and entries
 
 over i, j in [k, N-k], where x^t_{i,j} is the entry of L between states at
 distances i and j from k whose moves away from k overlap in t spins.  Block 0
-is the symmetrized chain lumped onto the N+1 distances.
+is the symmetrized chain lumped onto the N+1 distances.  The chain on the pair
+classes (i, j, t) is assembled once, in :func:`qemcmc.chain._class_chain`,
+which the exact mixing time reads as well.
 
 An eigenvalue read off a float64 eigensolver is good only to about
 eps * |I - P|, the largest eigenvalue, however small the gap.  So the dense
@@ -38,20 +40,15 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .errors import (
-    AsymmetricKernel,
     BudgetExceeded,
     EigensolverFailure,
-    MismatchedDimensions,
-    NegativeDiagonal,
     NotReversible,
-    NotStochastic,
 )
 from .model import GibbsMeasure, MarkedStateHamiltonian
 from .proposal import (
     DenseKernel,
     PermutationInvariantKernel,
     ProposalKernel,
-    validate_kernel,
     weight_classes,
 )
 from .quantum import (
@@ -62,7 +59,7 @@ from .quantum import (
     grover_closed_form,
     quantum_kernel,
 )
-from .chain import SYMMETRY_TOL, TransitionMatrix
+from .chain import SYMMETRY_TOL, TransitionMatrix, _class_chain
 
 _LN2 = math.log(2.0)
 _EPSILON = 0.01              # TV target of a SpectralReport's mixing bounds
@@ -250,63 +247,6 @@ def _block_coefficients(n_spins: int) -> np.ndarray:
     return coef
 
 
-def _class_chain(kernel: PermutationInvariantKernel, measure: GibbsMeasure,
-                 symmetry_tol: float):
-    """The Metropolis-Hastings chain of ``kernel`` on the pair classes.
-
-    For x at distance i from the marked state and y at distance j, with
-    overlap t, P(x,y) = Q(y|x) min(1, pi_j/pi_i).  Returns the chain lumped
-    onto the N+1 distances, the entries x^t_{i,j} of L = D^1/2 (I - P) D^-1/2
-    over (i, j, t), and the lumped stationary log probabilities.  Off the
-    diagonal x^t_{i,j} = -Q(y|x) exp(-|lw_i - lw_j|/2), which cannot
-    overflow; on it, the off-diagonal row mass.  The checks of
-    :func:`~qemcmc.chain.build_transition_matrix` hold here on the classes:
-    kernel symmetry and column sums, the clamp, and the rejection mass.
-    """
-    n = kernel.n_spins
-    if kernel.dim != measure.dim:
-        raise MismatchedDimensions(
-            f"kernel dim {kernel.dim} does not match measure dim {measure.dim}"
-        )
-    distances = np.bitwise_count(np.arange(kernel.dim) ^ kernel.marked)
-    lw = np.empty(n + 1)
-    lw[distances] = measure.log_weights
-    if not np.array_equal(lw[distances], measure.log_weights):
-        raise ValueError("measure is not invariant under permutations of the "
-                         "spins about the kernel's marked state")
-    cert = validate_kernel(kernel)
-    if not cert.max_asymmetry <= symmetry_tol:
-        raise AsymmetricKernel(
-            f"kernel asymmetry {cert.max_asymmetry:.3e} exceeds {symmetry_tol:.1e}"
-        )
-    if not cert.max_column_deviation <= symmetry_tol:
-        raise NotStochastic(
-            f"kernel column sums deviate by {cert.max_column_deviation:.3e}, "
-            f"more than {symmetry_tol:.1e}"
-        )
-    count, distance = weight_classes(n)
-    w = np.arange(n + 1)
-    i, j = w[:, None, None], w[None, :, None]
-    moves = count > 0
-    moves[w, w, w] = False                       # y = x
-    q = np.where(moves, kernel.table()[distance, j, i], 0.0)   # Q(y|x)
-    step = lw[None, :] - lw[:, None]
-    lumped = np.einsum("ijt,ijt->ij", count,
-                       q * np.exp(np.minimum(0.0, step))[:, :, None])
-    off_mass = lumped.sum(axis=1)
-    rejection = 1.0 - off_mass
-    if np.min(rejection) < -1e-10:
-        raise NegativeDiagonal(
-            f"rejection mass {np.min(rejection):.3e} negative: defective kernel"
-        )
-    lumped[w, w] += np.clip(rejection, 0.0, None)
-    x = -q * np.exp(-0.5 * np.abs(step))[:, :, None]
-    x[w, w, w] = off_mass
-    log_pi = (lw + np.log([math.comb(n, a) for a in w])
-              - measure.log_partition)
-    return lumped, x, log_pi
-
-
 def _symmetry_blocks(x: np.ndarray):
     """Blocks B_k of L from its class entries x^t_{i,j}, k = 0..floor(N/2),
     each with its multiplicity C(N,k) - C(N,k-1).
@@ -345,7 +285,14 @@ def spectral_gap_blocks(kernel: ProposalKernel,
     if not isinstance(kernel, PermutationInvariantKernel):
         raise TypeError("the block route needs a PermutationInvariantKernel, "
                         f"not {type(kernel).__name__}")
-    lumped, x, log_pi = _class_chain(kernel, measure, SYMMETRY_TOL)
+    move, stay, x, lw = _class_chain(kernel, measure, SYMMETRY_TOL)
+    # the chain lumped onto the distances, and its stationary law
+    n = kernel.n_spins
+    w = np.arange(n + 1)
+    lumped = np.einsum("ijt,ijt->ij", weight_classes(n)[0], move)
+    lumped[w, w] += stay
+    log_pi = (lw + np.log([math.comb(n, a) for a in w])
+              - measure.log_partition)
     (block0, _), *rest = _symmetry_blocks(x)
     _, vec = np.linalg.eigh(block0)
     # the two lowest span {sqrt(pi), phi_1}; project out sqrt(pi)

@@ -223,7 +223,7 @@ def check_mixing_sandwich(n_values=range(4, 9), betas=(1.0, 5.0), alpha=1.0,
                 delta = spectral_gap_dense(p).delta
                 lower, upper = mixing_time_bounds(
                     delta, 1.0, epsilon, log_pi_min=measure.log_pi_min)
-                t_mix = exact_mixing_time(p, epsilon)
+                t_mix = exact_mixing_time(kern, measure, epsilon)
                 # positive margin means a bound violation
                 worst_margin = max(worst_margin, lower - t_mix, t_mix - upper)
     return CriterionResult("mixing-sandwich", worst_margin, 0.0,

@@ -50,7 +50,7 @@ def test_flow_reversibility():
     p = _uniform_chain(4, 1.0, 3.0)
     s1 = [0, 3, 7]
     s2 = [1, 2, 8, 12]
-    assert flow(p, s1, s2) == pytest.approx(flow(p, s2, s1), rel=1e-10)
+    assert flow(p, s1, s2) == pytest.approx(flow(p, s2, s1), rel=1e-10, abs=0.0)
 
 
 def test_flow_matches_brute_force():
@@ -59,7 +59,7 @@ def test_flow_matches_brute_force():
     s1 = [0]
     s2 = [x for x in range(p.dim) if x != 0]
     direct = sum(pi[x] * p.p[x, y] for x in s1 for y in s2)
-    assert flow(p, s1, s2) == pytest.approx(direct, rel=1e-12)
+    assert flow(p, s1, s2) == pytest.approx(direct, rel=1e-12, abs=0.0)
 
 
 def test_flow_rejects_empty_sets():
@@ -80,7 +80,7 @@ def test_grover_saturates_the_bound():
     p = _grover_chain(6, 1.0, 5.0, 1.0, 1.0)
     report = bottleneck_bound(p, [x for x in range(p.dim) if x != 0])
     ref = grover_gap_closed_form(6, 1.0, 5.0, 1.0, 1.0)
-    assert report.bound == pytest.approx(ref, rel=1e-10)
+    assert report.bound == pytest.approx(ref, rel=1e-10, abs=0.0)
 
 
 def test_measure_too_large():
@@ -107,7 +107,7 @@ def test_exhaustive_grover_minimum_is_marked_cut():
     p = _grover_chain(3, 1.0, 3.0, 1.0, 1.0)
     report = min_bottleneck_exhaustive(p)
     reference = bottleneck_bound(p, [x for x in range(8) if x != 0])
-    assert report.bound == pytest.approx(reference.bound, rel=1e-10)
+    assert report.bound == pytest.approx(reference.bound, rel=1e-10, abs=0.0)
 
 
 def test_exhaustive_budget():
@@ -126,8 +126,9 @@ def test_marked_bound_uniform_kernel():
     col = np.full(1 << n, 2.0 ** -n)
     bound = marked_state_bound(col, n, 1.0, beta)
     expected = (1.0 + math.exp(-n * beta) * (2 ** n - 1)) / 2 ** n
-    assert bound == pytest.approx(expected, rel=1e-12)
-    assert bound == pytest.approx(uniform_gap_closed_form(n, 1.0, beta), rel=1e-12)
+    assert bound == pytest.approx(expected, rel=1e-12, abs=0.0)
+    assert bound == pytest.approx(uniform_gap_closed_form(n, 1.0, beta),
+                                  rel=1e-12, abs=0.0)
 
 
 def test_marked_bound_grover_saturation():
@@ -136,7 +137,7 @@ def test_marked_bound_grover_saturation():
     col = structured_grover_kernel(h_c, h, t).column(h_c.marked)
     bound = marked_state_bound(col, n, alpha, beta)
     assert bound == pytest.approx(grover_gap_closed_form(n, alpha, beta, h, t),
-                                  rel=1e-10)
+                                  rel=1e-10, abs=0.0)
 
 
 def test_marked_bound_agrees_with_dense_flow():
@@ -146,7 +147,7 @@ def test_marked_bound_agrees_with_dense_flow():
     p = build_transition_matrix(kern, gibbs_measure(h_c, beta))
     dense = bottleneck_bound(p, [x for x in range(p.dim) if x != 0]).bound
     column = marked_state_bound(kern.column(0), n, alpha, beta)
-    assert column == pytest.approx(dense, rel=1e-10)
+    assert column == pytest.approx(dense, rel=1e-10, abs=0.0)
 
 
 def test_marked_bound_validates_distribution():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qemcmc.chain import (
-    _orbit_values,
+    _dense_mixing_time,
     build_transition_matrix,
     chain_step,
     exact_mixing_time,
@@ -14,7 +14,7 @@ from qemcmc.chain import (
     total_variation,
     tv_distance_curve,
 )
-from qemcmc.errors import AsymmetricKernel
+from qemcmc.errors import AsymmetricKernel, NoConvergence
 from qemcmc.model import MarkedStateHamiltonian, gibbs_measure
 from qemcmc.proposal import DenseKernel, uniform_kernel
 from qemcmc.quantum import (
@@ -31,6 +31,12 @@ DENSE = PropagatorConfig(method="dense")
 def _uniform_chain(n, alpha, beta):
     h_c = MarkedStateHamiltonian(n, alpha)
     return build_transition_matrix(uniform_kernel(n), gibbs_measure(h_c, beta))
+
+
+def _uniform(n, alpha, beta):
+    """The uniform kernel and its measure, the arguments of exact_mixing_time."""
+    h_c = MarkedStateHamiltonian(n, alpha)
+    return uniform_kernel(n), gibbs_measure(h_c, beta)
 
 
 def test_acceptance_downhill():
@@ -172,28 +178,28 @@ def test_tv_curve_nonincreasing():
 
 
 def test_mixing_time_trivial_cases():
-    p = _uniform_chain(3, 1.0, 0.0)
-    assert exact_mixing_time(p, 0.01) == 1
-    assert exact_mixing_time(p, 1.5) == 0
+    kern, measure = _uniform(3, 1.0, 0.0)
+    assert exact_mixing_time(kern, measure, 0.01) == 1
+    assert exact_mixing_time(kern, measure, 1.5) == 0
     with pytest.raises(ValueError):
-        exact_mixing_time(p, 0.0)
+        exact_mixing_time(kern, measure, 0.0)
 
 
 def test_mixing_time_within_sandwich():
     n, beta = 6, 5.0
-    p = _uniform_chain(n, 1.0, beta)
-    t_mix = exact_mixing_time(p, 0.01)
+    kern, measure = _uniform(n, 1.0, beta)
+    t_mix = exact_mixing_time(kern, measure, 0.01)
     delta = uniform_gap_closed_form(n, 1.0, beta)
-    lower, upper = mixing_time_bounds(delta, p.stationary.pi_min(), 0.01)
+    lower, upper = mixing_time_bounds(delta, measure.pi_min(), 0.01)
     assert lower <= t_mix <= upper
 
 
 def test_lumped_matches_dense_powering():
-    # the orbit-lumped search must agree with the worst-start dense definition
+    # the class-lumped search must agree with the worst-start dense definition
     n, beta = 4, 2.0
-    p = _uniform_chain(n, 1.0, beta)
-    t_lumped = exact_mixing_time(p, 0.01)
-    pi = p.stationary.probabilities()
+    kern, measure = _uniform(n, 1.0, beta)
+    t_lumped = exact_mixing_time(kern, measure, 0.01)
+    p = build_transition_matrix(kern, measure)
     worst = 0
     for start in range(p.dim):
         curve = tv_distance_curve(p, start, 2 * t_lumped + 5)
@@ -202,7 +208,8 @@ def test_lumped_matches_dense_powering():
 
 
 def test_mixing_time_dense_fallback():
-    # a ring kernel lacks the marked-orbit symmetry, forcing the dense path
+    # the dense search, the cross-check of exact_mixing_time, on a ring
+    # kernel that no permutation about the marked state leaves invariant
     dim = 8
     q = np.zeros((dim, dim))
     for y in range(dim):
@@ -211,30 +218,40 @@ def test_mixing_time_dense_fallback():
         q[(y - 1) % dim, y] += 0.25
     measure = gibbs_measure(MarkedStateHamiltonian(3, 1.0), 1.0)
     p = build_transition_matrix(DenseKernel(q, 3), measure)
-    t_mix = exact_mixing_time(p, 0.05)
+    t_mix = _dense_mixing_time(p, 0.05, 10_000_000)
     assert t_mix >= 2
     # every start must have crossed epsilon by the worst-start mixing time
     for start in range(dim):
         assert tv_distance_curve(p, start, t_mix)[t_mix] <= 0.05
 
 
-@pytest.mark.parametrize("marked", [0, 700, 1023])
-def test_orbit_test_rejects_one_off_entry(marked):
-    # N = 10 spans several row blocks of the scan; the perturbed entries sit
-    # in the last one, away from the marked row and column
-    h_c = MarkedStateHamiltonian(10, 1.0, marked)
-    p = build_transition_matrix(structured_grover_kernel(h_c, -1.0, 0.3),
-                                gibbs_measure(h_c, 5.0))
-    orbit = _orbit_values(p)
-    unmarked = [x for x in range(p.dim) if x != marked]
-    x, y = unmarked[-1], unmarked[-2]
-    assert orbit["marked"] == marked
-    assert orbit["p_xy"] == p.p[x, y] and orbit["p_xx"] == p.p[x, x]
-    assert orbit["p_kx"] == p.p[marked, x] and orbit["p_xk"] == p.p[x, marked]
-    saved = p.p[x, y]
-    p.p[x, y] = saved + 0.5e-12      # inside atol: still one orbit value
-    assert _orbit_values(p) is not None
-    p.p[x, y] = saved + 2e-12
-    assert _orbit_values(p) is None
-    p.p[x, y] = np.nan
-    assert _orbit_values(p) is None
+def _mixing_or_none(search):
+    try:
+        return search()
+    except NoConvergence:
+        return None
+
+
+@pytest.mark.parametrize("variant", ["grover", "transverse"])
+def test_class_mixing_time_matches_dense(variant):
+    # random marked state, temperature, field and time; a chain that has not
+    # mixed within max_steps must fail on both routes
+    rng = np.random.Generator(np.random.Philox(47))
+    for n in range(2, 9):
+        for _ in range(3):
+            h_c = MarkedStateHamiltonian(n, rng.uniform(0.5, 2.0),
+                                         int(rng.integers(1 << n)))
+            beta = rng.uniform(0.0, 5.0)
+            h, t = rng.uniform(-2.0, 2.0), rng.uniform(0.0, 3.0)
+            kern = quantum_kernel(h_c, MixerSpec(variant, h), t)
+            measure = gibbs_measure(h_c, beta)
+            ref = _mixing_or_none(lambda: _dense_mixing_time(
+                build_transition_matrix(kern, measure), 0.01, 10_000_000))
+            t_mix = _mixing_or_none(lambda: exact_mixing_time(kern, measure, 0.01))
+            assert t_mix == ref, (n, variant)
+
+
+def test_class_mixing_time_needs_an_invariant_kernel():
+    measure = gibbs_measure(MarkedStateHamiltonian(3, 1.0), 1.0)
+    with pytest.raises(TypeError):
+        exact_mixing_time(DenseKernel(np.full((8, 8), 0.125), 3), measure, 0.01)

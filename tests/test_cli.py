@@ -79,7 +79,7 @@ def test_figure_a_single_point_degenerates_to_closed_form():
     for r in rows:
         n = int(r[1])
         assert float(r[7]) == pytest.approx(
-            grover_gap_closed_form(n, 1.0, 5.0, -1.0, 1.5), rel=1e-12)
+            grover_gap_closed_form(n, 1.0, 5.0, -1.0, 1.5), rel=1e-12, abs=0.0)
 
 
 def test_figure_b_exact_below_bound():
@@ -105,6 +105,31 @@ def test_sample_rows():
         assert 0.0 <= float(r[7]) <= 1.0
 
 
+@pytest.mark.parametrize("mixer", ["grover", "transverse"])
+def test_sample_tmix_matches_dense_powering(mixer):
+    from qemcmc.chain import _dense_mixing_time, build_transition_matrix
+    from qemcmc.model import MarkedStateHamiltonian, gibbs_measure
+    from qemcmc.quantum import (
+        MixerSpec,
+        PropagatorConfig,
+        quantum_kernel,
+        resonance_field,
+    )
+
+    csv_text, _ = _run(["--experiment", "sample", "--mixer", mixer,
+                        "--n-min", "4", "--n-max", "8", "--beta", "1",
+                        "--steps", "10"])
+    tmix = {int(r[1]): int(r[7]) for r in _rows(csv_text) if r[6] == "tmix"}
+    assert set(tmix) == set(range(4, 9))
+    dense = PropagatorConfig(method="dense")
+    for n, value in tmix.items():
+        h_c = MarkedStateHamiltonian(n, 1.0)
+        kern = quantum_kernel(h_c, MixerSpec(mixer, resonance_field(1.0, n)),
+                              0.3, dense)
+        p = build_transition_matrix(kern, gibbs_measure(h_c, 1.0))
+        assert value == _dense_mixing_time(p, 0.01, 10_000_000), n
+
+
 def test_validate_experiment_reports_criteria():
     csv_text, status = _run(["--experiment", "validate"])
     rows = _rows(csv_text)
@@ -114,6 +139,21 @@ def test_validate_experiment_reports_criteria():
     assert set(verdicts.values()) <= {"pass", "fail"}
     # the exit status mirrors the verdict column
     assert status == (1 if "fail" in verdicts.values() else 0)
+
+
+def test_validate_rows_claim_no_run_settings(monkeypatch):
+    # no check reads N, alpha, beta, h or t, so no row is labelled with them
+    from qemcmc import validation
+
+    monkeypatch.setattr(validation, "default_suite", lambda reduced: [
+        validation.CriterionResult("stub", 0.0, 0.0, True)])
+    csv_text, status = _run(["--experiment", "validate", "--alpha", "3",
+                             "--n-min", "4", "--n-max", "4", "--beta", "0.5"])
+    assert status == 0
+    rows = _rows(csv_text)
+    assert [r[6] for r in rows] == ["figure-determinism", "stub"]
+    for r in rows:
+        assert r[1:6] == ["-"] * 5
 
 
 def test_config_file_and_flag_override(tmp_path):

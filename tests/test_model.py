@@ -48,13 +48,14 @@ def test_gibbs_infinite_temperature_uniform():
 def test_partition_function_small():
     # N=2, alpha=1, beta=1: Z = e^2 + 3 by direct summation
     m = gibbs_measure(MarkedStateHamiltonian(2, 1.0), 1.0)
-    assert math.exp(m.log_partition) == pytest.approx(math.exp(2.0) + 3.0, rel=1e-14)
+    assert math.exp(m.log_partition) == pytest.approx(math.exp(2.0) + 3.0,
+                                                      rel=1e-14, abs=0.0)
 
 
 def test_marked_probability():
     m = gibbs_measure(MarkedStateHamiltonian(4, 1.0), 5.0)
     expected = math.exp(20.0) / (math.exp(20.0) + 15.0)
-    assert m.probabilities()[0] == pytest.approx(expected, rel=1e-14)
+    assert m.probabilities()[0] == pytest.approx(expected, rel=1e-14, abs=0.0)
 
 
 def test_probabilities_normalized_over_beta_grid():
@@ -81,14 +82,15 @@ def test_pi_min_uniform():
 
 def test_pi_min_is_inverse_partition():
     m = gibbs_measure(MarkedStateHamiltonian(2, 1.0), 1.0)
-    assert pi_min(m) == pytest.approx(1.0 / (math.exp(2.0) + 3.0), rel=1e-14)
+    assert pi_min(m) == pytest.approx(1.0 / (math.exp(2.0) + 3.0),
+                                      rel=1e-14, abs=0.0)
 
 
 def test_pi_min_log_space_matches_direct_sum():
     n, beta = 3, 40.0
     m = gibbs_measure(MarkedStateHamiltonian(n, 1.0), beta)
     z_direct = math.exp(beta * n) + (2 ** n - 1)
-    assert m.log_pi_min == pytest.approx(-math.log(z_direct), rel=1e-12)
+    assert m.log_pi_min == pytest.approx(-math.log(z_direct), rel=1e-12, abs=0.0)
 
 
 def test_marked_probability_monotone_in_beta():

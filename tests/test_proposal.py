@@ -166,9 +166,9 @@ def test_table_certificate_reports_corruption():
     table = kern.table().copy()
     table[3, 1, 2] += 1e-3          # realized: x, y at distances 1, 2, d = 3
     cert = validate_kernel(PermutationInvariantKernel(6, 45, table))
-    assert cert.max_asymmetry == pytest.approx(1e-3, rel=1e-9)
+    assert cert.max_asymmetry == pytest.approx(1e-3, rel=1e-9, abs=0.0)
     # a source at distance 2 sees C(2,0) C(4,1) = 4 states at distance 1, d = 3
-    assert cert.max_column_deviation == pytest.approx(4e-3, rel=1e-6)
+    assert cert.max_column_deviation == pytest.approx(4e-3, rel=1e-6, abs=0.0)
 
 
 def test_structured_negative_entry_raises():

@@ -4,7 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from qemcmc.chain import SYMMETRY_TOL, build_transition_matrix
+from qemcmc import chain
+from qemcmc.chain import (
+    SYMMETRY_TOL,
+    _class_chain,
+    build_transition_matrix,
+    exact_mixing_time,
+)
 from qemcmc.errors import (
     AsymmetricKernel,
     BudgetExceeded,
@@ -17,6 +23,7 @@ from qemcmc.model import MarkedStateHamiltonian, gibbs_measure
 from qemcmc.proposal import (
     DenseKernel,
     PermutationInvariantKernel,
+    single_flip_kernel,
     uniform_kernel,
 )
 from qemcmc.quantum import (
@@ -33,7 +40,6 @@ from qemcmc.spectral import (
     grover_gap_closed_form,
     mixing_time_bounds,
     _beta_coefficients,
-    _class_chain,
     _grover_gaps,
     _symmetry_blocks,
     scaling_fit,
@@ -65,12 +71,13 @@ def test_uniform_closed_form_matches_eigensolve():
 def test_uniform_closed_form_limits():
     assert uniform_gap_closed_form(5, 1.0, 0.0) == pytest.approx(1.0)
     # deep in the ordered phase the gap approaches 2^-N
-    assert uniform_gap_closed_form(5, 1.0, 50.0) == pytest.approx(2.0 ** -5, rel=1e-12)
+    assert uniform_gap_closed_form(5, 1.0, 50.0) == pytest.approx(
+        2.0 ** -5, rel=1e-12, abs=0.0)
 
 
 def test_uniform_closed_form_stable_at_large_n():
     value = uniform_gap_closed_form(20, 2.0, 5.0)
-    assert value == pytest.approx(2.0 ** -20, rel=1e-12)
+    assert value == pytest.approx(2.0 ** -20, rel=1e-12, abs=0.0)
 
 
 def test_grover_closed_form_matches_eigensolve():
@@ -274,7 +281,7 @@ def test_dense_gap_survives_overflowing_weight_ratio():
     # entries it multiplies are 0 and must not turn into NaN
     delta = spectral_gap_dense(_uniform_chain(4, 1.0, 400.0)).delta
     assert delta == pytest.approx(uniform_gap_closed_form(4, 1.0, 400.0),
-                                  rel=1e-12)
+                                  rel=1e-12, abs=0.0)
     assert uniform_gap_closed_form(4, 1.0, 400.0) == 0.0625
 
 
@@ -320,7 +327,7 @@ def test_block_spectrum_matches_dense(variant):
         sym = -np.sqrt(p * p.T)
         np.fill_diagonal(sym, 1.0 - np.diag(p))
         ref = np.linalg.eigvalsh(sym)
-        _, x, _ = _class_chain(kern, measure, SYMMETRY_TOL)
+        _, _, x, _ = _class_chain(kern, measure, SYMMETRY_TOL)
         blocks = _symmetry_blocks(x)
         assert sum(mult * len(b) for b, mult in blocks) == 1 << n
         lam = np.sort(np.concatenate([np.repeat(np.linalg.eigvalsh(b), mult)
@@ -379,7 +386,7 @@ def test_block_gap_nearly_periodic(n, alpha):
     ref = spectral_gap_dense(build_transition_matrix(kern, measure)).delta
     delta = spectral_gap_blocks(kern, measure).delta
     assert abs(delta - ref) <= 1e-10 * ref
-    _, x, _ = _class_chain(kern, measure, SYMMETRY_TOL)
+    _, _, x, _ = _class_chain(kern, measure, SYMMETRY_TOL)
     (block0, _), (block1, _), *_ = _symmetry_blocks(x)
     lam0, lam1 = np.linalg.eigvalsh(block0), np.linalg.eigvalsh(block1)
     assert abs(2.0 - lam1[-1] - delta) <= 1e-10 * ref
@@ -424,17 +431,55 @@ def test_block_route_rejects_negative_rejection_mass():
                      gibbs_measure(h_c, 2.0), 1.0)
 
 
+def _corrupted(defect):
+    """The transverse table's kernel with one defect, and its measure."""
+    h_c, table = _transverse_table()
+    if defect == "asymmetric":
+        table[3, 1, 2] += 1e-6
+    elif defect == "not-stochastic":
+        table *= 0.9
+    elif defect == "negative-entry":
+        table[2, 1, 1] = -1e-6
+    elif defect == "nan":
+        table[2, 1, 1] = np.nan
+    return PermutationInvariantKernel(5, 9, table), gibbs_measure(h_c, 2.0)
+
+
+# the mixing time reads the block route's pair-class assembly, so it rejects
+# the tables above with the same errors
+@pytest.mark.parametrize("defect, error", [
+    ("asymmetric", AsymmetricKernel),
+    ("not-stochastic", NotStochastic),
+    ("negative-entry", NegativeProbability),
+    ("nan", AsymmetricKernel),       # a NaN fails the certificate
+])
+def test_mixing_time_rejects_corrupt_tables(defect, error):
+    with pytest.raises(error):
+        exact_mixing_time(*_corrupted(defect), 0.01)
+
+
+def test_mixing_time_rejects_negative_rejection_mass(monkeypatch):
+    # the column-sum check relaxed, as in
+    # test_block_route_rejects_negative_rejection_mass
+    monkeypatch.setattr(chain, "SYMMETRY_TOL", 1.0)
+    h_c, table = _transverse_table()
+    table[1:] *= 1.5
+    with pytest.raises(NegativeDiagonal):
+        exact_mixing_time(PermutationInvariantKernel(5, 9, table),
+                          gibbs_measure(h_c, 2.0), 0.01)
+
+
 def test_block_route_rejects_irreversible_chain():
     h_c, table = _transverse_table()
     table[3, 1, 2] += 1e-3
-    _, x, _ = _class_chain(PermutationInvariantKernel(5, 9, table),
-                           gibbs_measure(h_c, 2.0), 1.0)
+    _, _, x, _ = _class_chain(PermutationInvariantKernel(5, 9, table),
+                              gibbs_measure(h_c, 2.0), 1.0)
     with pytest.raises(NotReversible):
         _symmetry_blocks(x)
     # a NaN entry fails the certificate instead of passing it
     h_c, table = _transverse_table()
-    _, x, _ = _class_chain(PermutationInvariantKernel(5, 9, table),
-                           gibbs_measure(h_c, 2.0), SYMMETRY_TOL)
+    _, _, x, _ = _class_chain(PermutationInvariantKernel(5, 9, table),
+                              gibbs_measure(h_c, 2.0), SYMMETRY_TOL)
     x[2, 3, 2] = np.nan
     with pytest.raises(NotReversible):
         _symmetry_blocks(x)
@@ -456,3 +501,13 @@ def test_averaged_transverse_table_matches_dense_average():
     assert isinstance(avg, PermutationInvariantKernel)
     ref = time_averaged_kernel(h_c, "transverse", scheme, DENSE).dense()
     assert np.max(np.abs(avg.dense() - ref)) < 1e-12
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_single_flip_block_gap_matches_dense(n):
+    # the classical local baseline: its table is invariant about state 0
+    measure = gibbs_measure(MarkedStateHamiltonian(n, 1.0), 1.0)
+    kern = single_flip_kernel(n)
+    ref = spectral_gap_dense(build_transition_matrix(kern, measure)).delta
+    delta = spectral_gap_blocks(kern, measure).delta
+    assert abs(delta - ref) <= 1e-10 * ref
