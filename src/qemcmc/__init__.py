@@ -39,10 +39,8 @@ from .chain import (
     ChainState,
     TransitionMatrix,
     build_transition_matrix,
-    chain_step,
     exact_mixing_time,
     make_chain,
-    mh_acceptance,
     sample_chain,
     total_variation,
     tv_distance_curve,

@@ -1,20 +1,22 @@
-"""Metropolis-Hastings chains: acceptance, transition matrices, stepping, and
-exact total-variation mixing times.
+"""Metropolis-Hastings chains: transition matrices, sampling, and exact
+total-variation mixing times.
 
 Transition matrices use the row orientation p[y, x] = Pr(y -> x).  Diagonals
 are always completed from row stochasticity rather than any closed-form
 expression, so rejection mass is absorbed exactly.  A chain whose kernel is
 invariant under permutations of the spins about the marked state is also
 assembled on its pair classes (:func:`_class_chain`), with no 2^N x 2^N
-matrix: the exact gap (:func:`qemcmc.spectral.spectral_gap_blocks`) and the
-exact mixing time (:func:`exact_mixing_time`) both read that one assembly.
-The dense matrix serves the dense gap and mixing-time cross-checks and
-:func:`tv_distance_curve`.
+matrix and no 2^N column: the exact gap
+(:func:`qemcmc.spectral.spectral_gap_blocks`), the exact mixing time
+(:func:`exact_mixing_time`) and the sampled chain (:func:`sample_chain`) all
+read that one assembly.  The dense matrix serves the dense gap and
+mixing-time cross-checks and :func:`tv_distance_curve`.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +38,7 @@ from .proposal import (
 )
 
 _POWERING_BUDGET = 12  # max n_spins for dense matrix powering
+_DRAW_BLOCK = 4096     # steps whose uniforms sample_chain draws at once
 # largest kernel asymmetry a chain is assembled from; the pair-class assembly
 # holds the kernel's column sums to it as well
 SYMMETRY_TOL = 1e-9
@@ -63,14 +66,6 @@ def make_chain(start: int, seed: int) -> ChainState:
     """Fresh chain with a counter-based (Philox) stream keyed by seed."""
     return ChainState(current=start, step_count=0,
                       rng_stream=np.random.Generator(np.random.Philox(seed)))
-
-
-def mh_acceptance(delta_e: float, beta: float, log_q_ratio: float = 0.0) -> float:
-    """min(1, exp(-beta*delta_e) * Q(y|x)/Q(x|y)) with the ratio in log space."""
-    exponent = -beta * delta_e + log_q_ratio
-    if not math.isfinite(exponent) and exponent > 0:
-        return 1.0
-    return 1.0 if exponent >= 0 else math.exp(exponent)
 
 
 def build_transition_matrix(kernel: ProposalKernel, measure: GibbsMeasure,
@@ -102,33 +97,6 @@ def build_transition_matrix(kernel: ProposalKernel, measure: GibbsMeasure,
         )
     np.fill_diagonal(p, np.clip(diag, 0.0, None))
     return TransitionMatrix(p=p, stationary=measure, n_spins=measure.n_spins)
-
-
-def chain_step(state: ChainState, kernel: ProposalKernel,
-               measure: GibbsMeasure) -> ChainState:
-    """One propose/accept step; rejected moves count as a step."""
-    rng = state.rng_stream
-    y = state.current
-    col = np.clip(kernel.column(y), 0.0, None)
-    col = col / col.sum()
-    x = int(rng.choice(col.shape[0], p=col))
-    if x != y:
-        log_accept = min(0.0, measure.log_weights[x] - measure.log_weights[y])
-        if math.log(rng.random()) >= log_accept:
-            x = y
-    state.current = x
-    state.step_count += 1
-    return state
-
-
-def sample_chain(state: ChainState, kernel: ProposalKernel,
-                 measure: GibbsMeasure, n_steps: int) -> np.ndarray:
-    """Run the chain n_steps and return the visited configurations."""
-    visited = np.empty(n_steps, dtype=np.int64)
-    for i in range(n_steps):
-        chain_step(state, kernel, measure)
-        visited[i] = state.current
-    return visited
 
 
 def total_variation(p: np.ndarray, q: np.ndarray) -> float:
@@ -170,6 +138,9 @@ def _class_chain(kernel: PermutationInvariantKernel, measure: GibbsMeasure,
     classes: kernel symmetry and column sums, the clamp, and the rejection
     mass; the measure must be invariant about the kernel's marked state.
     """
+    if not isinstance(kernel, PermutationInvariantKernel):
+        raise TypeError("the class route needs a PermutationInvariantKernel, "
+                        f"not {type(kernel).__name__}")
     n = kernel.n_spins
     if kernel.dim != measure.dim:
         raise MismatchedDimensions(
@@ -208,6 +179,54 @@ def _class_chain(kernel: PermutationInvariantKernel, measure: GibbsMeasure,
     x = -q * np.exp(-0.5 * np.abs(step))[:, :, None]
     x[w, w, w] = off_mass
     return move, np.clip(rejection, 0.0, None), x, lw
+
+
+def sample_chain(state: ChainState, kernel: ProposalKernel,
+                 measure: GibbsMeasure, n_steps: int) -> np.ndarray:
+    """Run the chain n_steps and return the visited configurations.
+
+    The chain is the one :func:`_class_chain` assembles.  From x at distance
+    i from the marked state k, a step draws the pair class (j, t) of the next
+    state from the masses count[i, j, t] * move[i, j, t], with the rejection
+    mass stay[i] on the class y = x, and then y uniformly inside its class:
+    t of the i spins where x differs from k keep differing, and j - t of the
+    other N - i spins flip.  Rejected moves count as steps.
+    """
+    n = kernel.n_spins
+    move, stay, _, _ = _class_chain(kernel, measure, SYMMETRY_TOL)
+    mass = weight_classes(n)[0] * move
+    w = np.arange(n + 1)
+    mass[w, w, w] = stay
+    mass = mass.reshape(n + 1, -1)              # (i, j * (N+1) + t)
+    cdf = np.cumsum(mass, axis=1).tolist()
+    # a uniform rounded onto the total mass still lands on a positive class
+    last = [int(np.flatnonzero(row)[-1]) for row in mass]
+    rng = state.rng_stream
+    z = int(state.current ^ kernel.marked)     # the spins where x differs from k
+    i = z.bit_count()
+    visited = np.empty(n_steps, dtype=np.int64)
+    for start in range(0, n_steps, _DRAW_BLOCK):
+        path = []
+        for u in rng.random((min(_DRAW_BLOCK, n_steps - start), n + 1)).tolist():
+            j, t = divmod(bisect_right(cdf[i], u[0] * cdf[i][-1], 0, last[i]),
+                          n + 1)
+            if j != i or t != i:
+                # selection sampling, one uniform per spin: j - t of the
+                # spins outside supp(z) flip in, i - t of those inside out
+                need, left = [j - t, i - t], [n - i, i]
+                for b in range(n):
+                    inside = z >> b & 1
+                    if u[b + 1] * left[inside] < need[inside]:
+                        z ^= 1 << b
+                        need[inside] -= 1
+                    left[inside] -= 1
+                i = j
+            path.append(z)
+        visited[start:start + len(path)] = path
+    visited ^= kernel.marked
+    state.current = int(z ^ kernel.marked)
+    state.step_count += n_steps
+    return visited
 
 
 # ---------------------------------------------------------------------------
@@ -276,15 +295,12 @@ def exact_mixing_time(kernel: ProposalKernel, measure: GibbsMeasure,
     total variation of the chain lumped onto these (w+1)(N-w+1) classes,
     which :func:`_class_chain` gives, and one search runs per distance w.
     """
-    if not isinstance(kernel, PermutationInvariantKernel):
-        raise TypeError("the class route needs a PermutationInvariantKernel, "
-                        f"not {type(kernel).__name__}")
-    if epsilon >= 1.0:
-        return 0
     if not 0 < epsilon:
         raise ValueError("epsilon must be positive")
-    n = kernel.n_spins
     move, stay, _, lw = _class_chain(kernel, measure, SYMMETRY_TOL)
+    if epsilon >= 1.0:
+        return 0
+    n = kernel.n_spins
     log_pi = lw - measure.log_partition
     worst = 0
     for w in range(n + 1):

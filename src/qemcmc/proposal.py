@@ -17,10 +17,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import MismatchedDimensions, NegativeProbability
+from .errors import BudgetExceeded, MismatchedDimensions, NegativeProbability
 
 # Entries above this negative floor are treated as rounding noise and clamped.
 _CLAMP_FLOOR = -1e-14
+_DENSE_KERNEL_BUDGET = 14   # max n_spins for a dense 2^N x 2^N table kernel
 
 
 def _clamped(a: np.ndarray) -> np.ndarray:
@@ -62,10 +63,6 @@ class ProposalKernel:
             self._dense = _clamped(np.asarray(self._build_dense(), dtype=float))
         return self._dense
 
-    def column(self, y: int) -> np.ndarray:
-        """Proposal distribution from source state y."""
-        return self.dense()[:, y]
-
 
 class DenseKernel(ProposalKernel):
     def __init__(self, matrix: np.ndarray, n_spins: int | None = None):
@@ -96,8 +93,9 @@ def weight_classes(n_spins: int):
     n = n_spins
     w = np.arange(n + 1)
     i, j, t = w[:, None, None], w[None, :, None], w[None, None, :]
-    count = np.array([[[math.comb(a, c) * math.comb(n - a, b - c) if c <= b else 0
-                        for c in w] for b in w] for a in w], dtype=float)
+    binom = np.array([[math.comb(a, b) for b in w] for a in w], dtype=float)
+    count = np.where(t <= j, binom[i, t] * binom[n - i, np.maximum(j - t, 0)],
+                     0.0)
     distance = np.clip(i + j - 2 * t, 0, n)
     count.flags.writeable = distance.flags.writeable = False
     return count, distance
@@ -135,9 +133,20 @@ class PermutationInvariantKernel(ProposalKernel):
             self._table = _clamped(np.where(realized, table, 0.0))
         return self._table
 
+    def column(self, y):
+        """Q(.|y), gathered from the table in O(2^N)."""
+        if not 0 <= y < self.dim:
+            raise IndexError(f"configuration {y} out of range")
+        x = np.arange(self.dim, dtype=np.int32)
+        table = self.table()[:, :, int(y ^ self.marked).bit_count()]
+        return table[np.bitwise_count(x ^ y), np.bitwise_count(x ^ self.marked)]
+
     def _build_dense(self):
-        """Gather the table in blocks of about 2^20 entries."""
+        """Gather the table in blocks of about 2^20 entries, within the dense
+        budget: the one place a table kernel densifies."""
         n, dim = self.n_spins, self.dim
+        if n > _DENSE_KERNEL_BUDGET:
+            raise BudgetExceeded(f"dense kernel limited to N <= {_DENSE_KERNEL_BUDGET}")
         table = self.table().ravel()
         x = np.arange(dim, dtype=np.int32)
         w = np.bitwise_count(x ^ self.marked).astype(np.int32)
@@ -175,16 +184,6 @@ class StructuredMarkedKernel(PermutationInvariantKernel):
         self.stay_marked = float(stay_marked)
         self.stay_unmarked = float(stay_unmarked)
 
-    def column(self, y):
-        col = np.full(self.dim, self.off_unmarked)
-        col[self.marked] = self.off_marked
-        if y == self.marked:
-            col[:] = self.off_marked
-            col[y] = self.stay_marked
-        else:
-            col[y] = self.stay_unmarked
-        return col
-
 
 class AffineKernel(ProposalKernel):
     """Pointwise affine combination of kernels; weights may be negative but the
@@ -207,12 +206,6 @@ class AffineKernel(ProposalKernel):
         for w, k in zip(self.weights, self.kernels):
             q += w * k.dense()
         return q
-
-    def column(self, y):
-        col = np.zeros(self.dim)
-        for w, k in zip(self.weights, self.kernels):
-            col += w * k.column(y)
-        return col
 
 
 def uniform_kernel(n_spins: int) -> ProposalKernel:

@@ -9,12 +9,12 @@ form, :func:`grover_closed_form`, gives its two-level frequency and its four
 distinct proposal probabilities, and every grover kernel and column is built
 from it.  The transverse mixer has an (N+1)-dimensional
 invariant subspace on the Dicke states around the marked configuration,
-outside of which H is the free mixer.  A marked-state column then costs one
-tridiagonal eigensolve of order N+1 plus an O(2^N) expansion, and a full
-kernel is its (N+1)^3 table over (|x^y|, |x^k|, |y^k|), densified by an
-O(4^N) fill only where a dense matrix is asked for.  Dense diagonalization
-and an adaptive Lanczos propagator evolve arbitrary states and serve as the
-independent cross-checks of both structured routes.
+outside of which H is the free mixer.  A kernel then costs two tridiagonal
+eigensolves of order N+1 for its (N+1)^3 table over (|x^y|, |x^k|, |y^k|);
+a column is an O(2^N) gather from that table, and only a dense matrix asks
+for the O(4^N) fill.  Dense diagonalization and an adaptive Lanczos
+propagator evolve arbitrary states and serve as the independent
+cross-checks of both structured routes.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from .proposal import (
 GROVER = "grover"
 TRANSVERSE = "transverse"
 
-_DENSE_KERNEL_BUDGET = 14   # max n_spins for a dense 2^N x 2^N kernel
 _COLUMN_BUDGET = 24         # max n_spins for a single proposal column
 _DENSE_H_BUDGET = 13        # max n_spins for materializing H densely
 _DENSE_AUTO = 10            # auto method switches to Krylov above this
@@ -274,14 +273,6 @@ def _transverse_table(h_c, h, t):
     return amp.real ** 2 + amp.imag ** 2
 
 
-def _transverse_column(h_c, h, t, y) -> np.ndarray:
-    """Transverse proposal column out of y in O(2^N)."""
-    x = np.arange(h_c.dim)
-    w_y = int(y ^ h_c.marked).bit_count()
-    table = _transverse_table(h_c, h, t)[:, :, w_y]
-    return table[np.bitwise_count(x ^ y), np.bitwise_count(x ^ h_c.marked)]
-
-
 # ---------------------------------------------------------------------------
 # proposal kernels
 
@@ -297,8 +288,6 @@ def quantum_kernel(h_c: MarkedStateHamiltonian, mixer: MixerSpec, t: float,
     has no kernel route.
     """
     n = h_c.n_spins
-    if n > _DENSE_KERNEL_BUDGET:
-        raise BudgetExceeded(f"dense kernel limited to N <= {_DENSE_KERNEL_BUDGET}")
     if not math.isfinite(t):
         raise ValueError("evolution time must be finite")
     if cfg.method == "auto":
@@ -320,7 +309,7 @@ def quantum_proposal_column(h_c: MarkedStateHamiltonian, mixer: MixerSpec,
                             cfg: PropagatorConfig = DEFAULT_PROPAGATOR) -> np.ndarray:
     """Measurement distribution after one evolution from basis state y.
 
-    ``auto`` reads it off the mixer's invariant subspace in O(2^N);
+    ``auto`` gathers it from the table of :func:`quantum_kernel` in O(2^N);
     ``dense`` and ``krylov`` evolve the basis state as cross-checks.
     """
     n = h_c.n_spins
@@ -331,10 +320,7 @@ def quantum_proposal_column(h_c: MarkedStateHamiltonian, mixer: MixerSpec,
     if not math.isfinite(t):
         raise ValueError("evolution time must be finite")
     if cfg.method == "auto":
-        if mixer.variant == GROVER:
-            return structured_grover_kernel(h_c, mixer.field_strength,
-                                            t).column(y)
-        return _transverse_column(h_c, mixer.field_strength, t, y)
+        return quantum_kernel(h_c, mixer, t).column(y)
     amps = evolve(h_c, mixer, basis_state(n, y), t, cfg)
     return np.abs(amps) ** 2
 

@@ -282,9 +282,6 @@ def spectral_gap_blocks(kernel: ProposalKernel,
     block k >= 1 (nearly periodic transverse chains, h t near pi/2) keeps
     about eps / delta of it.
     """
-    if not isinstance(kernel, PermutationInvariantKernel):
-        raise TypeError("the block route needs a PermutationInvariantKernel, "
-                        f"not {type(kernel).__name__}")
     move, stay, x, lw = _class_chain(kernel, measure, SYMMETRY_TOL)
     # the chain lumped onto the distances, and its stationary law
     n = kernel.n_spins

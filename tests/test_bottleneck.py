@@ -146,7 +146,7 @@ def test_marked_bound_agrees_with_dense_flow():
     kern = quantum_kernel(h_c, MixerSpec("transverse", 1.0), 1.0, DENSE)
     p = build_transition_matrix(kern, gibbs_measure(h_c, beta))
     dense = bottleneck_bound(p, [x for x in range(p.dim) if x != 0]).bound
-    column = marked_state_bound(kern.column(0), n, alpha, beta)
+    column = marked_state_bound(kern.dense()[:, 0], n, alpha, beta)
     assert column == pytest.approx(dense, rel=1e-10, abs=0.0)
 
 

@@ -6,17 +6,15 @@ import pytest
 from qemcmc.chain import (
     _dense_mixing_time,
     build_transition_matrix,
-    chain_step,
     exact_mixing_time,
     make_chain,
-    mh_acceptance,
     sample_chain,
     total_variation,
     tv_distance_curve,
 )
 from qemcmc.errors import AsymmetricKernel, NoConvergence
 from qemcmc.model import MarkedStateHamiltonian, gibbs_measure
-from qemcmc.proposal import DenseKernel, uniform_kernel
+from qemcmc.proposal import DenseKernel, PermutationInvariantKernel, uniform_kernel
 from qemcmc.quantum import (
     MixerSpec,
     PropagatorConfig,
@@ -37,18 +35,6 @@ def _uniform(n, alpha, beta):
     """The uniform kernel and its measure, the arguments of exact_mixing_time."""
     h_c = MarkedStateHamiltonian(n, alpha)
     return uniform_kernel(n), gibbs_measure(h_c, beta)
-
-
-def test_acceptance_downhill():
-    assert mh_acceptance(-4.0, 1.0) == 1.0
-
-
-def test_acceptance_infinite_temperature():
-    assert mh_acceptance(3.0, 0.0) == 1.0
-
-
-def test_acceptance_uphill():
-    assert mh_acceptance(2.0, 1.5) == pytest.approx(math.exp(-3.0))
 
 
 def test_transition_matrix_infinite_temperature():
@@ -107,12 +93,15 @@ def test_grover_chain_has_five_values():
 
 
 def test_chain_step_counts_rejections():
+    # at beta = 5 most moves out of the marked state are rejected
     state = make_chain(start=3, seed=5)
     measure = gibbs_measure(MarkedStateHamiltonian(3, 1.0), 5.0)
     kern = uniform_kernel(3)
-    for _ in range(10):
-        chain_step(state, kern, measure)
-    assert state.step_count == 10
+    visited = [sample_chain(state, kern, measure, 1)[0] for _ in range(10)]
+    visited += list(sample_chain(state, kern, measure, 30))
+    assert state.step_count == 40
+    assert state.current == visited[-1]
+    assert any(a == b for a, b in zip(visited, visited[1:]))
 
 
 def test_chain_step_downhill_always_accepted():
@@ -122,6 +111,42 @@ def test_chain_step_downhill_always_accepted():
     visited = sample_chain(state, uniform_kernel(3), measure, 200)
     first = np.argmax(visited == 0)
     assert np.all(visited[first:] == 0)
+
+
+@pytest.mark.parametrize("variant,h,t", [("grover", 1.3, 0.9),
+                                         ("transverse", 0.7, 1.1)],
+                         ids=["grover", "transverse"])
+def test_sample_chain_one_step_law_matches_dense(variant, h, t):
+    # successors of each visit to a state are independent draws from its
+    # row of the dense P; check the marked state's row and an unmarked one
+    h_c = MarkedStateHamiltonian(5, 1.0, marked=19)
+    kern = quantum_kernel(h_c, MixerSpec(variant, h), t)
+    measure = gibbs_measure(h_c, 0.5)
+    p = build_transition_matrix(kern, measure).p
+    visited = sample_chain(make_chain(3, seed=7), kern, measure, 200_000)
+    for start in (h_c.marked, 3):
+        successors = visited[1:][visited[:-1] == start]
+        assert successors.size > 2000
+        counts = np.bincount(successors, minlength=32)
+        expected = successors.size * p[start]
+        sd = np.sqrt(expected * (1.0 - p[start]))
+        assert np.all(np.abs(counts - expected) <= 5.0 * sd), (variant, start)
+
+
+def test_sample_chain_needs_an_invariant_kernel():
+    measure = gibbs_measure(MarkedStateHamiltonian(3, 1.0), 1.0)
+    with pytest.raises(TypeError):
+        sample_chain(make_chain(0, seed=1),
+                     DenseKernel(np.full((8, 8), 0.125), 3), measure, 10)
+
+
+def test_sample_chain_rejects_asymmetric_table():
+    h_c = MarkedStateHamiltonian(4, 1.0, marked=6)
+    table = quantum_kernel(h_c, MixerSpec("transverse", 0.7), 1.9).table().copy()
+    table[3, 1, 2] += 1e-3          # realized: x, y at distances 1, 2, d = 3
+    kern = PermutationInvariantKernel(4, 6, table)
+    with pytest.raises(AsymmetricKernel):
+        sample_chain(make_chain(0, seed=1), kern, gibbs_measure(h_c, 1.0), 10)
 
 
 def test_empirical_marked_frequency():

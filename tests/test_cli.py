@@ -210,15 +210,43 @@ def test_sample_without_steps_exits_2(capsys):
     assert "steps" in capsys.readouterr().err
 
 
-def test_figure_b_kernel_budget_skips_exact_row(tmp_path, capsys):
-    out = tmp_path / "figure-b.csv"
-    status = cli.main(["--experiment", "figure-b", "--n-min", "15",
-                       "--n-max", "15", "--max-dense-n", "15",
-                       "--out", str(out)])
+def test_figure_b_exact_row_past_dense_kernel_budget():
+    # the block route reads the kernel's table, never its dense matrix
+    csv_text, status = _run(["--experiment", "figure-b", "--n-min", "15",
+                             "--n-max", "15", "--max-dense-n", "15"])
     assert status == 0
-    rows = _rows(out.read_text())
-    assert [r[6] for r in rows] == ["bound"]
-    assert "skipped delta_exact at N=15" in capsys.readouterr().err
+    rows = {r[6]: float(r[7]) for r in _rows(csv_text)}
+    assert set(rows) == {"bound", "delta_exact"}
+    assert 0.0 < rows["delta_exact"] <= rows["bound"]
+
+
+def test_sample_past_dense_kernel_budget():
+    csv_text, status = _run(["--experiment", "sample", "--mixer", "transverse",
+                             "--n-min", "15", "--n-max", "15",
+                             "--max-dense-n", "15", "--beta", "1",
+                             "--steps", "100"])
+    assert status == 0
+    rows = _rows(csv_text)
+    assert sorted(r[6] for r in rows) == ["tmix"] + ["tv"] * 4
+    for r in rows:
+        assert r[6] == "tmix" or 0.0 <= float(r[7]) <= 1.0
+
+
+@pytest.mark.parametrize("argv,setting", [
+    (["--experiment", "scan", "--n-min", "4", "--n-max", "7", "--h", "1e300",
+      "--t", "1e300"], "--h 1e300"),
+    (["--experiment", "sample", "--n-min", "4", "--n-max", "4", "--h",
+      "1e300"], "--h 1e300"),
+    (["--experiment", "scan", "--n-min", "4", "--n-max", "7", "--t",
+      "1e308"], "--t 1e308"),
+    (["--experiment", "figure-b", "--n-min", "4", "--n-max", "4", "--beta",
+      "1e308"], "--beta 1e+308"),
+], ids=["scan-h", "sample-h", "scan-t", "figure-b-beta"])
+def test_overflowing_settings_exit_2(argv, setting, capsys):
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert setting in captured.err and "overflows" in captured.err
 
 
 @pytest.mark.parametrize("alpha", ["-1", "0"])

@@ -1,9 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qemcmc.errors import MismatchedDimensions, NegativeProbability
+from qemcmc.errors import BudgetExceeded, MismatchedDimensions, NegativeProbability
 from qemcmc.model import MarkedStateHamiltonian
 from qemcmc.proposal import (
     DenseKernel,
@@ -13,6 +15,7 @@ from qemcmc.proposal import (
     single_flip_kernel,
     uniform_kernel,
     validate_kernel,
+    weight_classes,
 )
 from qemcmc.quantum import (
     MixerSpec,
@@ -117,10 +120,20 @@ def test_dense_negative_entry_raises():
 
 
 def test_column_matches_dense():
-    for kern in (uniform_kernel(3), single_flip_kernel(3)):
+    for kern in (single_flip_kernel(3), *_invariant_kernels()):
         dense = kern.dense()
-        for y in range(8):
-            assert np.allclose(kern.column(y), dense[:, y])
+        for y in range(kern.dim):
+            assert np.array_equal(kern.column(y), dense[:, y])
+    with pytest.raises(IndexError):
+        kern.column(kern.dim)
+
+
+def test_weight_classes_match_loop_reference():
+    for n in range(1, 25):
+        w = range(n + 1)
+        loop = np.array([[[math.comb(a, c) * math.comb(n - a, b - c) if c <= b else 0
+                           for c in w] for b in w] for a in w], dtype=float)
+        assert np.array_equal(weight_classes(n)[0], loop), n
 
 
 @settings(max_examples=25, deadline=None)
@@ -159,6 +172,15 @@ def test_structured_table_gathers_to_its_dense_matrix():
         gathered = PermutationInvariantKernel(kern.n_spins, kern.marked,
                                               kern.table()).dense()
         assert np.array_equal(gathered, kern.dense())
+
+
+def test_table_kernel_densifies_within_budget():
+    # the (N+1)^3 table is built; the 2^15 x 2^15 matrix is refused before
+    # it is allocated
+    kern = PermutationInvariantKernel(15, 3, np.zeros((16, 16, 16)))
+    with pytest.raises(BudgetExceeded):
+        kern.dense()
+    assert kern.column(3).shape == (1 << 15,)
 
 
 def test_table_certificate_reports_corruption():
