@@ -12,10 +12,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import BudgetExceeded, MeasureTooLarge
 from .chain import TransitionMatrix
+from .model import logsumexp
 from .proposal import ProposalKernel
 
 _EXHAUSTIVE_BUDGET = 4
@@ -43,11 +43,11 @@ def flow(p: TransitionMatrix, s1, s2) -> float:
     finite = terms[np.isfinite(terms)]
     if finite.size == 0:
         return 0.0
-    return float(math.exp(logsumexp(finite)))
+    return math.exp(logsumexp(finite))
 
 
 def _log_measure(p: TransitionMatrix, s) -> float:
-    return float(logsumexp(p.stationary.log_probabilities()[np.asarray(s, dtype=np.intp)]))
+    return logsumexp(p.stationary.log_probabilities()[np.asarray(s, dtype=np.intp)])
 
 
 def bottleneck_bound(p: TransitionMatrix, s1, descriptor: str | None = None) -> BottleneckReport:

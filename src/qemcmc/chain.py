@@ -155,12 +155,13 @@ def _class_chain(kernel: PermutationInvariantKernel, measure: GibbsMeasure,
     cert = validate_kernel(kernel)
     if not cert.max_asymmetry <= symmetry_tol:
         raise AsymmetricKernel(
-            f"kernel asymmetry {cert.max_asymmetry:.3e} exceeds {symmetry_tol:.1e}"
+            f"kernel asymmetry {cert.max_asymmetry:.3e} exceeds "
+            f"{symmetry_tol:.1e} at N = {n}"
         )
     if not cert.max_column_deviation <= symmetry_tol:
         raise NotStochastic(
             f"kernel column sums deviate by {cert.max_column_deviation:.3e}, "
-            f"more than {symmetry_tol:.1e}"
+            f"more than {symmetry_tol:.1e}, at N = {n}"
         )
     count, distance = weight_classes(n)
     w = np.arange(n + 1)

@@ -42,7 +42,13 @@ from .chain import (
     sample_chain,
     total_variation,
 )
-from .errors import BudgetExceeded, NoConvergence
+from .errors import (
+    AsymmetricKernel,
+    BudgetExceeded,
+    NegativeProbability,
+    NoConvergence,
+    NotStochastic,
+)
 from .model import MarkedStateHamiltonian, gibbs_measure
 from .quantum import (
     GROVER,
@@ -420,6 +426,13 @@ def main(argv=None) -> int:
         csv_text, status = run(cfg)
     except (ValueError, NoConvergence) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
+        return 2
+    except (NotStochastic, AsymmetricKernel, NegativeProbability) as exc:
+        # every kernel here is a propagator's, unital by construction, so a
+        # failed certificate is rounding in e^{-iHt} grown with |h| t
+        print(f"configuration error: {exc}: --h {cfg.h} with --t {cfg.t} puts "
+              "the field·time beyond double-precision propagation",
+              file=sys.stderr)
         return 2
     if cfg.out == "-":
         sys.stdout.write(csv_text)

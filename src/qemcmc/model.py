@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 Config = int
 
@@ -87,12 +86,29 @@ class GibbsMeasure:
         return math.exp(self.log_pi_min)
 
 
+def logsumexp(a) -> float:
+    """log sum exp(a), shifted by the largest term so that none overflows.
+
+    The terms equal to the largest are counted apart and the rest enter
+    through log1p, so a sum that one term dominates keeps its full relative
+    accuracy (the evaluation order of scipy.special.logsumexp).
+    """
+    a = np.asarray(a, dtype=float)
+    top = float(np.max(a))
+    if not math.isfinite(top):
+        return top
+    at_top = a == top
+    count = int(np.count_nonzero(at_top))
+    rest = float(np.sum(np.exp(np.where(at_top, -np.inf, a - top))))
+    return math.log1p(rest / count) + math.log(count) + top
+
+
 def gibbs_measure(hamiltonian, beta: float) -> GibbsMeasure:
     """Build the Gibbs measure of a diagonal Hamiltonian at inverse temperature beta."""
     if beta < 0:
         raise ValueError(f"beta must be nonnegative, got {beta}")
     log_weights = -beta * hamiltonian.energies()
-    log_partition = float(logsumexp(log_weights))
+    log_partition = logsumexp(log_weights)
     return GibbsMeasure(
         beta=beta,
         n_spins=hamiltonian.n_spins,

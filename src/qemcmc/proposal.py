@@ -24,11 +24,12 @@ _CLAMP_FLOOR = -1e-14
 _DENSE_KERNEL_BUDGET = 14   # max n_spins for a dense 2^N x 2^N table kernel
 
 
-def _clamped(a: np.ndarray) -> np.ndarray:
+def _clamped(a: np.ndarray, n_spins: int) -> np.ndarray:
     """``a`` with entries in [_CLAMP_FLOOR, 0) set to 0; below the floor,
     NegativeProbability."""
     if np.min(a) < _CLAMP_FLOOR:
-        raise NegativeProbability(f"kernel entry {np.min(a):.3e} below clamp floor")
+        raise NegativeProbability(
+            f"kernel entry {np.min(a):.3e} below clamp floor at N = {n_spins}")
     return np.clip(a, 0.0, None)
 
 
@@ -60,7 +61,8 @@ class ProposalKernel:
     def dense(self) -> np.ndarray:
         """Dense matrix q[x, y] = Q(x|y), built once and cached."""
         if self._dense is None:
-            self._dense = _clamped(np.asarray(self._build_dense(), dtype=float))
+            self._dense = _clamped(np.asarray(self._build_dense(), dtype=float),
+                                   self.n_spins)
         return self._dense
 
 
@@ -130,7 +132,7 @@ class PermutationInvariantKernel(ProposalKernel):
             i, j, _ = np.nonzero(count)
             realized = np.zeros(table.shape, dtype=bool)
             realized[distance[count > 0], i, j] = True
-            self._table = _clamped(np.where(realized, table, 0.0))
+            self._table = _clamped(np.where(realized, table, 0.0), self.n_spins)
         return self._table
 
     def column(self, y):

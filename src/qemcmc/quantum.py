@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import BudgetExceeded, MismatchedDimensions, NonConvergence
 from .model import MarkedStateHamiltonian
@@ -142,6 +141,14 @@ def _dense_evolve(h_c, mixer, psi, t):
     return vec @ (np.exp(-1j * lam * t) * (vec.T @ psi))
 
 
+def _tridiagonal_eigh(d, e):
+    """Eigenvalues and eigenvectors of the symmetric tridiagonal matrix with
+    diagonal ``d`` and off-diagonal ``e``, by np.linalg.eigh of its dense
+    form: every tridiagonal here (a symmetric sector of order N+1, a Krylov
+    projection of order at most ``krylov_dim``) is small."""
+    return np.linalg.eigh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
+
+
 def _lanczos_apply(matvec, psi, dt, m):
     """One Lanczos step of e^{-i*dt*H} psi with full reorthogonalization.
 
@@ -178,7 +185,7 @@ def _lanczos_apply(matvec, psi, dt, m):
     if k == 1:
         phase = np.exp(-1j * dt * alphas[0])
         return phase * psi, 0.0
-    lam, s = eigh_tridiagonal(alphas[:k], betas[: k - 1])
+    lam, s = _tridiagonal_eigh(alphas[:k], betas[: k - 1])
     y = s @ (np.exp(-1j * dt * lam) * s[0])
     result = y @ basis[:k]
     err = 0.0 if breakdown else beta_next * abs(y[-1])
@@ -244,7 +251,7 @@ def _sector_propagator(n, h, marked_energy, t):
     w = np.arange(n)
     diag = np.zeros(n + 1)
     diag[0] = marked_energy
-    lam, vec = eigh_tridiagonal(diag, h * np.sqrt((w + 1.0) * (n - w)))
+    lam, vec = _tridiagonal_eigh(diag, h * np.sqrt((w + 1.0) * (n - w)))
     return (vec * np.exp(-1j * lam * t)) @ vec.T
 
 

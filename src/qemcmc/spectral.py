@@ -37,7 +37,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .errors import (
     BudgetExceeded,
@@ -100,7 +99,8 @@ def spectral_gap_dense(p: TransitionMatrix, epsilon: float = _EPSILON,
                        reversibility_tol: float = _REVERSIBILITY_TOL,
                        max_n: int = 12) -> SpectralReport:
     """Gap 1 - |lambda_2| of P by a symmetric eigensolve: the O(8^N)
-    cross-check of :func:`spectral_gap_blocks`.
+    cross-check of :func:`spectral_gap_blocks`, and the package's only route
+    through scipy (its LAPACK tridiagonal reduction and bisection).
 
     The asymmetry of P conjugated with sqrt(pi(x)/pi(y)) is the
     reversibility certificate; the solve itself works on the cospectral
@@ -158,6 +158,10 @@ def _extreme_ritz_vectors(a: np.ndarray):
     the back-transform: the O(n^3) work of an eigenvalue-only solve plus
     O(n^2).
     """
+    # This dense route (validate and the tests) is the package's only scipy
+    # user; importing scipy here keeps it off every experiment's import path.
+    from scipy.linalg import lapack
+
     n = a.shape[0]
     lwork = int(lapack.dsytrd_lwork(n, lower=1)[0])
     # a is symmetric, so its transpose is the same matrix in Fortran order
@@ -186,6 +190,8 @@ def _extreme_ritz_vectors(a: np.ndarray):
 
 def _lowest_tridiagonal_eigenvalues(d, e, count: int) -> list:
     """The ``count`` lowest eigenvalues of the tridiagonal (d, e), by bisection."""
+    from scipy.linalg import lapack   # dense route only, as in _extreme_ritz_vectors
+
     m, w, *_, info = lapack.dstebz(d, e, 2, 0.0, 0.0, 1, count, 0.0, "E")
     if info != 0 or m != count:
         raise EigensolverFailure(f"dstebz returned info={info}, {m} of {count}")

@@ -1,4 +1,8 @@
 import importlib.util
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -290,3 +294,42 @@ def test_perfbench_tracer_finds_every_traced_name():
     finally:
         tracer.uninstall()
     assert all(vars(cli)[name] is value for name, value in before.items())
+
+
+@pytest.mark.parametrize("argv", [
+    ["--experiment", "figure-b", "--n-min", "4", "--n-max", "5"],
+    ["--experiment", "sample", "--mixer", "transverse", "--n-min", "4",
+     "--n-max", "4", "--steps", "100"],
+], ids=["figure-b", "sample"])
+def test_field_time_beyond_double_precision_exits_2(argv, capsys):
+    # at |h| t = 1e10 the sector propagators lose the cancellation the table
+    # needs, so the kernel certificate fails: a configuration error, no rows
+    assert cli.main(argv + ["--h", "1e10"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    for part in ("N = 4", "--h 1e10", "--t ", "double-precision"):
+        assert part in captured.err
+    assert cli.main(argv + ["--h", "1e6"]) == 0
+
+
+def test_experiments_load_no_scipy():
+    # numpy alone serves the experiments; scipy is the dense cross-check's
+    code = textwrap.dedent("""
+        import sys
+        from qemcmc import cli
+        for argv in (["--experiment", "figure-a", "--n-min", "4", "--n-max", "6"],
+                     ["--experiment", "figure-b", "--n-min", "4", "--n-max", "6"],
+                     ["--experiment", "sample", "--mixer", "transverse",
+                      "--n-min", "4", "--n-max", "4", "--steps", "200"]):
+            csv_text, status = cli.run(cli.build_config(argv))
+            assert status == 0 and csv_text.count("\\n") > 1
+        print(sorted(m for m in sys.modules
+                     if m == "scipy" or m.startswith("scipy.")))
+    """)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

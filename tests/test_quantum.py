@@ -20,6 +20,8 @@ from qemcmc.quantum import (
     grover_closed_form,
     quantum_kernel,
     quantum_proposal_column,
+    _sector_propagator,
+    _tridiagonal_eigh,
     resonance_field,
     structured_grover_kernel,
 )
@@ -210,6 +212,27 @@ def test_transverse_sector_column_matches_dense():
         auto = quantum_proposal_column(h_c, mixer, 2.3, y)
         sim = quantum_proposal_column(h_c, mixer, 2.3, y, DENSE)
         assert np.max(np.abs(auto - sim)) < 1e-12
+
+
+def test_tridiagonal_eigh_matches_scipy_on_the_sector():
+    # the numpy stand-in against scipy's tridiagonal solver on the transverse
+    # symmetric sector: hops h*sqrt((w+1)(n-w)), marked energy -alpha*n at w=0
+    from scipy.linalg import eigh_tridiagonal
+
+    rng = _rng(41)
+    for n in range(1, 25):
+        alpha, h = rng.uniform(0.1, 3.0), rng.uniform(-3.0, 3.0)
+        w = np.arange(n)
+        d = np.zeros(n + 1)
+        d[0] = -alpha * n
+        e = h * np.sqrt((w + 1.0) * (n - w))
+        t_mat = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+        lam, vec = _tridiagonal_eigh(d, e)
+        norm = np.max(np.abs(lam))
+        assert np.max(np.abs(lam - eigh_tridiagonal(d, e)[0])) <= 1e-13 * norm
+        assert np.max(np.abs(t_mat @ vec - vec * lam)) <= 1e-13 * norm
+        u = _sector_propagator(n, h, -alpha * n, rng.uniform(0.0, 5.0))
+        assert np.max(np.abs(u @ u.conj().T - np.eye(n + 1))) <= 1e-13
 
 
 @pytest.mark.parametrize("n", [14, 16])
