@@ -9,8 +9,11 @@ assembled on its pair classes (:func:`_class_chain`), with no 2^N x 2^N
 matrix and no 2^N column: the exact gap
 (:func:`qemcmc.spectral.spectral_gap_blocks`), the exact mixing time
 (:func:`exact_mixing_time`) and the sampled chain (:func:`sample_chain`) all
-read that one assembly.  The dense matrix serves the dense gap and
-mixing-time cross-checks and :func:`tv_distance_curve`.
+read that one assembly.  The sampled chain costs O(N) per move, not per
+step: a run of rejections is geometric and takes one draw.  Each mixing-time
+search carries its row from probe to probe and advances it by cached
+squarings.  The dense matrix serves the dense gap and mixing-time
+cross-checks and :func:`tv_distance_curve`.
 """
 
 from __future__ import annotations
@@ -38,7 +41,9 @@ from .proposal import (
 )
 
 _POWERING_BUDGET = 12  # max n_spins for dense matrix powering
-_DRAW_BLOCK = 4096     # steps whose uniforms sample_chain draws at once
+# most moves whose uniforms sample_chain draws at once; its blocks double up
+# to this from 1, so a chain that rarely moves draws few rows
+_DRAW_BLOCK = 4096
 # largest kernel asymmetry a chain is assembled from; the pair-class assembly
 # holds the kernel's column sums to it as well
 SYMMETRY_TOL = 1e-9
@@ -186,44 +191,68 @@ def sample_chain(state: ChainState, kernel: ProposalKernel,
                  measure: GibbsMeasure, n_steps: int) -> np.ndarray:
     """Run the chain n_steps and return the visited configurations.
 
-    The chain is the one :func:`_class_chain` assembles.  From x at distance
-    i from the marked state k, a step draws the pair class (j, t) of the next
-    state from the masses count[i, j, t] * move[i, j, t], with the rejection
-    mass stay[i] on the class y = x, and then y uniformly inside its class:
-    t of the i spins where x differs from k keep differing, and j - t of the
-    other N - i spins flip.  Rejected moves count as steps.
+    The chain is the one :func:`_class_chain` assembles, drawn one move at a
+    time.  From x at distance i from the marked state k, the number of
+    rejections before the next move is geometric with P(stay) = stay[i]: one
+    uniform u draws the whole run by inversion, floor(log(1-u) / log stay[i]),
+    capped at the steps left.  The move then draws the pair class (j, t) of
+    the next state from the masses count[i, j, t] * move[i, j, t], and y
+    uniformly inside its class: t of the i spins where x differs from k keep
+    differing, and j - t of the other N - i spins flip.  A distance with no
+    move mass is absorbing.  Rejected moves count as steps.
     """
     n = kernel.n_spins
-    move, stay, _, _ = _class_chain(kernel, measure, SYMMETRY_TOL)
-    mass = weight_classes(n)[0] * move
-    w = np.arange(n + 1)
-    mass[w, w, w] = stay
-    mass = mass.reshape(n + 1, -1)              # (i, j * (N+1) + t)
+    move, _, _, _ = _class_chain(kernel, measure, SYMMETRY_TOL)
+    # (i, j * (N+1) + t); the class y = x holds no move mass
+    mass = (weight_classes(n)[0] * move).reshape(n + 1, -1)
     cdf = np.cumsum(mass, axis=1).tolist()
     # a uniform rounded onto the total mass still lands on a positive class
-    last = [int(np.flatnonzero(row)[-1]) for row in mass]
+    last = [int(row.nonzero()[0][-1]) if row.any() else -1 for row in mass]
+    off = [row[-1] for row in cdf]              # 1 - stay[i]
+    # log stay[i], accurate when stay[i] is close to 1; 0 marks an absorbing
+    # distance.  A distance with off >= 1 always moves and never reads it.
+    log_stay = [math.log1p(-o) if o < 1.0 else -math.inf for o in off]
     rng = state.rng_stream
     z = int(state.current ^ kernel.marked)     # the spins where x differs from k
     i = z.bit_count()
-    visited = np.empty(n_steps, dtype=np.int64)
-    for start in range(0, n_steps, _DRAW_BLOCK):
-        path = []
-        for u in rng.random((min(_DRAW_BLOCK, n_steps - start), n + 1)).tolist():
-            j, t = divmod(bisect_right(cdf[i], u[0] * cdf[i][-1], 0, last[i]),
+    # the path as runs: values[r] held for counts[r] steps; z has held for
+    # `held` steps so far
+    values, counts = [], []
+    left, held, block = n_steps, 0, 1
+    while left:
+        for u in rng.random((min(block, left), n + 2)).tolist():
+            # the rejections before the next move, by inversion; there are
+            # none when u < 1 - stay[i], which needs no logarithm
+            if u[0] < off[i]:
+                run = 0
+            elif log_stay[i] == 0.0:
+                run = left
+            else:
+                run = int(min(left, math.log1p(-u[0]) / log_stay[i]))
+            if run == left:
+                held += left
+                left = 0
+                break
+            values.append(z)
+            counts.append(held + run)
+            left -= run + 1
+            held = 1
+            j, t = divmod(bisect_right(cdf[i], u[1] * off[i], 0, last[i]),
                           n + 1)
-            if j != i or t != i:
-                # selection sampling, one uniform per spin: j - t of the
-                # spins outside supp(z) flip in, i - t of those inside out
-                need, left = [j - t, i - t], [n - i, i]
-                for b in range(n):
-                    inside = z >> b & 1
-                    if u[b + 1] * left[inside] < need[inside]:
-                        z ^= 1 << b
-                        need[inside] -= 1
-                    left[inside] -= 1
-                i = j
-            path.append(z)
-        visited[start:start + len(path)] = path
+            # selection sampling, one uniform per spin: j - t of the spins
+            # outside supp(z) flip in, i - t of those inside out
+            need, remaining = [j - t, i - t], [n - i, i]
+            for b in range(n):
+                inside = z >> b & 1
+                if u[b + 2] * remaining[inside] < need[inside]:
+                    z ^= 1 << b
+                    need[inside] -= 1
+                remaining[inside] -= 1
+            i = j
+        block = min(2 * block, _DRAW_BLOCK)
+    values.append(z)
+    counts.append(held)
+    visited = np.repeat(np.array(values, dtype=np.int64), counts)
     visited ^= kernel.marked
     state.current = int(z ^ kernel.marked)
     state.step_count += n_steps
@@ -257,29 +286,50 @@ def _first_crossing(tv_at, epsilon, max_steps):
     return hi
 
 
+def _row_powers(p: np.ndarray, rows: np.ndarray):
+    """rows @ p^t as a function of t, for the probes of :func:`_first_crossing`.
+
+    A probe advances the row at the largest t already probed below it by the
+    bits of the difference: one product with a cached squaring p^(2^j) per
+    set bit, where powering p^t afresh costs about 2 log2(t) matrix products.
+    Two rows are carried, the last probe and its base.  A doubling or
+    bisection search probes next either above its last probe or between that
+    probe and its base, so the next base is one of the two; a probe below
+    both would restart from ``rows``.
+    """
+    squarings = [p]
+    carried = {0: rows}
+
+    def at(t):
+        nonlocal carried
+        base = max((s for s in carried if s <= t), default=0)
+        row = carried.get(base, rows)
+        carried = {base: row}
+        step, j = t - base, 0
+        while step:
+            if j == len(squarings):
+                squarings.append(squarings[-1] @ squarings[-1])
+            if step & 1:
+                row = row @ squarings[j]
+            step >>= 1
+            j += 1
+        carried[t] = row
+        return row
+
+    return at
+
+
 def _dense_mixing_time(p, epsilon, max_steps):
-    """Worst-start mixing time by squaring the dense P (N <= 12): the tests'
-    independent cross-check of :func:`exact_mixing_time`."""
+    """Worst-start mixing time from the rows of the dense P^t (N <= 12): the
+    tests' independent cross-check of the lumping in
+    :func:`exact_mixing_time`."""
     if p.n_spins > _POWERING_BUDGET:
         raise BudgetExceeded(f"dense powering limited to N <= {_POWERING_BUDGET}")
     pi = p.stationary.probabilities()
-    squarings = [p.p]
-
-    def power(t):
-        result = None
-        j = 0
-        while t:
-            while j >= len(squarings):
-                squarings.append(squarings[-1] @ squarings[-1])
-            if t & 1:
-                result = squarings[j] if result is None else result @ squarings[j]
-            t >>= 1
-            j += 1
-        return np.eye(p.dim) if result is None else result
+    rows_at = _row_powers(p.p, np.eye(p.dim))
 
     def tv_at(t):
-        rows = power(t)
-        return float(np.max(0.5 * np.abs(rows - pi).sum(axis=1)))
+        return float(np.max(0.5 * np.abs(rows_at(t) - pi).sum(axis=1)))
 
     return _first_crossing(tv_at, epsilon, max_steps)
 
@@ -295,6 +345,9 @@ def exact_mixing_time(kernel: ProposalKernel, measure: GibbsMeasure,
     w = |x^k| spins where x does and in b of the others.  d_x(t) is then the
     total variation of the chain lumped onto these (w+1)(N-w+1) classes,
     which :func:`_class_chain` gives, and one search runs per distance w.
+    Its probes carry the lumped row from one to the next and advance it by
+    cached squarings of the lumped chain (:func:`_row_powers`), so a probe
+    costs one vector-matrix product per set bit of the step between them.
     """
     if not 0 < epsilon:
         raise ValueError("epsilon must be positive")
@@ -320,10 +373,12 @@ def exact_mixing_time(kernel: ProposalKernel, measure: GibbsMeasure,
         log_size = np.log([[math.comb(w, u) * math.comb(n - w, v) for v in b]
                            for u in a])
         pi = np.exp(log_size + log_pi[dist]).ravel()
-        start = w * (n - w + 1)                  # the class (w, 0) of x
+        start = np.zeros(size)
+        start[w * (n - w + 1)] = 1.0             # the class (w, 0) of x
+        row_at = _row_powers(lumped, start)
 
         def tv_at(t):
-            return total_variation(np.linalg.matrix_power(lumped, t)[start], pi)
+            return total_variation(row_at(t), pi)
 
         worst = max(worst, _first_crossing(tv_at, epsilon, max_steps))
     return worst

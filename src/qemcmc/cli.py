@@ -295,7 +295,11 @@ def run_sample(cfg: ExperimentConfig):
             tv = total_variation(counts / stop, pi)
             rows.append(("sample", n, cfg.alpha, cfg.beta, h, stop,
                          "tv", tv, "empirical", cfg.seed))
-        t_mix = exact_mixing_time(kern, measure, 0.01)
+        try:
+            t_mix = exact_mixing_time(kern, measure, 0.01)
+        except NoConvergence as exc:
+            _skip("tmix", n, exc)
+            continue
         rows.append(("sample", n, cfg.alpha, cfg.beta, h, t_spec,
                      "tmix", t_mix, "exact", cfg.seed))
     return rows

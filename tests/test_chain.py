@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from qemcmc.chain import (
+    SYMMETRY_TOL,
+    _class_chain,
     _dense_mixing_time,
     build_transition_matrix,
     exact_mixing_time,
@@ -14,11 +16,17 @@ from qemcmc.chain import (
 )
 from qemcmc.errors import AsymmetricKernel, NoConvergence
 from qemcmc.model import MarkedStateHamiltonian, gibbs_measure
-from qemcmc.proposal import DenseKernel, PermutationInvariantKernel, uniform_kernel
+from qemcmc.proposal import (
+    DenseKernel,
+    PermutationInvariantKernel,
+    single_flip_kernel,
+    uniform_kernel,
+)
 from qemcmc.quantum import (
     MixerSpec,
     PropagatorConfig,
     quantum_kernel,
+    resonance_field,
     structured_grover_kernel,
 )
 from qemcmc.spectral import mixing_time_bounds, uniform_gap_closed_form
@@ -133,6 +141,57 @@ def test_sample_chain_one_step_law_matches_dense(variant, h, t):
         assert np.all(np.abs(counts - expected) <= 5.0 * sd), (variant, start)
 
 
+@pytest.mark.parametrize("beta", [5.0, 200.0], ids=["stay-near-1", "absorbing"])
+def test_sample_chain_stays_at_the_marked_state(beta):
+    # out of the marked state a transverse move is accepted with probability
+    # about 3e-14 at beta = 5, and never at beta = 200: no move mass is left
+    h_c = MarkedStateHamiltonian(6, 1.0)
+    kern = quantum_kernel(h_c, MixerSpec("transverse", resonance_field(1.0, 6)),
+                          0.3)
+    measure = gibbs_measure(h_c, beta)
+    move, stay, _, _ = _class_chain(kern, measure, SYMMETRY_TOL)
+    assert 1.0 - stay[0] < 1e-13
+    assert move[0].any() == (beta == 5.0)
+    state = make_chain(h_c.marked, seed=3)
+    visited = sample_chain(state, kern, measure, 5000)
+    assert visited.shape == (5000,)
+    assert np.all(visited == h_c.marked)
+    visited = sample_chain(state, kern, measure, 7)
+    assert np.all(visited == h_c.marked)
+    assert state.step_count == 5007 and state.current == h_c.marked
+
+
+def test_sample_chain_without_rejections_moves_every_step():
+    # at beta = 0 every single-spin flip is accepted
+    measure = gibbs_measure(MarkedStateHamiltonian(7, 1.0), 0.0)
+    state = make_chain(start=5, seed=9)
+    visited = sample_chain(state, single_flip_kernel(7), measure, 20_000)
+    path = np.concatenate([[5], visited])
+    assert np.all(np.bitwise_count(path[1:] ^ path[:-1]) == 1)
+    assert state.step_count == 20_000 and state.current == visited[-1]
+
+
+def test_sample_chain_rejection_runs_are_geometric():
+    # a move never returns to the same state, so every complete visit is one
+    # move in and a geometric run of rejections with P(stay) = P(x, x)
+    h_c = MarkedStateHamiltonian(5, 1.0, marked=19)
+    kern = quantum_kernel(h_c, MixerSpec("transverse", 0.3), 0.5)
+    measure = gibbs_measure(h_c, 0.5)
+    p = build_transition_matrix(kern, measure).p
+    visited = sample_chain(make_chain(3, seed=13), kern, measure, 200_000)
+    arrivals = np.flatnonzero(np.diff(visited)) + 1
+    starts, lengths = arrivals[:-1], np.diff(arrivals)
+    distance = 2
+    at = np.bitwise_count(visited[starts] ^ h_c.marked) == distance
+    runs = lengths[at] - 1
+    assert runs.size > 2000
+    x = h_c.marked ^ 0b11                 # a state at that distance
+    stay = p[x, x]
+    assert 0.5 < stay < 0.99
+    mean, sd = stay / (1.0 - stay), math.sqrt(stay) / (1.0 - stay)
+    assert abs(runs.mean() - mean) <= 5.0 * sd / math.sqrt(runs.size)
+
+
 def test_sample_chain_needs_an_invariant_kernel():
     measure = gibbs_measure(MarkedStateHamiltonian(3, 1.0), 1.0)
     with pytest.raises(TypeError):
@@ -217,6 +276,20 @@ def test_mixing_time_within_sandwich():
     delta = uniform_gap_closed_form(n, 1.0, beta)
     lower, upper = mixing_time_bounds(delta, measure.pi_min(), 0.01)
     assert lower <= t_mix <= upper
+
+
+def test_mixing_time_exact_at_a_step_cap_off_the_doubling_grid():
+    # a cap that is no power of two is probed directly and advanced to by
+    # its bits; the search must reach t_mix there and fail one step short
+    h_c = MarkedStateHamiltonian(6, 1.0)
+    kern = quantum_kernel(h_c, MixerSpec("transverse", resonance_field(1.0, 6)),
+                          0.3)
+    measure = gibbs_measure(h_c, 5.0)
+    t_mix = exact_mixing_time(kern, measure, 0.01)
+    assert t_mix & (t_mix - 1) and (t_mix - 1) & (t_mix - 2)
+    assert exact_mixing_time(kern, measure, 0.01, max_steps=t_mix) == t_mix
+    with pytest.raises(NoConvergence):
+        exact_mixing_time(kern, measure, 0.01, max_steps=t_mix - 1)
 
 
 def test_lumped_matches_dense_powering():

@@ -134,6 +134,33 @@ def test_sample_tmix_matches_dense_powering(mixer):
         assert value == _dense_mixing_time(p, 0.01, 10_000_000), n
 
 
+@pytest.mark.parametrize("mixer,n_max,expected", [
+    ("grover", 12, [5738, 17038, 52380, 165738, 537066, 1775102, 5964947]),
+    ("transverse", 10, [958, 1862, 3704, 7550, 15746]),
+])
+def test_sample_tmix_pinned(mixer, n_max, expected):
+    # the exact mixing times of the benchmark's sample command lines
+    csv_text, status = _run(["--experiment", "sample", "--mixer", mixer,
+                             "--n-min", "6", "--n-max", str(n_max),
+                             "--steps", "10"])
+    assert status == 0
+    tmix = {int(r[1]): int(r[7]) for r in _rows(csv_text) if r[6] == "tmix"}
+    assert tmix == dict(zip(range(6, n_max + 1), expected))
+
+
+def test_sample_unmixed_n_skips_only_its_tmix_row(capsys):
+    # grover N = 13 at beta = 5 has not mixed within the 10^7-step cap
+    argv = ["--experiment", "sample", "--n-min", "12", "--n-max", "13",
+            "--max-dense-n", "13", "--steps", "100"]
+    assert cli.main(argv) == 0
+    captured = capsys.readouterr()
+    rows = _rows(captured.out)
+    keys = sorted((int(r[1]), r[6]) for r in rows)
+    assert keys == [(12, "tmix")] + [(12, "tv")] * 4 + [(13, "tv")] * 4
+    assert "skipped tmix at N=13" in captured.err
+    assert "10000000 steps" in captured.err
+
+
 def test_validate_experiment_reports_criteria():
     csv_text, status = _run(["--experiment", "validate"])
     rows = _rows(csv_text)
