@@ -1,9 +1,11 @@
 """Equilibrium flows and the bottleneck upper bound on the spectral gap.
 
-The marked-state specialization needs only the proposal column out of the
-marked configuration.  For both mixers that column comes from a small
-invariant subspace (a rank-2 block for grover, the (N+1)-dimensional
-symmetric sector for the transverse field), so the bound scales to N = 24.
+The marked-state specialization needs only the proposal mass that leaves
+the marked configuration.  A kernel invariant under permutations of the
+spins about the marked state carries it in the N+1 entries T[w, w, 0] of its
+table (one per distance w, each shared by C(N, w) states), so the bound costs
+O(N) for both mixers and no 2^N column is formed; a 2^N column is still
+accepted, as the dense cross-checks pass one.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 from .errors import BudgetExceeded, MeasureTooLarge
 from .chain import TransitionMatrix
 from .model import logsumexp
-from .proposal import ProposalKernel
+from .proposal import PermutationInvariantKernel, ProposalKernel
 
 _EXHAUSTIVE_BUDGET = 4
 
@@ -98,22 +100,35 @@ def min_bottleneck_exhaustive(p: TransitionMatrix) -> BottleneckReport:
     return bottleneck_bound(p, members)
 
 
-def marked_state_bound(q_col_k: np.ndarray, n_spins: int, alpha: float,
-                       beta: float, marked: int = 0) -> float:
+def marked_state_bound(q_k, n_spins: int, alpha: float, beta: float,
+                       marked: int = 0) -> float:
     """Gap upper bound from the marked-state cut, Q symmetric assumed.
 
-    ``q_col_k`` is the proposal distribution out of the marked state; moves
-    into the marked state are always downhill, so the acceptance factor is 1
-    and the escape mass is the off-marked column sum (computed directly,
-    avoiding the 1 - Q(k|k) cancellation).
+    ``q_k`` is either a :class:`~qemcmc.proposal.PermutationInvariantKernel`
+    carried about ``marked`` or the 2^N proposal column out of the marked
+    state.  Moves into the marked state are always downhill, so the
+    acceptance factor is 1 and the escape mass is the off-marked column sum,
+    summed directly to avoid the 1 - Q(k|k) cancellation.  From a kernel the
+    column is read as C(N, w) * T[w, w, 0] per distance w, in O(N).
     """
-    q_col_k = np.asarray(q_col_k, dtype=float)
-    dim = 1 << n_spins
-    if q_col_k.shape != (dim,):
-        raise ValueError(f"column has shape {q_col_k.shape}, expected ({dim},)")
-    if np.min(q_col_k) < -1e-12 or abs(q_col_k.sum() - 1.0) > 1e-8:
-        raise ValueError("q_col_k is not a probability distribution")
-    escape = float(np.delete(q_col_k, marked).sum())
+    if isinstance(q_k, PermutationInvariantKernel):
+        if (q_k.n_spins, q_k.marked) != (n_spins, marked):
+            raise ValueError(
+                f"kernel on N = {q_k.n_spins} about state {q_k.marked}, "
+                f"expected N = {n_spins} about state {marked}")
+        w = np.arange(n_spins + 1)
+        # Q(x|k) = T[w, w, 0] for each of the C(N, w) states x at distance w
+        col = np.array([math.comb(n_spins, a) for a in w],
+                       dtype=float) * q_k.table()[w, w, 0]
+        escape = math.fsum(col[1:])
+    else:
+        col = np.asarray(q_k, dtype=float)
+        dim = 1 << n_spins
+        if col.shape != (dim,):
+            raise ValueError(f"column has shape {col.shape}, expected ({dim},)")
+        escape = float(np.delete(col, marked).sum())
+    if np.min(col) < -1e-12 or abs(col.sum() - 1.0) > 1e-8:
+        raise ValueError("the marked column is not a probability distribution")
     g = 2.0 ** n_spins - 1.0
     factor = 1.0 + math.exp(-n_spins * beta * alpha) * g
     return escape * factor / g

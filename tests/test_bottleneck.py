@@ -13,7 +13,7 @@ from qemcmc.bottleneck import (
 from qemcmc.chain import build_transition_matrix
 from qemcmc.errors import BudgetExceeded, MeasureTooLarge
 from qemcmc.model import MarkedStateHamiltonian, gibbs_measure
-from qemcmc.proposal import uniform_kernel
+from qemcmc.proposal import StructuredMarkedKernel, uniform_kernel
 from qemcmc.quantum import (
     MixerSpec,
     PropagatorConfig,
@@ -157,6 +157,54 @@ def test_marked_bound_validates_distribution():
         marked_state_bound(np.full(8, 0.125), 4, 1.0, 1.0)
 
 
+def _table_and_column_bounds(kern, n, alpha, beta, marked):
+    table = marked_state_bound(kern, n, alpha, beta, marked)
+    column = marked_state_bound(kern.column(marked), n, alpha, beta, marked)
+    return table, column
+
+
+def test_marked_bound_from_table_matches_column():
+    # the O(N) read of T[w, w, 0] against the 2^N column gathered from it
+    rng = np.random.Generator(np.random.Philox(29))
+    for n in range(1, 13):
+        for _ in range(4):
+            alpha, beta = rng.uniform(0.5, 2.0), rng.uniform(0.0, 5.0)
+            h_c = MarkedStateHamiltonian(n, alpha, int(rng.integers(1 << n)))
+            mixer = MixerSpec("transverse", rng.uniform(-2.0, 2.0))
+            kern = quantum_kernel(h_c, mixer, rng.uniform(0.0, 3.0))
+            table, column = _table_and_column_bounds(kern, n, alpha, beta,
+                                                     h_c.marked)
+            assert table == pytest.approx(column, rel=1e-14, abs=0.0), n
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 9, 12])
+def test_marked_bound_from_grover_table_matches_column(n):
+    h_c = MarkedStateHamiltonian(n, 1.3, (1 << n) - 1)
+    kern = structured_grover_kernel(h_c, -0.7, 2.1)
+    table, column = _table_and_column_bounds(kern, n, 1.3, 5.0, h_c.marked)
+    assert table == pytest.approx(column, rel=1e-14, abs=0.0)
+    assert table == pytest.approx(
+        grover_gap_closed_form(n, 1.3, 5.0, -0.7, 2.1), rel=1e-10, abs=0.0)
+
+
+def test_marked_bound_table_validates_marked_column():
+    # marked-column mass stay + (2^N - 1) off: off by 2e-8 raises, 5e-9 not
+    n, q = 4, 1.0 / 16
+
+    def kernel(stay_marked, marked=0):
+        return StructuredMarkedKernel(n, marked, q, q, stay_marked, q)
+
+    assert marked_state_bound(kernel(q + 5e-9), n, 1.0, 1.0) > 0.0
+    for excess in (2e-8, -2e-8):
+        with pytest.raises(ValueError):
+            marked_state_bound(kernel(q + excess), n, 1.0, 1.0)
+    # the table is carried about its own marked state and spin count
+    with pytest.raises(ValueError):
+        marked_state_bound(kernel(q, marked=3), n, 1.0, 1.0, marked=0)
+    with pytest.raises(ValueError):
+        marked_state_bound(kernel(q), n + 1, 1.0, 1.0)
+
+
 def test_certificate_uniform():
     cert = sum_qa_certificate(uniform_kernel(4), 0)
     assert cert == pytest.approx((2 ** 4 - 1) / 2 ** 4)
@@ -170,3 +218,15 @@ def test_certificate_quantum_kernels():
         mixer = MixerSpec("transverse", rng.uniform(-2, 2))
         kern = quantum_kernel(h_c, mixer, rng.uniform(0, 3), DENSE)
         assert sum_qa_certificate(kern, 0) <= 1.0 + 1e-10
+
+
+def test_transverse_slope_check_forms_no_column(monkeypatch):
+    # criterion 6 reads the bound off the kernel table, as figure-b does
+    from qemcmc import validation
+    from qemcmc.proposal import PermutationInvariantKernel
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the slope check formed a 2^N column")
+
+    monkeypatch.setattr(PermutationInvariantKernel, "column", refuse)
+    assert validation.check_transverse_slope().passed

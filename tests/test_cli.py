@@ -360,3 +360,73 @@ def test_experiments_load_no_scipy():
                           env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_figure_b_forms_no_proposal_column(monkeypatch, capsys):
+    # the bound reads the kernel table's marked column in O(N)
+    from qemcmc.proposal import PermutationInvariantKernel, ProposalKernel
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("figure-b formed a 2^N object")
+
+    monkeypatch.setattr(PermutationInvariantKernel, "column", refuse)
+    monkeypatch.setattr(ProposalKernel, "dense", refuse)
+    assert cli.main(["--experiment", "figure-b", "--n-min", "10",
+                     "--n-max", "20"]) == 0
+    keys = sorted((int(r[1]), r[6]) for r in _rows(capsys.readouterr().out))
+    assert keys == sorted([(n, "bound") for n in range(10, 21)]
+                          + [(n, "delta_exact") for n in range(10, 13)])
+
+
+def test_figure_b_bound_matches_sector_expm():
+    # independent reference: Pade expm on the (N+1) Dicke states about the
+    # marked state, escape sum_{w >= 1} |psi_w|^2, then the cut formula
+    import scipy.linalg as sla
+
+    csv_text, status = _run(["--experiment", "figure-b", "--n-min", "10",
+                             "--n-max", "24", "--max-dense-n", "0"])
+    assert status == 0
+    bound = {int(r[1]): float(r[7]) for r in _rows(csv_text)}
+    assert set(bound) == set(range(10, 25))
+    alpha, beta, h, t = 1.0, 5.0, 1.0, 1.0
+    for n, value in bound.items():
+        w = np.arange(n)
+        hop = h * np.sqrt((w + 1.0) * (n - w))
+        ham = np.diag(hop, 1) + np.diag(hop, -1)
+        ham[0, 0] = -alpha * n
+        psi = sla.expm(-1j * t * ham)[:, 0]
+        escape = float(np.sum(np.abs(psi[1:]) ** 2))
+        g = 2.0 ** n - 1.0
+        ref = escape * (1.0 + np.exp(-n * beta * alpha) * g) / g
+        assert value == pytest.approx(ref, rel=1e-12, abs=0.0), n
+
+
+def test_figure_b_rows_stop_at_n_24(monkeypatch, capsys):
+    # bound and exact rows to N = 24, a note past it, and nothing of size 2^N
+    # (no kernel, no measure) built for N = 25, 26
+    from qemcmc.proposal import PermutationInvariantKernel
+
+    built = []
+
+    def recording(fn):
+        def wrapper(h_c, *args):
+            built.append(h_c.n_spins)
+            return fn(h_c, *args)
+        return wrapper
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("figure-b formed a proposal column")
+
+    monkeypatch.setattr(cli, "quantum_kernel", recording(cli.quantum_kernel))
+    monkeypatch.setattr(cli, "gibbs_measure", recording(cli.gibbs_measure))
+    monkeypatch.setattr(PermutationInvariantKernel, "column", refuse)
+    assert cli.main(["--experiment", "figure-b", "--n-min", "23",
+                     "--n-max", "26", "--max-dense-n", "26"]) == 0
+    captured = capsys.readouterr()
+    keys = sorted((int(r[1]), r[6]) for r in _rows(captured.out))
+    assert keys == [(23, "bound"), (23, "delta_exact"),
+                    (24, "bound"), (24, "delta_exact")]
+    for n in (25, 26):
+        assert f"skipped bound at N={n}: " in captured.err
+    assert "Traceback" not in captured.err
+    assert sorted(built) == [23, 23, 24, 24]
