@@ -33,12 +33,10 @@ class EigensolverFailure(QemcmcError):
     """The dense symmetric eigensolver did not converge."""
 
 
-class NonConvergence(QemcmcError):
-    """Krylov propagation could not reach the residual target."""
-
-
 class NoConvergence(QemcmcError):
-    """Mixing-time search hit the iteration cap (gap numerically zero)."""
+    """An iterative search hit its cap: Krylov propagation could not reach
+    its residual target, or the mixing-time search its total-variation
+    target (gap numerically zero)."""
 
 
 class MeasureTooLarge(QemcmcError):

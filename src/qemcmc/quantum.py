@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetExceeded, MismatchedDimensions, NonConvergence
+from .errors import BudgetExceeded, MismatchedDimensions, NoConvergence
 from .model import MarkedStateHamiltonian
 from .proposal import (
     DenseKernel,
@@ -205,13 +205,13 @@ def _krylov_evolve(h_c, mixer, psi, t, cfg):
             remaining -= dt
             substeps += 1
             if substeps > cfg.max_substeps:
-                raise NonConvergence("substep cap reached before covering t")
+                raise NoConvergence("substep cap reached before covering t")
             grown = 2.0 * dt
             dt = grown if abs(grown) <= abs(remaining) else remaining
         else:
             dt *= 0.5
             if abs(dt) < abs(t) * 2.0 ** -40:
-                raise NonConvergence(
+                raise NoConvergence(
                     f"residual {err:.3e} not reducible below {cfg.tolerance:.3e}"
                 )
     return state
@@ -271,7 +271,8 @@ def _transverse_table(h_c, h, t):
     u_s = _sector_propagator(n, h, -h_c.alpha * n, t)
     u_0 = _sector_propagator(n, h, 0.0, t)
     w = np.arange(n + 1)
-    scale = 1.0 / np.sqrt([math.comb(n, j) for j in w])
+    # float() first: numpy keeps binomials above 2^64 (N >= 68) as objects
+    scale = 1.0 / np.sqrt([float(math.comb(n, j)) for j in w])
     c, s = math.cos(h * t), math.sin(h * t)
     free = c ** (n - w) * s ** w * np.array([1, -1j, -1, 1j])[w % 4]
     amp = free[:, None, None] + ((u_s - u_0) * scale * scale[:, None])[None]

@@ -15,7 +15,11 @@ multiplicity C(N,k) - C(N,k-1) and entries
     B_k[i,j] = sum_t beta^t_{i,j,k} x^t_{i,j} / sqrt(C(N-2k,i-k) C(N-2k,j-k))
 
 over i, j in [k, N-k], where x^t_{i,j} is the entry of L between states at
-distances i and j from k whose moves away from k overlap in t spins.  Block 0
+distances i and j from k whose moves away from k overlap in t spins.  The
+integers beta^t_{i,j,k} come from one batched product of two binomial tables
+(:func:`_schrijver_beta`), exact: in int64 while a float64 bound certifies
+that no partial sum overflows (through N = 26), on Python ints beyond; only
+the quotient by the square root is rounded.  Block 0
 is the symmetrized chain lumped onto the N+1 distances.  The chain on the pair
 classes (i, j, t) is assembled once, in :func:`qemcmc.chain._class_chain`,
 which the exact mixing time reads as well.
@@ -224,31 +228,57 @@ def _dirichlet_forms(p: np.ndarray, phi: np.ndarray, psi: np.ndarray,
 # ---------------------------------------------------------------------------
 # symmetry blocks
 
-@lru_cache(maxsize=None)
-def _beta_coefficients(n_spins: int) -> dict:
-    """Schrijver's beta^t_{i,j,k} as exact integers, keyed (k, i, j, t) over
-    k <= N/2, i and j in [k, N-k], and t <= min(i, j)."""
-    n, comb = n_spins, math.comb
-    beta = {}
-    for k in range(n // 2 + 1):
-        for i in range(k, n - k + 1):
-            for j in range(k, n - k + 1):
-                for t in range(min(i, j) + 1):
-                    beta[k, i, j, t] = sum(
-                        (-1) ** (u - t) * comb(u, t) * comb(n - 2 * k, u - k)
-                        * comb(n - k - u, i - u) * comb(n - k - u, j - u)
-                        for u in range(max(k, t), min(i, j) + 1))
-    return beta
+def _schrijver_factors(binomials: np.ndarray, n: int):
+    """The two factors of beta^t_{i,j,k} = sum_u A[k,u,t] B[k,i,j,u],
+
+        A[k,u,t]   = (-1)^(u-t) C(u,t) C(N-2k,u-k),
+        B[k,i,j,u] = C(N-k-u,i-u) C(N-k-u,j-u),
+
+    read in the dtype of ``binomials``, the table C(a,b) over a, b in [0, N]
+    (0 for b > a); a binomial with a negative argument is 0.
+    """
+    def comb(a, b):
+        return np.where((a >= 0) & (b >= 0),
+                        binomials[np.maximum(a, 0), np.maximum(b, 0)], 0)
+
+    r = np.arange(n + 1)
+    k, u, t = np.arange(n // 2 + 1)[:, None, None], r[:, None], r
+    a = (1 - 2 * ((u - t) & 1)) * comb(u, t) * comb(n - 2 * k, u - k)
+    k, i, j, u = k[..., None], r[:, None, None], r[:, None], r
+    b = comb(n - k - u, i - u) * comb(n - k - u, j - u)
+    return a, b
+
+
+def _schrijver_beta(n: int):
+    """Schrijver's beta^t_{i,j,k} over (k, i, j, t) and the norms
+    C(N-2k,i-k) C(N-2k,j-k) over (k, i, j), as exact integers: zero outside
+    k <= i, j <= N-k and t <= min(i, j).
+
+    beta = B @ A (see :func:`_schrijver_factors`) runs in int64 when a
+    float64 bound on the factors and on sum_u |A| |B| shows that no entry and
+    no partial sum can reach 2^62, and on Python ints otherwise.
+    """
+    binomials = np.array([[math.comb(a, b) for b in range(n + 1)]
+                          for a in range(n + 1)], dtype=object)
+    a, b = _schrijver_factors(binomials.astype(float), n)
+    bound = max(float(np.max(np.abs(b) @ np.abs(a)[:, None])),
+                float(np.max(np.abs(a))), float(np.max(np.abs(b))))
+    # 2^62 leaves int64 a factor 2 over the bound's float64 rounding
+    a, b = _schrijver_factors(
+        binomials.astype(np.int64 if bound < 2.0 ** 62 else object), n)
+    k = np.arange(n // 2 + 1)
+    # B at u = k is C(N-2k,i-k) C(N-2k,j-k)
+    return b @ a[:, None], b[k, :, :, k]
 
 
 @lru_cache(maxsize=None)
 def _block_coefficients(n_spins: int) -> np.ndarray:
-    """beta^t_{i,j,k} / sqrt(C(N-2k,i-k) C(N-2k,j-k)) over (k, i, j, t)."""
-    n = n_spins
-    coef = np.zeros((n // 2 + 1, n + 1, n + 1, n + 1))
-    for (k, i, j, t), beta in _beta_coefficients(n).items():
-        norm = math.comb(n - 2 * k, i - k) * math.comb(n - 2 * k, j - k)
-        coef[k, i, j, t] = beta / math.sqrt(norm)
+    """beta^t_{i,j,k} / sqrt(C(N-2k,i-k) C(N-2k,j-k)) over (k, i, j, t), zero
+    outside k <= i, j <= N-k; only this quotient is rounded."""
+    beta, norm = _schrijver_beta(n_spins)
+    coef = np.zeros(beta.shape)
+    np.divide(beta.astype(float), np.sqrt(norm.astype(float))[..., None],
+              out=coef, where=(norm > 0)[..., None])
     coef.flags.writeable = False
     return coef
 

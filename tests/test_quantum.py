@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qemcmc.chain import SYMMETRY_TOL
 from qemcmc.errors import MismatchedDimensions
 from qemcmc.model import MarkedStateHamiltonian
 from qemcmc.proposal import validate_kernel
@@ -180,6 +181,15 @@ def test_transverse_kernel_symmetric_doubly_stochastic():
     assert cert.max_asymmetry < 1e-10
     assert cert.max_column_deviation < 1e-10
     assert cert.max_row_deviation < 1e-10
+
+
+def test_transverse_table_past_int64_binomials():
+    # C(68, 34) > 2^64: the table must not hand numpy Python-int binomials
+    kern = quantum_kernel(MarkedStateHamiltonian(68, 1.0),
+                          MixerSpec(TRANSVERSE, 1.0), 1.0)
+    cert = validate_kernel(kern)
+    assert max(cert.max_asymmetry, cert.max_column_deviation,
+               cert.max_row_deviation) <= SYMMETRY_TOL
 
 
 def test_transverse_sector_kernel_matches_dense():

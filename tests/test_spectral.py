@@ -39,8 +39,9 @@ from qemcmc.spectral import (
     averaged_grover_gap,
     grover_gap_closed_form,
     mixing_time_bounds,
-    _beta_coefficients,
+    _block_coefficients,
     _grover_gaps,
+    _schrijver_beta,
     _symmetry_blocks,
     scaling_fit,
     spectral_gap_blocks,
@@ -348,12 +349,47 @@ def _beta_brute(n, k, i, j, t):
     return total
 
 
+def _beta_reference(n):
+    """Schrijver's beta^t_{i,j,k} as exact integers, keyed (k, i, j, t) over
+    k <= N/2, i and j in [k, N-k], and t <= min(i, j): the sum over u term
+    by term, the reference for the batched product of the package."""
+    comb = math.comb
+    beta = {}
+    for k in range(n // 2 + 1):
+        for i in range(k, n - k + 1):
+            for j in range(k, n - k + 1):
+                for t in range(min(i, j) + 1):
+                    beta[k, i, j, t] = sum(
+                        (-1) ** (u - t) * comb(u, t) * comb(n - 2 * k, u - k)
+                        * comb(n - k - u, i - u) * comb(n - k - u, j - u)
+                        for u in range(max(k, t), min(i, j) + 1))
+    return beta
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_beta_coefficients_brute_force(n):
-    beta = _beta_coefficients(n)
-    assert len(beta) > 0
-    for (k, i, j, t), value in beta.items():
-        assert value == _beta_brute(n, k, i, j, t), (k, i, j, t)
+    beta, _ = _schrijver_beta(n)
+    keys = list(_beta_reference(n))
+    assert len(keys) > 0
+    for k, i, j, t in keys:
+        assert beta[k, i, j, t] == _beta_brute(n, k, i, j, t), (k, i, j, t)
+
+
+@pytest.mark.parametrize("n", [*range(1, 21), 26, 27, 28])
+def test_block_coefficients_match_exact_reference(n):
+    # N = 26 runs the product in int64, N = 27 and 28 on Python ints
+    ref = _beta_reference(n)
+    beta, _ = _schrijver_beta(n)
+    assert beta.dtype == (np.int64 if n <= 26 else object)
+    exact = np.zeros(beta.shape, dtype=object)
+    coef = np.zeros(beta.shape)
+    for (k, i, j, t), value in ref.items():
+        exact[k, i, j, t] = value
+        norm = math.comb(n - 2 * k, i - k) * math.comb(n - 2 * k, j - k)
+        coef[k, i, j, t] = value / math.sqrt(norm)
+    assert np.array_equal(beta, exact)
+    assert np.array_equal(_block_coefficients(n).view(np.uint64),
+                          coef.view(np.uint64))
 
 
 def test_block_gap_at_tiny_gap():
