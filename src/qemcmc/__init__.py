@@ -5,9 +5,7 @@ from .model import (
     Config,
     GibbsMeasure,
     MarkedStateHamiltonian,
-    critical_temperature,
     gibbs_measure,
-    pi_min,
 )
 from .proposal import (
     AffineKernel,
@@ -43,11 +41,9 @@ from .chain import (
     make_chain,
     sample_chain,
     total_variation,
-    tv_distance_curve,
 )
 from .spectral import (
     AveragingScheme,
-    SpectralReport,
     averaged_grover_gap,
     grover_gap_closed_form,
     mixing_time_bounds,
@@ -62,7 +58,6 @@ from .bottleneck import (
     bottleneck_bound,
     flow,
     marked_state_bound,
-    min_bottleneck_exhaustive,
     sum_qa_certificate,
 )
 from . import errors

@@ -15,12 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetExceeded, MeasureTooLarge
+from .errors import MeasureTooLarge
 from .chain import TransitionMatrix
 from .model import logsumexp
 from .proposal import PermutationInvariantKernel, ProposalKernel
-
-_EXHAUSTIVE_BUDGET = 4
 
 
 @dataclass(frozen=True)
@@ -73,31 +71,6 @@ def bottleneck_bound(p: TransitionMatrix, s1, descriptor: str | None = None) -> 
         descriptor = "all-but-marked" if all_but else f"set({len(s1)} states)"
     return BottleneckReport(set_measure=math.exp(log_m1), flow=out_flow,
                             bound=bound, set_descriptor=descriptor)
-
-
-def min_bottleneck_exhaustive(p: TransitionMatrix) -> BottleneckReport:
-    """Exact minimizer of the bound over all S1 with pi(S1) <= 1/2 (N <= 4)."""
-    if p.n_spins > _EXHAUSTIVE_BUDGET:
-        raise BudgetExceeded(
-            f"exhaustive minimization limited to N <= {_EXHAUSTIVE_BUDGET}"
-        )
-    dim = p.dim
-    pi = p.stationary.probabilities()
-    equilibrium = pi[:, None] * p.p
-    best = None
-    best_mask = 0
-    for mask in range(1, (1 << dim) - 1):
-        members = [x for x in range(dim) if mask >> x & 1]
-        m1 = float(pi[members].sum())
-        if m1 > 0.5 + 1e-12:
-            continue
-        others = [x for x in range(dim) if not mask >> x & 1]
-        e = float(equilibrium[np.ix_(members, others)].sum())
-        bound = e / (m1 * (1.0 - m1))
-        if best is None or bound < best:
-            best, best_mask = bound, mask
-    members = [x for x in range(dim) if best_mask >> x & 1]
-    return bottleneck_bound(p, members)
 
 
 def marked_state_bound(q_k, n_spins: int, alpha: float, beta: float,

@@ -13,7 +13,7 @@ read that one assembly.  The sampled chain costs O(N) per move, not per
 step: a run of rejections is geometric and takes one draw.  Each mixing-time
 search carries its row from probe to probe and advances it by cached
 squarings.  The dense matrix serves the dense gap and mixing-time
-cross-checks and :func:`tv_distance_curve`.
+cross-checks.
 """
 
 from __future__ import annotations
@@ -73,8 +73,8 @@ def make_chain(start: int, seed: int) -> ChainState:
                       rng_stream=np.random.Generator(np.random.Philox(seed)))
 
 
-def build_transition_matrix(kernel: ProposalKernel, measure: GibbsMeasure,
-                            symmetry_tol: float = SYMMETRY_TOL) -> TransitionMatrix:
+def build_transition_matrix(kernel: ProposalKernel,
+                            measure: GibbsMeasure) -> TransitionMatrix:
     """Assemble P(y,x) = Q(x|y) * A(x|y) with the diagonal fixed by row sums.
 
     The kernel must be symmetric (certificate checked) so that acceptance
@@ -85,9 +85,9 @@ def build_transition_matrix(kernel: ProposalKernel, measure: GibbsMeasure,
             f"kernel dim {kernel.dim} does not match measure dim {measure.dim}"
         )
     cert = validate_kernel(kernel)
-    if cert.max_asymmetry > symmetry_tol:
+    if cert.max_asymmetry > SYMMETRY_TOL:
         raise AsymmetricKernel(
-            f"kernel asymmetry {cert.max_asymmetry:.3e} exceeds {symmetry_tol:.1e}"
+            f"kernel asymmetry {cert.max_asymmetry:.3e} exceeds {SYMMETRY_TOL:.1e}"
         )
     lw = measure.log_weights
     # acceptance[y, x] = min(1, pi(x)/pi(y)) via log weights
@@ -108,21 +108,6 @@ def total_variation(p: np.ndarray, q: np.ndarray) -> float:
     """Half the l1 distance, clamped to 1: for disjoint supports the rounded
     sum can land a few ulps above it."""
     return min(1.0, 0.5 * float(np.abs(p - q).sum()))
-
-
-def tv_distance_curve(p: TransitionMatrix, start: int, max_t: int) -> np.ndarray:
-    """d(t) for t = 0..max_t from a point start, by dense row evolution."""
-    if p.n_spins > _POWERING_BUDGET:
-        raise BudgetExceeded(f"dense powering limited to N <= {_POWERING_BUDGET}")
-    pi = p.stationary.probabilities()
-    row = np.zeros(p.dim)
-    row[start] = 1.0
-    curve = np.empty(max_t + 1)
-    curve[0] = total_variation(row, pi)
-    for t in range(1, max_t + 1):
-        row = row @ p.p
-        curve[t] = total_variation(row, pi)
-    return curve
 
 
 # ---------------------------------------------------------------------------
@@ -348,6 +333,13 @@ def exact_mixing_time(kernel: ProposalKernel, measure: GibbsMeasure,
     Its probes carry the lumped row from one to the next and advance it by
     cached squarings of the lumped chain (:func:`_row_powers`), so a probe
     costs one vector-matrix product per set bit of the step between them.
+
+    The search is O(log t), so ``max_steps`` guards no cost; it marks how
+    far the integer t_mix is reproducible.  Each route rounds its powers its
+    own way, and the crossing of epsilon moves with that rounding: within
+    10^7 steps this route and the dense rows of :func:`_dense_mixing_time`
+    agree on every chain the tests draw, while past it a grover chain at
+    N = 8 gives 318 958 889 here and 318 958 621 there.
     """
     if not 0 < epsilon:
         raise ValueError("epsilon must be positive")

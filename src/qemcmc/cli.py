@@ -218,7 +218,7 @@ def run_figure_a(cfg: ExperimentConfig):
         if n <= cfg.max_dense_n:
             h_c = MarkedStateHamiltonian(n, cfg.alpha)
             kern = time_averaged_kernel(h_c, GROVER, scheme)
-            delta = spectral_gap_blocks(kern, gibbs_measure(h_c, cfg.beta)).delta
+            delta = spectral_gap_blocks(kern, gibbs_measure(h_c, cfg.beta))
             rows.append(("figure-a", n, cfg.alpha, cfg.beta, h_label, "avg",
                          "delta_exact", delta, "symmetry-blocks", cfg.seed))
     return rows
@@ -246,7 +246,7 @@ def run_figure_b(cfg: ExperimentConfig):
         rows.append(("figure-b", n, cfg.alpha, cfg.beta, h, t_spec,
                      "bound", bound, "marked-state-cut", cfg.seed))
         if n <= cfg.max_dense_n:
-            delta = spectral_gap_blocks(kern, gibbs_measure(h_c, cfg.beta)).delta
+            delta = spectral_gap_blocks(kern, gibbs_measure(h_c, cfg.beta))
             rows.append(("figure-b", n, cfg.alpha, cfg.beta, h, t_spec,
                          "delta_exact", delta, "symmetry-blocks", cfg.seed))
     return rows
@@ -400,9 +400,7 @@ def build_config(argv=None) -> ExperimentConfig:
     coerced = {}
     for key, value in options.items():
         default = fields[key].default
-        if isinstance(default, bool):
-            coerced[key] = value in (True, "true", "1")
-        elif isinstance(default, int) and not isinstance(value, bool):
+        if isinstance(default, int):
             coerced[key] = int(value)
         elif isinstance(default, float):
             coerced[key] = float(value)

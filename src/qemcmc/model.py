@@ -82,9 +82,6 @@ class GibbsMeasure:
     def log_pi_min(self) -> float:
         return float(np.min(self.log_weights)) - self.log_partition
 
-    def pi_min(self) -> float:
-        return math.exp(self.log_pi_min)
-
 
 def logsumexp(a) -> float:
     """log sum exp(a), shifted by the largest term so that none overflows.
@@ -115,15 +112,3 @@ def gibbs_measure(hamiltonian, beta: float) -> GibbsMeasure:
         log_weights=log_weights,
         log_partition=log_partition,
     )
-
-
-def pi_min(measure: GibbsMeasure) -> float:
-    """Smallest stationary probability; for the marked model at beta > 0 this is 1/Z."""
-    return measure.pi_min()
-
-
-def critical_temperature(alpha: float) -> float:
-    """Temperature of the first-order transition of the marked-state Gibbs family."""
-    if not alpha > 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    return alpha / math.log(2.0)

@@ -38,7 +38,11 @@ TRANSVERSE = "transverse"
 
 _COLUMN_BUDGET = 24         # max n_spins for a single proposal column
 _DENSE_H_BUDGET = 13        # max n_spins for materializing H densely
-_DENSE_AUTO = 10            # auto method switches to Krylov above this
+# the adaptive Lanczos propagator: subspace order, residual per substep, and
+# the most substeps one evolution may take
+_KRYLOV_DIM = 30
+_KRYLOV_TOL = 1e-12
+_MAX_SUBSTEPS = 4096
 
 
 @dataclass(frozen=True)
@@ -60,26 +64,20 @@ class PropagatorConfig:
     """How e^{-iHt} is applied.
 
     ``auto`` takes each mixer's invariant-subspace route for kernels and
-    columns, and in :func:`evolve` picks dense or Lanczos by size.  ``dense``
-    and ``krylov`` force one generic propagator; they are the cross-checks of
-    the structured routes, and the acceptance suite compares the two.
+    columns; it evolves no single state.  ``dense`` and ``krylov`` are the
+    two generic propagators, the cross-checks of the structured routes, and
+    the acceptance suite compares them; :func:`evolve` takes one of them.
     """
 
     method: str = "auto"        # auto | dense | krylov
-    krylov_dim: int = 30
-    tolerance: float = 1e-12
-    max_substeps: int = 4096
 
     def __post_init__(self):
         if self.method not in ("auto", "dense", "krylov"):
             raise ValueError(f"unknown propagator method {self.method!r}")
-        if self.krylov_dim < 2:
-            raise ValueError("krylov_dim must be >= 2")
-        if not self.tolerance > 0:
-            raise ValueError("tolerance must be positive")
 
 
 DEFAULT_PROPAGATOR = PropagatorConfig()
+_KRYLOV = PropagatorConfig("krylov")
 
 
 def basis_state(n_spins: int, index: int) -> np.ndarray:
@@ -145,7 +143,7 @@ def _tridiagonal_eigh(d, e):
     """Eigenvalues and eigenvectors of the symmetric tridiagonal matrix with
     diagonal ``d`` and off-diagonal ``e``, by np.linalg.eigh of its dense
     form: every tridiagonal here (a symmetric sector of order N+1, a Krylov
-    projection of order at most ``krylov_dim``) is small."""
+    projection of order at most ``_KRYLOV_DIM``) is small."""
     return np.linalg.eigh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
 
 
@@ -192,19 +190,19 @@ def _lanczos_apply(matvec, psi, dt, m):
     return result, float(err)
 
 
-def _krylov_evolve(h_c, mixer, psi, t, cfg):
+def _krylov_evolve(h_c, mixer, psi, t):
     matvec = lambda v: apply_hamiltonian(h_c, mixer, v)
     state = psi.astype(complex)
     remaining = float(t)
     dt = remaining
     substeps = 0
     while abs(remaining) > abs(t) * 1e-15:
-        result, err = _lanczos_apply(matvec, state, dt, cfg.krylov_dim)
-        if err <= cfg.tolerance:
+        result, err = _lanczos_apply(matvec, state, dt, _KRYLOV_DIM)
+        if err <= _KRYLOV_TOL:
             state = result / np.linalg.norm(result)
             remaining -= dt
             substeps += 1
-            if substeps > cfg.max_substeps:
+            if substeps > _MAX_SUBSTEPS:
                 raise NoConvergence("substep cap reached before covering t")
             grown = 2.0 * dt
             dt = grown if abs(grown) <= abs(remaining) else remaining
@@ -212,14 +210,16 @@ def _krylov_evolve(h_c, mixer, psi, t, cfg):
             dt *= 0.5
             if abs(dt) < abs(t) * 2.0 ** -40:
                 raise NoConvergence(
-                    f"residual {err:.3e} not reducible below {cfg.tolerance:.3e}"
+                    f"residual {err:.3e} not reducible below {_KRYLOV_TOL:.3e}"
                 )
     return state
 
 
 def evolve(h_c: MarkedStateHamiltonian, mixer: MixerSpec, psi0: np.ndarray,
-           t: float, cfg: PropagatorConfig = DEFAULT_PROPAGATOR) -> np.ndarray:
-    """Return e^{-iHt} |psi0>; the result keeps unit norm within 1e-10."""
+           t: float, cfg: PropagatorConfig = _KRYLOV) -> np.ndarray:
+    """Return e^{-iHt} |psi0> by adaptive Lanczos (``krylov``, the default) or
+    dense diagonalization (``dense``); the result keeps unit norm within
+    1e-10.  ``auto`` has no single-state route and raises ValueError."""
     if not math.isfinite(t):
         raise ValueError("evolution time must be finite")
     if psi0.shape != (h_c.dim,):
@@ -231,12 +231,12 @@ def evolve(h_c: MarkedStateHamiltonian, mixer: MixerSpec, psi0: np.ndarray,
         raise ValueError(f"initial state norm {norm} is not 1")
     if t == 0.0:
         return psi0.astype(complex)
-    method = cfg.method
-    if method == "auto":
-        method = "dense" if h_c.n_spins <= _DENSE_AUTO else "krylov"
-    if method == "dense":
+    if cfg.method == "auto":
+        raise ValueError("evolve takes the dense or krylov propagator, "
+                         "not 'auto'")
+    if cfg.method == "dense":
         return _dense_evolve(h_c, mixer, psi0.astype(complex), t)
-    return _krylov_evolve(h_c, mixer, psi0, t, cfg)
+    return _krylov_evolve(h_c, mixer, psi0, t)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Spectral gaps of reversible chains: the symmetry-block route, the dense
 eigensolve that cross-checks it, closed forms for the uniform and grover
-proposals, mixing-time bounds, and time-averaged kernels.  The grover gaps,
+proposals, mixing-time bounds, and time-averaged kernels.  Every gap route
+returns delta = 1 - |lambda_2| as a float; the relaxation-time bounds on the
+mixing time are a separate function of delta and log pi_min.  The grover gaps,
 single and time-averaged, are read off the two block gaps of one helper,
 which takes the proposal probabilities of
 :func:`~qemcmc.quantum.grover_closed_form`.
@@ -65,43 +67,25 @@ from .quantum import (
 from .chain import SYMMETRY_TOL, TransitionMatrix, _class_chain
 
 _LN2 = math.log(2.0)
-_EPSILON = 0.01              # TV target of a SpectralReport's mixing bounds
 _REVERSIBILITY_TOL = 1e-9    # largest relative detailed-balance deviation
 
 
-@dataclass(frozen=True)
-class SpectralReport:
-    delta: float
-    lambda2_abs: float
-    method: str
-    mixing_lower: float
-    mixing_upper: float
-    epsilon: float
-
-
-def mixing_time_bounds(delta: float, pi_min: float, epsilon: float,
-                       *, log_pi_min: float | None = None):
-    """Relaxation-time sandwich on the worst-start mixing time.
-
-    ``log_pi_min`` may be passed instead of ``pi_min`` when the latter would
-    underflow.
-    """
+def mixing_time_bounds(delta: float, log_pi_min: float, epsilon: float):
+    """Relaxation-time sandwich on the worst-start mixing time, from the log
+    of the smallest stationary probability (which underflows as a float long
+    before its log does)."""
     if not 0.0 < delta <= 1.0:
         raise ValueError(f"delta must lie in (0, 1], got {delta}")
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
-    if log_pi_min is None:
-        if not 0.0 < pi_min <= 1.0:
-            raise ValueError(f"pi_min must lie in (0, 1], got {pi_min}")
-        log_pi_min = math.log(pi_min)
+    if not log_pi_min <= 0.0:   # NaN fails too
+        raise ValueError(f"log_pi_min must be <= 0, got {log_pi_min}")
     lower = (1.0 / delta - 1.0) * math.log(1.0 / (2.0 * epsilon))
     upper = (1.0 / delta) * (math.log(1.0 / epsilon) - log_pi_min)
     return lower, upper
 
 
-def spectral_gap_dense(p: TransitionMatrix, epsilon: float = _EPSILON,
-                       reversibility_tol: float = _REVERSIBILITY_TOL,
-                       max_n: int = 12) -> SpectralReport:
+def spectral_gap_dense(p: TransitionMatrix, max_n: int = 12) -> float:
     """Gap 1 - |lambda_2| of P by a symmetric eigensolve: the O(8^N)
     cross-check of :func:`spectral_gap_blocks`, and the package's only route
     through scipy (its LAPACK tridiagonal reduction and bisection).
@@ -128,9 +112,9 @@ def spectral_gap_dense(p: TransitionMatrix, epsilon: float = _EPSILON,
     scale = max(float(np.max(conj)), float(np.max(diag)), 1e-300)
     asym = float(np.max(np.abs(conj - conj.T))) / scale
     del conj
-    if not asym <= reversibility_tol:   # NaN fails too
+    if not asym <= _REVERSIBILITY_TOL:   # NaN fails too
         raise NotReversible(
-            f"detailed-balance deviation {asym:.3e} exceeds {reversibility_tol:.1e}"
+            f"detailed-balance deviation {asym:.3e} exceeds {_REVERSIBILITY_TOL:.1e}"
         )
     sym = off * off.T
     np.sqrt(sym, out=sym)
@@ -142,14 +126,7 @@ def spectral_gap_dense(p: TransitionMatrix, epsilon: float = _EPSILON,
     low -= np.outer(sqrt_pi, sqrt_pi @ low)
     phi = np.linalg.svd(low, full_matrices=False)[0][:, 0]
     gap_low, gap_high = _dirichlet_forms(p.p, phi, top)
-    delta = min(max(min(gap_low, gap_high), 0.0), 1.0)
-    lower, upper = mixing_time_bounds(
-        max(delta, 1e-300), 1.0, epsilon,
-        log_pi_min=p.stationary.log_pi_min,
-    )
-    return SpectralReport(delta=delta, lambda2_abs=1.0 - delta,
-                          method="dense-eigensolve", mixing_lower=lower,
-                          mixing_upper=upper, epsilon=epsilon)
+    return min(max(min(gap_low, gap_high), 0.0), 1.0)
 
 
 def _extreme_ritz_vectors(a: np.ndarray):
@@ -304,7 +281,7 @@ def _symmetry_blocks(x: np.ndarray):
 
 
 def spectral_gap_blocks(kernel: ProposalKernel,
-                        measure: GibbsMeasure) -> SpectralReport:
+                        measure: GibbsMeasure) -> float:
     """Gap 1 - |lambda_2| of the MH chain of a permutation-invariant kernel,
     from the chain's floor(N/2)+1 symmetry blocks, with no 2^N x 2^N matrix.
 
@@ -336,13 +313,7 @@ def spectral_gap_blocks(kernel: ProposalKernel,
     for block, _ in rest:
         lam = np.linalg.eigvalsh(block)
         ends += [float(lam[0]), 2.0 - float(lam[-1])]
-    delta = min(max(min(ends), 0.0), 1.0)
-    lower, upper = mixing_time_bounds(
-        max(delta, 1e-300), 1.0, _EPSILON, log_pi_min=measure.log_pi_min,
-    )
-    return SpectralReport(delta=delta, lambda2_abs=1.0 - delta,
-                          method="symmetry-blocks", mixing_lower=lower,
-                          mixing_upper=upper, epsilon=_EPSILON)
+    return min(max(min(ends), 0.0), 1.0)
 
 
 def uniform_gap_closed_form(n_spins: int, alpha: float, beta: float) -> float:
@@ -404,28 +375,18 @@ class AveragingScheme:
     h_fixed: float | None = None
     h_range: tuple | None = None
     sample_count: int = 64
-    mode: str = "grid"   # grid | monte_carlo
-    seed: int = 0
 
     def __post_init__(self):
         if self.sample_count < 1:
             raise ValueError("sample_count must be >= 1")
-        if self.mode not in ("grid", "monte_carlo"):
-            raise ValueError(f"unknown averaging mode {self.mode!r}")
         if (self.h_fixed is None) == (self.h_range is None):
             raise ValueError("exactly one of h_fixed/h_range must be set")
 
     def samples(self) -> np.ndarray:
-        """Deterministic (h, t) pairs, shape (count, 2)."""
+        """The (h, t) grid, shape (count, 2): ``sample_count`` times on
+        ``t_range`` at a fixed h, or a square grid of about ``sample_count``
+        points over ``h_range`` x ``t_range``."""
         t0, t1 = self.t_range
-        if self.mode == "monte_carlo":
-            rng = np.random.Generator(np.random.Philox(self.seed))
-            ts = rng.uniform(t0, t1, self.sample_count)
-            if self.h_fixed is not None:
-                hs = np.full(self.sample_count, self.h_fixed)
-            else:
-                hs = rng.uniform(*self.h_range, self.sample_count)
-            return np.column_stack([hs, ts])
         if self.h_fixed is not None:
             ts = np.linspace(t0, t1, self.sample_count)
             return np.column_stack([np.full_like(ts, self.h_fixed), ts])

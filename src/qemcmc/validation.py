@@ -74,7 +74,7 @@ def check_uniform_closed_form(n_values=range(4, 11), betas=(0.0, 1.0, 5.0),
         kern = uniform_kernel(n)
         for beta in betas:
             p = build_transition_matrix(kern, gibbs_measure(h_c, beta))
-            delta = spectral_gap_dense(p).delta
+            delta = spectral_gap_dense(p)
             ref = uniform_gap_closed_form(n, alpha, beta)
             worst = max(worst, abs(delta - ref) / ref)
     return CriterionResult("uniform-gap-closed-form", worst, 1e-8, worst <= 1e-8)
@@ -104,7 +104,7 @@ def check_grover_closed_form(n_values=range(4, 11), betas=(1.0, 5.0),
             cf = grover_closed_form(n, alpha, h, t)
             for beta in betas:
                 p = build_transition_matrix(kern, gibbs_measure(h_c, beta))
-                delta = spectral_gap_dense(p).delta
+                delta = spectral_gap_dense(p)
                 ref = grover_gap_closed_form(n, alpha, beta, h, t)
                 err = abs(delta - ref) / ref
                 if err > worst_gap:
@@ -136,7 +136,7 @@ def check_bound_direction(n_values=range(6, 13), beta=5.0, alpha=1.0,
         h_c = MarkedStateHamiltonian(n, alpha)
         kern = quantum_kernel(h_c, MixerSpec(TRANSVERSE, h), t, _DENSE)
         p = build_transition_matrix(kern, gibbs_measure(h_c, beta))
-        delta = spectral_gap_dense(p, max_n=max(n_cycle)).delta
+        delta = spectral_gap_dense(p, max_n=max(n_cycle))
         bound = marked_state_bound(kern.dense()[:, h_c.marked], n, alpha, beta,
                                    h_c.marked)
         worst = max(worst, delta - bound)
@@ -219,9 +219,9 @@ def check_mixing_sandwich(n_values=range(4, 9), betas=(1.0, 5.0), alpha=1.0,
             measure = gibbs_measure(h_c, beta)
             for kern in kernels:
                 p = build_transition_matrix(kern, measure)
-                delta = spectral_gap_dense(p).delta
-                lower, upper = mixing_time_bounds(
-                    delta, 1.0, epsilon, log_pi_min=measure.log_pi_min)
+                delta = spectral_gap_dense(p)
+                lower, upper = mixing_time_bounds(delta, measure.log_pi_min,
+                                                  epsilon)
                 t_mix = exact_mixing_time(kern, measure, epsilon)
                 # positive margin means a bound violation
                 worst_margin = max(worst_margin, lower - t_mix, t_mix - upper)

@@ -6,10 +6,8 @@ import pytest
 from qemcmc.model import (
     GibbsMeasure,
     MarkedStateHamiltonian,
-    critical_temperature,
     gibbs_measure,
     logsumexp,
-    pi_min,
 )
 
 
@@ -103,13 +101,13 @@ def test_no_overflow_deep_in_ordered_phase():
 
 def test_pi_min_uniform():
     m = gibbs_measure(MarkedStateHamiltonian(2, 1.0), 0.0)
-    assert pi_min(m) == pytest.approx(0.25)
+    assert math.exp(m.log_pi_min) == pytest.approx(0.25)
 
 
 def test_pi_min_is_inverse_partition():
     m = gibbs_measure(MarkedStateHamiltonian(2, 1.0), 1.0)
-    assert pi_min(m) == pytest.approx(1.0 / (math.exp(2.0) + 3.0),
-                                      rel=1e-14, abs=0.0)
+    assert math.exp(m.log_pi_min) == pytest.approx(1.0 / (math.exp(2.0) + 3.0),
+                                                   rel=1e-14, abs=0.0)
 
 
 def test_pi_min_log_space_matches_direct_sum():
@@ -134,14 +132,6 @@ def test_phase_crossover_with_system_size():
     disordered = [gibbs_measure(MarkedStateHamiltonian(n, 1.0), 0.3).probabilities()[0]
                   for n in range(4, 17, 4)]
     assert np.all(np.diff(disordered) < 0)
-
-
-def test_critical_temperature():
-    assert critical_temperature(math.log(2.0)) == pytest.approx(1.0)
-    assert critical_temperature(1.0) == pytest.approx(1.4426950408889634)
-    assert critical_temperature(2.0) == pytest.approx(2 * critical_temperature(1.0))
-    with pytest.raises(ValueError):
-        critical_temperature(0.0)
 
 
 def test_measure_is_immutable():

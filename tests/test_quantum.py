@@ -131,6 +131,17 @@ def test_evolve_rejects_unnormalized():
         evolve(MarkedStateHamiltonian(4, 1.0), MixerSpec(GROVER, 1.0), psi, 1.0)
 
 
+def test_evolve_has_no_auto_route():
+    # auto builds kernels on the invariant subspaces; a single state takes
+    # the dense or Lanczos propagator, and t = 0 needs neither
+    h_c = MarkedStateHamiltonian(4, 1.0)
+    psi = basis_state(4, 11)
+    with pytest.raises(ValueError):
+        evolve(h_c, MixerSpec(GROVER, 1.0), psi, 1.0, PropagatorConfig())
+    out = evolve(h_c, MixerSpec(GROVER, 1.0), psi, 0.0, PropagatorConfig())
+    assert np.array_equal(out, psi)
+
+
 def test_grover_two_level_closure():
     # from an unmarked start, all other unmarked states carry equal probability
     h_c = MarkedStateHamiltonian(5, 1.0, marked=0)
