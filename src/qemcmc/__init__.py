@@ -8,7 +8,6 @@ from .model import (
     gibbs_measure,
 )
 from .proposal import (
-    AffineKernel,
     DenseKernel,
     KernelCertificate,
     PermutationInvariantKernel,
@@ -22,7 +21,6 @@ from .proposal import (
 from .quantum import (
     GroverClosedForm,
     MixerSpec,
-    PropagatorConfig,
     apply_hamiltonian,
     basis_state,
     dense_hamiltonian,
@@ -54,7 +52,6 @@ from .spectral import (
     uniform_gap_closed_form,
 )
 from .bottleneck import (
-    BottleneckReport,
     bottleneck_bound,
     flow,
     marked_state_bound,

@@ -11,7 +11,6 @@ accepted, as the dense cross-checks pass one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,14 +18,6 @@ from .errors import MeasureTooLarge
 from .chain import TransitionMatrix
 from .model import logsumexp
 from .proposal import PermutationInvariantKernel, ProposalKernel
-
-
-@dataclass(frozen=True)
-class BottleneckReport:
-    set_measure: float
-    flow: float
-    bound: float
-    set_descriptor: str
 
 
 def flow(p: TransitionMatrix, s1, s2) -> float:
@@ -50,8 +41,9 @@ def _log_measure(p: TransitionMatrix, s) -> float:
     return logsumexp(p.stationary.log_probabilities()[np.asarray(s, dtype=np.intp)])
 
 
-def bottleneck_bound(p: TransitionMatrix, s1, descriptor: str | None = None) -> BottleneckReport:
-    """Flow out of S1 over pi(S1) pi(S1^c); requires pi(S1) <= 1/2."""
+def bottleneck_bound(p: TransitionMatrix, s1) -> float:
+    """Flow out of S1 over pi(S1) pi(S1^c), 0.0 when none leaves; requires
+    pi(S1) <= 1/2."""
     s1 = sorted(set(s1))
     complement = sorted(set(range(p.dim)) - set(s1))
     if not s1 or not complement:
@@ -61,16 +53,10 @@ def bottleneck_bound(p: TransitionMatrix, s1, descriptor: str | None = None) -> 
         raise MeasureTooLarge(
             f"pi(S1) = {math.exp(log_m1):.6f} exceeds 1/2"
         )
-    log_m2 = _log_measure(p, complement)
     out_flow = flow(p, s1, complement)
-    bound = math.exp(math.log(max(out_flow, 5e-324)) - log_m1 - log_m2) \
-        if out_flow > 0 else 0.0
-    if descriptor is None:
-        marked = int(np.argmax(p.stationary.log_weights))
-        all_but = complement == [marked]
-        descriptor = "all-but-marked" if all_but else f"set({len(s1)} states)"
-    return BottleneckReport(set_measure=math.exp(log_m1), flow=out_flow,
-                            bound=bound, set_descriptor=descriptor)
+    if out_flow == 0.0:
+        return 0.0
+    return math.exp(math.log(out_flow) - log_m1 - _log_measure(p, complement))
 
 
 def marked_state_bound(q_k, n_spins: int, alpha: float, beta: float,

@@ -187,29 +187,6 @@ class StructuredMarkedKernel(PermutationInvariantKernel):
         self.stay_unmarked = float(stay_unmarked)
 
 
-class AffineKernel(ProposalKernel):
-    """Pointwise affine combination of kernels; weights may be negative but the
-    combined kernel must be entrywise nonnegative to be usable."""
-
-    def __init__(self, weights, kernels):
-        if len(weights) != len(kernels) or not kernels:
-            raise MismatchedDimensions("need one weight per kernel")
-        n = kernels[0].n_spins
-        if any(k.n_spins != n for k in kernels):
-            raise MismatchedDimensions("kernels act on different spin counts")
-        if abs(sum(weights) - 1.0) > 1e-12:
-            raise ValueError(f"affine weights must sum to 1, got {sum(weights)!r}")
-        super().__init__(n)
-        self.weights = [float(w) for w in weights]
-        self.kernels = list(kernels)
-
-    def _build_dense(self):
-        q = np.zeros((self.dim, self.dim))
-        for w, k in zip(self.weights, self.kernels):
-            q += w * k.dense()
-        return q
-
-
 def uniform_kernel(n_spins: int) -> ProposalKernel:
     """Uniform proposal Q(x|y) = 2**-N for all x, y, self-proposal included."""
     dim = 1 << n_spins
@@ -228,21 +205,30 @@ def single_flip_kernel(n_spins: int) -> PermutationInvariantKernel:
     return PermutationInvariantKernel(n_spins, 0, table)
 
 
-def affine_combination(weights, kernels) -> AffineKernel:
-    """Combine kernels with weights summing to 1.
+def affine_combination(weights, kernels) -> DenseKernel:
+    """Pointwise affine combination of kernels with weights summing to 1.
 
-    Raises NegativeProbability if any combined entry falls below -1e-10 (the
-    combination is then not realizable as a stochastic proposal).
+    Weights may be negative, but the combined kernel must be entrywise
+    nonnegative to be usable: NegativeProbability if any entry falls below
+    -1e-10 (the combination is then not realizable as a stochastic
+    proposal); entries above that are clipped to 0.
     """
-    combined = AffineKernel(weights, kernels)
-    q = combined._build_dense()
+    if len(weights) != len(kernels) or not kernels:
+        raise MismatchedDimensions("need one weight per kernel")
+    n = kernels[0].n_spins
+    if any(k.n_spins != n for k in kernels):
+        raise MismatchedDimensions("kernels act on different spin counts")
+    if abs(sum(weights) - 1.0) > 1e-12:
+        raise ValueError(f"affine weights must sum to 1, got {sum(weights)!r}")
+    q = np.zeros((1 << n, 1 << n))
+    for w, k in zip(weights, kernels):
+        q += float(w) * k.dense()
     low = float(np.min(q))
     if low < -1e-10:
         raise NegativeProbability(
             f"affine combination has entry {low:.3e} below tolerance"
         )
-    combined._dense = np.clip(q, 0.0, None)
-    return combined
+    return DenseKernel(np.clip(q, 0.0, None), n)
 
 
 def validate_kernel(kernel: ProposalKernel) -> KernelCertificate:

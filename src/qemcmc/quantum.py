@@ -59,27 +59,6 @@ class MixerSpec:
             raise ValueError("field strength must be finite")
 
 
-@dataclass(frozen=True)
-class PropagatorConfig:
-    """How e^{-iHt} is applied.
-
-    ``auto`` takes each mixer's invariant-subspace route for kernels and
-    columns; it evolves no single state.  ``dense`` and ``krylov`` are the
-    two generic propagators, the cross-checks of the structured routes, and
-    the acceptance suite compares them; :func:`evolve` takes one of them.
-    """
-
-    method: str = "auto"        # auto | dense | krylov
-
-    def __post_init__(self):
-        if self.method not in ("auto", "dense", "krylov"):
-            raise ValueError(f"unknown propagator method {self.method!r}")
-
-
-DEFAULT_PROPAGATOR = PropagatorConfig()
-_KRYLOV = PropagatorConfig("krylov")
-
-
 def basis_state(n_spins: int, index: int) -> np.ndarray:
     psi = np.zeros(1 << n_spins, dtype=complex)
     psi[index] = 1.0
@@ -216,10 +195,13 @@ def _krylov_evolve(h_c, mixer, psi, t):
 
 
 def evolve(h_c: MarkedStateHamiltonian, mixer: MixerSpec, psi0: np.ndarray,
-           t: float, cfg: PropagatorConfig = _KRYLOV) -> np.ndarray:
+           t: float, method: str = "krylov") -> np.ndarray:
     """Return e^{-iHt} |psi0> by adaptive Lanczos (``krylov``, the default) or
     dense diagonalization (``dense``); the result keeps unit norm within
-    1e-10.  ``auto`` has no single-state route and raises ValueError."""
+    1e-10.  Any other method raises ValueError."""
+    if method not in ("krylov", "dense"):
+        raise ValueError("evolve takes method 'krylov' or 'dense', "
+                         f"not {method!r}")
     if not math.isfinite(t):
         raise ValueError("evolution time must be finite")
     if psi0.shape != (h_c.dim,):
@@ -231,10 +213,7 @@ def evolve(h_c: MarkedStateHamiltonian, mixer: MixerSpec, psi0: np.ndarray,
         raise ValueError(f"initial state norm {norm} is not 1")
     if t == 0.0:
         return psi0.astype(complex)
-    if cfg.method == "auto":
-        raise ValueError("evolve takes the dense or krylov propagator, "
-                         "not 'auto'")
-    if cfg.method == "dense":
+    if method == "dense":
         return _dense_evolve(h_c, mixer, psi0.astype(complex), t)
     return _krylov_evolve(h_c, mixer, psi0, t)
 
@@ -285,27 +264,27 @@ def _transverse_table(h_c, h, t):
 # proposal kernels
 
 def quantum_kernel(h_c: MarkedStateHamiltonian, mixer: MixerSpec, t: float,
-                   cfg: PropagatorConfig = DEFAULT_PROPAGATOR) -> ProposalKernel:
+                   method: str = "auto") -> ProposalKernel:
     """Proposal kernel Q(x|y) = |<x| e^{-iHt} |y>|^2.
 
     ``auto`` builds it on the mixer's invariant subspace: the grover closed
     form (:func:`structured_grover_kernel`), or the transverse symmetric
     sector's (d, w_x, w_y) table, which densifies in O(4^N) only on demand.
     ``dense`` is the independent cross-check of both, an O(8^N)
-    diagonalization of H; Lanczos evolves single states only, so ``krylov``
-    has no kernel route.
+    diagonalization of H.  Any other method raises ValueError: Lanczos
+    evolves single states only, so ``krylov`` has no kernel route.
     """
+    if method not in ("auto", "dense"):
+        raise ValueError("quantum_kernel takes method 'auto' or 'dense', "
+                         f"not {method!r}")
     n = h_c.n_spins
     if not math.isfinite(t):
         raise ValueError("evolution time must be finite")
-    if cfg.method == "auto":
+    if method == "auto":
         if mixer.variant == GROVER:
             return structured_grover_kernel(h_c, mixer.field_strength, t)
         return PermutationInvariantKernel(
             n, h_c.marked, _transverse_table(h_c, mixer.field_strength, t))
-    if cfg.method == "krylov":
-        raise ValueError("the krylov propagator evolves single states; "
-                         "kernels take method 'auto' or 'dense'")
     lam, vec = _eigendecomposition(h_c, mixer)
     re = (vec * np.cos(lam * t)) @ vec.T
     im = (vec * np.sin(lam * t)) @ vec.T
@@ -313,24 +292,14 @@ def quantum_kernel(h_c: MarkedStateHamiltonian, mixer: MixerSpec, t: float,
 
 
 def quantum_proposal_column(h_c: MarkedStateHamiltonian, mixer: MixerSpec,
-                            t: float, y: int,
-                            cfg: PropagatorConfig = DEFAULT_PROPAGATOR) -> np.ndarray:
-    """Measurement distribution after one evolution from basis state y.
-
-    ``auto`` gathers it from the table of :func:`quantum_kernel` in O(2^N);
-    ``dense`` and ``krylov`` evolve the basis state as cross-checks.
-    """
-    n = h_c.n_spins
-    if n > _COLUMN_BUDGET:
+                            t: float, y: int) -> np.ndarray:
+    """Measurement distribution after one evolution from basis state y,
+    gathered from the table of :func:`quantum_kernel` in O(2^N)."""
+    if h_c.n_spins > _COLUMN_BUDGET:
         raise BudgetExceeded(f"proposal columns limited to N <= {_COLUMN_BUDGET}")
     if not 0 <= y < h_c.dim:
         raise IndexError(f"configuration {y} out of range")
-    if not math.isfinite(t):
-        raise ValueError("evolution time must be finite")
-    if cfg.method == "auto":
-        return quantum_kernel(h_c, mixer, t).column(y)
-    amps = evolve(h_c, mixer, basis_state(n, y), t, cfg)
-    return np.abs(amps) ** 2
+    return quantum_kernel(h_c, mixer, t).column(y)
 
 
 # ---------------------------------------------------------------------------

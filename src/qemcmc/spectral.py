@@ -51,16 +51,13 @@ from .errors import (
 )
 from .model import GibbsMeasure, MarkedStateHamiltonian
 from .proposal import (
-    DenseKernel,
     PermutationInvariantKernel,
     ProposalKernel,
     weight_classes,
 )
 from .quantum import (
-    DEFAULT_PROPAGATOR,
     GroverClosedForm,
     MixerSpec,
-    PropagatorConfig,
     grover_closed_form,
     quantum_kernel,
 )
@@ -68,6 +65,7 @@ from .chain import SYMMETRY_TOL, TransitionMatrix, _class_chain
 
 _LN2 = math.log(2.0)
 _REVERSIBILITY_TOL = 1e-9    # largest relative detailed-balance deviation
+_DENSE_GAP_N_MAX = 12        # max n_spins for the dense eigensolve
 
 
 def mixing_time_bounds(delta: float, log_pi_min: float, epsilon: float):
@@ -85,7 +83,7 @@ def mixing_time_bounds(delta: float, log_pi_min: float, epsilon: float):
     return lower, upper
 
 
-def spectral_gap_dense(p: TransitionMatrix, max_n: int = 12) -> float:
+def spectral_gap_dense(p: TransitionMatrix) -> float:
     """Gap 1 - |lambda_2| of P by a symmetric eigensolve: the O(8^N)
     cross-check of :func:`spectral_gap_blocks`, and the package's only route
     through scipy (its LAPACK tridiagonal reduction and bisection).
@@ -97,8 +95,9 @@ def spectral_gap_dense(p: TransitionMatrix, max_n: int = 12) -> float:
     vector in Dirichlet form (see :func:`_dirichlet_forms`), not as a
     computed eigenvalue.
     """
-    if p.n_spins > max_n:
-        raise BudgetExceeded(f"dense eigensolve limited to N <= {max_n}")
+    if p.n_spins > _DENSE_GAP_N_MAX:
+        raise BudgetExceeded(
+            f"dense eigensolve limited to N <= {_DENSE_GAP_N_MAX}")
     off = p.p.copy()
     np.fill_diagonal(off, 0.0)
     diag = off.sum(axis=1)
@@ -381,16 +380,21 @@ class AveragingScheme:
             raise ValueError("sample_count must be >= 1")
         if (self.h_fixed is None) == (self.h_range is None):
             raise ValueError("exactly one of h_fixed/h_range must be set")
+        if (self.h_range is not None
+                and math.isqrt(self.sample_count) ** 2 != self.sample_count):
+            raise ValueError("an h range averages over a square grid: "
+                             f"sample count {self.sample_count} is not a "
+                             "perfect square")
 
     def samples(self) -> np.ndarray:
-        """The (h, t) grid, shape (count, 2): ``sample_count`` times on
-        ``t_range`` at a fixed h, or a square grid of about ``sample_count``
-        points over ``h_range`` x ``t_range``."""
+        """The (h, t) grid, shape (sample_count, 2): ``sample_count`` times
+        on ``t_range`` at a fixed h, or a square grid over ``h_range`` x
+        ``t_range``."""
         t0, t1 = self.t_range
         if self.h_fixed is not None:
             ts = np.linspace(t0, t1, self.sample_count)
             return np.column_stack([np.full_like(ts, self.h_fixed), ts])
-        side = max(int(round(math.sqrt(self.sample_count))), 1)
+        side = math.isqrt(self.sample_count)
         hs = np.linspace(*self.h_range, side)
         ts = np.linspace(t0, t1, side)
         hh, tt = np.meshgrid(hs, ts, indexing="ij")
@@ -398,27 +402,18 @@ class AveragingScheme:
 
 
 def time_averaged_kernel(h_c: MarkedStateHamiltonian, variant: str,
-                         scheme: AveragingScheme,
-                         cfg: PropagatorConfig = DEFAULT_PROPAGATOR) -> ProposalKernel:
+                         scheme: AveragingScheme) -> PermutationInvariantKernel:
     """Mean proposal kernel over the sampled (h, t) pairs.
 
     A convex combination of unital kernels, hence symmetric and doubly
-    stochastic.  The kernels of the ``auto`` routes are averaged as their
-    (d, w_x, w_y) tables, so no 2^N x 2^N matrix is formed; only the dense
-    cross-check kernels are averaged densely.
+    stochastic.  The kernels are averaged as their (d, w_x, w_y) tables, so
+    no 2^N x 2^N matrix is formed.
     """
-    kernels = [
-        quantum_kernel(h_c, MixerSpec(variant, h), t, cfg)
-        for h, t in scheme.samples()
-    ]
-    weight = 1.0 / len(kernels)
-    if all(isinstance(k, PermutationInvariantKernel) for k in kernels):
-        return PermutationInvariantKernel(
-            h_c.n_spins, h_c.marked, weight * sum(k.table() for k in kernels))
-    mean = np.zeros((h_c.dim, h_c.dim))
-    for k in kernels:
-        mean += weight * k.dense()
-    return DenseKernel(mean, h_c.n_spins)
+    samples = scheme.samples()
+    total = sum(quantum_kernel(h_c, MixerSpec(variant, h), t).table()
+                for h, t in samples)
+    return PermutationInvariantKernel(h_c.n_spins, h_c.marked,
+                                      (1.0 / len(samples)) * total)
 
 
 def averaged_grover_gap(n_spins: int, alpha: float, beta: float,

@@ -32,7 +32,8 @@ def _report(result):
 
 @pytest.fixture(scope="module")
 def grover_sweep():
-    # criteria 2 and 3 share one randomized sweep
+    # criteria 2 and 3 share one randomized sweep; it and criterion 4 are the
+    # two dense O(8^N) sweeps, so their tests carry the slow marker
     return validation.check_grover_closed_form()
 
 
@@ -41,16 +42,19 @@ def test_criterion_01_uniform_closed_form():
     assert result.passed, f"worst relative error {result.value}"
 
 
+@pytest.mark.slow
 def test_criterion_02_grover_closed_form(grover_sweep):
     result = _report(grover_sweep[0])
     assert result.passed, f"worst relative error {result.value}"
 
 
+@pytest.mark.slow
 def test_criterion_03_marked_bound_saturation(grover_sweep):
     result = _report(grover_sweep[1])
     assert result.passed, f"worst relative error {result.value}"
 
 
+@pytest.mark.slow
 def test_criterion_04_bound_direction():
     result = _report(validation.check_bound_direction())
     assert result.passed, f"worst gap-minus-bound margin {result.value}"

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from qemcmc.bottleneck import (
-    BottleneckReport,
     bottleneck_bound,
     flow,
     marked_state_bound,
@@ -13,10 +12,9 @@ from qemcmc.bottleneck import (
 from qemcmc.chain import TransitionMatrix, build_transition_matrix
 from qemcmc.errors import MeasureTooLarge
 from qemcmc.model import MarkedStateHamiltonian, gibbs_measure
-from qemcmc.proposal import StructuredMarkedKernel, uniform_kernel
+from qemcmc.proposal import DenseKernel, StructuredMarkedKernel, uniform_kernel
 from qemcmc.quantum import (
     MixerSpec,
-    PropagatorConfig,
     quantum_kernel,
     structured_grover_kernel,
 )
@@ -25,8 +23,6 @@ from qemcmc.spectral import (
     spectral_gap_dense,
     uniform_gap_closed_form,
 )
-
-DENSE = PropagatorConfig(method="dense")
 
 
 def _uniform_chain(n, alpha, beta):
@@ -40,7 +36,7 @@ def _grover_chain(n, alpha, beta, h, t):
                                    gibbs_measure(h_c, beta))
 
 
-def min_bottleneck_exhaustive(p: TransitionMatrix) -> BottleneckReport:
+def min_bottleneck_exhaustive(p: TransitionMatrix) -> float:
     """Exact minimizer of the bound over all S1 with pi(S1) <= 1/2 (N <= 4)."""
     dim = p.dim
     pi = p.stationary.probabilities()
@@ -92,16 +88,35 @@ def test_flow_rejects_empty_sets():
 def test_bound_dominates_gap():
     p = _uniform_chain(6, 1.0, 5.0)
     delta = spectral_gap_dense(p)
-    report = bottleneck_bound(p, [x for x in range(p.dim) if x != 0])
-    assert delta <= report.bound + 1e-12
-    assert report.set_descriptor == "all-but-marked"
+    bound = bottleneck_bound(p, [x for x in range(p.dim) if x != 0])
+    assert delta <= bound + 1e-12
 
 
 def test_grover_saturates_the_bound():
     p = _grover_chain(6, 1.0, 5.0, 1.0, 1.0)
-    report = bottleneck_bound(p, [x for x in range(p.dim) if x != 0])
+    bound = bottleneck_bound(p, [x for x in range(p.dim) if x != 0])
     ref = grover_gap_closed_form(6, 1.0, 5.0, 1.0, 1.0)
-    assert report.bound == pytest.approx(ref, rel=1e-10, abs=0.0)
+    assert bound == pytest.approx(ref, rel=1e-10, abs=0.0)
+
+
+def test_bound_is_zero_without_outflow():
+    # the identity kernel proposes no move, so no flow leaves S1
+    h_c = MarkedStateHamiltonian(3, 1.0)
+    p = build_transition_matrix(DenseKernel(np.eye(8), 3),
+                                gibbs_measure(h_c, 3.0))
+    bound = bottleneck_bound(p, [x for x in range(8) if x != 0])
+    assert type(bound) is float and bound == 0.0
+
+
+@pytest.mark.parametrize("s1,expected", [
+    (range(1, 16), "0x1.00060a3ddde3ap-4"),
+    ([1, 2, 3, 5], "0x1.80026a7472354p-1"),
+])
+def test_bound_is_pinned_bit_for_bit(s1, expected):
+    # the bounds the report-returning form gave on the uniform chain at N = 4,
+    # beta = 3; returning the float alone must not move them by one ulp
+    bound = bottleneck_bound(_uniform_chain(4, 1.0, 3.0), s1)
+    assert type(bound) is float and bound == float.fromhex(expected)
 
 
 def test_measure_too_large():
@@ -113,22 +128,20 @@ def test_measure_too_large():
 
 def test_exhaustive_trivial_at_beta0():
     p = _uniform_chain(2, 1.0, 0.0)
-    report = min_bottleneck_exhaustive(p)
-    assert report.bound >= spectral_gap_dense(p) - 1e-12
+    assert min_bottleneck_exhaustive(p) >= spectral_gap_dense(p) - 1e-12
 
 
 def test_exhaustive_finds_marked_cut():
     p = _uniform_chain(3, 1.0, 3.0)
-    report = min_bottleneck_exhaustive(p)
     reference = bottleneck_bound(p, [x for x in range(8) if x != 0])
-    assert report.bound <= reference.bound + 1e-15
+    assert min_bottleneck_exhaustive(p) <= reference + 1e-15
 
 
 def test_exhaustive_grover_minimum_is_marked_cut():
     p = _grover_chain(3, 1.0, 3.0, 1.0, 1.0)
-    report = min_bottleneck_exhaustive(p)
     reference = bottleneck_bound(p, [x for x in range(8) if x != 0])
-    assert report.bound == pytest.approx(reference.bound, rel=1e-10, abs=0.0)
+    assert min_bottleneck_exhaustive(p) == pytest.approx(reference, rel=1e-10,
+                                                         abs=0.0)
 
 
 def test_marked_bound_identity_kernel():
@@ -159,9 +172,9 @@ def test_marked_bound_grover_saturation():
 def test_marked_bound_agrees_with_dense_flow():
     n, alpha, beta = 6, 1.0, 5.0
     h_c = MarkedStateHamiltonian(n, alpha)
-    kern = quantum_kernel(h_c, MixerSpec("transverse", 1.0), 1.0, DENSE)
+    kern = quantum_kernel(h_c, MixerSpec("transverse", 1.0), 1.0, "dense")
     p = build_transition_matrix(kern, gibbs_measure(h_c, beta))
-    dense = bottleneck_bound(p, [x for x in range(p.dim) if x != 0]).bound
+    dense = bottleneck_bound(p, [x for x in range(p.dim) if x != 0])
     column = marked_state_bound(kern.dense()[:, 0], n, alpha, beta)
     assert column == pytest.approx(dense, rel=1e-10, abs=0.0)
 
@@ -232,7 +245,7 @@ def test_certificate_quantum_kernels():
     h_c = MarkedStateHamiltonian(6, 1.0)
     for _ in range(5):
         mixer = MixerSpec("transverse", rng.uniform(-2, 2))
-        kern = quantum_kernel(h_c, mixer, rng.uniform(0, 3), DENSE)
+        kern = quantum_kernel(h_c, mixer, rng.uniform(0, 3), "dense")
         assert sum_qa_certificate(kern, 0) <= 1.0 + 1e-10
 
 

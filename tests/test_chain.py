@@ -24,14 +24,11 @@ from qemcmc.proposal import (
 )
 from qemcmc.quantum import (
     MixerSpec,
-    PropagatorConfig,
     quantum_kernel,
     resonance_field,
     structured_grover_kernel,
 )
 from qemcmc.spectral import mixing_time_bounds, uniform_gap_closed_form
-
-DENSE = PropagatorConfig(method="dense")
 
 
 def tv_distance_curve(p: TransitionMatrix, start: int, max_t: int) -> np.ndarray:
@@ -78,7 +75,7 @@ def test_structured_and_simulated_grover_agree():
     h_c = MarkedStateHamiltonian(6, 1.0)
     measure = gibbs_measure(h_c, 2.0)
     sim = build_transition_matrix(
-        quantum_kernel(h_c, MixerSpec("grover", 1.0), 1.0, DENSE), measure)
+        quantum_kernel(h_c, MixerSpec("grover", 1.0), 1.0, "dense"), measure)
     closed = build_transition_matrix(
         structured_grover_kernel(h_c, 1.0, 1.0), measure)
     assert np.max(np.abs(sim.p - closed.p)) < 1e-9

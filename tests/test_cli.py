@@ -113,23 +113,17 @@ def test_sample_rows():
 def test_sample_tmix_matches_dense_powering(mixer):
     from qemcmc.chain import _dense_mixing_time, build_transition_matrix
     from qemcmc.model import MarkedStateHamiltonian, gibbs_measure
-    from qemcmc.quantum import (
-        MixerSpec,
-        PropagatorConfig,
-        quantum_kernel,
-        resonance_field,
-    )
+    from qemcmc.quantum import MixerSpec, quantum_kernel, resonance_field
 
     csv_text, _ = _run(["--experiment", "sample", "--mixer", mixer,
                         "--n-min", "4", "--n-max", "8", "--beta", "1",
                         "--steps", "10"])
     tmix = {int(r[1]): int(r[7]) for r in _rows(csv_text) if r[6] == "tmix"}
     assert set(tmix) == set(range(4, 9))
-    dense = PropagatorConfig(method="dense")
     for n, value in tmix.items():
         h_c = MarkedStateHamiltonian(n, 1.0)
         kern = quantum_kernel(h_c, MixerSpec(mixer, resonance_field(1.0, n)),
-                              0.3, dense)
+                              0.3, "dense")
         p = build_transition_matrix(kern, gibbs_measure(h_c, 1.0))
         assert value == _dense_mixing_time(p, 0.01, 10_000_000), n
 
@@ -278,6 +272,61 @@ def test_overflowing_settings_exit_2(argv, setting, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert setting in captured.err and "overflows" in captured.err
+
+
+@pytest.mark.parametrize("experiment", ["figure-b", "scan", "sample"])
+@pytest.mark.parametrize("flag", ["--h", "--t"])
+def test_range_where_a_fixed_value_is_expected_exits_2(experiment, flag,
+                                                       capsys):
+    argv = ["--experiment", experiment, "--n-min", "4", "--n-max", "4",
+            "--steps", "10", f"{flag}=0.5:1"]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{experiment} expects a fixed {flag[2:]}" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_unwritable_out_exits_2(tmp_path, capsys):
+    out = tmp_path / "missing" / "scan.csv"
+    argv = ["--experiment", "scan", "--n-min", "4", "--n-max", "7",
+            "--out", str(out)]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert str(out) in captured.err
+    assert not out.parent.exists()
+
+
+def test_h_range_with_a_non_square_sample_count_exits_2(capsys):
+    base = ["--experiment", "figure-a", "--h=-1:-0.5", "--n-min", "4",
+            "--n-max", "5"]
+    assert cli.main(base + ["--avg-samples", "10"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "sample count 10 is not a perfect square" in captured.err
+    csv_text, status = _run(base + ["--avg-samples", "9"])
+    assert status == 0 and len(_rows(csv_text)) == 4
+
+
+@pytest.mark.parametrize("argv", [
+    ["--experiment", "sample", "--h=0:1", "--n-min", "4", "--n-max", "4",
+     "--steps", "10"],
+    ["--experiment", "figure-a", "--h=-1:-0.5", "--avg-samples", "10",
+     "--n-min", "4", "--n-max", "4"],
+    ["--experiment", "scan", "--n-min", "4", "--n-max", "7", "--out",
+     "{missing}/x.csv"],
+], ids=["sample-h-range", "non-square-avg-samples", "unwritable-out"])
+def test_entry_point_exits_2_without_traceback(argv, tmp_path):
+    argv = [a.format(missing=tmp_path / "missing") for a in argv]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "qemcmc.cli", *argv],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "error" in proc.stderr and "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize("alpha", ["-1", "0"])

@@ -19,12 +19,9 @@ from qemcmc.proposal import (
 )
 from qemcmc.quantum import (
     MixerSpec,
-    PropagatorConfig,
     quantum_kernel,
     structured_grover_kernel,
 )
-
-_DENSE = PropagatorConfig(method="dense")
 
 
 def test_uniform_n1():
@@ -68,7 +65,18 @@ def test_single_flip_symmetric():
 def test_affine_identity():
     kern = uniform_kernel(2)
     combined = affine_combination([1.0], [kern])
+    assert isinstance(combined, DenseKernel)
     assert np.allclose(combined.dense(), kern.dense())
+
+
+def test_affine_clips_rounding_noise():
+    # an extrapolation by 1e-11 leaves -2.5e-12 where single flip is 0: above
+    # the -1e-10 floor, so the entry is clipped to 0, not rejected
+    combined = affine_combination([1.0 + 1e-11, -1e-11],
+                                  [single_flip_kernel(2), uniform_kernel(2)])
+    q = combined.dense()
+    assert np.min(q) == 0.0
+    assert np.array_equal(q == 0.0, single_flip_kernel(2).dense() == 0.0)
 
 
 def test_affine_convex_doubly_stochastic():
@@ -85,8 +93,8 @@ def test_affine_negative_entry_rejected():
     # pair pushes some entry negative
     h_c = MarkedStateHamiltonian(2, 1.0)
     mixer = MixerSpec("grover", 1.0)
-    k1 = quantum_kernel(h_c, mixer, 0.4, _DENSE)
-    k2 = quantum_kernel(h_c, mixer, 1.1, _DENSE)
+    k1 = quantum_kernel(h_c, mixer, 0.4, "dense")
+    k2 = quantum_kernel(h_c, mixer, 1.1, "dense")
     with pytest.raises(NegativeProbability):
         affine_combination([2.0, -1.0], [k1, k2])
 

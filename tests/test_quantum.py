@@ -13,7 +13,6 @@ from qemcmc.quantum import (
     GROVER,
     TRANSVERSE,
     MixerSpec,
-    PropagatorConfig,
     apply_hamiltonian,
     basis_state,
     dense_hamiltonian,
@@ -26,10 +25,6 @@ from qemcmc.quantum import (
     resonance_field,
     structured_grover_kernel,
 )
-
-DENSE = PropagatorConfig(method="dense")
-KRYLOV = PropagatorConfig(method="krylov")
-
 
 def _rng(seed=7):
     return np.random.Generator(np.random.Philox(seed))
@@ -96,9 +91,9 @@ def test_evolve_t0_identity():
 def test_evolve_norm_preserved():
     rng = _rng(11)
     h_c = MarkedStateHamiltonian(6, 1.0, marked=17)
-    for variant, cfg in ((GROVER, DENSE), (TRANSVERSE, KRYLOV)):
+    for variant, method in ((GROVER, "dense"), (TRANSVERSE, "krylov")):
         psi = _random_state(rng, 64)
-        out = evolve(h_c, MixerSpec(variant, 1.3), psi, 2.7, cfg)
+        out = evolve(h_c, MixerSpec(variant, 1.3), psi, 2.7, method)
         assert abs(np.linalg.norm(out) - 1.0) < 1e-10
 
 
@@ -107,8 +102,9 @@ def test_evolve_composition():
     h_c = MarkedStateHamiltonian(5, 0.9, marked=2)
     mixer = MixerSpec(TRANSVERSE, 0.6)
     psi = _random_state(rng, 32)
-    whole = evolve(h_c, mixer, psi, 1.9, KRYLOV)
-    parts = evolve(h_c, mixer, evolve(h_c, mixer, psi, 0.8, KRYLOV), 1.1, KRYLOV)
+    whole = evolve(h_c, mixer, psi, 1.9, "krylov")
+    half = evolve(h_c, mixer, psi, 0.8, "krylov")
+    parts = evolve(h_c, mixer, half, 1.1, "krylov")
     assert np.max(np.abs(whole - parts)) < 1e-9
 
 
@@ -120,8 +116,8 @@ def test_krylov_matches_dense():
             mixer = MixerSpec(variant, rng.uniform(-2, 2))
             psi = _random_state(rng, 1 << n)
             t = rng.uniform(0.1, 3.0)
-            a = evolve(h_c, mixer, psi, t, DENSE)
-            b = evolve(h_c, mixer, psi, t, KRYLOV)
+            a = evolve(h_c, mixer, psi, t, "dense")
+            b = evolve(h_c, mixer, psi, t, "krylov")
             assert 1.0 - abs(np.vdot(a, b)) < 1e-10
 
 
@@ -133,19 +129,22 @@ def test_evolve_rejects_unnormalized():
 
 def test_evolve_has_no_auto_route():
     # auto builds kernels on the invariant subspaces; a single state takes
-    # the dense or Lanczos propagator, and t = 0 needs neither
+    # the dense or Lanczos propagator, and any other method is rejected,
+    # at t = 0 as well
     h_c = MarkedStateHamiltonian(4, 1.0)
     psi = basis_state(4, 11)
-    with pytest.raises(ValueError):
-        evolve(h_c, MixerSpec(GROVER, 1.0), psi, 1.0, PropagatorConfig())
-    out = evolve(h_c, MixerSpec(GROVER, 1.0), psi, 0.0, PropagatorConfig())
+    for method in ("auto", "lanczos"):
+        for t in (1.0, 0.0):
+            with pytest.raises(ValueError):
+                evolve(h_c, MixerSpec(GROVER, 1.0), psi, t, method)
+    out = evolve(h_c, MixerSpec(GROVER, 1.0), psi, 0.0)
     assert np.array_equal(out, psi)
 
 
 def test_grover_two_level_closure():
     # from an unmarked start, all other unmarked states carry equal probability
     h_c = MarkedStateHamiltonian(5, 1.0, marked=0)
-    out = evolve(h_c, MixerSpec(GROVER, 0.7), basis_state(5, 9), 1.4, DENSE)
+    out = evolve(h_c, MixerSpec(GROVER, 0.7), basis_state(5, 9), 1.4, "dense")
     probs = np.abs(out) ** 2
     rest = np.delete(probs, [0, 9])
     assert np.ptp(rest) < 1e-12
@@ -156,13 +155,13 @@ def test_grover_two_level_closure():
 
 def test_kernel_t0_identity():
     kern = quantum_kernel(MarkedStateHamiltonian(3, 1.0),
-                          MixerSpec(TRANSVERSE, 1.0), 0.0, DENSE)
+                          MixerSpec(TRANSVERSE, 1.0), 0.0, "dense")
     assert np.allclose(kern.dense(), np.eye(8), atol=1e-12)
 
 
 def test_grover_kernel_matches_closed_form():
     h_c = MarkedStateHamiltonian(4, 1.0)
-    kern = quantum_kernel(h_c, MixerSpec(GROVER, 1.0), 1.0, DENSE)
+    kern = quantum_kernel(h_c, MixerSpec(GROVER, 1.0), 1.0, "dense")
     cf = grover_closed_form(4, 1.0, 1.0, 1.0)
     q = kern.dense()
     assert q[0, 5] == pytest.approx(cf.q_marked, abs=1e-10)
@@ -173,7 +172,7 @@ def test_grover_kernel_matches_closed_form():
 
 def test_structured_kernel_matches_simulation():
     h_c = MarkedStateHamiltonian(6, 1.3, marked=40)
-    sim = quantum_kernel(h_c, MixerSpec(GROVER, -0.9), 2.1, DENSE).dense()
+    sim = quantum_kernel(h_c, MixerSpec(GROVER, -0.9), 2.1, "dense").dense()
     structured = structured_grover_kernel(h_c, -0.9, 2.1).dense()
     assert np.max(np.abs(sim - structured)) < 1e-12
 
@@ -181,13 +180,13 @@ def test_structured_kernel_matches_simulation():
 def test_rank2_fast_path_matches_dense():
     h_c = MarkedStateHamiltonian(5, 0.8, marked=3)
     auto = quantum_kernel(h_c, MixerSpec(GROVER, 1.7), 0.9)     # closed form
-    sim = quantum_kernel(h_c, MixerSpec(GROVER, 1.7), 0.9, DENSE)
+    sim = quantum_kernel(h_c, MixerSpec(GROVER, 1.7), 0.9, "dense")
     assert np.max(np.abs(auto.dense() - sim.dense())) < 1e-12
 
 
 def test_transverse_kernel_symmetric_doubly_stochastic():
     kern = quantum_kernel(MarkedStateHamiltonian(4, 1.0),
-                          MixerSpec(TRANSVERSE, 1.0), 1.0, DENSE)
+                          MixerSpec(TRANSVERSE, 1.0), 1.0, "dense")
     cert = validate_kernel(kern)
     assert cert.max_asymmetry < 1e-10
     assert cert.max_column_deviation < 1e-10
@@ -211,7 +210,7 @@ def test_transverse_sector_kernel_matches_dense():
         mixer = MixerSpec(TRANSVERSE, rng.uniform(-2.0, 2.0))
         t = rng.uniform(0.0, 4.0)
         auto = quantum_kernel(h_c, mixer, t).dense()       # symmetric sector
-        sim = quantum_kernel(h_c, mixer, t, DENSE).dense()
+        sim = quantum_kernel(h_c, mixer, t, "dense").dense()
         assert np.max(np.abs(auto - sim)) < 1e-12
 
 
@@ -231,7 +230,7 @@ def test_transverse_sector_column_matches_dense():
     mixer = MixerSpec(TRANSVERSE, -0.8)
     for y in (45, 0, 100):
         auto = quantum_proposal_column(h_c, mixer, 2.3, y)
-        sim = quantum_proposal_column(h_c, mixer, 2.3, y, DENSE)
+        sim = np.abs(evolve(h_c, mixer, basis_state(7, y), 2.3, "dense")) ** 2
         assert np.max(np.abs(auto - sim)) < 1e-12
 
 
@@ -261,20 +260,21 @@ def test_transverse_marked_escape_matches_krylov(n):
     h_c = MarkedStateHamiltonian(n, 1.3, marked=5)
     mixer = MixerSpec(TRANSVERSE, 0.7)
     auto = quantum_proposal_column(h_c, mixer, 1.7, 5)
-    ref = quantum_proposal_column(h_c, mixer, 1.7, 5, KRYLOV)
+    ref = np.abs(evolve(h_c, mixer, basis_state(n, 5), 1.7, "krylov")) ** 2
     escape, escape_ref = np.delete(auto, 5).sum(), np.delete(ref, 5).sum()
     assert abs(escape - escape_ref) < 1e-10 * escape_ref
 
 
 def test_kernel_has_no_krylov_route():
-    with pytest.raises(ValueError):
-        quantum_kernel(MarkedStateHamiltonian(3, 1.0),
-                       MixerSpec(TRANSVERSE, 1.0), 1.0, KRYLOV)
+    for method in ("krylov", "Dense", ""):
+        with pytest.raises(ValueError):
+            quantum_kernel(MarkedStateHamiltonian(3, 1.0),
+                           MixerSpec(TRANSVERSE, 1.0), 1.0, method)
 
 
 def test_proposal_column_point_mass_at_t0():
     col = quantum_proposal_column(MarkedStateHamiltonian(4, 1.0),
-                                  MixerSpec(TRANSVERSE, 1.0), 0.0, 6, DENSE)
+                                  MixerSpec(TRANSVERSE, 1.0), 0.0, 6)
     expected = np.zeros(16)
     expected[6] = 1.0
     assert np.allclose(col, expected)

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from qemcmc import chain
+from qemcmc import chain, spectral
 from qemcmc.chain import (
     SYMMETRY_TOL,
     _class_chain,
@@ -28,7 +28,6 @@ from qemcmc.proposal import (
 )
 from qemcmc.quantum import (
     MixerSpec,
-    PropagatorConfig,
     grover_closed_form,
     quantum_kernel,
     structured_grover_kernel,
@@ -50,7 +49,17 @@ from qemcmc.spectral import (
     uniform_gap_closed_form,
 )
 
-DENSE = PropagatorConfig(method="dense")
+
+def _dense_average(h_c, variant, scheme):
+    """Mean of the dense-diagonalization kernels over the scheme's (h, t)
+    grid: the reference for the table average of time_averaged_kernel."""
+    samples = scheme.samples()
+    weight = 1.0 / len(samples)
+    mean = np.zeros((h_c.dim, h_c.dim))
+    for h, t in samples:
+        mean += weight * quantum_kernel(h_c, MixerSpec(variant, h), t,
+                                        "dense").dense()
+    return mean
 
 
 def _uniform_chain(n, alpha, beta):
@@ -83,7 +92,7 @@ def test_uniform_closed_form_stable_at_large_n():
 
 def test_grover_closed_form_matches_eigensolve():
     h_c = MarkedStateHamiltonian(8, 1.0)
-    kern = quantum_kernel(h_c, MixerSpec("grover", 1.0), 1.0, DENSE)
+    kern = quantum_kernel(h_c, MixerSpec("grover", 1.0), 1.0, "dense")
     delta = spectral_gap_dense(
         build_transition_matrix(kern, gibbs_measure(h_c, 5.0)))
     ref = grover_gap_closed_form(8, 1.0, 5.0, 1.0, 1.0)
@@ -165,9 +174,11 @@ def test_not_reversible_detected():
         spectral_gap_dense(p)
 
 
-def test_budget_guard():
+def test_budget_guard(monkeypatch):
+    # a chain past the real budget (N = 12) would need a 2^13 x 2^13 matrix
+    monkeypatch.setattr(spectral, "_DENSE_GAP_N_MAX", 8)
     with pytest.raises(BudgetExceeded):
-        spectral_gap_dense(_uniform_chain(9, 1.0, 1.0), max_n=8)
+        spectral_gap_dense(_uniform_chain(9, 1.0, 1.0))
 
 
 def test_scaling_fit_exact_slope():
@@ -195,6 +206,22 @@ def test_scheme_validation():
         AveragingScheme((0.0, 1.0), h_fixed=1.0, sample_count=0)
 
 
+@pytest.mark.parametrize("count", [1, 2, 9, 10, 63, 64])
+def test_scheme_h_range_grid_is_square(count):
+    # an h range averages over a side x side grid of exactly count points,
+    # so any other count is rejected rather than rounded
+    side = math.isqrt(count)
+    if side * side != count:
+        with pytest.raises(ValueError, match="perfect square"):
+            AveragingScheme((0.0, 1.0), h_range=(-1.0, 0.5),
+                            sample_count=count)
+        return
+    grid = AveragingScheme((0.0, 1.0), h_range=(-1.0, 0.5),
+                           sample_count=count).samples()
+    assert grid.shape == (count, 2)
+    assert len(np.unique(grid[:, 0])) == len(np.unique(grid[:, 1])) == side
+
+
 def test_single_sample_average_is_the_kernel():
     h_c = MarkedStateHamiltonian(5, 1.0)
     scheme = AveragingScheme((1.3, 1.3), h_fixed=0.9, sample_count=1)
@@ -206,8 +233,7 @@ def test_single_sample_average_is_the_kernel():
 def test_averaged_kernel_symmetric():
     h_c = MarkedStateHamiltonian(4, 1.0)
     scheme = AveragingScheme((0.5, 2.5), h_fixed=1.0, sample_count=8)
-    avg = time_averaged_kernel(h_c, "transverse", scheme, DENSE)
-    q = avg.dense()
+    q = _dense_average(h_c, "transverse", scheme)
     assert np.max(np.abs(q - q.T)) < 1e-9
     assert np.max(np.abs(q.sum(axis=0) - 1.0)) < 1e-9
 
@@ -229,7 +255,7 @@ def test_averaged_gap_matches_averaged_kernel():
 
 def _grover_chain(n, alpha, beta, h, t):
     h_c = MarkedStateHamiltonian(n, alpha)
-    kern = quantum_kernel(h_c, MixerSpec("grover", h), t, DENSE)
+    kern = quantum_kernel(h_c, MixerSpec("grover", h), t, "dense")
     return build_transition_matrix(kern, gibbs_measure(h_c, beta))
 
 
@@ -529,7 +555,7 @@ def test_averaged_transverse_table_matches_dense_average():
     scheme = AveragingScheme((0.5, 2.5), h_fixed=0.7, sample_count=6)
     avg = time_averaged_kernel(h_c, "transverse", scheme)
     assert isinstance(avg, PermutationInvariantKernel)
-    ref = time_averaged_kernel(h_c, "transverse", scheme, DENSE).dense()
+    ref = _dense_average(h_c, "transverse", scheme)
     assert np.max(np.abs(avg.dense() - ref)) < 1e-12
 
 
