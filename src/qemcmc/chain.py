@@ -5,8 +5,8 @@ Transition matrices use the row orientation p[y, x] = Pr(y -> x).  Diagonals
 are always completed from row stochasticity rather than any closed-form
 expression, so rejection mass is absorbed exactly.  A chain whose kernel is
 invariant under permutations of the spins about the marked state is also
-assembled on its pair classes (:func:`_class_chain`), with no 2^N x 2^N
-matrix and no 2^N column: the exact gap
+assembled on its pair classes (:func:`_class_chain`) from the measure's
+log weights on the N+1 distances, with no 2^N object: the exact gap
 (:func:`qemcmc.spectral.spectral_gap_blocks`), the exact mixing time
 (:func:`exact_mixing_time`) and the sampled chain (:func:`sample_chain`) all
 read that one assembly.  The sampled chain costs O(N) per move, not per
@@ -81,7 +81,7 @@ def build_transition_matrix(kernel: ProposalKernel,
     reduces to the energy ratio and detailed balance holds by construction.
     """
     if kernel.dim != measure.dim:
-        raise AsymmetricKernel(
+        raise MismatchedDimensions(
             f"kernel dim {kernel.dim} does not match measure dim {measure.dim}"
         )
     cert = validate_kernel(kernel)
@@ -113,8 +113,7 @@ def total_variation(p: np.ndarray, q: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 # the chain on its pair classes
 
-def _class_chain(kernel: PermutationInvariantKernel, measure: GibbsMeasure,
-                 symmetry_tol: float):
+def _class_chain(kernel: PermutationInvariantKernel, measure: GibbsMeasure):
     """The Metropolis-Hastings chain of ``kernel`` on its pair classes, the
     class twin of :func:`build_transition_matrix`.
 
@@ -123,10 +122,11 @@ def _class_chain(kernel: PermutationInvariantKernel, measure: GibbsMeasure,
     on the class y = x, whose rejection mass is ``stay[i]``.  ``x`` holds the
     entries x^t_{i,j} of L = D^1/2 (I - P) D^-1/2 over (i, j, t): off the
     diagonal -Q(y|x) exp(-|lw_i - lw_j|/2), which cannot overflow; on it, the
-    off-diagonal row mass.  ``lw`` is the log weight of a state at each
-    distance.  The checks of :func:`build_transition_matrix` hold here on the
-    classes: kernel symmetry and column sums, the clamp, and the rejection
-    mass; the measure must be invariant about the kernel's marked state.
+    off-diagonal row mass; lw_i is the measure's class log weight at distance
+    i.  The checks of :func:`build_transition_matrix` hold here on the
+    classes: kernel symmetry and column sums (to ``SYMMETRY_TOL``), the
+    clamp, and the rejection mass; the measure must be about the kernel's
+    marked state.  No 2^N object is formed.
     """
     if not isinstance(kernel, PermutationInvariantKernel):
         raise TypeError("the class route needs a PermutationInvariantKernel, "
@@ -136,23 +136,21 @@ def _class_chain(kernel: PermutationInvariantKernel, measure: GibbsMeasure,
         raise MismatchedDimensions(
             f"kernel dim {kernel.dim} does not match measure dim {measure.dim}"
         )
-    distances = np.bitwise_count(np.arange(kernel.dim) ^ kernel.marked)
-    lw = np.empty(n + 1)
-    lw[distances] = measure.log_weights
-    if not np.array_equal(lw[distances], measure.log_weights):
-        raise ValueError("measure is not invariant under permutations of the "
-                         "spins about the kernel's marked state")
+    if measure.marked != kernel.marked:
+        raise ValueError(f"measure marks state {measure.marked}, the kernel "
+                         f"state {kernel.marked}")
     cert = validate_kernel(kernel)
-    if not cert.max_asymmetry <= symmetry_tol:
+    if not cert.max_asymmetry <= SYMMETRY_TOL:
         raise AsymmetricKernel(
             f"kernel asymmetry {cert.max_asymmetry:.3e} exceeds "
-            f"{symmetry_tol:.1e} at N = {n}"
+            f"{SYMMETRY_TOL:.1e} at N = {n}"
         )
-    if not cert.max_column_deviation <= symmetry_tol:
+    if not cert.max_column_deviation <= SYMMETRY_TOL:
         raise NotStochastic(
             f"kernel column sums deviate by {cert.max_column_deviation:.3e}, "
-            f"more than {symmetry_tol:.1e}, at N = {n}"
+            f"more than {SYMMETRY_TOL:.1e}, at N = {n}"
         )
+    lw = measure.class_log_weights
     count, distance = weight_classes(n)
     w = np.arange(n + 1)
     i, j = w[:, None, None], w[None, :, None]
@@ -169,7 +167,7 @@ def _class_chain(kernel: PermutationInvariantKernel, measure: GibbsMeasure,
         )
     x = -q * np.exp(-0.5 * np.abs(step))[:, :, None]
     x[w, w, w] = off_mass
-    return move, np.clip(rejection, 0.0, None), x, lw
+    return move, np.clip(rejection, 0.0, None), x
 
 
 def sample_chain(state: ChainState, kernel: ProposalKernel,
@@ -187,7 +185,7 @@ def sample_chain(state: ChainState, kernel: ProposalKernel,
     move mass is absorbing.  Rejected moves count as steps.
     """
     n = kernel.n_spins
-    move, _, _, _ = _class_chain(kernel, measure, SYMMETRY_TOL)
+    move, _, _ = _class_chain(kernel, measure)
     # (i, j * (N+1) + t); the class y = x holds no move mass
     mass = (weight_classes(n)[0] * move).reshape(n + 1, -1)
     cdf = np.cumsum(mass, axis=1).tolist()
@@ -343,11 +341,11 @@ def exact_mixing_time(kernel: ProposalKernel, measure: GibbsMeasure,
     """
     if not 0 < epsilon:
         raise ValueError("epsilon must be positive")
-    move, stay, _, lw = _class_chain(kernel, measure, SYMMETRY_TOL)
+    move, stay, _ = _class_chain(kernel, measure)
     if epsilon >= 1.0:
         return 0
     n = kernel.n_spins
-    log_pi = lw - measure.log_partition
+    log_pi = measure.class_log_weights - measure.log_partition
     worst = 0
     for w in range(n + 1):
         inside, _ = weight_classes(w)

@@ -2,6 +2,8 @@
 
 A classical spin configuration on ``n_spins`` sites is encoded as an integer
 index in ``[0, 2**n_spins)``; bit ``i`` carries spin ``x_i`` (bit 0 means +1).
+The marked model's Gibbs measure depends on x only through its distance
+w = |x XOR k| from the marked state k, so it is carried on the N+1 distances.
 All probability mass is stored and combined in log space so that inverse
 temperatures up to ``beta * alpha * n_spins ~ 200`` stay finite.
 """
@@ -42,35 +44,33 @@ class MarkedStateHamiltonian:
     def dim(self) -> int:
         return 1 << self.n_spins
 
-    def energy(self, x: Config) -> float:
-        if not 0 <= x < self.dim:
-            raise IndexError(f"configuration {x} out of range [0, {self.dim})")
-        return -self.alpha * self.n_spins if x == self.marked else 0.0
-
-    def energies(self) -> np.ndarray:
-        """Diagonal of the classical Hamiltonian as a dense vector."""
-        e = np.zeros(self.dim)
-        e[self.marked] = -self.alpha * self.n_spins
-        return e
-
 
 @dataclass(frozen=True, eq=False)
 class GibbsMeasure:
-    """Boltzmann distribution pi(x) = exp(-beta*H(x)) / Z in log space.
+    """Boltzmann distribution pi(x) = exp(-beta*H(x)) / Z in log space, on the
+    N+1 distances from the marked state.
 
-    ``log_weights`` holds the unnormalized values -beta*H(x); ``log_partition``
-    is their log-sum-exp, so normalized log probabilities are
-    ``log_weights - log_partition``.
+    ``class_log_weights[w]`` holds the unnormalized value -beta*E(w) shared by
+    the C(N, w) states at distance w from ``marked``; ``log_partition`` is
+    log Z.  ``log_weights``, :meth:`log_probabilities` and
+    :meth:`probabilities` are their 2^N views, formed on each call, for the
+    dense cross-checks and the empirical histogram of ``sample``.
     """
 
     beta: float
     n_spins: int
-    log_weights: np.ndarray
+    marked: Config
+    class_log_weights: np.ndarray
     log_partition: float
 
     @property
     def dim(self) -> int:
         return 1 << self.n_spins
+
+    @property
+    def log_weights(self) -> np.ndarray:
+        distances = np.bitwise_count(np.arange(self.dim) ^ self.marked)
+        return self.class_log_weights[distances]
 
     def log_probabilities(self) -> np.ndarray:
         return self.log_weights - self.log_partition
@@ -80,7 +80,12 @@ class GibbsMeasure:
 
     @property
     def log_pi_min(self) -> float:
-        return float(np.min(self.log_weights)) - self.log_partition
+        return float(np.min(self.class_log_weights)) - self.log_partition
+
+
+def _log_pow2m1(n_spins: int) -> float:
+    """log(2^N - 1), stable for any N."""
+    return n_spins * math.log(2.0) + math.log1p(-(2.0 ** -n_spins))
 
 
 def logsumexp(a) -> float:
@@ -100,15 +105,18 @@ def logsumexp(a) -> float:
     return math.log1p(rest / count) + math.log(count) + top
 
 
-def gibbs_measure(hamiltonian, beta: float) -> GibbsMeasure:
-    """Build the Gibbs measure of a diagonal Hamiltonian at inverse temperature beta."""
+def gibbs_measure(hamiltonian: MarkedStateHamiltonian,
+                  beta: float) -> GibbsMeasure:
+    """Build the Gibbs measure of the marked model at inverse temperature beta.
+
+    E(0) = -alpha*N and E(w) = 0 for w >= 1, so Z = e^{beta alpha N} + 2^N - 1
+    and log Z is one logaddexp, with no 2^N vector.
+    """
     if beta < 0:
         raise ValueError(f"beta must be nonnegative, got {beta}")
-    log_weights = -beta * hamiltonian.energies()
-    log_partition = logsumexp(log_weights)
-    return GibbsMeasure(
-        beta=beta,
-        n_spins=hamiltonian.n_spins,
-        log_weights=log_weights,
-        log_partition=log_partition,
-    )
+    n = hamiltonian.n_spins
+    energies = np.zeros(n + 1)
+    energies[0] = -hamiltonian.alpha * n
+    log_partition = np.logaddexp(beta * (hamiltonian.alpha * n), _log_pow2m1(n))
+    return GibbsMeasure(beta, n, hamiltonian.marked, -beta * energies,
+                        float(log_partition))

@@ -171,7 +171,7 @@ class StructuredMarkedKernel(PermutationInvariantKernel):
 
     ``off_marked`` is Q(k|x) = Q(x|k) for any unmarked x, ``off_unmarked`` is
     Q(x|y) for distinct unmarked x, y, and the two ``stay`` values sit on the
-    diagonal.
+    diagonal; the table alone holds them (T[1, 1, 0] is ``off_marked``).
     """
 
     def __init__(self, n_spins, marked, off_marked, off_unmarked,
@@ -181,10 +181,6 @@ class StructuredMarkedKernel(PermutationInvariantKernel):
         table[0] = stay_unmarked
         table[0, 0, 0] = stay_marked
         super().__init__(n_spins, marked, table)
-        self.off_marked = float(off_marked)
-        self.off_unmarked = float(off_unmarked)
-        self.stay_marked = float(stay_marked)
-        self.stay_unmarked = float(stay_unmarked)
 
 
 def uniform_kernel(n_spins: int) -> ProposalKernel:

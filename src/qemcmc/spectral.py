@@ -49,7 +49,7 @@ from .errors import (
     EigensolverFailure,
     NotReversible,
 )
-from .model import GibbsMeasure, MarkedStateHamiltonian
+from .model import GibbsMeasure, MarkedStateHamiltonian, _log_pow2m1
 from .proposal import (
     PermutationInvariantKernel,
     ProposalKernel,
@@ -61,7 +61,7 @@ from .quantum import (
     grover_closed_form,
     quantum_kernel,
 )
-from .chain import SYMMETRY_TOL, TransitionMatrix, _class_chain
+from .chain import TransitionMatrix, _class_chain
 
 _LN2 = math.log(2.0)
 _REVERSIBILITY_TOL = 1e-9    # largest relative detailed-balance deviation
@@ -294,13 +294,13 @@ def spectral_gap_blocks(kernel: ProposalKernel,
     block k >= 1 (nearly periodic transverse chains, h t near pi/2) keeps
     about eps / delta of it.
     """
-    move, stay, x, lw = _class_chain(kernel, measure, SYMMETRY_TOL)
+    move, stay, x = _class_chain(kernel, measure)
     # the chain lumped onto the distances, and its stationary law
     n = kernel.n_spins
     w = np.arange(n + 1)
     lumped = np.einsum("ijt,ijt->ij", weight_classes(n)[0], move)
     lumped[w, w] += stay
-    log_pi = (lw + np.log([math.comb(n, a) for a in w])
+    log_pi = (measure.class_log_weights + np.log([math.comb(n, a) for a in w])
               - measure.log_partition)
     (block0, _), *rest = _symmetry_blocks(x)
     _, vec = np.linalg.eigh(block0)
@@ -327,11 +327,6 @@ def uniform_gap_closed_form(n_spins: int, alpha: float, beta: float) -> float:
         raise ValueError("beta must be nonnegative")
     u = _log_pow2m1(n_spins) - n_spins * beta * alpha
     return math.exp(np.logaddexp(0.0, u) - n_spins * _LN2)
-
-
-def _log_pow2m1(n_spins: int) -> float:
-    """log(2^N - 1), stable for any N."""
-    return n_spins * _LN2 + math.log1p(-(2.0 ** -n_spins))
 
 
 def _grover_gaps(n_spins: int, alpha: float, beta: float,

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from qemcmc.chain import (
-    SYMMETRY_TOL,
     TransitionMatrix,
     _class_chain,
     _dense_mixing_time,
@@ -14,7 +13,7 @@ from qemcmc.chain import (
     sample_chain,
     total_variation,
 )
-from qemcmc.errors import AsymmetricKernel, NoConvergence
+from qemcmc.errors import AsymmetricKernel, MismatchedDimensions, NoConvergence
 from qemcmc.model import MarkedStateHamiltonian, gibbs_measure
 from qemcmc.proposal import (
     DenseKernel,
@@ -88,6 +87,15 @@ def test_asymmetric_kernel_rejected():
         build_transition_matrix(DenseKernel(q, 1), measure)
 
 
+def test_mismatched_dimensions_rejected_on_both_routes():
+    kern = uniform_kernel(3)
+    measure = gibbs_measure(MarkedStateHamiltonian(4, 1.0), 1.0)
+    with pytest.raises(MismatchedDimensions):
+        build_transition_matrix(kern, measure)
+    with pytest.raises(MismatchedDimensions):
+        _class_chain(kern, measure)
+
+
 def test_detailed_balance_and_stationarity():
     p = _uniform_chain(5, 1.0, 3.0)
     pi = p.stationary.probabilities()
@@ -159,7 +167,7 @@ def test_sample_chain_stays_at_the_marked_state(beta):
     kern = quantum_kernel(h_c, MixerSpec("transverse", resonance_field(1.0, 6)),
                           0.3)
     measure = gibbs_measure(h_c, beta)
-    move, stay, _, _ = _class_chain(kern, measure, SYMMETRY_TOL)
+    move, stay, _ = _class_chain(kern, measure)
     assert 1.0 - stay[0] < 1e-13
     assert move[0].any() == (beta == 5.0)
     state = make_chain(h_c.marked, seed=3)

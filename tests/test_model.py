@@ -11,25 +11,6 @@ from qemcmc.model import (
 )
 
 
-def test_energy_marked():
-    h = MarkedStateHamiltonian(4, 1.0, marked=3)
-    assert h.energy(3) == -4.0
-    assert h.energy(0) == 0.0
-
-
-def test_energy_scaling():
-    h = MarkedStateHamiltonian(10, 2.0, marked=5)
-    assert h.energy(5) == -20.0
-
-
-def test_energy_out_of_range():
-    h = MarkedStateHamiltonian(4, 1.0)
-    with pytest.raises(IndexError):
-        h.energy(16)
-    with pytest.raises(IndexError):
-        h.energy(-1)
-
-
 def test_bad_construction():
     with pytest.raises(ValueError):
         MarkedStateHamiltonian(0, 1.0)
@@ -138,3 +119,31 @@ def test_measure_is_immutable():
     m = gibbs_measure(MarkedStateHamiltonian(2, 1.0), 1.0)
     with pytest.raises(AttributeError):
         m.beta = 2.0
+
+
+def test_measure_is_carried_on_the_distances_at_any_n():
+    # N = 64: no 2^N vector is formed; log Z = log(e^{beta alpha N} + 2^N - 1)
+    n, alpha, beta = 64, 1.0, 5.0
+    m = gibbs_measure(MarkedStateHamiltonian(n, alpha), beta)
+    z = math.exp(beta * alpha * n) + (2.0 ** n - 1.0)
+    assert m.log_partition == pytest.approx(math.log(z), rel=1e-15, abs=0.0)
+    assert m.log_pi_min == pytest.approx(-math.log(z), rel=1e-15, abs=0.0)
+    assert m.class_log_weights.shape == (n + 1,)
+    counts = [math.comb(n, w) for w in range(n + 1)]
+    total = math.fsum(c * math.exp(lw - m.log_partition)
+                      for c, lw in zip(counts, m.class_log_weights))
+    assert total == pytest.approx(1.0, rel=1e-14, abs=0.0)
+
+
+def test_log_weights_view_matches_the_energy_vector():
+    # the 2^N view against -beta E(x) with E = -alpha N on the marked state
+    rng = np.random.Generator(np.random.Philox(11))
+    for n in range(1, 9):
+        alpha, beta = rng.uniform(0.1, 3.0), rng.uniform(0.0, 6.0)
+        marked = int(rng.integers(1 << n))
+        m = gibbs_measure(MarkedStateHamiltonian(n, alpha, marked), beta)
+        energies = np.zeros(1 << n)
+        energies[marked] = -alpha * n
+        assert np.array_equal(m.log_weights, -beta * energies)
+        assert np.array_equal(m.log_probabilities(),
+                              -beta * energies - m.log_partition)

@@ -331,8 +331,10 @@ def test_small_t_proposals_keep_first_order_term():
     n, h, t = 6, 0.7, 1e-7
     kern = structured_grover_kernel(MarkedStateHamiltonian(n, 1.0), h, t)
     first_order = (h * n * t / 2.0 ** n) ** 2
-    assert kern.off_marked == pytest.approx(first_order, rel=1e-9, abs=0.0)
-    assert kern.off_unmarked == pytest.approx(first_order, rel=1e-9, abs=0.0)
+    table = kern.table()
+    off_marked, off_unmarked = table[1, 1, 0], table[2, 1, 1]
+    assert off_marked == pytest.approx(first_order, rel=1e-9, abs=0.0)
+    assert off_unmarked == pytest.approx(first_order, rel=1e-9, abs=0.0)
 
 
 def test_resonance_field_values():

@@ -6,7 +6,6 @@ import pytest
 
 from qemcmc import chain, spectral
 from qemcmc.chain import (
-    SYMMETRY_TOL,
     _class_chain,
     build_transition_matrix,
     exact_mixing_time,
@@ -348,7 +347,7 @@ def test_block_spectrum_matches_dense(variant):
         sym = -np.sqrt(p * p.T)
         np.fill_diagonal(sym, 1.0 - np.diag(p))
         ref = np.linalg.eigvalsh(sym)
-        _, _, x, _ = _class_chain(kern, measure, SYMMETRY_TOL)
+        _, _, x = _class_chain(kern, measure)
         blocks = _symmetry_blocks(x)
         assert sum(mult * len(b) for b, mult in blocks) == 1 << n
         lam = np.sort(np.concatenate([np.repeat(np.linalg.eigvalsh(b), mult)
@@ -432,6 +431,15 @@ def test_block_gap_bulk_dominated():
     assert abs(delta - ref) / ref < 1e-10
 
 
+def test_block_gap_of_uniform_chain_at_n32():
+    # 2^32 states: only the (N+1)-sized class objects are formed
+    n, alpha, beta = 32, 1.0, 0.5
+    delta = spectral_gap_blocks(
+        uniform_kernel(n), gibbs_measure(MarkedStateHamiltonian(n, alpha), beta))
+    ref = uniform_gap_closed_form(n, alpha, beta)
+    assert abs(delta - ref) <= 1e-10 * ref
+
+
 @pytest.mark.parametrize("n, alpha", [(6, 0.1), (6, 0.03), (8, 0.1), (8, 0.03)])
 def test_block_gap_nearly_periodic(n, alpha):
     # at h t near pi/2 the transverse mixer nearly flips every spin; the gap
@@ -442,7 +450,7 @@ def test_block_gap_nearly_periodic(n, alpha):
     ref = spectral_gap_dense(build_transition_matrix(kern, measure))
     delta = spectral_gap_blocks(kern, measure)
     assert abs(delta - ref) <= 1e-10 * ref
-    _, _, x, _ = _class_chain(kern, measure, SYMMETRY_TOL)
+    _, _, x = _class_chain(kern, measure)
     (block0, _), (block1, _), *_ = _symmetry_blocks(x)
     lam0, lam1 = np.linalg.eigvalsh(block0), np.linalg.eigvalsh(block1)
     assert abs(2.0 - lam1[-1] - delta) <= 1e-10 * ref
@@ -477,14 +485,15 @@ def test_block_route_rejects_negative_entry():
                             gibbs_measure(h_c, 2.0))
 
 
-def test_block_route_rejects_negative_rejection_mass():
+def test_block_route_rejects_negative_rejection_mass(monkeypatch):
     # with the column-sum check relaxed, too much off-diagonal mass is left
     # to the rejection-mass check
+    monkeypatch.setattr(chain, "SYMMETRY_TOL", 1.0)
     h_c, table = _transverse_table()
     table[1:] *= 1.5
     with pytest.raises(NegativeDiagonal):
         _class_chain(PermutationInvariantKernel(5, 9, table),
-                     gibbs_measure(h_c, 2.0), 1.0)
+                     gibbs_measure(h_c, 2.0))
 
 
 def _corrupted(defect):
@@ -525,18 +534,20 @@ def test_mixing_time_rejects_negative_rejection_mass(monkeypatch):
                           gibbs_measure(h_c, 2.0), 0.01)
 
 
-def test_block_route_rejects_irreversible_chain():
+def test_block_route_rejects_irreversible_chain(monkeypatch):
     h_c, table = _transverse_table()
-    table[3, 1, 2] += 1e-3
-    _, _, x, _ = _class_chain(PermutationInvariantKernel(5, 9, table),
-                              gibbs_measure(h_c, 2.0), 1.0)
+    # a NaN entry fails the certificate instead of passing it
+    _, _, x = _class_chain(PermutationInvariantKernel(5, 9, table),
+                           gibbs_measure(h_c, 2.0))
+    x[2, 3, 2] = np.nan
     with pytest.raises(NotReversible):
         _symmetry_blocks(x)
-    # a NaN entry fails the certificate instead of passing it
-    h_c, table = _transverse_table()
-    _, _, x, _ = _class_chain(PermutationInvariantKernel(5, 9, table),
-                              gibbs_measure(h_c, 2.0), SYMMETRY_TOL)
-    x[2, 3, 2] = np.nan
+    # with the kernel asymmetry check relaxed, the blocks' own certificate
+    # catches the asymmetric table
+    monkeypatch.setattr(chain, "SYMMETRY_TOL", 1.0)
+    table[3, 1, 2] += 1e-3
+    _, _, x = _class_chain(PermutationInvariantKernel(5, 9, table),
+                           gibbs_measure(h_c, 2.0))
     with pytest.raises(NotReversible):
         _symmetry_blocks(x)
 
