@@ -13,7 +13,8 @@ read that one assembly.  The sampled chain costs O(N) per move, not per
 step: a run of rejections is geometric and takes one draw.  Each mixing-time
 search carries its row from probe to probe and advances it by cached
 squarings.  The dense matrix serves the dense gap and mixing-time
-cross-checks.
+cross-checks.  Both assemblies check the kernel the same way
+(:func:`_check_kernel`).
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ import numpy as np
 
 from .errors import (
     AsymmetricKernel,
-    BudgetExceeded,
     MismatchedDimensions,
     NegativeDiagonal,
     NoConvergence,
@@ -40,7 +40,6 @@ from .proposal import (
     weight_classes,
 )
 
-_POWERING_BUDGET = 12  # max n_spins for dense matrix powering
 # most moves whose uniforms sample_chain draws at once; its blocks double up
 # to this from 1, so a chain that rarely moves draws few rows
 _DRAW_BLOCK = 4096
@@ -73,22 +72,37 @@ def make_chain(start: int, seed: int) -> ChainState:
                       rng_stream=np.random.Generator(np.random.Philox(seed)))
 
 
-def build_transition_matrix(kernel: ProposalKernel,
-                            measure: GibbsMeasure) -> TransitionMatrix:
-    """Assemble P(y,x) = Q(x|y) * A(x|y) with the diagonal fixed by row sums.
-
-    The kernel must be symmetric (certificate checked) so that acceptance
-    reduces to the energy ratio and detailed balance holds by construction.
-    """
+def _check_kernel(kernel: ProposalKernel, measure: GibbsMeasure) -> None:
+    """The checks both chain assemblies make before they read the kernel:
+    it acts on the measure's states, and its certificate holds symmetry and
+    column sums to ``SYMMETRY_TOL`` (a NaN fails both)."""
+    n = kernel.n_spins
     if kernel.dim != measure.dim:
         raise MismatchedDimensions(
             f"kernel dim {kernel.dim} does not match measure dim {measure.dim}"
         )
     cert = validate_kernel(kernel)
-    if cert.max_asymmetry > SYMMETRY_TOL:
+    if not cert.max_asymmetry <= SYMMETRY_TOL:
         raise AsymmetricKernel(
-            f"kernel asymmetry {cert.max_asymmetry:.3e} exceeds {SYMMETRY_TOL:.1e}"
+            f"kernel asymmetry {cert.max_asymmetry:.3e} exceeds "
+            f"{SYMMETRY_TOL:.1e} at N = {n}"
         )
+    if not cert.max_column_deviation <= SYMMETRY_TOL:
+        raise NotStochastic(
+            f"kernel column sums deviate by {cert.max_column_deviation:.3e}, "
+            f"more than {SYMMETRY_TOL:.1e}, at N = {n}"
+        )
+
+
+def build_transition_matrix(kernel: ProposalKernel,
+                            measure: GibbsMeasure) -> TransitionMatrix:
+    """Assemble P(y,x) = Q(x|y) * A(x|y) with the diagonal fixed by row sums.
+
+    The kernel must be symmetric and stochastic (:func:`_check_kernel`) so
+    that acceptance reduces to the energy ratio and detailed balance holds by
+    construction.
+    """
+    _check_kernel(kernel, measure)
     lw = measure.log_weights
     # acceptance[y, x] = min(1, pi(x)/pi(y)) via log weights
     accept = np.exp(np.minimum(0.0, lw[None, :] - lw[:, None]))
@@ -124,32 +138,18 @@ def _class_chain(kernel: PermutationInvariantKernel, measure: GibbsMeasure):
     diagonal -Q(y|x) exp(-|lw_i - lw_j|/2), which cannot overflow; on it, the
     off-diagonal row mass; lw_i is the measure's class log weight at distance
     i.  The checks of :func:`build_transition_matrix` hold here on the
-    classes: kernel symmetry and column sums (to ``SYMMETRY_TOL``), the
-    clamp, and the rejection mass; the measure must be about the kernel's
-    marked state.  No 2^N object is formed.
+    classes: :func:`_check_kernel` (read off the table), the clamp, and the
+    rejection mass; the measure must be about the kernel's marked state.  No
+    2^N object is formed.
     """
     if not isinstance(kernel, PermutationInvariantKernel):
         raise TypeError("the class route needs a PermutationInvariantKernel, "
                         f"not {type(kernel).__name__}")
     n = kernel.n_spins
-    if kernel.dim != measure.dim:
-        raise MismatchedDimensions(
-            f"kernel dim {kernel.dim} does not match measure dim {measure.dim}"
-        )
+    _check_kernel(kernel, measure)
     if measure.marked != kernel.marked:
         raise ValueError(f"measure marks state {measure.marked}, the kernel "
                          f"state {kernel.marked}")
-    cert = validate_kernel(kernel)
-    if not cert.max_asymmetry <= SYMMETRY_TOL:
-        raise AsymmetricKernel(
-            f"kernel asymmetry {cert.max_asymmetry:.3e} exceeds "
-            f"{SYMMETRY_TOL:.1e} at N = {n}"
-        )
-    if not cert.max_column_deviation <= SYMMETRY_TOL:
-        raise NotStochastic(
-            f"kernel column sums deviate by {cert.max_column_deviation:.3e}, "
-            f"more than {SYMMETRY_TOL:.1e}, at N = {n}"
-        )
     lw = measure.class_log_weights
     count, distance = weight_classes(n)
     w = np.arange(n + 1)
@@ -302,21 +302,6 @@ def _row_powers(p: np.ndarray, rows: np.ndarray):
     return at
 
 
-def _dense_mixing_time(p, epsilon, max_steps):
-    """Worst-start mixing time from the rows of the dense P^t (N <= 12): the
-    tests' independent cross-check of the lumping in
-    :func:`exact_mixing_time`."""
-    if p.n_spins > _POWERING_BUDGET:
-        raise BudgetExceeded(f"dense powering limited to N <= {_POWERING_BUDGET}")
-    pi = p.stationary.probabilities()
-    rows_at = _row_powers(p.p, np.eye(p.dim))
-
-    def tv_at(t):
-        return float(np.max(0.5 * np.abs(rows_at(t) - pi).sum(axis=1)))
-
-    return _first_crossing(tv_at, epsilon, max_steps)
-
-
 def exact_mixing_time(kernel: ProposalKernel, measure: GibbsMeasure,
                       epsilon: float, max_steps: int = 10_000_000) -> int:
     """Worst-start mixing time, max over starts x of min{t : d_x(t) <= epsilon},
@@ -335,7 +320,7 @@ def exact_mixing_time(kernel: ProposalKernel, measure: GibbsMeasure,
     The search is O(log t), so ``max_steps`` guards no cost; it marks how
     far the integer t_mix is reproducible.  Each route rounds its powers its
     own way, and the crossing of epsilon moves with that rounding: within
-    10^7 steps this route and the dense rows of :func:`_dense_mixing_time`
+    10^7 steps this route and the dense rows of P^t (the tests' reference)
     agree on every chain the tests draw, while past it a grover chain at
     N = 8 gives 318 958 889 here and 318 958 621 there.
     """

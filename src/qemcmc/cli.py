@@ -34,6 +34,7 @@ import io
 import math
 import sys
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -128,8 +129,7 @@ class ExperimentConfig:
             raise ValueError("avg-samples must be >= 1")
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
-        h_spec = _parse_spec(self.h, allow_resonance=True)
-        t_spec = _parse_spec(self.t, allow_resonance=False)
+        h_spec, t_spec = self.h_spec, self.t_spec
         if self.experiment in _FIXED_HT:
             for flag, spec in (("t", t_spec), ("h", h_spec)):
                 if isinstance(spec, tuple):
@@ -151,6 +151,17 @@ class ExperimentConfig:
     @property
     def n_values(self):
         return range(self.n_min, self.n_max + 1)
+
+    # parsed once; cached properties are no dataclass fields, so no config key
+    @cached_property
+    def h_spec(self):
+        """``h`` parsed: a float, a (lo, hi) pair, or ``"resonance"``."""
+        return _parse_spec(self.h, allow_resonance=True)
+
+    @cached_property
+    def t_spec(self):
+        """``t`` parsed: a float or a (lo, hi) pair."""
+        return _parse_spec(self.t, allow_resonance=False)
 
 
 def _parse_spec(text: str, allow_resonance: bool):
@@ -176,10 +187,9 @@ def _largest(spec) -> float:
 
 
 def _resolve_h(cfg: ExperimentConfig, n: int):
-    spec = _parse_spec(cfg.h, allow_resonance=True)
-    if spec == "resonance":
+    if cfg.h_spec == "resonance":
         return resonance_field(cfg.alpha, n)
-    return spec
+    return cfg.h_spec
 
 
 def _fmt(value) -> str:
@@ -206,8 +216,7 @@ def run_figure_a(cfg: ExperimentConfig):
     """Time-averaged grover-chain gap per N: closed-form average for all N,
     and the averaged kernel's gap from its symmetry blocks as a cross-check
     for N <= max_dense_n."""
-    t_spec = _parse_spec(cfg.t, allow_resonance=False)
-    t_range = t_spec if isinstance(t_spec, tuple) else (t_spec, t_spec)
+    t_range = cfg.t_spec if isinstance(cfg.t_spec, tuple) else (cfg.t_spec,) * 2
     rows = []
     for n in cfg.n_values:
         h = _resolve_h(cfg, n)
@@ -236,7 +245,6 @@ def run_figure_b(cfg: ExperimentConfig):
     state's symmetric sector gives the marked-state bound (an O(N) read of
     its marked column) and, for N <= max_dense_n, the exact gap from the
     chain's symmetry blocks.  No row forms a 2^N proposal column."""
-    t_spec = _parse_spec(cfg.t, allow_resonance=False)
     rows = []
     for n in cfg.n_values:
         h = _resolve_h(cfg, n)
@@ -244,31 +252,30 @@ def run_figure_b(cfg: ExperimentConfig):
             _skip("bound", n, f"marked-state bound limited to N <= {_BOUND_N_MAX}")
             continue
         h_c = MarkedStateHamiltonian(n, cfg.alpha)
-        kern = quantum_kernel(h_c, MixerSpec(TRANSVERSE, h), t_spec)
+        kern = quantum_kernel(h_c, MixerSpec(TRANSVERSE, h), cfg.t_spec)
         bound = marked_state_bound(kern, n, cfg.alpha, cfg.beta, h_c.marked)
-        rows.append(("figure-b", n, cfg.alpha, cfg.beta, h, t_spec,
+        rows.append(("figure-b", n, cfg.alpha, cfg.beta, h, cfg.t_spec,
                      "bound", bound, "marked-state-cut", cfg.seed))
         if n <= cfg.max_dense_n:
             delta = spectral_gap_blocks(kern, gibbs_measure(h_c, cfg.beta))
-            rows.append(("figure-b", n, cfg.alpha, cfg.beta, h, t_spec,
+            rows.append(("figure-b", n, cfg.alpha, cfg.beta, h, cfg.t_spec,
                          "delta_exact", delta, "symmetry-blocks", cfg.seed))
     return rows
 
 
 def run_scan(cfg: ExperimentConfig):
     """Closed-form grover gap over the N range plus a log2 scaling slope."""
-    t_spec = _parse_spec(cfg.t, allow_resonance=False)
     rows = []
     points = []
     for n in cfg.n_values:
         h = _resolve_h(cfg, n)
-        gap = grover_gap_closed_form(n, cfg.alpha, cfg.beta, h, t_spec)
-        rows.append(("scan", n, cfg.alpha, cfg.beta, h, t_spec,
+        gap = grover_gap_closed_form(n, cfg.alpha, cfg.beta, h, cfg.t_spec)
+        rows.append(("scan", n, cfg.alpha, cfg.beta, h, cfg.t_spec,
                      "delta_closed", gap, "closed-form", cfg.seed))
         points.append((n, gap))
     if len(points) >= 4:
         slope = scaling_fit(points)
-        rows.append(("scan", cfg.n_max, cfg.alpha, cfg.beta, cfg.h, t_spec,
+        rows.append(("scan", cfg.n_max, cfg.alpha, cfg.beta, cfg.h, cfg.t_spec,
                      "slope", slope, "least-squares", cfg.seed))
     return rows
 
@@ -276,7 +283,6 @@ def run_scan(cfg: ExperimentConfig):
 def run_sample(cfg: ExperimentConfig):
     """Finite-sample chain runs: empirical total variation at checkpoints and
     the exact mixing time, for every N where the target fits in memory."""
-    t_spec = _parse_spec(cfg.t, allow_resonance=False)
     checkpoints = sorted({max(1, cfg.steps * k // 4) for k in range(1, 5)})
     rows = []
     for n in cfg.n_values:
@@ -285,7 +291,7 @@ def run_sample(cfg: ExperimentConfig):
             continue
         h = _resolve_h(cfg, n)
         h_c = MarkedStateHamiltonian(n, cfg.alpha)
-        kern = quantum_kernel(h_c, MixerSpec(cfg.mixer, h), t_spec)
+        kern = quantum_kernel(h_c, MixerSpec(cfg.mixer, h), cfg.t_spec)
         measure = gibbs_measure(h_c, cfg.beta)
         pi = measure.probabilities()
         state = make_chain(start=(h_c.marked + 1) % h_c.dim, seed=cfg.seed)
@@ -300,7 +306,7 @@ def run_sample(cfg: ExperimentConfig):
         except NoConvergence as exc:
             _skip("tmix", n, exc)
             continue
-        rows.append(("sample", n, cfg.alpha, cfg.beta, h, t_spec,
+        rows.append(("sample", n, cfg.alpha, cfg.beta, h, cfg.t_spec,
                      "tmix", t_mix, "exact", cfg.seed))
     return rows
 

@@ -44,4 +44,5 @@ class MeasureTooLarge(QemcmcError):
 
 
 class BudgetExceeded(QemcmcError):
-    """Requested system size exceeds the dense (or column) budget."""
+    """A dense route would allocate a 2^N-indexed array past the one size
+    rule: more than 2^24 float64 entries."""

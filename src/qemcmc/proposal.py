@@ -7,6 +7,11 @@ probability distribution over proposed configurations.
 A kernel invariant under permutations of the spins about the marked state k
 is carried as its table over (d, w_x, w_y), with d = |x^y| and w_x = |x^k|,
 w_y = |y^k|; its certificate is measured on that table in O(N^3).
+
+Every dense route of the package (a kernel's matrix or column here, the
+dense Hamiltonian, the dense gap) keeps one size rule,
+:func:`_check_dense_size`: no 2^N-indexed array of more than 2^24 float64
+entries (128 MiB), so N <= 12 for a matrix and N <= 24 for a vector.
 """
 
 from __future__ import annotations
@@ -21,7 +26,18 @@ from .errors import BudgetExceeded, MismatchedDimensions, NegativeProbability
 
 # Entries above this negative floor are treated as rounding noise and clamped.
 _CLAMP_FLOOR = -1e-14
-_DENSE_KERNEL_BUDGET = 14   # max n_spins for a dense 2^N x 2^N table kernel
+# most float64 entries of one 2^N-indexed array on a dense route (128 MiB)
+_DENSE_ENTRIES_MAX = 1 << 24
+
+
+def _check_dense_size(what: str, n_spins: int, axes: int) -> None:
+    """BudgetExceeded, naming ``what`` and N, when an array with ``axes``
+    axes of length 2^N would hold more than ``_DENSE_ENTRIES_MAX`` entries:
+    called before the array is allocated."""
+    if 1 << (axes * n_spins) > _DENSE_ENTRIES_MAX:
+        raise BudgetExceeded(
+            f"{what} refused at N = {n_spins}: 2^{axes * n_spins} entries, "
+            f"above the dense cap of {_DENSE_ENTRIES_MAX}")
 
 
 def _clamped(a: np.ndarray, n_spins: int) -> np.ndarray:
@@ -137,6 +153,7 @@ class PermutationInvariantKernel(ProposalKernel):
 
     def column(self, y):
         """Q(.|y), gathered from the table in O(2^N)."""
+        _check_dense_size("proposal column", self.n_spins, 1)
         if not 0 <= y < self.dim:
             raise IndexError(f"configuration {y} out of range")
         x = np.arange(self.dim, dtype=np.int32)
@@ -144,11 +161,10 @@ class PermutationInvariantKernel(ProposalKernel):
         return table[np.bitwise_count(x ^ y), np.bitwise_count(x ^ self.marked)]
 
     def _build_dense(self):
-        """Gather the table in blocks of about 2^20 entries, within the dense
-        budget: the one place a table kernel densifies."""
+        """Gather the table in blocks of about 2^20 entries: the one place a
+        table kernel densifies."""
         n, dim = self.n_spins, self.dim
-        if n > _DENSE_KERNEL_BUDGET:
-            raise BudgetExceeded(f"dense kernel limited to N <= {_DENSE_KERNEL_BUDGET}")
+        _check_dense_size("dense kernel", n, 2)
         table = self.table().ravel()
         x = np.arange(dim, dtype=np.int32)
         w = np.bitwise_count(x ^ self.marked).astype(np.int32)

@@ -14,7 +14,9 @@ eigensolves of order N+1 for its (N+1)^3 table over (|x^y|, |x^k|, |y^k|);
 a column is an O(2^N) gather from that table, and only a dense matrix asks
 for the O(4^N) fill.  Dense diagonalization and an adaptive Lanczos
 propagator evolve arbitrary states and serve as the independent
-cross-checks of both structured routes.
+cross-checks of both structured routes.  The dense Hamiltonian, a dense
+kernel and a column keep the one size rule of :mod:`qemcmc.proposal`:
+N <= 12 for a matrix, N <= 24 for a column.
 """
 
 from __future__ import annotations
@@ -24,20 +26,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetExceeded, MismatchedDimensions, NoConvergence
+from .errors import MismatchedDimensions, NoConvergence
 from .model import MarkedStateHamiltonian
 from .proposal import (
     DenseKernel,
     PermutationInvariantKernel,
     ProposalKernel,
     StructuredMarkedKernel,
+    _check_dense_size,
 )
 
 GROVER = "grover"
 TRANSVERSE = "transverse"
 
-_COLUMN_BUDGET = 24         # max n_spins for a single proposal column
-_DENSE_H_BUDGET = 13        # max n_spins for materializing H densely
 # the adaptive Lanczos propagator: subspace order, residual per substep, and
 # the most substeps one evolution may take
 _KRYLOV_DIM = 30
@@ -89,8 +90,7 @@ def apply_hamiltonian(h_c: MarkedStateHamiltonian, mixer: MixerSpec,
 
 def dense_hamiltonian(h_c: MarkedStateHamiltonian, mixer: MixerSpec) -> np.ndarray:
     n = h_c.n_spins
-    if n > _DENSE_H_BUDGET:
-        raise BudgetExceeded(f"dense Hamiltonian limited to N <= {_DENSE_H_BUDGET}")
+    _check_dense_size("dense Hamiltonian", n, 2)
     dim = h_c.dim
     h = mixer.field_strength
     if mixer.variant == GROVER:
@@ -295,10 +295,6 @@ def quantum_proposal_column(h_c: MarkedStateHamiltonian, mixer: MixerSpec,
                             t: float, y: int) -> np.ndarray:
     """Measurement distribution after one evolution from basis state y,
     gathered from the table of :func:`quantum_kernel` in O(2^N)."""
-    if h_c.n_spins > _COLUMN_BUDGET:
-        raise BudgetExceeded(f"proposal columns limited to N <= {_COLUMN_BUDGET}")
-    if not 0 <= y < h_c.dim:
-        raise IndexError(f"configuration {y} out of range")
     return quantum_kernel(h_c, mixer, t).column(y)
 
 

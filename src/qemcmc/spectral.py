@@ -44,15 +44,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import (
-    BudgetExceeded,
-    EigensolverFailure,
-    NotReversible,
-)
+from .errors import EigensolverFailure, NotReversible
 from .model import GibbsMeasure, MarkedStateHamiltonian, _log_pow2m1
 from .proposal import (
     PermutationInvariantKernel,
     ProposalKernel,
+    _check_dense_size,
     weight_classes,
 )
 from .quantum import (
@@ -65,7 +62,6 @@ from .chain import TransitionMatrix, _class_chain
 
 _LN2 = math.log(2.0)
 _REVERSIBILITY_TOL = 1e-9    # largest relative detailed-balance deviation
-_DENSE_GAP_N_MAX = 12        # max n_spins for the dense eigensolve
 
 
 def mixing_time_bounds(delta: float, log_pi_min: float, epsilon: float):
@@ -95,9 +91,7 @@ def spectral_gap_dense(p: TransitionMatrix) -> float:
     vector in Dirichlet form (see :func:`_dirichlet_forms`), not as a
     computed eigenvalue.
     """
-    if p.n_spins > _DENSE_GAP_N_MAX:
-        raise BudgetExceeded(
-            f"dense eigensolve limited to N <= {_DENSE_GAP_N_MAX}")
+    _check_dense_size("dense eigensolve", p.n_spins, 2)
     off = p.p.copy()
     np.fill_diagonal(off, 0.0)
     diag = off.sum(axis=1)

@@ -6,7 +6,8 @@ import pytest
 from qemcmc.chain import (
     TransitionMatrix,
     _class_chain,
-    _dense_mixing_time,
+    _first_crossing,
+    _row_powers,
     build_transition_matrix,
     exact_mixing_time,
     make_chain,
@@ -41,6 +42,18 @@ def tv_distance_curve(p: TransitionMatrix, start: int, max_t: int) -> np.ndarray
         row = row @ p.p
         curve[t] = total_variation(row, pi)
     return curve
+
+
+def _dense_mixing_time(p: TransitionMatrix, epsilon, max_steps):
+    """Worst-start mixing time from the rows of the dense P^t: the
+    independent cross-check of the lumping in exact_mixing_time."""
+    pi = p.stationary.probabilities()
+    rows_at = _row_powers(p.p, np.eye(p.dim))
+
+    def tv_at(t):
+        return float(np.max(0.5 * np.abs(rows_at(t) - pi).sum(axis=1)))
+
+    return _first_crossing(tv_at, epsilon, max_steps)
 
 
 def _uniform_chain(n, alpha, beta):

@@ -111,9 +111,10 @@ def test_sample_rows():
 
 @pytest.mark.parametrize("mixer", ["grover", "transverse"])
 def test_sample_tmix_matches_dense_powering(mixer):
-    from qemcmc.chain import _dense_mixing_time, build_transition_matrix
+    from qemcmc.chain import build_transition_matrix
     from qemcmc.model import MarkedStateHamiltonian, gibbs_measure
     from qemcmc.quantum import MixerSpec, quantum_kernel, resonance_field
+    from test_chain import _dense_mixing_time
 
     csv_text, _ = _run(["--experiment", "sample", "--mixer", mixer,
                         "--n-min", "4", "--n-max", "8", "--beta", "1",

@@ -1,10 +1,13 @@
 import math
+import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qemcmc import proposal
 from qemcmc.errors import BudgetExceeded, MismatchedDimensions, NegativeProbability
 from qemcmc.model import MarkedStateHamiltonian
 from qemcmc.proposal import (
@@ -19,6 +22,7 @@ from qemcmc.proposal import (
 )
 from qemcmc.quantum import (
     MixerSpec,
+    dense_hamiltonian,
     quantum_kernel,
     structured_grover_kernel,
 )
@@ -189,6 +193,33 @@ def test_table_kernel_densifies_within_budget():
     with pytest.raises(BudgetExceeded):
         kern.dense()
     assert kern.column(3).shape == (1 << 15,)
+
+
+def _refused_before_allocation(monkeypatch, call, what, n):
+    """``call()`` with the dense cap lowered to 2^16 entries raises
+    BudgetExceeded naming ``what`` and N = ``n``, and traces under 128 KiB
+    while it runs: the refused array would take 1 MiB or more."""
+    monkeypatch.setattr(proposal, "_DENSE_ENTRIES_MAX", 1 << 16)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded, match=f"^{what} refused at N = {n}:"):
+            call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 17
+
+
+@pytest.mark.parametrize("what, n, prepare", [
+    ("dense Hamiltonian", 9, lambda: partial(
+        dense_hamiltonian, MarkedStateHamiltonian(9, 1.0),
+        MixerSpec("transverse", 1.0))),
+    ("dense kernel", 9, lambda: single_flip_kernel(9).dense),
+    ("proposal column", 17, lambda: partial(single_flip_kernel(17).column, 0)),
+], ids=["hamiltonian", "kernel", "column"])
+def test_dense_routes_refuse_past_the_cap(monkeypatch, what, n, prepare):
+    # a 2^9 x 2^9 matrix and a 2^17 vector are past a cap of 2^16 entries
+    _refused_before_allocation(monkeypatch, prepare(), what, n)
 
 
 def test_table_certificate_reports_corruption():

@@ -1,18 +1,19 @@
 import itertools
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 
-from qemcmc import chain, spectral
+from qemcmc import chain
 from qemcmc.chain import (
+    TransitionMatrix,
     _class_chain,
     build_transition_matrix,
     exact_mixing_time,
 )
 from qemcmc.errors import (
     AsymmetricKernel,
-    BudgetExceeded,
     NegativeDiagonal,
     NegativeProbability,
     NotReversible,
@@ -47,6 +48,8 @@ from qemcmc.spectral import (
     time_averaged_kernel,
     uniform_gap_closed_form,
 )
+
+from test_proposal import _refused_before_allocation
 
 
 def _dense_average(h_c, variant, scheme):
@@ -164,20 +167,20 @@ def test_report_bounds_order():
 
 
 def test_not_reversible_detected():
+    # a matrix whose detailed balance against the measure fails
     q = np.array([[0.8, 0.4], [0.2, 0.6]])
     measure = gibbs_measure(MarkedStateHamiltonian(1, 1.0), 1.0)
-    p = build_transition_matrix(DenseKernel(0.5 * (q + q.T), 1), measure)
-    # tamper with the matrix so detailed balance fails
-    object.__setattr__(p, "p", q)
+    p = TransitionMatrix(q, measure, 1)
     with pytest.raises(NotReversible):
         spectral_gap_dense(p)
 
 
 def test_budget_guard(monkeypatch):
-    # a chain past the real budget (N = 12) would need a 2^13 x 2^13 matrix
-    monkeypatch.setattr(spectral, "_DENSE_GAP_N_MAX", 8)
-    with pytest.raises(BudgetExceeded):
-        spectral_gap_dense(_uniform_chain(9, 1.0, 1.0))
+    # past the real cap (N = 12) the chain would need a 2^13 x 2^13 matrix;
+    # with the cap lowered, the eigensolve refuses an N = 9 chain
+    p = _uniform_chain(9, 1.0, 1.0)
+    _refused_before_allocation(monkeypatch, partial(spectral_gap_dense, p),
+                              "dense eigensolve", 9)
 
 
 def test_scaling_fit_exact_slope():
@@ -511,7 +514,8 @@ def _corrupted(defect):
 
 
 # the mixing time reads the block route's pair-class assembly, so it rejects
-# the tables above with the same errors
+# the tables above with the same errors, and so does the dense assembly,
+# which makes the same kernel checks
 @pytest.mark.parametrize("defect, error", [
     ("asymmetric", AsymmetricKernel),
     ("not-stochastic", NotStochastic),
@@ -519,8 +523,11 @@ def _corrupted(defect):
     ("nan", AsymmetricKernel),       # a NaN fails the certificate
 ])
 def test_mixing_time_rejects_corrupt_tables(defect, error):
+    kern, measure = _corrupted(defect)
     with pytest.raises(error):
-        exact_mixing_time(*_corrupted(defect), 0.01)
+        exact_mixing_time(kern, measure, 0.01)
+    with pytest.raises(error):
+        build_transition_matrix(kern, measure)
 
 
 def test_mixing_time_rejects_negative_rejection_mass(monkeypatch):
