@@ -22,7 +22,6 @@ from .quantum import (
     GroverClosedForm,
     MixerSpec,
     apply_hamiltonian,
-    basis_state,
     dense_hamiltonian,
     evolve,
     grover_closed_form,

@@ -34,8 +34,7 @@ class EigensolverFailure(QemcmcError):
 
 
 class NoConvergence(QemcmcError):
-    """An iterative search hit its cap: Krylov propagation could not reach
-    its residual target, or the mixing-time search its total-variation
+    """The mixing-time search hit its step cap before its total-variation
     target (gap numerically zero)."""
 
 
@@ -44,5 +43,5 @@ class MeasureTooLarge(QemcmcError):
 
 
 class BudgetExceeded(QemcmcError):
-    """A dense route would allocate a 2^N-indexed array past the one size
-    rule: more than 2^24 float64 entries."""
+    """An array would break the one size rule: more than 2^24 float64
+    entries."""

@@ -8,10 +8,11 @@ A kernel invariant under permutations of the spins about the marked state k
 is carried as its table over (d, w_x, w_y), with d = |x^y| and w_x = |x^k|,
 w_y = |y^k|; its certificate is measured on that table in O(N^3).
 
-Every dense route of the package (a kernel's matrix or column here, the
-dense Hamiltonian, the dense gap) keeps one size rule,
-:func:`_check_dense_size`: no 2^N-indexed array of more than 2^24 float64
-entries (128 MiB), so N <= 12 for a matrix and N <= 24 for a vector.
+Every large array of the package keeps one size rule, :func:`_check_entries`:
+no more than 2^24 float64 entries (128 MiB).  So a dense route (a kernel's
+matrix or column here, the dense Hamiltonian, the dense gap) takes N <= 12
+for a 2^N x 2^N matrix and N <= 24 for a 2^N vector, the transverse kernel
+table N <= 202, and the symmetry-block coefficients N <= 75.
 """
 
 from __future__ import annotations
@@ -26,18 +27,17 @@ from .errors import BudgetExceeded, MismatchedDimensions, NegativeProbability
 
 # Entries above this negative floor are treated as rounding noise and clamped.
 _CLAMP_FLOOR = -1e-14
-# most float64 entries of one 2^N-indexed array on a dense route (128 MiB)
-_DENSE_ENTRIES_MAX = 1 << 24
+# most float64 entries of one array the size rule admits (128 MiB)
+_ENTRIES_MAX = 1 << 24
 
 
-def _check_dense_size(what: str, n_spins: int, axes: int) -> None:
-    """BudgetExceeded, naming ``what`` and N, when an array with ``axes``
-    axes of length 2^N would hold more than ``_DENSE_ENTRIES_MAX`` entries:
-    called before the array is allocated."""
-    if 1 << (axes * n_spins) > _DENSE_ENTRIES_MAX:
+def _check_entries(what: str, n_spins: int, entries: int) -> None:
+    """BudgetExceeded, naming ``what`` and N, when an array would hold more
+    than ``_ENTRIES_MAX`` float64 entries: called before it is allocated."""
+    if entries > _ENTRIES_MAX:
         raise BudgetExceeded(
-            f"{what} refused at N = {n_spins}: 2^{axes * n_spins} entries, "
-            f"above the dense cap of {_DENSE_ENTRIES_MAX}")
+            f"{what} refused at N = {n_spins}: {entries} entries, "
+            f"above the cap of {_ENTRIES_MAX}")
 
 
 def _clamped(a: np.ndarray, n_spins: int) -> np.ndarray:
@@ -153,7 +153,7 @@ class PermutationInvariantKernel(ProposalKernel):
 
     def column(self, y):
         """Q(.|y), gathered from the table in O(2^N)."""
-        _check_dense_size("proposal column", self.n_spins, 1)
+        _check_entries("proposal column", self.n_spins, self.dim)
         if not 0 <= y < self.dim:
             raise IndexError(f"configuration {y} out of range")
         x = np.arange(self.dim, dtype=np.int32)
@@ -164,7 +164,7 @@ class PermutationInvariantKernel(ProposalKernel):
         """Gather the table in blocks of about 2^20 entries: the one place a
         table kernel densifies."""
         n, dim = self.n_spins, self.dim
-        _check_dense_size("dense kernel", n, 2)
+        _check_entries("dense kernel", n, dim * dim)
         table = self.table().ravel()
         x = np.arange(dim, dtype=np.int32)
         w = np.bitwise_count(x ^ self.marked).astype(np.int32)

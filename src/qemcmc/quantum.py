@@ -1,22 +1,24 @@
 """Statevector evolution under H = H_c + h*H_mix and quantum proposal kernels.
 
 Two mixing terms are supported: the rank-1 "grover" mixer N|s><s| (|s> the
-uniform superposition) and the "transverse" mixer sum_i sigma^x_i.  Proposal
-kernels and columns come from the invariant subspaces of each mixer.  With
+uniform superposition) and the "transverse" mixer sum_i sigma^x_i.  For both,
+H leaves the span S of the N+1 Dicke states about the marked state k
+invariant (|k> and |s> lie in it) and acts off S as its free part: zero for
+grover, the free mixer for transverse.  So e^{-iHt} is the free evolution
+plus a correction of order N+1 on S, and one sector propagator
+(:func:`_sector_propagator`) serves both the transverse kernel table and
+statevector evolution (:func:`evolve`), exactly and with no iteration.  With
 the grover mixer, H leaves span{|k>, |u>} invariant (|u> the uniform state
-over unmarked configurations) and vanishes on its complement, so one closed
-form, :func:`grover_closed_form`, gives its two-level frequency and its four
+over unmarked configurations), so one closed form,
+:func:`grover_closed_form`, gives its two-level frequency and its four
 distinct proposal probabilities, and every grover kernel and column is built
-from it.  The transverse mixer has an (N+1)-dimensional
-invariant subspace on the Dicke states around the marked configuration,
-outside of which H is the free mixer.  A kernel then costs two tridiagonal
-eigensolves of order N+1 for its (N+1)^3 table over (|x^y|, |x^k|, |y^k|);
-a column is an O(2^N) gather from that table, and only a dense matrix asks
-for the O(4^N) fill.  Dense diagonalization and an adaptive Lanczos
-propagator evolve arbitrary states and serve as the independent
-cross-checks of both structured routes.  The dense Hamiltonian, a dense
-kernel and a column keep the one size rule of :mod:`qemcmc.proposal`:
-N <= 12 for a matrix, N <= 24 for a column.
+from it.  A transverse kernel costs two eigensolves of order N+1 for its
+(N+1)^3 table over (|x^y|, |x^k|, |y^k|); a column is an O(2^N) gather from
+that table, and only a dense matrix asks for the O(4^N) fill.  Dense
+diagonalization is the independent cross-check of every structured route.
+The dense Hamiltonian, a dense kernel, a column and the kernel table keep the
+one size rule of :mod:`qemcmc.proposal`: N <= 12 for a matrix, N <= 24 for a
+column, N <= 202 for the table.
 """
 
 from __future__ import annotations
@@ -26,24 +28,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MismatchedDimensions, NoConvergence
+from .errors import MismatchedDimensions
 from .model import MarkedStateHamiltonian
 from .proposal import (
     DenseKernel,
     PermutationInvariantKernel,
     ProposalKernel,
     StructuredMarkedKernel,
-    _check_dense_size,
+    _check_entries,
 )
 
 GROVER = "grover"
 TRANSVERSE = "transverse"
-
-# the adaptive Lanczos propagator: subspace order, residual per substep, and
-# the most substeps one evolution may take
-_KRYLOV_DIM = 30
-_KRYLOV_TOL = 1e-12
-_MAX_SUBSTEPS = 4096
 
 
 @dataclass(frozen=True)
@@ -60,15 +56,12 @@ class MixerSpec:
             raise ValueError("field strength must be finite")
 
 
-def basis_state(n_spins: int, index: int) -> np.ndarray:
-    psi = np.zeros(1 << n_spins, dtype=complex)
-    psi[index] = 1.0
-    return psi
-
-
 def apply_hamiltonian(h_c: MarkedStateHamiltonian, mixer: MixerSpec,
                       psi: np.ndarray) -> np.ndarray:
-    """Return H |psi> (unnormalized). Cost O(N 2^N) transverse, O(2^N) grover."""
+    """Return H |psi> (unnormalized). Cost O(N 2^N) transverse, O(2^N) grover.
+
+    No propagator calls it; it is the matrix-free H of the tests' large-N
+    reference evolution, and ``perfbench/spans.py`` wraps it by name."""
     n = h_c.n_spins
     dim = h_c.dim
     if psi.shape != (dim,):
@@ -90,8 +83,8 @@ def apply_hamiltonian(h_c: MarkedStateHamiltonian, mixer: MixerSpec,
 
 def dense_hamiltonian(h_c: MarkedStateHamiltonian, mixer: MixerSpec) -> np.ndarray:
     n = h_c.n_spins
-    _check_dense_size("dense Hamiltonian", n, 2)
     dim = h_c.dim
+    _check_entries("dense Hamiltonian", n, dim * dim)
     h = mixer.field_strength
     if mixer.variant == GROVER:
         ham = np.full((dim, dim), h * n / dim)
@@ -118,89 +111,67 @@ def _dense_evolve(h_c, mixer, psi, t):
     return vec @ (np.exp(-1j * lam * t) * (vec.T @ psi))
 
 
-def _tridiagonal_eigh(d, e):
-    """Eigenvalues and eigenvectors of the symmetric tridiagonal matrix with
-    diagonal ``d`` and off-diagonal ``e``, by np.linalg.eigh of its dense
-    form: every tridiagonal here (a symmetric sector of order N+1, a Krylov
-    projection of order at most ``_KRYLOV_DIM``) is small."""
-    return np.linalg.eigh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
+def _sector_hamiltonian(n, variant, h, marked_energy):
+    """H on the Dicke states |D_w> about the marked state, w = 0..n.
 
-
-def _lanczos_apply(matvec, psi, dt, m):
-    """One Lanczos step of e^{-i*dt*H} psi with full reorthogonalization.
-
-    Returns (result, residual_estimate); the estimate is the usual product of
-    the next off-diagonal coefficient with the last component of the
-    subspace-propagated unit vector.
+    h*sum(sigma^x) is tridiagonal there with hops h*sqrt((w+1)(n-w)), and
+    h*N|s><s| is h*N s s^T with s_w = sqrt(C(n,w)/2^n); the marked term adds
+    ``marked_energy`` at w = 0.
     """
-    dim = psi.shape[0]
-    basis = np.empty((m, dim), dtype=complex)
-    alphas = np.empty(m)
-    betas = np.empty(m)
-    basis[0] = psi
-    w = matvec(psi)
-    alphas[0] = np.real(np.vdot(basis[0], w))
-    w = w - alphas[0] * basis[0]
-    k = 1
-    beta_next = float(np.linalg.norm(w))
-    breakdown = beta_next < 1e-13
-    while k < m and not breakdown:
-        betas[k - 1] = beta_next
-        v = w / beta_next
-        coeffs = basis[:k].conj() @ v
-        v = v - coeffs @ basis[:k]
-        v /= np.linalg.norm(v)
-        basis[k] = v
-        w = matvec(v) - beta_next * basis[k - 1]
-        alphas[k] = np.real(np.vdot(v, w))
-        w = w - alphas[k] * v
-        coeffs = basis[: k + 1].conj() @ w
-        w = w - coeffs @ basis[: k + 1]
-        beta_next = float(np.linalg.norm(w))
-        k += 1
-        breakdown = beta_next < 1e-13
-    if k == 1:
-        phase = np.exp(-1j * dt * alphas[0])
-        return phase * psi, 0.0
-    lam, s = _tridiagonal_eigh(alphas[:k], betas[: k - 1])
-    y = s @ (np.exp(-1j * dt * lam) * s[0])
-    result = y @ basis[:k]
-    err = 0.0 if breakdown else beta_next * abs(y[-1])
-    return result, float(err)
+    if variant == GROVER:
+        s = np.sqrt([math.comb(n, w) / 2.0 ** n for w in range(n + 1)])
+        ham = h * n * np.outer(s, s)
+    else:
+        w = np.arange(n)
+        hop = h * np.sqrt((w + 1.0) * (n - w))
+        ham = np.diag(hop, 1) + np.diag(hop, -1)
+    ham[0, 0] += marked_energy
+    return ham
 
 
-def _krylov_evolve(h_c, mixer, psi, t):
-    matvec = lambda v: apply_hamiltonian(h_c, mixer, v)
-    state = psi.astype(complex)
-    remaining = float(t)
-    dt = remaining
-    substeps = 0
-    while abs(remaining) > abs(t) * 1e-15:
-        result, err = _lanczos_apply(matvec, state, dt, _KRYLOV_DIM)
-        if err <= _KRYLOV_TOL:
-            state = result / np.linalg.norm(result)
-            remaining -= dt
-            substeps += 1
-            if substeps > _MAX_SUBSTEPS:
-                raise NoConvergence("substep cap reached before covering t")
-            grown = 2.0 * dt
-            dt = grown if abs(grown) <= abs(remaining) else remaining
-        else:
-            dt *= 0.5
-            if abs(dt) < abs(t) * 2.0 ** -40:
-                raise NoConvergence(
-                    f"residual {err:.3e} not reducible below {_KRYLOV_TOL:.3e}"
-                )
-    return state
+def _sector_propagator(ham, t):
+    """e^{-i ham t} for a sector Hamiltonian of order N+1."""
+    lam, vec = np.linalg.eigh(ham)
+    return (vec * np.exp(-1j * lam * t)) @ vec.T
+
+
+def _sector_evolve(h_c, mixer, psi, t):
+    """e^{-iHt} psi from the Dicke sector S about the marked state k.
+
+    H leaves S invariant (|k> and |s> lie in it) and acts off S as its free
+    part: 0 for grover, h*sum(sigma^x) for transverse.  So
+    e^{-iHt} = F + B (U_S - F_S) B^T exactly, with B the Dicke basis about k
+    and F = I (grover) or (cos ht I - i sin ht X)^{(x)N} (transverse), in
+    O(N 2^N) with no iteration.
+    """
+    n = h_c.n_spins
+    h = mixer.field_strength
+    weight = np.bitwise_count(np.arange(h_c.dim) ^ h_c.marked)
+    scale = 1.0 / np.sqrt([float(math.comb(n, w)) for w in range(n + 1)])
+    coef = scale * (np.bincount(weight, psi.real, n + 1)
+                    + 1j * np.bincount(weight, psi.imag, n + 1))
+    u_s = _sector_propagator(
+        _sector_hamiltonian(n, mixer.variant, h, -h_c.alpha * n), t)
+    if mixer.variant == GROVER:
+        free, f_s = psi.astype(complex), np.eye(n + 1)
+    else:
+        c, s = math.cos(h * t), math.sin(h * t)
+        free = psi.astype(complex).reshape((2,) * n)
+        for axis in range(n):
+            free = c * free - 1j * s * np.flip(free, axis=axis)
+        free = free.reshape(-1)
+        f_s = _sector_propagator(_sector_hamiltonian(n, TRANSVERSE, h, 0.0), t)
+    return free + (scale * ((u_s - f_s) @ coef))[weight]
 
 
 def evolve(h_c: MarkedStateHamiltonian, mixer: MixerSpec, psi0: np.ndarray,
-           t: float, method: str = "krylov") -> np.ndarray:
-    """Return e^{-iHt} |psi0> by adaptive Lanczos (``krylov``, the default) or
-    dense diagonalization (``dense``); the result keeps unit norm within
-    1e-10.  Any other method raises ValueError."""
-    if method not in ("krylov", "dense"):
-        raise ValueError("evolve takes method 'krylov' or 'dense', "
+           t: float, method: str = "auto") -> np.ndarray:
+    """Return e^{-iHt} |psi0> from the Dicke sector about the marked state
+    (``auto``, the default: see :func:`_sector_evolve`) or by dense
+    diagonalization (``dense``, its independent cross-check).  Any other
+    method raises ValueError."""
+    if method not in ("auto", "dense"):
+        raise ValueError("evolve takes method 'auto' or 'dense', "
                          f"not {method!r}")
     if not math.isfinite(t):
         raise ValueError("evolution time must be finite")
@@ -215,24 +186,11 @@ def evolve(h_c: MarkedStateHamiltonian, mixer: MixerSpec, psi0: np.ndarray,
         return psi0.astype(complex)
     if method == "dense":
         return _dense_evolve(h_c, mixer, psi0.astype(complex), t)
-    return _krylov_evolve(h_c, mixer, psi0, t)
+    return _sector_evolve(h_c, mixer, psi0, t)
 
 
 # ---------------------------------------------------------------------------
-# transverse symmetric sector
-
-def _sector_propagator(n, h, marked_energy, t):
-    """e^{-iHt} on the Dicke states |D_w> around the marked state, w = 0..n.
-
-    There h*sum(sigma^x) is tridiagonal with hops h*sqrt((w+1)(n-w)), and the
-    marked term adds ``marked_energy`` at w = 0.
-    """
-    w = np.arange(n)
-    diag = np.zeros(n + 1)
-    diag[0] = marked_energy
-    lam, vec = _tridiagonal_eigh(diag, h * np.sqrt((w + 1.0) * (n - w)))
-    return (vec * np.exp(-1j * lam * t)) @ vec.T
-
+# transverse kernel table
 
 def _transverse_table(h_c, h, t):
     """Transverse-mixer Q(x|y) as a table over (d, w_x, w_y): d = |x^y| and
@@ -247,8 +205,10 @@ def _transverse_table(h_c, h, t):
     cancellation against U0.
     """
     n = h_c.n_spins
-    u_s = _sector_propagator(n, h, -h_c.alpha * n, t)
-    u_0 = _sector_propagator(n, h, 0.0, t)
+    _check_entries("kernel table", n, 2 * (n + 1) ** 3)   # amp, complex
+    u_s = _sector_propagator(
+        _sector_hamiltonian(n, TRANSVERSE, h, -h_c.alpha * n), t)
+    u_0 = _sector_propagator(_sector_hamiltonian(n, TRANSVERSE, h, 0.0), t)
     w = np.arange(n + 1)
     # float() first: numpy keeps binomials above 2^64 (N >= 68) as objects
     scale = 1.0 / np.sqrt([float(math.comb(n, j)) for j in w])
@@ -271,8 +231,7 @@ def quantum_kernel(h_c: MarkedStateHamiltonian, mixer: MixerSpec, t: float,
     form (:func:`structured_grover_kernel`), or the transverse symmetric
     sector's (d, w_x, w_y) table, which densifies in O(4^N) only on demand.
     ``dense`` is the independent cross-check of both, an O(8^N)
-    diagonalization of H.  Any other method raises ValueError: Lanczos
-    evolves single states only, so ``krylov`` has no kernel route.
+    diagonalization of H.  Any other method raises ValueError.
     """
     if method not in ("auto", "dense"):
         raise ValueError("quantum_kernel takes method 'auto' or 'dense', "

@@ -49,7 +49,7 @@ from .model import GibbsMeasure, MarkedStateHamiltonian, _log_pow2m1
 from .proposal import (
     PermutationInvariantKernel,
     ProposalKernel,
-    _check_dense_size,
+    _check_entries,
     weight_classes,
 )
 from .quantum import (
@@ -91,7 +91,7 @@ def spectral_gap_dense(p: TransitionMatrix) -> float:
     vector in Dirichlet form (see :func:`_dirichlet_forms`), not as a
     computed eigenvalue.
     """
-    _check_dense_size("dense eigensolve", p.n_spins, 2)
+    _check_entries("dense eigensolve", p.n_spins, p.p.size)
     off = p.p.copy()
     np.fill_diagonal(off, 0.0)
     diag = off.sum(axis=1)
@@ -228,6 +228,7 @@ def _schrijver_beta(n: int):
     float64 bound on the factors and on sum_u |A| |B| shows that no entry and
     no partial sum can reach 2^62, and on Python ints otherwise.
     """
+    _check_entries("block coefficients", n, (n // 2 + 1) * (n + 1) ** 3)
     binomials = np.array([[math.comb(a, b) for b in range(n + 1)]
                           for a in range(n + 1)], dtype=object)
     a, b = _schrijver_factors(binomials.astype(float), n)
@@ -294,7 +295,9 @@ def spectral_gap_blocks(kernel: ProposalKernel,
     w = np.arange(n + 1)
     lumped = np.einsum("ijt,ijt->ij", weight_classes(n)[0], move)
     lumped[w, w] += stay
-    log_pi = (measure.class_log_weights + np.log([math.comb(n, a) for a in w])
+    # float() first: numpy keeps binomials above 2^64 (N >= 68) as objects
+    log_pi = (measure.class_log_weights
+              + np.log([float(math.comb(n, a)) for a in w])
               - measure.log_partition)
     (block0, _), *rest = _symmetry_blocks(x)
     _, vec = np.linalg.eigh(block0)

@@ -451,9 +451,9 @@ def test_figure_b_bound_matches_sector_expm():
         assert value == pytest.approx(ref, rel=1e-12, abs=0.0), n
 
 
-def test_figure_b_rows_stop_at_n_24(monkeypatch, capsys):
-    # bound and exact rows to N = 24, a note past it, and nothing of size 2^N
-    # (no kernel, no measure) built for N = 25, 26
+def test_figure_b_rows_past_n_24(monkeypatch, capsys):
+    # bound and exact rows past N = 24 with no note, one kernel and one
+    # measure per N, and no 2^N proposal column formed
     from qemcmc.proposal import PermutationInvariantKernel
 
     built = []
@@ -474,9 +474,68 @@ def test_figure_b_rows_stop_at_n_24(monkeypatch, capsys):
                      "--n-max", "26", "--max-dense-n", "26"]) == 0
     captured = capsys.readouterr()
     keys = sorted((int(r[1]), r[6]) for r in _rows(captured.out))
-    assert keys == [(23, "bound"), (23, "delta_exact"),
-                    (24, "bound"), (24, "delta_exact")]
-    for n in (25, 26):
-        assert f"skipped bound at N={n}: " in captured.err
-    assert "Traceback" not in captured.err
-    assert sorted(built) == [23, 23, 24, 24]
+    assert keys == [(n, q) for n in range(23, 27)
+                    for q in ("bound", "delta_exact")]
+    assert captured.err == ""
+    assert sorted(built) == [23, 23, 24, 24, 25, 25, 26, 26]
+
+
+def test_figure_b_bound_past_n_24_matches_mpmath():
+    # an 80-digit Taylor series of e^{-iHt} on the Dicke states about the
+    # marked state (hops h sqrt((w+1)(N-w)), energy -alpha N at w = 0), with
+    # no eigensolve, then the cut formula
+    import mpmath
+
+    csv_text, status = _run(["--experiment", "figure-b", "--n-min", "32",
+                             "--n-max", "48", "--max-dense-n", "0"])
+    assert status == 0
+    bound = {int(r[1]): float(r[7]) for r in _rows(csv_text)}
+    assert set(bound) == set(range(32, 49))
+    alpha, beta, h, t = 1, 5, 1, 1
+    with mpmath.workdps(80):
+        for n in (32, 48):
+            hop = [h * mpmath.sqrt((w + 1) * (n - w)) for w in range(n)]
+            psi = term = [mpmath.mpc(1)] + [mpmath.mpc(0)] * n
+            k = 0
+            while max(abs(x) for x in term) > mpmath.mpf(10) ** -75:
+                k += 1
+                h_term = [-alpha * n * term[0]] + [hop[w] * term[w]
+                                                   for w in range(n)]
+                for w in range(n):
+                    h_term[w] += hop[w] * term[w + 1]
+                term = [-1j * t * x / k for x in h_term]
+                psi = [a + b for a, b in zip(psi, term)]
+            escape = sum(abs(x) ** 2 for x in psi[1:])
+            g = mpmath.mpf(2) ** n - 1
+            ref = escape * (1 + mpmath.exp(-n * beta * alpha) * g) / g
+            assert bound[n] == pytest.approx(float(ref), rel=1e-13, abs=0.0), n
+
+
+def test_figures_skip_rows_past_the_size_rule(monkeypatch, capsys):
+    # with the cap lowered to 2^16 entries, the kernel table refuses N = 32
+    # (2 * 33^3 floats) and the block coefficients N = 18 (10 * 19^3); each
+    # refused row is skipped with a note, and the run exits 0
+    from qemcmc import proposal, spectral
+
+    monkeypatch.setattr(proposal, "_ENTRIES_MAX", 1 << 16)
+    spectral._block_coefficients.cache_clear()   # refuse N = 18 if cached
+    assert cli.main(["--experiment", "figure-b", "--n-min", "17",
+                     "--n-max", "32", "--max-dense-n", "18"]) == 0
+    captured = capsys.readouterr()
+    keys = sorted((int(r[1]), r[6]) for r in _rows(captured.out))
+    assert keys == sorted([(n, "bound") for n in range(17, 32)]
+                          + [(17, "delta_exact")])
+    assert captured.err.splitlines() == [
+        "skipped delta_exact at N=18: block coefficients refused at N = 18: "
+        "68590 entries, above the cap of 65536",
+        "skipped bound at N=32: kernel table refused at N = 32: "
+        "71874 entries, above the cap of 65536"]
+    assert cli.main(["--experiment", "figure-a", "--n-min", "17",
+                     "--n-max", "18", "--max-dense-n", "18",
+                     "--avg-samples", "4"]) == 0
+    captured = capsys.readouterr()
+    keys = sorted((int(r[1]), r[6]) for r in _rows(captured.out))
+    assert keys == [(17, "delta_closed"), (17, "delta_exact"),
+                    (18, "delta_closed")]
+    assert captured.err.startswith("skipped delta_exact at N=18: "
+                                   "block coefficients refused at N = 18:")

@@ -26,6 +26,7 @@ from qemcmc.quantum import (
     quantum_kernel,
     structured_grover_kernel,
 )
+from qemcmc.spectral import _schrijver_beta
 
 
 def test_uniform_n1():
@@ -199,7 +200,7 @@ def _refused_before_allocation(monkeypatch, call, what, n):
     """``call()`` with the dense cap lowered to 2^16 entries raises
     BudgetExceeded naming ``what`` and N = ``n``, and traces under 128 KiB
     while it runs: the refused array would take 1 MiB or more."""
-    monkeypatch.setattr(proposal, "_DENSE_ENTRIES_MAX", 1 << 16)
+    monkeypatch.setattr(proposal, "_ENTRIES_MAX", 1 << 16)
     tracemalloc.start()
     try:
         with pytest.raises(BudgetExceeded, match=f"^{what} refused at N = {n}:"):
@@ -216,9 +217,15 @@ def _refused_before_allocation(monkeypatch, call, what, n):
         MixerSpec("transverse", 1.0))),
     ("dense kernel", 9, lambda: single_flip_kernel(9).dense),
     ("proposal column", 17, lambda: partial(single_flip_kernel(17).column, 0)),
-], ids=["hamiltonian", "kernel", "column"])
+    ("kernel table", 40, lambda: partial(
+        quantum_kernel, MarkedStateHamiltonian(40, 1.0),
+        MixerSpec("transverse", 1.0), 1.0)),
+    ("block coefficients", 22, lambda: partial(_schrijver_beta, 22)),
+], ids=["hamiltonian", "kernel", "column", "table", "blocks"])
 def test_dense_routes_refuse_past_the_cap(monkeypatch, what, n, prepare):
-    # a 2^9 x 2^9 matrix and a 2^17 vector are past a cap of 2^16 entries
+    # a 2^9 x 2^9 matrix, a 2^17 vector, the 2(N+1)^3 floats of the complex
+    # table amplitudes at N = 40 and the (N/2+1)(N+1)^3 block coefficients
+    # at N = 22 are past a cap of 2^16 entries
     _refused_before_allocation(monkeypatch, prepare(), what, n)
 
 

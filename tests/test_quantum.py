@@ -14,20 +14,25 @@ from qemcmc.quantum import (
     TRANSVERSE,
     MixerSpec,
     apply_hamiltonian,
-    basis_state,
     dense_hamiltonian,
     evolve,
     grover_closed_form,
     quantum_kernel,
     quantum_proposal_column,
+    _sector_hamiltonian,
     _sector_propagator,
-    _tridiagonal_eigh,
     resonance_field,
     structured_grover_kernel,
 )
 
 def _rng(seed=7):
     return np.random.Generator(np.random.Philox(seed))
+
+
+def basis_state(n_spins, index):
+    psi = np.zeros(1 << n_spins, dtype=complex)
+    psi[index] = 1.0
+    return psi
 
 
 def _random_state(rng, dim):
@@ -91,9 +96,9 @@ def test_evolve_t0_identity():
 def test_evolve_norm_preserved():
     rng = _rng(11)
     h_c = MarkedStateHamiltonian(6, 1.0, marked=17)
-    for variant, method in ((GROVER, "dense"), (TRANSVERSE, "krylov")):
+    for variant in (GROVER, TRANSVERSE):
         psi = _random_state(rng, 64)
-        out = evolve(h_c, MixerSpec(variant, 1.3), psi, 2.7, method)
+        out = evolve(h_c, MixerSpec(variant, 1.3), psi, 2.7)
         assert abs(np.linalg.norm(out) - 1.0) < 1e-10
 
 
@@ -102,23 +107,27 @@ def test_evolve_composition():
     h_c = MarkedStateHamiltonian(5, 0.9, marked=2)
     mixer = MixerSpec(TRANSVERSE, 0.6)
     psi = _random_state(rng, 32)
-    whole = evolve(h_c, mixer, psi, 1.9, "krylov")
-    half = evolve(h_c, mixer, psi, 0.8, "krylov")
-    parts = evolve(h_c, mixer, half, 1.1, "krylov")
+    whole = evolve(h_c, mixer, psi, 1.9)
+    half = evolve(h_c, mixer, psi, 0.8)
+    parts = evolve(h_c, mixer, half, 1.1)
     assert np.max(np.abs(whole - parts)) < 1e-9
 
 
-def test_krylov_matches_dense():
+def test_auto_evolve_matches_dense():
+    # the sector route against dense diagonalization, with a random marked
+    # state, both mixers and N up to 10
     rng = _rng(17)
-    for n in (4, 7, 9):
-        h_c = MarkedStateHamiltonian(n, 1.1, marked=1)
+    for n in range(1, 11):
+        h_c = MarkedStateHamiltonian(n, rng.uniform(0.5, 2.0),
+                                     int(rng.integers(1 << n)))
         for variant in (GROVER, TRANSVERSE):
             mixer = MixerSpec(variant, rng.uniform(-2, 2))
             psi = _random_state(rng, 1 << n)
             t = rng.uniform(0.1, 3.0)
             a = evolve(h_c, mixer, psi, t, "dense")
-            b = evolve(h_c, mixer, psi, t, "krylov")
+            b = evolve(h_c, mixer, psi, t)
             assert 1.0 - abs(np.vdot(a, b)) < 1e-10
+            assert np.max(np.abs(a - b)) < 1e-10
 
 
 def test_evolve_rejects_unnormalized():
@@ -127,18 +136,20 @@ def test_evolve_rejects_unnormalized():
         evolve(MarkedStateHamiltonian(4, 1.0), MixerSpec(GROVER, 1.0), psi, 1.0)
 
 
-def test_evolve_has_no_auto_route():
-    # auto builds kernels on the invariant subspaces; a single state takes
-    # the dense or Lanczos propagator, and any other method is rejected,
-    # at t = 0 as well
+def test_evolve_takes_auto_or_dense():
+    # the two words quantum_kernel takes, auto the default; any other method
+    # is rejected, at t = 0 as well
     h_c = MarkedStateHamiltonian(4, 1.0)
     psi = basis_state(4, 11)
-    for method in ("auto", "lanczos"):
+    for method in ("krylov", "lanczos"):
         for t in (1.0, 0.0):
             with pytest.raises(ValueError):
                 evolve(h_c, MixerSpec(GROVER, 1.0), psi, t, method)
-    out = evolve(h_c, MixerSpec(GROVER, 1.0), psi, 0.0)
-    assert np.array_equal(out, psi)
+    mixer = MixerSpec(TRANSVERSE, 1.0)
+    assert np.array_equal(evolve(h_c, mixer, psi, 0.7),
+                          evolve(h_c, mixer, psi, 0.7, "auto"))
+    for method in ("auto", "dense"):
+        assert np.array_equal(evolve(h_c, mixer, psi, 0.0, method), psi)
 
 
 def test_grover_two_level_closure():
@@ -247,22 +258,47 @@ def test_tridiagonal_eigh_matches_scipy_on_the_sector():
         d[0] = -alpha * n
         e = h * np.sqrt((w + 1.0) * (n - w))
         t_mat = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
-        lam, vec = _tridiagonal_eigh(d, e)
+        ham = _sector_hamiltonian(n, TRANSVERSE, h, -alpha * n)
+        assert np.array_equal(ham, t_mat)
+        lam, vec = np.linalg.eigh(ham)
         norm = np.max(np.abs(lam))
         assert np.max(np.abs(lam - eigh_tridiagonal(d, e)[0])) <= 1e-13 * norm
         assert np.max(np.abs(t_mat @ vec - vec * lam)) <= 1e-13 * norm
-        u = _sector_propagator(n, h, -alpha * n, rng.uniform(0.0, 5.0))
+        u = _sector_propagator(ham, rng.uniform(0.0, 5.0))
         assert np.max(np.abs(u @ u.conj().T - np.eye(n + 1))) <= 1e-13
 
 
 @pytest.mark.parametrize("n", [14, 16])
-def test_transverse_marked_escape_matches_krylov(n):
+def test_marked_escape_matches_expm_multiply(n):
+    # past the dense size rule, a reference independent of the sector code:
+    # scipy's expm_multiply on the matrix-free H, from the marked state,
+    # another basis state and (at N = 14) a random state
+    from scipy.sparse.linalg import LinearOperator, expm_multiply
+
     h_c = MarkedStateHamiltonian(n, 1.3, marked=5)
-    mixer = MixerSpec(TRANSVERSE, 0.7)
-    auto = quantum_proposal_column(h_c, mixer, 1.7, 5)
-    ref = np.abs(evolve(h_c, mixer, basis_state(n, 5), 1.7, "krylov")) ** 2
-    escape, escape_ref = np.delete(auto, 5).sum(), np.delete(ref, 5).sum()
-    assert abs(escape - escape_ref) < 1e-10 * escape_ref
+    t = 1.7
+    starts = [5, 6]
+    psis = [basis_state(n, y) for y in starts]
+    if n == 14:
+        psis.append(_random_state(_rng(43), h_c.dim))
+    for variant in (GROVER, TRANSVERSE):
+        mixer = MixerSpec(variant, 0.7)
+
+        def apply(v):
+            return apply_hamiltonian(h_c, mixer, np.ravel(v))
+
+        ham = LinearOperator((h_c.dim, h_c.dim), matvec=apply, rmatvec=apply,
+                             dtype=complex)
+        trace = (0.7 * n if variant == GROVER else 0.0) - 1.3 * n
+        refs = [expm_multiply(-1j * t * ham, psi, traceA=-1j * t * trace)
+                for psi in psis]
+        for psi, ref in zip(psis, refs):
+            assert np.max(np.abs(evolve(h_c, mixer, psi, t) - ref)) < 1e-10
+        for y, ref in zip(starts, refs):
+            col = quantum_proposal_column(h_c, mixer, t, y)
+            escape = np.delete(col, y).sum()
+            escape_ref = np.delete(np.abs(ref) ** 2, y).sum()
+            assert abs(escape - escape_ref) < 1e-10 * escape_ref
 
 
 def test_kernel_has_no_krylov_route():

@@ -14,6 +14,7 @@ from qemcmc.chain import (
 )
 from qemcmc.errors import (
     AsymmetricKernel,
+    BudgetExceeded,
     NegativeDiagonal,
     NegativeProbability,
     NotReversible,
@@ -181,6 +182,16 @@ def test_budget_guard(monkeypatch):
     p = _uniform_chain(9, 1.0, 1.0)
     _refused_before_allocation(monkeypatch, partial(spectral_gap_dense, p),
                               "dense eigensolve", 9)
+
+
+def test_sector_arrays_stop_at_the_real_cap():
+    # at 2^24 entries the block coefficients take N <= 75, the table N <= 202
+    with pytest.raises(BudgetExceeded,
+                       match="^block coefficients refused at N = 76:"):
+        _schrijver_beta(76)
+    with pytest.raises(BudgetExceeded, match="^kernel table refused at N = 203:"):
+        quantum_kernel(MarkedStateHamiltonian(203, 1.0),
+                       MixerSpec("transverse", 1.0), 1.0)
 
 
 def test_scaling_fit_exact_slope():
