@@ -36,6 +36,7 @@ from .model import GibbsMeasure
 from .proposal import (
     PermutationInvariantKernel,
     ProposalKernel,
+    _check_entries,
     validate_kernel,
     weight_classes,
 )
@@ -316,6 +317,7 @@ def exact_mixing_time(kernel: ProposalKernel, measure: GibbsMeasure,
     Its probes carry the lumped row from one to the next and advance it by
     cached squarings of the lumped chain (:func:`_row_powers`), so a probe
     costs one vector-matrix product per set bit of the step between them.
+    Its largest gather, (w+1)^3 (N-w+1)^3 entries at w = N/2, limits N to 30.
 
     The search is O(log t), so ``max_steps`` guards no cost; it marks how
     far the integer t_mix is reproducible.  Each route rounds its powers its
@@ -326,10 +328,12 @@ def exact_mixing_time(kernel: ProposalKernel, measure: GibbsMeasure,
     """
     if not 0 < epsilon:
         raise ValueError("epsilon must be positive")
+    n = kernel.n_spins
+    _check_entries("mixing-time gather", n,
+                   ((n // 2 + 1) * (n - n // 2 + 1)) ** 3)
     move, stay, _ = _class_chain(kernel, measure)
     if epsilon >= 1.0:
         return 0
-    n = kernel.n_spins
     log_pi = measure.class_log_weights - measure.log_partition
     worst = 0
     for w in range(n + 1):

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .proposal import _check_entries
+
 Config = int
 
 
@@ -53,8 +55,8 @@ class GibbsMeasure:
     ``class_log_weights[w]`` holds the unnormalized value -beta*E(w) shared by
     the C(N, w) states at distance w from ``marked``; ``log_partition`` is
     log Z.  ``log_weights``, :meth:`log_probabilities` and
-    :meth:`probabilities` are their 2^N views, formed on each call, for the
-    dense cross-checks and the empirical histogram of ``sample``.
+    :meth:`probabilities` are their 2^N views, formed on each call up to
+    N = 24 (the size rule), for the dense cross-checks and ``sample``.
     """
 
     beta: float
@@ -69,6 +71,7 @@ class GibbsMeasure:
 
     @property
     def log_weights(self) -> np.ndarray:
+        _check_entries("Gibbs vector", self.n_spins, self.dim)
         distances = np.bitwise_count(np.arange(self.dim) ^ self.marked)
         return self.class_log_weights[distances]
 

@@ -9,10 +9,10 @@ is carried as its table over (d, w_x, w_y), with d = |x^y| and w_x = |x^k|,
 w_y = |y^k|; its certificate is measured on that table in O(N^3).
 
 Every large array of the package keeps one size rule, :func:`_check_entries`:
-no more than 2^24 float64 entries (128 MiB).  So a dense route (a kernel's
-matrix or column here, the dense Hamiltonian, the dense gap) takes N <= 12
-for a 2^N x 2^N matrix and N <= 24 for a 2^N vector, the transverse kernel
-table N <= 202, and the symmetry-block coefficients N <= 75.
+no more than 2^24 float64 entries (128 MiB).  So N <= 12 for a 2^N x 2^N
+matrix (a dense kernel, the dense Hamiltonian, the dense gap), N <= 24 for a
+2^N vector (a column, a Gibbs vector), and N <= 202, 75 and 30 for the
+transverse kernel table, the block coefficients and the mixing-time gather.
 """
 
 from __future__ import annotations

@@ -10,12 +10,12 @@ plus a correction of order N+1 on S, and one sector propagator
 statevector evolution (:func:`evolve`), exactly and with no iteration.  With
 the grover mixer, H leaves span{|k>, |u>} invariant (|u> the uniform state
 over unmarked configurations), so one closed form,
-:func:`grover_closed_form`, gives its two-level frequency and its four
-distinct proposal probabilities, and every grover kernel and column is built
-from it.  A transverse kernel costs two eigensolves of order N+1 for its
-(N+1)^3 table over (|x^y|, |x^k|, |y^k|); a column is an O(2^N) gather from
-that table, and only a dense matrix asks for the O(4^N) fill.  Dense
-diagonalization is the independent cross-check of every structured route.
+:func:`grover_closed_form`, gives its four distinct proposal probabilities,
+and every grover kernel and column is built from it.  A transverse kernel
+costs two eigensolves of order N+1 for its (N+1)^3 table over (|x^y|, |x^k|,
+|y^k|); a column is an O(2^N) gather from that table, and only a dense
+matrix asks for the O(4^N) fill.  Dense diagonalization is the independent
+cross-check of every structured route.
 The dense Hamiltonian, a dense kernel, a column and the kernel table keep the
 one size rule of :mod:`qemcmc.proposal`: N <= 12 for a matrix, N <= 24 for a
 column, N <= 202 for the table.
@@ -24,7 +24,7 @@ column, N <= 202 for the table.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -276,10 +276,9 @@ def two_level_frequency(n_spins: int, alpha: float, h: float) -> float:
 
 @dataclass(frozen=True)
 class GroverClosedForm:
-    """The grover-mixed evolution on its invariant span{|k>, |u>}: the
-    two-level frequency and the four distinct proposal probabilities."""
+    """The four distinct grover proposal probabilities on span{|k>, |u>}, in
+    the argument order of :class:`~qemcmc.proposal.StructuredMarkedKernel`."""
 
-    omega: float
     q_marked: float
     q_unmarked: float
     q_marked_stay: float
@@ -300,8 +299,7 @@ def grover_closed_form(n_spins: int, alpha: float, h: float,
     removable one.
     """
     dim = 2.0 ** n_spins
-    omega = two_level_frequency(n_spins, alpha, h)
-    gamma_t = n_spins * omega * t
+    gamma_t = n_spins * two_level_frequency(n_spins, alpha, h) * t
     # sin(gamma t)/gamma = t*sinc(gamma t/pi); h*N*that/2^N = sqrt(q_marked)
     sinc = np.sinc(gamma_t / math.pi)
     base = h * n_spins * t * sinc * 2.0 ** -n_spins
@@ -313,7 +311,6 @@ def grover_closed_form(n_spins: int, alpha: float, h: float,
     q_marked = float(base * base)
     q_unmarked = float(cos_diff ** 2 + (math.sin(phi_t) + n_z_sin) ** 2) / (dim - 1.0) ** 2
     return GroverClosedForm(
-        omega=omega,
         q_marked=q_marked,
         q_unmarked=q_unmarked,
         q_marked_stay=1.0 - (dim - 1.0) * q_marked,
@@ -326,6 +323,4 @@ def structured_grover_kernel(h_c: MarkedStateHamiltonian, h: float,
     """The grover proposal kernel, assembled from :func:`grover_closed_form`:
     the one grover kernel and column of the ``auto`` routes."""
     cf = grover_closed_form(h_c.n_spins, h_c.alpha, h, t)
-    return StructuredMarkedKernel(h_c.n_spins, h_c.marked, cf.q_marked,
-                                  cf.q_unmarked, cf.q_marked_stay,
-                                  cf.q_unmarked_stay)
+    return StructuredMarkedKernel(h_c.n_spins, h_c.marked, *astuple(cf))

@@ -3,9 +3,9 @@ eigensolve that cross-checks it, closed forms for the uniform and grover
 proposals, mixing-time bounds, and time-averaged kernels.  Every gap route
 returns delta = 1 - |lambda_2| as a float; the relaxation-time bounds on the
 mixing time are a separate function of delta and log pi_min.  The grover gaps,
-single and time-averaged, are read off the two block gaps of one helper,
-which takes the proposal probabilities of
-:func:`~qemcmc.quantum.grover_closed_form`.
+single and time-averaged, come from the two block gaps of one helper, and
+the time-averaged grover kernel is one mean: all read the four proposal
+probabilities of :func:`~qemcmc.quantum.grover_closed_form`.
 
 A chain on the marked model whose kernel is invariant under permutations of
 the spins about the marked state k (every kernel the experiments build) has
@@ -39,7 +39,7 @@ acceptance checks and the tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -47,16 +47,16 @@ import numpy as np
 from .errors import EigensolverFailure, NotReversible
 from .model import GibbsMeasure, MarkedStateHamiltonian, _log_pow2m1
 from .proposal import (
-    PermutationInvariantKernel,
     ProposalKernel,
+    StructuredMarkedKernel,
     _check_entries,
+    _clamped,
     weight_classes,
 )
 from .quantum import (
     GroverClosedForm,
-    MixerSpec,
     grover_closed_form,
-    quantum_kernel,
+    quantum_kernel,  # perfbench traces this name here
 )
 from .chain import TransitionMatrix, _class_chain
 
@@ -254,15 +254,16 @@ def _block_coefficients(n_spins: int) -> np.ndarray:
     return coef
 
 
-def _symmetry_blocks(x: np.ndarray):
+def _symmetry_blocks(x: np.ndarray, coef: np.ndarray):
     """Blocks B_k of L from its class entries x^t_{i,j}, k = 0..floor(N/2),
-    each with its multiplicity C(N,k) - C(N,k-1).
+    each with its multiplicity C(N,k) - C(N,k-1); ``coef`` is
+    :func:`_block_coefficients` at N.
 
     Their asymmetry is the reversibility certificate; the blocks returned
     are symmetrized.
     """
     n = x.shape[0] - 1
-    full = np.einsum("kijt,ijt->kij", _block_coefficients(n), x)
+    full = np.einsum("kijt,ijt->kij", coef, x)
     blocks = [full[k, k:n - k + 1, k:n - k + 1] for k in range(n // 2 + 1)]
     scale = max(max(float(np.max(np.abs(b))) for b in blocks), 1e-300)
     asym = max(float(np.max(np.abs(b - b.T))) for b in blocks) / scale
@@ -289,9 +290,10 @@ def spectral_gap_blocks(kernel: ProposalKernel,
     block k >= 1 (nearly periodic transverse chains, h t near pi/2) keeps
     about eps / delta of it.
     """
+    n = kernel.n_spins
+    coef = _block_coefficients(n)   # its size rule before any assembly
     move, stay, x = _class_chain(kernel, measure)
     # the chain lumped onto the distances, and its stationary law
-    n = kernel.n_spins
     w = np.arange(n + 1)
     lumped = np.einsum("ijt,ijt->ij", weight_classes(n)[0], move)
     lumped[w, w] += stay
@@ -299,7 +301,7 @@ def spectral_gap_blocks(kernel: ProposalKernel,
     log_pi = (measure.class_log_weights
               + np.log([float(math.comb(n, a)) for a in w])
               - measure.log_partition)
-    (block0, _), *rest = _symmetry_blocks(x)
+    (block0, _), *rest = _symmetry_blocks(x, coef)
     _, vec = np.linalg.eigh(block0)
     # the two lowest span {sqrt(pi), phi_1}; project out sqrt(pi)
     sqrt_pi = np.exp(0.5 * log_pi)
@@ -370,6 +372,9 @@ class AveragingScheme:
     def __post_init__(self):
         if self.sample_count < 1:
             raise ValueError("sample_count must be >= 1")
+        ends = [*self.t_range, *(self.h_range or ()), self.h_fixed or 0.0]
+        if not all(math.isfinite(v) for v in ends):
+            raise ValueError(f"h and t must be finite, not {ends}")
         if (self.h_fixed is None) == (self.h_range is None):
             raise ValueError("exactly one of h_fixed/h_range must be set")
         if (self.h_range is not None
@@ -393,19 +398,20 @@ class AveragingScheme:
         return np.column_stack([hh.ravel(), tt.ravel()])
 
 
-def time_averaged_kernel(h_c: MarkedStateHamiltonian, variant: str,
-                         scheme: AveragingScheme) -> PermutationInvariantKernel:
-    """Mean proposal kernel over the sampled (h, t) pairs.
-
-    A convex combination of unital kernels, hence symmetric and doubly
-    stochastic.  The kernels are averaged as their (d, w_x, w_y) tables, so
-    no 2^N x 2^N matrix is formed.
+def time_averaged_kernel(h_c: MarkedStateHamiltonian,
+                         scheme: AveragingScheme) -> StructuredMarkedKernel:
+    """Mean grover proposal kernel over the scheme's (h, t) samples, hence
+    symmetric and doubly stochastic: the mean of the four values of
+    :func:`~qemcmc.quantum.grover_closed_form`, each clamped as a kernel
+    table clamps it and summed in sample order, so it equals the mean of the
+    per-sample tables to the bit.
     """
-    samples = scheme.samples()
-    total = sum(quantum_kernel(h_c, MixerSpec(variant, h), t).table()
-                for h, t in samples)
-    return PermutationInvariantKernel(h_c.n_spins, h_c.marked,
-                                      (1.0 / len(samples)) * total)
+    n = h_c.n_spins
+    values = np.array([astuple(grover_closed_form(n, h_c.alpha, h, t))
+                       for h, t in scheme.samples()])
+    # an axis-0 reduction adds the rows in order, as a sum of tables does
+    mean = (1.0 / len(values)) * _clamped(values, n).sum(axis=0)
+    return StructuredMarkedKernel(n, h_c.marked, *mean)
 
 
 def averaged_grover_gap(n_spins: int, alpha: float, beta: float,

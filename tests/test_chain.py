@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from qemcmc import chain
 from qemcmc.chain import (
     TransitionMatrix,
     _class_chain,
@@ -14,7 +15,12 @@ from qemcmc.chain import (
     sample_chain,
     total_variation,
 )
-from qemcmc.errors import AsymmetricKernel, MismatchedDimensions, NoConvergence
+from qemcmc.errors import (
+    AsymmetricKernel,
+    BudgetExceeded,
+    MismatchedDimensions,
+    NoConvergence,
+)
 from qemcmc.model import MarkedStateHamiltonian, gibbs_measure
 from qemcmc.proposal import (
     DenseKernel,
@@ -384,3 +390,18 @@ def test_class_mixing_time_needs_an_invariant_kernel():
     measure = gibbs_measure(MarkedStateHamiltonian(3, 1.0), 1.0)
     with pytest.raises(TypeError):
         exact_mixing_time(DenseKernel(np.full((8, 8), 0.125), 3), measure, 0.01)
+
+
+@pytest.mark.parametrize("n", [31, 68])
+def test_mixing_time_refused_past_the_size_rule(monkeypatch, n):
+    # the gather at w = N/2 holds ((N/2+1)(N-N/2+1))^3 entries: 2^24 at
+    # N = 30, above it from N = 31; refused before the class chain is built,
+    # at N = 68 too, where its binomials pass 2^64
+    def unreachable(*args):
+        raise AssertionError("class chain assembled")
+
+    monkeypatch.setattr(chain, "_class_chain", unreachable)
+    measure = gibbs_measure(MarkedStateHamiltonian(n, 1.0), 0.0)
+    with pytest.raises(BudgetExceeded,
+                       match=f"^mixing-time gather refused at N = {n}:"):
+        exact_mixing_time(single_flip_kernel(n), measure, 0.01)

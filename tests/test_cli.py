@@ -171,7 +171,7 @@ def test_validate_rows_claim_no_run_settings(monkeypatch):
     # no check reads N, alpha, beta, h or t, so no row is labelled with them
     from qemcmc import validation
 
-    monkeypatch.setattr(validation, "default_suite", lambda reduced: [
+    monkeypatch.setattr(validation, "default_suite", lambda: [
         validation.CriterionResult("stub", 0.0, 0.0, True)])
     csv_text, status = _run(["--experiment", "validate", "--alpha", "3",
                              "--n-min", "4", "--n-max", "4", "--beta", "0.5"])
@@ -539,3 +539,41 @@ def test_figures_skip_rows_past_the_size_rule(monkeypatch, capsys):
                     (18, "delta_closed")]
     assert captured.err.startswith("skipped delta_exact at N=18: "
                                    "block coefficients refused at N = 18:")
+
+
+def test_figure_a_refuses_its_row_before_the_chain(monkeypatch, capsys):
+    # the block coefficients refuse N = 76 before the averaged kernel's
+    # chain is assembled
+    from qemcmc import spectral
+
+    def unreachable(*args):
+        raise AssertionError("class chain assembled")
+
+    monkeypatch.setattr(spectral, "_class_chain", unreachable)
+    assert cli.main(["--experiment", "figure-a", "--n-min", "76",
+                     "--n-max", "76", "--max-dense-n", "76",
+                     "--avg-samples", "4"]) == 0
+    captured = capsys.readouterr()
+    assert [r[6] for r in _rows(captured.out)] == ["delta_closed"]
+    assert captured.err.startswith("skipped delta_exact at N=76: "
+                                   "block coefficients refused at N = 76:")
+
+
+def test_sample_skips_rows_past_the_size_rule(monkeypatch, capsys):
+    # with the cap lowered to 2^16 entries the Gibbs vector refuses N = 17
+    # and the mixing-time gather N = 11 ((6 * 7)^3 entries): N = 17 loses its
+    # tv rows and N = 11..17 their tmix rows, each with a note, and the run
+    # exits 0
+    from qemcmc import proposal
+
+    monkeypatch.setattr(proposal, "_ENTRIES_MAX", 1 << 16)
+    assert cli.main(["--experiment", "sample", "--n-min", "10",
+                     "--n-max", "17", "--max-dense-n", "17", "--steps", "100",
+                     "--beta", "1"]) == 0
+    captured = capsys.readouterr()
+    keys = sorted({(int(r[1]), r[6]) for r in _rows(captured.out)})
+    assert keys == sorted([(n, "tv") for n in range(10, 17)] + [(10, "tmix")])
+    notes = [line.split(":")[0] for line in captured.err.splitlines()]
+    assert notes == ([f"skipped tmix at N={n}" for n in range(11, 17)]
+                     + ["skipped tv at N=17", "skipped tmix at N=17"])
+    assert "Gibbs vector refused at N = 17" in captured.err

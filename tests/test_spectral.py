@@ -31,6 +31,7 @@ from qemcmc.quantum import (
     MixerSpec,
     grover_closed_form,
     quantum_kernel,
+    resonance_field,
     structured_grover_kernel,
     two_level_frequency,
 )
@@ -55,7 +56,7 @@ from test_proposal import _refused_before_allocation
 
 def _dense_average(h_c, variant, scheme):
     """Mean of the dense-diagonalization kernels over the scheme's (h, t)
-    grid: the reference for the table average of time_averaged_kernel."""
+    grid."""
     samples = scheme.samples()
     weight = 1.0 / len(samples)
     mean = np.zeros((h_c.dim, h_c.dim))
@@ -217,6 +218,12 @@ def test_scheme_validation():
         AveragingScheme((0.0, 1.0), h_fixed=1.0, h_range=(0.0, 1.0))
     with pytest.raises(ValueError):
         AveragingScheme((0.0, 1.0), h_fixed=1.0, sample_count=0)
+    # a non-finite h or t is refused when the scheme is made
+    for t_range, h in [((0.0, math.inf), {"h_fixed": 1.0}),
+                       ((0.0, 1.0), {"h_fixed": math.nan}),
+                       ((0.0, 1.0), {"h_range": (-math.inf, 1.0)})]:
+        with pytest.raises(ValueError, match="finite"):
+            AveragingScheme(t_range, **h)
 
 
 @pytest.mark.parametrize("count", [1, 2, 9, 10, 63, 64])
@@ -238,9 +245,29 @@ def test_scheme_h_range_grid_is_square(count):
 def test_single_sample_average_is_the_kernel():
     h_c = MarkedStateHamiltonian(5, 1.0)
     scheme = AveragingScheme((1.3, 1.3), h_fixed=0.9, sample_count=1)
-    avg = time_averaged_kernel(h_c, "grover", scheme)
+    avg = time_averaged_kernel(h_c, scheme)
     single = structured_grover_kernel(h_c, 0.9, 1.3)
     assert np.max(np.abs(avg.dense() - single.dense())) < 1e-14
+
+
+@pytest.mark.parametrize("count", [1, 16, 64])
+def test_averaged_table_is_the_mean_of_the_sample_tables(count):
+    # the reference: each sample's grover table, summed in sample order and
+    # scaled once; the four-value mean must equal it to the bit
+    for n in range(1, 13):
+        h_c = MarkedStateHamiltonian(n, 1.0, marked=n // 2)
+        for scheme in (
+                AveragingScheme((2.0, 20.0), h_fixed=resonance_field(1.0, n),
+                                sample_count=count),
+                AveragingScheme((0.3, 4.0), h_range=(-2.0, 2.0),
+                                sample_count=count)):
+            samples = scheme.samples()
+            total = sum(structured_grover_kernel(h_c, h, t).table()
+                        for h, t in samples)
+            ref = PermutationInvariantKernel(n, h_c.marked,
+                                             (1.0 / len(samples)) * total)
+            avg = time_averaged_kernel(h_c, scheme)
+            assert np.array_equal(avg.table(), ref.table()), (n, count)
 
 
 def test_averaged_kernel_symmetric():
@@ -259,7 +286,7 @@ def test_averaged_gap_matches_averaged_kernel():
     period = math.pi / (n * omega)
     scheme = AveragingScheme((2.0, 2.0 + period), h_fixed=h, sample_count=24)
     h_c = MarkedStateHamiltonian(n, alpha)
-    kern = time_averaged_kernel(h_c, "grover", scheme)
+    kern = time_averaged_kernel(h_c, scheme)
     delta = spectral_gap_dense(
         build_transition_matrix(kern, gibbs_measure(h_c, beta)))
     analytic = averaged_grover_gap(n, alpha, beta, scheme)
@@ -292,7 +319,7 @@ def test_averaged_gap_is_the_smaller_averaged_block(t_range):
     n, alpha, h, beta = 7, 0.5387855542266777, -1.1702963844100096, 1.0
     scheme = AveragingScheme(t_range, h_fixed=h, sample_count=5)
     h_c = MarkedStateHamiltonian(n, alpha)
-    kern = time_averaged_kernel(h_c, "grover", scheme)
+    kern = time_averaged_kernel(h_c, scheme)
     delta = spectral_gap_dense(
         build_transition_matrix(kern, gibbs_measure(h_c, beta)))
     analytic = averaged_grover_gap(n, alpha, beta, scheme)
@@ -332,7 +359,7 @@ def _draw(rng, n):
 def _kernel(variant, h_c, h, t):
     if variant == "averaged":
         scheme = AveragingScheme((t, t + 1.0), h_fixed=h, sample_count=5)
-        return time_averaged_kernel(h_c, "grover", scheme)
+        return time_averaged_kernel(h_c, scheme)
     return quantum_kernel(h_c, MixerSpec(variant, h), t)
 
 
@@ -362,7 +389,7 @@ def test_block_spectrum_matches_dense(variant):
         np.fill_diagonal(sym, 1.0 - np.diag(p))
         ref = np.linalg.eigvalsh(sym)
         _, _, x = _class_chain(kern, measure)
-        blocks = _symmetry_blocks(x)
+        blocks = _symmetry_blocks(x, _block_coefficients(n))
         assert sum(mult * len(b) for b, mult in blocks) == 1 << n
         lam = np.sort(np.concatenate([np.repeat(np.linalg.eigvalsh(b), mult)
                                       for b, mult in blocks]))
@@ -465,7 +492,8 @@ def test_block_gap_nearly_periodic(n, alpha):
     delta = spectral_gap_blocks(kern, measure)
     assert abs(delta - ref) <= 1e-10 * ref
     _, _, x = _class_chain(kern, measure)
-    (block0, _), (block1, _), *_ = _symmetry_blocks(x)
+    (block0, _), (block1, _), *_ = _symmetry_blocks(x,
+                                                    _block_coefficients(n))
     lam0, lam1 = np.linalg.eigvalsh(block0), np.linalg.eigvalsh(block1)
     assert abs(2.0 - lam1[-1] - delta) <= 1e-10 * ref
     assert min(lam0[1], 2.0 - lam0[-1]) > delta
@@ -559,7 +587,7 @@ def test_block_route_rejects_irreversible_chain(monkeypatch):
                            gibbs_measure(h_c, 2.0))
     x[2, 3, 2] = np.nan
     with pytest.raises(NotReversible):
-        _symmetry_blocks(x)
+        _symmetry_blocks(x, _block_coefficients(5))
     # with the kernel asymmetry check relaxed, the blocks' own certificate
     # catches the asymmetric table
     monkeypatch.setattr(chain, "SYMMETRY_TOL", 1.0)
@@ -567,7 +595,7 @@ def test_block_route_rejects_irreversible_chain(monkeypatch):
     _, _, x = _class_chain(PermutationInvariantKernel(5, 9, table),
                            gibbs_measure(h_c, 2.0))
     with pytest.raises(NotReversible):
-        _symmetry_blocks(x)
+        _symmetry_blocks(x, _block_coefficients(5))
 
 
 def test_block_route_needs_an_invariant_measure():
@@ -577,15 +605,6 @@ def test_block_route_needs_an_invariant_measure():
         spectral_gap_blocks(PermutationInvariantKernel(5, 9, table), other)
     with pytest.raises(TypeError):
         spectral_gap_blocks(DenseKernel(np.eye(32), 5), gibbs_measure(h_c, 2.0))
-
-
-def test_averaged_transverse_table_matches_dense_average():
-    h_c = MarkedStateHamiltonian(5, 1.2, marked=17)
-    scheme = AveragingScheme((0.5, 2.5), h_fixed=0.7, sample_count=6)
-    avg = time_averaged_kernel(h_c, "transverse", scheme)
-    assert isinstance(avg, PermutationInvariantKernel)
-    ref = _dense_average(h_c, "transverse", scheme)
-    assert np.max(np.abs(avg.dense() - ref)) < 1e-12
 
 
 @pytest.mark.parametrize("n", range(2, 9))
