@@ -11,10 +11,9 @@ log weights on the N+1 distances, with no 2^N object: the exact gap
 (:func:`exact_mixing_time`) and the sampled chain (:func:`sample_chain`) all
 read that one assembly.  The sampled chain costs O(N) per move, not per
 step: a run of rejections is geometric and takes one draw.  Each mixing-time
-search carries its row from probe to probe and advances it by cached
-squarings.  The dense matrix serves the dense gap and mixing-time
-cross-checks.  Both assemblies check the kernel the same way
-(:func:`_check_kernel`).
+search advances its row by cached squarings.  The dense matrix serves the
+dense gap and mixing-time cross-checks.  Both assemblies check the kernel
+the same way (:func:`_check_kernel`).
 """
 
 from __future__ import annotations
@@ -47,6 +46,8 @@ _DRAW_BLOCK = 4096
 # largest kernel asymmetry a chain is assembled from; the pair-class assembly
 # holds the kernel's column sums to it as well
 SYMMETRY_TOL = 1e-9
+# the step cap of exact_mixing_time: how far its integer t_mix is reproducible
+_MAX_STEPS = 10_000_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -246,65 +247,40 @@ def sample_chain(state: ChainState, kernel: ProposalKernel,
 # ---------------------------------------------------------------------------
 # exact mixing time
 
-def _first_crossing(tv_at, epsilon, max_steps):
-    """First integer t with tv_at(t) <= epsilon, using the monotonicity of d(t)."""
-    if tv_at(0) <= epsilon:
-        return 0
-    lo, t = 0, 1
-    while True:
-        if tv_at(t) <= epsilon:
-            hi = t
-            break
-        lo = t
-        if t >= max_steps:
-            raise NoConvergence(
-                f"total variation still above {epsilon} after {max_steps} steps"
-            )
-        t = min(2 * t, max_steps)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if tv_at(mid) <= epsilon:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+def _first_crossing(p: np.ndarray, rows: np.ndarray, tv, epsilon: float,
+                    max_steps: int) -> int:
+    """First integer t with tv(rows @ p^t) <= epsilon, using the monotonicity
+    of d(t); NoConvergence if that t exceeds ``max_steps``.
 
-
-def _row_powers(p: np.ndarray, rows: np.ndarray):
-    """rows @ p^t as a function of t, for the probes of :func:`_first_crossing`.
-
-    A probe advances the row at the largest t already probed below it by the
-    bits of the difference: one product with a cached squaring p^(2^j) per
-    set bit, where powering p^t afresh costs about 2 log2(t) matrix products.
-    Two rows are carried, the last probe and its base.  A doubling or
-    bisection search probes next either above its last probe or between that
-    probe and its base, so the next base is one of the two; a probe below
-    both would restart from ``rows``.
+    Binary lifting over cached squarings p^(2^j): while d(t) > epsilon the
+    held row doubles t (steps 1, 1, 2, 4, ...), and from the last held row
+    each lower power of two is taken when d stays above epsilon.  Every probe
+    is one product of the held row with one squaring.
     """
-    squarings = [p]
-    carried = {0: rows}
-
-    def at(t):
-        nonlocal carried
-        base = max((s for s in carried if s <= t), default=0)
-        row = carried.get(base, rows)
-        carried = {base: row}
-        step, j = t - base, 0
-        while step:
-            if j == len(squarings):
-                squarings.append(squarings[-1] @ squarings[-1])
-            if step & 1:
-                row = row @ squarings[j]
-            step >>= 1
-            j += 1
-        carried[t] = row
-        return row
-
-    return at
+    if tv(rows) <= epsilon:
+        return 0
+    squarings, t = [p], 0            # d(t) > epsilon at the held row
+    while t < max_steps:
+        j = max(t.bit_length() - 1, 0)
+        if j == len(squarings):
+            squarings.append(squarings[-1] @ squarings[-1])
+        row = rows @ squarings[j]
+        if tv(row) <= epsilon:       # crossed within 2^j steps
+            for k in range(j - 1, -1, -1):
+                row = rows @ squarings[k]
+                if tv(row) > epsilon:
+                    rows, t = row, t + (1 << k)
+            if t < max_steps:
+                return t + 1
+            break
+        rows, t = row, t + (1 << j)
+    raise NoConvergence(
+        f"total variation still above {epsilon} after {max_steps} steps"
+    )
 
 
 def exact_mixing_time(kernel: ProposalKernel, measure: GibbsMeasure,
-                      epsilon: float, max_steps: int = 10_000_000) -> int:
+                      epsilon: float) -> int:
     """Worst-start mixing time, max over starts x of min{t : d_x(t) <= epsilon},
     of the MH chain of a permutation-invariant kernel, with no 2^N x 2^N matrix.
 
@@ -313,18 +289,18 @@ def exact_mixing_time(kernel: ProposalKernel, measure: GibbsMeasure,
     uniform on each class (a, b) of states y that differ from k in a of the
     w = |x^k| spins where x does and in b of the others.  d_x(t) is then the
     total variation of the chain lumped onto these (w+1)(N-w+1) classes,
-    which :func:`_class_chain` gives, and one search runs per distance w.
-    Its probes carry the lumped row from one to the next and advance it by
-    cached squarings of the lumped chain (:func:`_row_powers`), so a probe
-    costs one vector-matrix product per set bit of the step between them.
-    Its largest gather, (w+1)^3 (N-w+1)^3 entries at w = N/2, limits N to 30.
+    which :func:`_class_chain` gives, and one search
+    (:func:`_first_crossing`) runs per distance w, each probe one
+    vector-matrix product with a cached squaring of the lumped chain.  Its
+    largest gather, (w+1)^3 (N-w+1)^3 entries at w = N/2, limits N to 30.
 
-    The search is O(log t), so ``max_steps`` guards no cost; it marks how
-    far the integer t_mix is reproducible.  Each route rounds its powers its
-    own way, and the crossing of epsilon moves with that rounding: within
-    10^7 steps this route and the dense rows of P^t (the tests' reference)
-    agree on every chain the tests draw, while past it a grover chain at
-    N = 8 gives 318 958 889 here and 318 958 621 there.
+    A chain that has not mixed within ``_MAX_STEPS`` raises NoConvergence.
+    The search is O(log t), so the cap guards no cost; it marks how far the
+    integer t_mix is reproducible.  Each route rounds its powers its own
+    way, and the crossing of epsilon moves with that rounding: within 10^7
+    steps this route and the dense rows of P^t (the tests' reference) agree
+    on every chain the tests draw, while past it a grover chain at N = 8
+    gives 318 958 889 here and 318 958 621 there.
     """
     if not 0 < epsilon:
         raise ValueError("epsilon must be positive")
@@ -332,8 +308,6 @@ def exact_mixing_time(kernel: ProposalKernel, measure: GibbsMeasure,
     _check_entries("mixing-time gather", n,
                    ((n // 2 + 1) * (n - n // 2 + 1)) ** 3)
     move, stay, _ = _class_chain(kernel, measure)
-    if epsilon >= 1.0:
-        return 0
     log_pi = measure.class_log_weights - measure.log_partition
     worst = 0
     for w in range(n + 1):
@@ -354,10 +328,7 @@ def exact_mixing_time(kernel: ProposalKernel, measure: GibbsMeasure,
         pi = np.exp(log_size + log_pi[dist]).ravel()
         start = np.zeros(size)
         start[w * (n - w + 1)] = 1.0             # the class (w, 0) of x
-        row_at = _row_powers(lumped, start)
-
-        def tv_at(t):
-            return total_variation(row_at(t), pi)
-
-        worst = max(worst, _first_crossing(tv_at, epsilon, max_steps))
+        worst = max(worst, _first_crossing(
+            lumped, start, lambda row: total_variation(row, pi), epsilon,
+            _MAX_STEPS))
     return worst

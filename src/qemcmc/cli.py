@@ -291,16 +291,25 @@ def run_scan(cfg: ExperimentConfig):
 def run_sample(cfg: ExperimentConfig):
     """Finite-sample chain runs: empirical total variation at checkpoints and
     the exact mixing time up to max_dense_n; rows past the size rule of the
-    2^N target (tv) or of the mixing-time search (tmix) are skipped."""
+    kernel table (both), the 2^N target (tv) or the mixing-time search
+    (tmix) are skipped."""
     checkpoints = sorted({max(1, cfg.steps * k // 4) for k in range(1, 5)})
     rows = []
     for n in cfg.n_values:
-        if n > cfg.max_dense_n:
-            _skip("tv", n, f"dense target limited to N <= {cfg.max_dense_n}")
-            continue
         h = _resolve_h(cfg, n)
         h_c = MarkedStateHamiltonian(n, cfg.alpha)
-        kern = quantum_kernel(h_c, MixerSpec(cfg.mixer, h), cfg.t_spec)
+        refused = None
+        if n > cfg.max_dense_n:
+            refused = f"dense target limited to N <= {cfg.max_dense_n}"
+        else:
+            try:
+                kern = quantum_kernel(h_c, MixerSpec(cfg.mixer, h), cfg.t_spec)
+            except BudgetExceeded as exc:
+                refused = exc
+        if refused is not None:
+            _skip("tv", n, refused)
+            _skip("tmix", n, refused)
+            continue
         measure = gibbs_measure(h_c, cfg.beta)
         try:
             pi = measure.probabilities()

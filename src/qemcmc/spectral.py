@@ -114,11 +114,8 @@ def spectral_gap_dense(p: TransitionMatrix) -> float:
     np.negative(sym, out=sym)
     np.fill_diagonal(sym, diag)
     low, top = _extreme_ritz_vectors(sym)  # Ritz vectors of I - P
-    # the two lowest span {sqrt(pi), phi_1} up to rounding; project out sqrt(pi)
-    sqrt_pi = np.exp(0.5 * p.stationary.log_probabilities())
-    low -= np.outer(sqrt_pi, sqrt_pi @ low)
-    phi = np.linalg.svd(low, full_matrices=False)[0][:, 0]
-    gap_low, gap_high = _dirichlet_forms(p.p, phi, top)
+    gap_low, gap_high = _dirichlet_forms(
+        p.p, p.stationary.log_probabilities(), low, top)
     return min(max(min(gap_low, gap_high), 0.0), 1.0)
 
 
@@ -172,27 +169,35 @@ def _lowest_tridiagonal_eigenvalues(d, e, count: int) -> list:
     return list(w[:count])
 
 
-def _dirichlet_forms(p: np.ndarray, phi: np.ndarray, psi: np.ndarray,
-                     block: int = 256):
+def _dirichlet_forms(p: np.ndarray, log_pi: np.ndarray, low: np.ndarray,
+                     top: np.ndarray):
     """phi^T (I - S) phi / |phi|^2 and psi^T (I + S) psi / |psi|^2 for a
-    reversible P, S = D^1/2 P D^-1/2 and D = diag(pi).
+    reversible P with stationary law pi = exp(log_pi), S = D^1/2 P D^-1/2
+    and D = diag(pi).
 
-    Each is written as 1/2 sum_{x,y} (sqrt(P(x,y)) v_x -+ sqrt(P(y,x)) v_y)^2,
-    a sum of nonnegative terms.  With g = phi/sqrt(pi) the first is the
-    Dirichlet form 1/2 sum pi(x) P(x,y) (g_x - g_y)^2, blind to any sqrt(pi)
-    component of phi.  No term cancels, so a small result keeps the relative
-    accuracy of P's entries.  Rows are taken in blocks to bound the
-    temporaries.
+    ``low`` holds the Ritz vectors of I - S for its two lowest eigenvalues,
+    which span {sqrt(pi), phi_1} up to rounding: phi is their leading
+    direction once sqrt(pi) is projected out.  psi = ``top`` is the Ritz
+    vector for the highest.  Each form is written as
+    1/2 sum_{x,y} (sqrt(P(x,y)) v_x -+ sqrt(P(y,x)) v_y)^2, a sum of
+    nonnegative terms.  With g = phi/sqrt(pi) the first is the Dirichlet
+    form 1/2 sum pi(x) P(x,y) (g_x - g_y)^2, blind to any sqrt(pi) component
+    of phi.  No term cancels, so a small result keeps the relative accuracy
+    of P's entries.  Rows are taken in blocks to bound the temporaries.
     """
-    low = high = 0.0
+    sqrt_pi = np.exp(0.5 * log_pi)
+    phi = np.linalg.svd(low - np.outer(sqrt_pi, sqrt_pi @ low),
+                        full_matrices=False)[0][:, 0]
+    block = 256
+    form_low = form_high = 0.0
     for lo in range(0, p.shape[0], block):
         hi = lo + block
         rows, cols = np.sqrt(p[lo:hi]), np.sqrt(p[:, lo:hi].T)
         d = rows * phi[lo:hi, None] - cols * phi[None, :]
-        low += float(np.einsum("ij,ij->", d, d))
-        d = rows * psi[lo:hi, None] + cols * psi[None, :]
-        high += float(np.einsum("ij,ij->", d, d))
-    return 0.5 * low / float(phi @ phi), 0.5 * high / float(psi @ psi)
+        form_low += float(np.einsum("ij,ij->", d, d))
+        d = rows * top[lo:hi, None] + cols * top[None, :]
+        form_high += float(np.einsum("ij,ij->", d, d))
+    return 0.5 * form_low / float(phi @ phi), 0.5 * form_high / float(top @ top)
 
 
 # ---------------------------------------------------------------------------
@@ -303,11 +308,7 @@ def spectral_gap_blocks(kernel: ProposalKernel,
               - measure.log_partition)
     (block0, _), *rest = _symmetry_blocks(x, coef)
     _, vec = np.linalg.eigh(block0)
-    # the two lowest span {sqrt(pi), phi_1}; project out sqrt(pi)
-    sqrt_pi = np.exp(0.5 * log_pi)
-    low = vec[:, :2] - np.outer(sqrt_pi, sqrt_pi @ vec[:, :2])
-    phi = np.linalg.svd(low, full_matrices=False)[0][:, 0]
-    ends = list(_dirichlet_forms(lumped, phi, vec[:, -1]))
+    ends = list(_dirichlet_forms(lumped, log_pi, vec[:, :2], vec[:, -1]))
     for block, _ in rest:
         lam = np.linalg.eigvalsh(block)
         ends += [float(lam[0]), 2.0 - float(lam[-1])]

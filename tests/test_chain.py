@@ -8,7 +8,6 @@ from qemcmc.chain import (
     TransitionMatrix,
     _class_chain,
     _first_crossing,
-    _row_powers,
     build_transition_matrix,
     exact_mixing_time,
     make_chain,
@@ -54,12 +53,11 @@ def _dense_mixing_time(p: TransitionMatrix, epsilon, max_steps):
     """Worst-start mixing time from the rows of the dense P^t: the
     independent cross-check of the lumping in exact_mixing_time."""
     pi = p.stationary.probabilities()
-    rows_at = _row_powers(p.p, np.eye(p.dim))
 
-    def tv_at(t):
-        return float(np.max(0.5 * np.abs(rows_at(t) - pi).sum(axis=1)))
+    def tv(rows):
+        return float(np.max(0.5 * np.abs(rows - pi).sum(axis=1)))
 
-    return _first_crossing(tv_at, epsilon, max_steps)
+    return _first_crossing(p.p, np.eye(p.dim), tv, epsilon, max_steps)
 
 
 def _uniform_chain(n, alpha, beta):
@@ -315,18 +313,41 @@ def test_mixing_time_within_sandwich():
     assert lower <= t_mix <= upper
 
 
-def test_mixing_time_exact_at_a_step_cap_off_the_doubling_grid():
-    # a cap that is no power of two is probed directly and advanced to by
-    # its bits; the search must reach t_mix there and fail one step short
+def test_mixing_time_step_cap_decides_only_convergence(monkeypatch):
+    # a cap that is no power of two: the search returns t_mix with the cap
+    # at t_mix and raises with it one step short
     h_c = MarkedStateHamiltonian(6, 1.0)
     kern = quantum_kernel(h_c, MixerSpec("transverse", resonance_field(1.0, 6)),
                           0.3)
     measure = gibbs_measure(h_c, 5.0)
     t_mix = exact_mixing_time(kern, measure, 0.01)
     assert t_mix & (t_mix - 1) and (t_mix - 1) & (t_mix - 2)
-    assert exact_mixing_time(kern, measure, 0.01, max_steps=t_mix) == t_mix
+    monkeypatch.setattr(chain, "_MAX_STEPS", t_mix)
+    assert exact_mixing_time(kern, measure, 0.01) == t_mix
+    monkeypatch.setattr(chain, "_MAX_STEPS", t_mix - 1)
     with pytest.raises(NoConvergence):
-        exact_mixing_time(kern, measure, 0.01, max_steps=t_mix - 1)
+        exact_mixing_time(kern, measure, 0.01)
+
+
+@pytest.mark.parametrize("epsilon", [0.4, 0.1, 0.01, 1e-6])
+@pytest.mark.parametrize("f", [0.003, 0.01, 0.1, 0.3, 0.49, 0.6, 0.97])
+def test_first_crossing_two_state_closed_form(f, epsilon):
+    # from one end of [[1-f, f], [f, 1-f]], d(t) = |1-2f|^t / 2: the search
+    # must cross at its result and not one step before, and a cap at the
+    # result must return it while a cap one lower raises
+    p = np.array([[1.0 - f, f], [f, 1.0 - f]])
+    start = np.array([1.0, 0.0])
+
+    def tv(row):
+        return total_variation(row, np.full(2, 0.5))
+
+    t_mix = _first_crossing(p, start, tv, epsilon, 10_000_000)
+    assert t_mix >= 1
+    assert tv(start @ np.linalg.matrix_power(p, t_mix)) <= epsilon
+    assert tv(start @ np.linalg.matrix_power(p, t_mix - 1)) > epsilon
+    assert _first_crossing(p, start, tv, epsilon, t_mix) == t_mix
+    with pytest.raises(NoConvergence):
+        _first_crossing(p, start, tv, epsilon, t_mix - 1)
 
 
 def test_lumped_matches_dense_powering():
@@ -370,7 +391,7 @@ def _mixing_or_none(search):
 @pytest.mark.parametrize("variant", ["grover", "transverse"])
 def test_class_mixing_time_matches_dense(variant):
     # random marked state, temperature, field and time; a chain that has not
-    # mixed within max_steps must fail on both routes
+    # mixed within the step cap must fail on both routes
     rng = np.random.Generator(np.random.Philox(47))
     for n in range(2, 9):
         for _ in range(3):

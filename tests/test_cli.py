@@ -577,3 +577,25 @@ def test_sample_skips_rows_past_the_size_rule(monkeypatch, capsys):
     assert notes == ([f"skipped tmix at N={n}" for n in range(11, 17)]
                      + ["skipped tv at N=17", "skipped tmix at N=17"])
     assert "Gibbs vector refused at N = 17" in captured.err
+
+
+def test_sample_skips_a_refused_kernel_table(capsys):
+    # the transverse table at N = 203 (2 * 204^3 floats) breaks the size
+    # rule, and N past --max-dense-n is not run: each drops both its tv and
+    # its tmix row with a note, and the run exits 0
+    assert cli.main(["--experiment", "sample", "--mixer", "transverse",
+                     "--n-min", "203", "--n-max", "203", "--max-dense-n",
+                     "203", "--h", "1", "--t", "1", "--steps", "10"]) == 0
+    captured = capsys.readouterr()
+    assert _rows(captured.out) == []
+    note = ("at N=203: kernel table refused at N = 203: 16979328 entries, "
+            "above the cap of 16777216")
+    assert captured.err.splitlines() == [f"skipped tv {note}",
+                                         f"skipped tmix {note}"]
+    assert cli.main(["--experiment", "sample", "--n-min", "4", "--n-max", "5",
+                     "--max-dense-n", "4", "--steps", "10"]) == 0
+    captured = capsys.readouterr()
+    assert {int(r[1]) for r in _rows(captured.out)} == {4}
+    assert captured.err.splitlines() == [
+        "skipped tv at N=5: dense target limited to N <= 4",
+        "skipped tmix at N=5: dense target limited to N <= 4"]
