@@ -10,10 +10,12 @@ log weights on the N+1 distances, with no 2^N object: the exact gap
 (:func:`qemcmc.spectral.spectral_gap_blocks`), the exact mixing time
 (:func:`exact_mixing_time`) and the sampled chain (:func:`sample_chain`) all
 read that one assembly.  The sampled chain costs O(N) per move, not per
-step: a run of rejections is geometric and takes one draw.  Each mixing-time
-search advances its row by cached squarings.  The dense matrix serves the
-dense gap and mixing-time cross-checks.  Both assemblies check the kernel
-the same way (:func:`_check_kernel`).
+step: a run of rejections is geometric and takes one draw.  The mixing time
+searches one start in full, advancing its row by cached squarings, and
+tests every other start by one probe at the running worst, running the
+search past it only from a start that has not crossed there.  The dense
+matrix serves the dense gap and mixing-time cross-checks.  Both assemblies
+check the kernel the same way (:func:`_check_kernel`).
 """
 
 from __future__ import annotations
@@ -122,8 +124,10 @@ def build_transition_matrix(kernel: ProposalKernel,
 
 def total_variation(p: np.ndarray, q: np.ndarray) -> float:
     """Half the l1 distance, clamped to 1: for disjoint supports the rounded
-    sum can land a few ulps above it."""
-    return min(1.0, 0.5 * float(np.abs(p - q).sum()))
+    sum can land a few ulps above it.  The absolute value is taken in place
+    on the difference, so a 2^N pair holds one temporary."""
+    diff = p - q
+    return min(1.0, 0.5 * float(np.abs(diff, out=diff).sum()))
 
 
 # ---------------------------------------------------------------------------
@@ -225,13 +229,16 @@ def sample_chain(state: ChainState, kernel: ProposalKernel,
             j, t = divmod(bisect_right(cdf[i], u[1] * off[i], 0, last[i]),
                           n + 1)
             # selection sampling, one uniform per spin: j - t of the spins
-            # outside supp(z) flip in, i - t of those inside out
+            # outside supp(z) flip in, i - t of those inside out; once both
+            # are placed no later spin can flip
             need, remaining = [j - t, i - t], [n - i, i]
             for b in range(n):
                 inside = z >> b & 1
                 if u[b + 2] * remaining[inside] < need[inside]:
                     z ^= 1 << b
                     need[inside] -= 1
+                    if not (need[0] or need[1]):
+                        break
                 remaining[inside] -= 1
             i = j
         block = min(2 * block, _DRAW_BLOCK)
@@ -247,24 +254,37 @@ def sample_chain(state: ChainState, kernel: ProposalKernel,
 # ---------------------------------------------------------------------------
 # exact mixing time
 
-def _first_crossing(p: np.ndarray, rows: np.ndarray, tv, epsilon: float,
-                    max_steps: int) -> int:
-    """First integer t with tv(rows @ p^t) <= epsilon, using the monotonicity
-    of d(t); NoConvergence if that t exceeds ``max_steps``.
+def _squaring(squarings: list, j: int) -> np.ndarray:
+    """p^(2^j) from the cache [p, p^2, p^4, ...], squared up to j on first
+    use."""
+    while len(squarings) <= j:
+        squarings.append(squarings[-1] @ squarings[-1])
+    return squarings[j]
 
-    Binary lifting over cached squarings p^(2^j): while d(t) > epsilon the
-    held row doubles t (steps 1, 1, 2, 4, ...), and from the last held row
-    each lower power of two is taken when d stays above epsilon.  Every probe
-    is one product of the held row with one squaring.
+
+def _first_crossing(p: np.ndarray, rows: np.ndarray, tv, epsilon: float,
+                    max_steps: int, t: int = 0) -> int:
+    """First integer t' >= t with tv(rows @ p^t') <= epsilon, using the
+    monotonicity of d(t): max(t, the first crossing).  NoConvergence if that
+    exceeds ``max_steps``.
+
+    Binary lifting over cached squarings p^(2^j).  The held row starts at
+    step t, formed over t's binary digits, and one probe there settles a
+    crossing at or before t.  While d(t) > epsilon the held row then
+    advances by the largest power of two not above t (steps 1, 1, 2, 4, ...
+    from t = 0), and from the last held row each lower power of two is taken
+    when d stays above epsilon.  Every probe is one product of the held row
+    with one squaring.
     """
+    squarings = [p]
+    for k in range(t.bit_length() - 1, -1, -1):
+        if t >> k & 1:
+            rows = rows @ _squaring(squarings, k)
     if tv(rows) <= epsilon:
-        return 0
-    squarings, t = [p], 0            # d(t) > epsilon at the held row
-    while t < max_steps:
+        return t
+    while t < max_steps:             # d(t) > epsilon at the held row
         j = max(t.bit_length() - 1, 0)
-        if j == len(squarings):
-            squarings.append(squarings[-1] @ squarings[-1])
-        row = rows @ squarings[j]
+        row = rows @ _squaring(squarings, j)
         if tv(row) <= epsilon:       # crossed within 2^j steps
             for k in range(j - 1, -1, -1):
                 row = rows @ squarings[k]
@@ -289,10 +309,16 @@ def exact_mixing_time(kernel: ProposalKernel, measure: GibbsMeasure,
     uniform on each class (a, b) of states y that differ from k in a of the
     w = |x^k| spins where x does and in b of the others.  d_x(t) is then the
     total variation of the chain lumped onto these (w+1)(N-w+1) classes,
-    which :func:`_class_chain` gives, and one search
-    (:func:`_first_crossing`) runs per distance w, each probe one
-    vector-matrix product with a cached squaring of the lumped chain.  Its
-    largest gather, (w+1)^3 (N-w+1)^3 entries at w = N/2, limits N to 30.
+    which :func:`_class_chain` gives, read through one Hankel view of its
+    moves by overlap.  One search (:func:`_first_crossing`) runs in full from
+    w = N, each probe one vector-matrix product with a cached squaring of
+    the lumped chain, and gives the running worst T.  Every other start's
+    search begins at T, its row formed over T's binary digits: d_w is
+    non-increasing, so d_w(T) <= epsilon settles t_w <= T with one total
+    variation, and only otherwise does the search lift past T and raise it.
+    The result is the maximum over w whatever the order of the starts; the
+    order decides only how many searches run.  The largest gather,
+    (w+1)^3 (N-w+1)^3 entries at w = N/2, still limits N to 30.
 
     A chain that has not mixed within ``_MAX_STEPS`` raises NoConvergence.
     The search is O(log t), so the cap guards no cost; it marks how far the
@@ -309,16 +335,20 @@ def exact_mixing_time(kernel: ProposalKernel, measure: GibbsMeasure,
                    ((n // 2 + 1) * (n - n // 2 + 1)) ** 3)
     move, stay, _ = _class_chain(kernel, measure)
     log_pi = measure.class_log_weights - measure.log_partition
+    # hankel[i, j, t1, t2] = move[i, j, t1 + t2], a view of the move padded
+    # past overlap N (never read: t1 <= w and t2 <= N - w)
+    padded = np.zeros((n + 1, n + 1, 2 * n + 1))
+    padded[:, :, :n + 1] = move
+    hankel = np.lib.stride_tricks.sliding_window_view(padded, n + 1, axis=2)
     worst = 0
-    for w in range(n + 1):
+    for w in range(n, -1, -1):
         inside, _ = weight_classes(w)
         outside, _ = weight_classes(n - w)
         a, b = np.arange(w + 1), np.arange(n - w + 1)
         dist = a[:, None] + b[None, :]           # distance of class (a, b)
         # move over (a, b, a', b', t1, t2), with overlap t1 inside supp(x^k)
-        # and t2 outside it; the total overlap t1 + t2 is dist over (t1, t2)
-        pair = move[dist[:, :, None, None, None, None],
-                    dist[None, None, :, :, None, None], dist]
+        # and t2 outside it
+        pair = hankel[dist[:, :, None, None], dist, :w + 1, :n - w + 1]
         lumped = np.einsum("act,bds,abcdts->abcd", inside, outside, pair)
         size = (w + 1) * (n - w + 1)
         lumped = lumped.reshape(size, size)
@@ -328,7 +358,9 @@ def exact_mixing_time(kernel: ProposalKernel, measure: GibbsMeasure,
         pi = np.exp(log_size + log_pi[dist]).ravel()
         start = np.zeros(size)
         start[w * (n - w + 1)] = 1.0             # the class (w, 0) of x
-        worst = max(worst, _first_crossing(
+        # d_w is non-increasing: one probe at the running worst settles
+        # t_w <= worst, and only a later crossing runs the search past it
+        worst = _first_crossing(
             lumped, start, lambda row: total_variation(row, pi), epsilon,
-            _MAX_STEPS))
+            _MAX_STEPS, worst)
     return worst

@@ -319,8 +319,9 @@ def run_sample(cfg: ExperimentConfig):
             state = make_chain(start=(h_c.marked + 1) % h_c.dim, seed=cfg.seed)
             visited = sample_chain(state, kern, measure, cfg.steps)
             for stop in checkpoints:
-                counts = np.bincount(visited[:stop], minlength=h_c.dim)
-                tv = total_variation(counts / stop, pi)
+                # the int64 counts go before total_variation forms |p - q|
+                freq = np.bincount(visited[:stop], minlength=h_c.dim) / stop
+                tv = total_variation(freq, pi)
                 rows.append(("sample", n, cfg.alpha, cfg.beta, h, stop,
                              "tv", tv, "empirical", cfg.seed))
         try:

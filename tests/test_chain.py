@@ -26,6 +26,7 @@ from qemcmc.proposal import (
     PermutationInvariantKernel,
     single_flip_kernel,
     uniform_kernel,
+    weight_classes,
 )
 from qemcmc.quantum import (
     MixerSpec,
@@ -350,6 +351,28 @@ def test_first_crossing_two_state_closed_form(f, epsilon):
         _first_crossing(p, start, tv, epsilon, t_mix - 1)
 
 
+@pytest.mark.parametrize("epsilon", [0.1, 1e-6])
+@pytest.mark.parametrize("f", [0.01, 0.3, 0.97])
+def test_first_crossing_from_a_later_step(f, epsilon):
+    # begun at step t, the search returns max(t, t_mix): the crossing of the
+    # search from step 0 when t is before it, and t itself from then on; a
+    # cap one below the crossing still raises
+    p = np.array([[1.0 - f, f], [f, 1.0 - f]])
+    start = np.array([1.0, 0.0])
+
+    def tv(row):
+        return total_variation(row, np.full(2, 0.5))
+
+    t_mix = _first_crossing(p, start, tv, epsilon, 10_000_000)
+    for t in {1, 2, 3, t_mix // 3, t_mix // 2, t_mix - 1, t_mix, t_mix + 5,
+              2 * t_mix + 1}:
+        assert _first_crossing(p, start, tv, epsilon, 10_000_000,
+                               t) == max(t, t_mix)
+        if t < t_mix:
+            with pytest.raises(NoConvergence):
+                _first_crossing(p, start, tv, epsilon, t_mix - 1, t)
+
+
 def test_lumped_matches_dense_powering():
     # the class-lumped search must agree with the worst-start dense definition
     n, beta = 4, 2.0
@@ -405,6 +428,91 @@ def test_class_mixing_time_matches_dense(variant):
                 build_transition_matrix(kern, measure), 0.01, 10_000_000))
             t_mix = _mixing_or_none(lambda: exact_mixing_time(kern, measure, 0.01))
             assert t_mix == ref, (n, variant)
+
+
+def _per_start_mixing_times(kernel, measure, epsilon):
+    """t_w for w = 0..N, each from its own full search on the chain lumped
+    about the marked state and a start at distance w, gathered by six index
+    arrays (None where a start has not mixed within the step cap): the
+    per-start reference of exact_mixing_time, whose maximum it returns."""
+    n = kernel.n_spins
+    move, stay, _ = _class_chain(kernel, measure)
+    log_pi = measure.class_log_weights - measure.log_partition
+    times = []
+    for w in range(n + 1):
+        inside, _ = weight_classes(w)
+        outside, _ = weight_classes(n - w)
+        a, b = np.arange(w + 1), np.arange(n - w + 1)
+        dist = a[:, None] + b[None, :]
+        pair = move[dist[:, :, None, None, None, None],
+                    dist[None, None, :, :, None, None], dist]
+        lumped = np.einsum("act,bds,abcdts->abcd", inside, outside, pair)
+        size = (w + 1) * (n - w + 1)
+        lumped = lumped.reshape(size, size)
+        lumped[np.arange(size), np.arange(size)] += stay[dist].ravel()
+        log_size = np.log([[math.comb(w, u) * math.comb(n - w, v) for v in b]
+                           for u in a])
+        pi = np.exp(log_size + log_pi[dist]).ravel()
+        start = np.zeros(size)
+        start[w * (n - w + 1)] = 1.0
+        times.append(_mixing_or_none(lambda: _first_crossing(
+            lumped, start, lambda row: total_variation(row, pi), epsilon,
+            chain._MAX_STEPS)))
+    return times
+
+
+def test_mixing_time_matches_the_per_start_reference():
+    # random chains of both mixers (random marked state, temperature, field
+    # and time), uniform and single flip; among them chains that have not
+    # mixed within the step cap, and chains whose worst start is not the
+    # first one searched (w = N)
+    rng = np.random.Generator(np.random.Philox(19))
+    unmixed = later_worst = 0
+    for n in range(1, 13):
+        for kind in ("grover", "transverse", "uniform", "single flip") * 2:
+            alpha, beta = rng.uniform(0.5, 2.0), rng.uniform(0.0, 5.0)
+            if kind == "uniform":
+                h_c = MarkedStateHamiltonian(n, alpha)
+                kern = uniform_kernel(n)
+            elif kind == "single flip":
+                h_c = MarkedStateHamiltonian(n, alpha)
+                kern = single_flip_kernel(n)
+            else:
+                h_c = MarkedStateHamiltonian(n, alpha, int(rng.integers(1 << n)))
+                kern = quantum_kernel(h_c, MixerSpec(kind, rng.uniform(-2, 2)),
+                                      rng.uniform(0.0, 3.0))
+            measure = gibbs_measure(h_c, beta)
+            times = _per_start_mixing_times(kern, measure, 0.01)
+            ref = None if None in times else max(times)
+            t_mix = _mixing_or_none(lambda: exact_mixing_time(kern, measure, 0.01))
+            assert t_mix == ref, (n, kind)
+            unmixed += ref is None
+            later_worst += ref is not None and times[n] < ref
+    assert unmixed and later_worst, (unmixed, later_worst)
+
+
+@pytest.mark.parametrize("variant, n", [("transverse", 10), ("grover", 12)])
+def test_mixing_time_searches_once_on_the_sample_chains(monkeypatch, variant,
+                                                        n):
+    # the sample workload's chains (beta 5, h at resonance, t 0.3): the first
+    # start searched is the worst, so each other start ends at its one probe
+    # at the running worst and only the first search lifts past where it
+    # began
+    begun, lifted = [], []
+
+    def counting(p, rows, tv, epsilon, max_steps, t):
+        t_w = _first_crossing(p, rows, tv, epsilon, max_steps, t)
+        begun.append(t)
+        lifted.append(t_w > t)
+        return t_w
+
+    monkeypatch.setattr(chain, "_first_crossing", counting)
+    h_c = MarkedStateHamiltonian(n, 1.0)
+    kern = quantum_kernel(h_c, MixerSpec(variant, resonance_field(1.0, n)),
+                          0.3)
+    t_mix = exact_mixing_time(kern, gibbs_measure(h_c, 5.0), 0.01)
+    assert begun == [0] + [t_mix] * n
+    assert lifted == [True] + [False] * n
 
 
 def test_class_mixing_time_needs_an_invariant_kernel():
