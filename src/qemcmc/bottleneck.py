@@ -17,7 +17,7 @@ import numpy as np
 from .errors import MeasureTooLarge
 from .chain import TransitionMatrix
 from .model import logsumexp
-from .proposal import PermutationInvariantKernel, ProposalKernel
+from .proposal import PermutationInvariantKernel, ProposalKernel, _binomials
 
 
 def flow(p: TransitionMatrix, s1, s2) -> float:
@@ -75,10 +75,8 @@ def marked_state_bound(q_k, n_spins: int, alpha: float, beta: float,
             raise ValueError(
                 f"kernel on N = {q_k.n_spins} about state {q_k.marked}, "
                 f"expected N = {n_spins} about state {marked}")
-        w = np.arange(n_spins + 1)
         # Q(x|k) = T[w, w, 0] for each of the C(N, w) states x at distance w
-        col = np.array([math.comb(n_spins, a) for a in w],
-                       dtype=float) * q_k.table()[w, w, 0]
+        col = _binomials(n_spins)[n_spins] * np.diagonal(q_k.table()[:, :, 0])
         escape = math.fsum(col[1:])
     else:
         col = np.asarray(q_k, dtype=float)

@@ -3,19 +3,15 @@ total-variation mixing times.
 
 Transition matrices use the row orientation p[y, x] = Pr(y -> x).  Diagonals
 are always completed from row stochasticity rather than any closed-form
-expression, so rejection mass is absorbed exactly.  A chain whose kernel is
-invariant under permutations of the spins about the marked state is also
-assembled on its pair classes (:func:`_class_chain`) from the measure's
-log weights on the N+1 distances, with no 2^N object: the exact gap
-(:func:`qemcmc.spectral.spectral_gap_blocks`), the exact mixing time
-(:func:`exact_mixing_time`) and the sampled chain (:func:`sample_chain`) all
-read that one assembly.  The sampled chain costs O(N) per move, not per
-step: a run of rejections is geometric and takes one draw.  The mixing time
-searches one start in full, advancing its row by cached squarings, and
-tests every other start by one probe at the running worst, running the
-search past it only from a start that has not crossed there.  The dense
-matrix serves the dense gap and mixing-time cross-checks.  Both assemblies
-check the kernel the same way (:func:`_check_kernel`).
+expression, so rejection mass is absorbed exactly; this dense matrix serves
+the cross-checks.  A chain whose kernel is invariant under permutations of
+the spins about the marked state is also assembled once on its pair classes
+(:func:`_class_chain`, with the same kernel checks), with no 2^N object, and
+lumped about the marked state and a start by one builder
+(:func:`_lumped_chain`): the exact gap
+(:func:`qemcmc.spectral.spectral_gap_blocks`, block 0 at a start on the
+marked state), the exact mixing time (every start) and the sampled chain
+(:func:`sample_chain`, O(N) per move, not per step) read them.
 """
 
 from __future__ import annotations
@@ -37,6 +33,7 @@ from .model import GibbsMeasure
 from .proposal import (
     PermutationInvariantKernel,
     ProposalKernel,
+    _binomials,
     _check_entries,
     validate_kernel,
     weight_classes,
@@ -144,9 +141,7 @@ def _class_chain(kernel: PermutationInvariantKernel, measure: GibbsMeasure):
     diagonal -Q(y|x) exp(-|lw_i - lw_j|/2), which cannot overflow; on it, the
     off-diagonal row mass; lw_i is the measure's class log weight at distance
     i.  The checks of :func:`build_transition_matrix` hold here on the
-    classes: :func:`_check_kernel` (read off the table), the clamp, and the
-    rejection mass; the measure must be about the kernel's marked state.  No
-    2^N object is formed.
+    classes, and the measure must be about the kernel's marked state.
     """
     if not isinstance(kernel, PermutationInvariantKernel):
         raise TypeError("the class route needs a PermutationInvariantKernel, "
@@ -178,19 +173,20 @@ def _class_chain(kernel: PermutationInvariantKernel, measure: GibbsMeasure):
 
 def sample_chain(state: ChainState, kernel: ProposalKernel,
                  measure: GibbsMeasure, n_steps: int) -> np.ndarray:
-    """Run the chain n_steps and return the visited configurations.
-
-    The chain is the one :func:`_class_chain` assembles, drawn one move at a
-    time.  From x at distance i from the marked state k, the number of
-    rejections before the next move is geometric with P(stay) = stay[i]: one
-    uniform u draws the whole run by inversion, floor(log(1-u) / log stay[i]),
-    capped at the steps left.  The move then draws the pair class (j, t) of
-    the next state from the masses count[i, j, t] * move[i, j, t], and y
-    uniformly inside its class: t of the i spins where x differs from k keep
-    differing, and j - t of the other N - i spins flip.  A distance with no
-    move mass is absorbing.  Rejected moves count as steps.
+    """Run the chain n_steps and return the visited configurations, a path
+    that keeps the size rule (checked before any draw).  The chain is the
+    one :func:`_class_chain` assembles, drawn one move at a time.  From x at
+    distance i from the marked state k, the number of rejections before the
+    next move is geometric with P(stay) = stay[i]: one uniform u draws the
+    whole run by inversion, floor(log(1-u) / log stay[i]), capped at the
+    steps left.  The move then draws the pair class (j, t) of the next state
+    from the masses count[i, j, t] * move[i, j, t], and y uniformly inside
+    its class: t of the i spins where x differs from k keep differing, and
+    j - t of the other N - i spins flip.  A distance with no move mass is
+    absorbing.  Rejected moves count as steps.
     """
     n = kernel.n_spins
+    _check_entries("sample path", n, n_steps)
     move, _, _ = _class_chain(kernel, measure)
     # (i, j * (N+1) + t); the class y = x holds no move mass
     mass = (weight_classes(n)[0] * move).reshape(n + 1, -1)
@@ -299,34 +295,56 @@ def _first_crossing(p: np.ndarray, rows: np.ndarray, tv, epsilon: float,
     )
 
 
+def _lumped_chain(move: np.ndarray, stay: np.ndarray, measure: GibbsMeasure,
+                  w: int):
+    """The chain of :func:`_class_chain` (its ``move`` and ``stay``) lumped
+    about the marked state k and a start x at distance w, and its log pi, over
+    the classes (a, b) in row order: the states that differ from k in a of
+    the w spins where x does and in b of the others.  The chain is invariant
+    under the permutations that fix k and x, so the lumping is exact; at
+    w = 0 or N the classes are the N+1 distances from k."""
+    n = move.shape[0] - 1
+    # hankel[i, j, t1, t2] = move[i, j, t1 + t2] over t1 <= w, t2 <= N - w:
+    # a strided view, every read inside move as t1 + t2 <= N
+    hankel = np.lib.stride_tricks.as_strided(
+        move, (n + 1, n + 1, w + 1, n - w + 1), move.strides + move.strides[2:],
+        writeable=False)
+    a, b = np.arange(w + 1), np.arange(n - w + 1)
+    dist = a[:, None] + b[None, :]               # distance of class (a, b)
+    # move over (a, b, a', b', t1, t2), with overlap t1 inside supp(x^k)
+    # and t2 outside it
+    pair = hankel[dist[:, :, None, None], dist]
+    lumped = np.einsum("act,bds,abcdts->abcd", weight_classes(w)[0],
+                       weight_classes(n - w)[0], pair).reshape(dist.size, -1)
+    lumped.flat[::dist.size + 1] += stay[dist].ravel()
+    binom = _binomials(n)
+    log_size = np.log(np.outer(binom[w, :w + 1], binom[n - w, :n - w + 1]))
+    log_pi = measure.class_log_weights - measure.log_partition
+    return lumped, (log_size + log_pi[dist]).ravel()
+
+
 def exact_mixing_time(kernel: ProposalKernel, measure: GibbsMeasure,
                       epsilon: float) -> int:
     """Worst-start mixing time, max over starts x of min{t : d_x(t) <= epsilon},
     of the MH chain of a permutation-invariant kernel, with no 2^N x 2^N matrix.
 
-    The chain is invariant under the permutations of the spins that fix both
-    the marked state k and the start x, so its law after t steps from x is
-    uniform on each class (a, b) of states y that differ from k in a of the
-    w = |x^k| spins where x does and in b of the others.  d_x(t) is then the
-    total variation of the chain lumped onto these (w+1)(N-w+1) classes,
-    which :func:`_class_chain` gives, read through one Hankel view of its
-    moves by overlap.  One search (:func:`_first_crossing`) runs in full from
+    d_x(t) is the total variation of the chain lumped about the marked state
+    k and x (:func:`_lumped_chain`), which depends on x only through
+    w = |x^k|.  One search (:func:`_first_crossing`) runs in full from
     w = N, each probe one vector-matrix product with a cached squaring of
     the lumped chain, and gives the running worst T.  Every other start's
-    search begins at T, its row formed over T's binary digits: d_w is
-    non-increasing, so d_w(T) <= epsilon settles t_w <= T with one total
-    variation, and only otherwise does the search lift past T and raise it.
-    The result is the maximum over w whatever the order of the starts; the
-    order decides only how many searches run.  The largest gather,
-    (w+1)^3 (N-w+1)^3 entries at w = N/2, still limits N to 30.
+    search begins at T: d_w is non-increasing, so d_w(T) <= epsilon settles
+    t_w <= T with one total variation, and only otherwise does the search
+    lift past T and raise it; the order of the starts decides only how many
+    searches run.  The largest gather, (w+1)^3 (N-w+1)^3 entries at
+    w = N/2, limits N to 30.
 
-    A chain that has not mixed within ``_MAX_STEPS`` raises NoConvergence.
-    The search is O(log t), so the cap guards no cost; it marks how far the
-    integer t_mix is reproducible.  Each route rounds its powers its own
-    way, and the crossing of epsilon moves with that rounding: within 10^7
-    steps this route and the dense rows of P^t (the tests' reference) agree
-    on every chain the tests draw, while past it a grover chain at N = 8
-    gives 318 958 889 here and 318 958 621 there.
+    A chain that has not mixed within ``_MAX_STEPS`` raises NoConvergence:
+    the cap marks how far the integer t_mix is reproducible, as each route
+    rounds its powers its own way.  Within 10^7 steps this route and the
+    dense rows of P^t (the tests' reference) agree on every chain the tests
+    draw; past it a grover chain at N = 8 gives 318 958 889 here and
+    318 958 621 there.
     """
     if not 0 < epsilon:
         raise ValueError("epsilon must be positive")
@@ -334,29 +352,11 @@ def exact_mixing_time(kernel: ProposalKernel, measure: GibbsMeasure,
     _check_entries("mixing-time gather", n,
                    ((n // 2 + 1) * (n - n // 2 + 1)) ** 3)
     move, stay, _ = _class_chain(kernel, measure)
-    log_pi = measure.class_log_weights - measure.log_partition
-    # hankel[i, j, t1, t2] = move[i, j, t1 + t2], a view of the move padded
-    # past overlap N (never read: t1 <= w and t2 <= N - w)
-    padded = np.zeros((n + 1, n + 1, 2 * n + 1))
-    padded[:, :, :n + 1] = move
-    hankel = np.lib.stride_tricks.sliding_window_view(padded, n + 1, axis=2)
     worst = 0
     for w in range(n, -1, -1):
-        inside, _ = weight_classes(w)
-        outside, _ = weight_classes(n - w)
-        a, b = np.arange(w + 1), np.arange(n - w + 1)
-        dist = a[:, None] + b[None, :]           # distance of class (a, b)
-        # move over (a, b, a', b', t1, t2), with overlap t1 inside supp(x^k)
-        # and t2 outside it
-        pair = hankel[dist[:, :, None, None], dist, :w + 1, :n - w + 1]
-        lumped = np.einsum("act,bds,abcdts->abcd", inside, outside, pair)
-        size = (w + 1) * (n - w + 1)
-        lumped = lumped.reshape(size, size)
-        lumped[np.arange(size), np.arange(size)] += stay[dist].ravel()
-        log_size = np.log([[math.comb(w, u) * math.comb(n - w, v) for v in b]
-                           for u in a])
-        pi = np.exp(log_size + log_pi[dist]).ravel()
-        start = np.zeros(size)
+        lumped, log_pi = _lumped_chain(move, stay, measure, w)
+        pi = np.exp(log_pi)
+        start = np.zeros(pi.size)
         start[w * (n - w + 1)] = 1.0             # the class (w, 0) of x
         # d_w is non-increasing: one probe at the running worst settles
         # t_w <= worst, and only a later crossing runs the search past it

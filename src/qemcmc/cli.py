@@ -1,17 +1,10 @@
 """Reproducible experiment runner emitting CSV.
 
 Every kernel the experiments build is invariant under permutations of the
-spins about the marked state, so the exact-gap rows of ``figure-a`` and
-``figure-b`` come from the chain's symmetry blocks
-(:func:`~qemcmc.spectral.spectral_gap_blocks`), the ``tmix`` rows of
-``sample`` from the chain lumped onto the classes about the marked state and
-the start (:func:`~qemcmc.chain.exact_mixing_time`), and the ``sample`` chain
-steps on the pair classes (:func:`~qemcmc.chain.sample_chain`): none forms a
-2^N x 2^N transition matrix.  The ``bound`` rows of ``figure-b`` read the
-marked column of the same kernel table in O(N)
-(:func:`~qemcmc.bottleneck.marked_state_bound`), so no figure row forms a
-2^N proposal column either.  The dense transition matrix and eigensolve
-remain the cross-check, used by ``validate``.
+spins about the marked state, so the exact gaps, the mixing times, the
+sampled chains and the marked-state bounds are all read on classes of states
+(see each runner): no experiment but ``validate``, whose dense checks are the
+cross-check, forms a 2^N x 2^N transition matrix or a 2^N proposal column.
 
 All experiments share one schema::
 
@@ -110,6 +103,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown experiment {self.experiment!r}")
         if self.n_min < 1 or self.n_max < self.n_min:
             raise ValueError(f"empty N range {self.n_min}..{self.n_max}")
+        if self.n_max > 511:   # the closed forms square 2^N - 1 in a double
+            raise ValueError(f"--n-max {self.n_max}: (2^N - 1)^2 overflows past 511")
         if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
             raise ValueError("alpha and beta must be finite, not "
                              f"{self.alpha!r} and {self.beta!r}")
@@ -291,8 +286,8 @@ def run_scan(cfg: ExperimentConfig):
 def run_sample(cfg: ExperimentConfig):
     """Finite-sample chain runs: empirical total variation at checkpoints and
     the exact mixing time up to max_dense_n; rows past the size rule of the
-    kernel table (both), the 2^N target (tv) or the mixing-time search
-    (tmix) are skipped."""
+    kernel table (both), the 2^N target or the path (tv) or the mixing-time
+    search (tmix) are skipped."""
     checkpoints = sorted({max(1, cfg.steps * k // 4) for k in range(1, 5)})
     rows = []
     for n in cfg.n_values:
@@ -313,11 +308,11 @@ def run_sample(cfg: ExperimentConfig):
         measure = gibbs_measure(h_c, cfg.beta)
         try:
             pi = measure.probabilities()
+            state = make_chain(start=(h_c.marked + 1) % h_c.dim, seed=cfg.seed)
+            visited = sample_chain(state, kern, measure, cfg.steps)
         except BudgetExceeded as exc:
             _skip("tv", n, exc)
         else:
-            state = make_chain(start=(h_c.marked + 1) % h_c.dim, seed=cfg.seed)
-            visited = sample_chain(state, kern, measure, cfg.steps)
             for stop in checkpoints:
                 # the int64 counts go before total_variation forms |p - q|
                 freq = np.bincount(visited[:stop], minlength=h_c.dim) / stop
@@ -413,6 +408,8 @@ def build_config(argv=None) -> ExperimentConfig:
     options = dict(_DEFAULTS[args.experiment])
     if args.config:
         options.update(_read_config_file(args.config))
+        if "experiment" in options:
+            raise ValueError("--experiment cannot come from a config file")
     for key in ("n_min", "n_max", "alpha", "beta", "mixer", "h", "t",
                 "avg_samples", "seed", "out", "max_dense_n", "steps"):
         value = getattr(args, key)

@@ -13,6 +13,9 @@ no more than 2^24 float64 entries (128 MiB).  So N <= 12 for a 2^N x 2^N
 matrix (a dense kernel, the dense Hamiltonian, the dense gap), N <= 24 for a
 2^N vector (a column, a Gibbs vector), and N <= 202, 75 and 30 for the
 transverse kernel table, the block coefficients and the mixing-time gather.
+The binomials C(a, b), a, b <= N, are one cached float64 table,
+:func:`_binomials`, read by the pair classes, the Dicke sector, the
+marked-state bound and the lumped chain behind the gap and the mixing time.
 """
 
 from __future__ import annotations
@@ -99,6 +102,15 @@ class DenseKernel(ProposalKernel):
 
 
 @lru_cache(maxsize=None)
+def _binomials(n_spins: int) -> np.ndarray:
+    """Read-only C(a, b) over a, b in [0, N], each the nearest float64."""
+    w = range(n_spins + 1)
+    table = np.array([[float(math.comb(a, b)) for b in w] for a in w])
+    table.flags.writeable = False
+    return table
+
+
+@lru_cache(maxsize=None)
 def weight_classes(n_spins: int):
     """Pair classes about the marked state, over (i, j, t).
 
@@ -111,7 +123,7 @@ def weight_classes(n_spins: int):
     n = n_spins
     w = np.arange(n + 1)
     i, j, t = w[:, None, None], w[None, :, None], w[None, None, :]
-    binom = np.array([[math.comb(a, b) for b in w] for a in w], dtype=float)
+    binom = _binomials(n)
     count = np.where(t <= j, binom[i, t] * binom[n - i, np.maximum(j - t, 0)],
                      0.0)
     distance = np.clip(i + j - 2 * t, 0, n)

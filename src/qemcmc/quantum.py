@@ -5,8 +5,8 @@ uniform superposition) and the "transverse" mixer sum_i sigma^x_i.  For both,
 H leaves the span S of the N+1 Dicke states about the marked state k
 invariant (|k> and |s> lie in it) and acts off S as its free part: zero for
 grover, the free mixer for transverse.  So e^{-iHt} is the free evolution
-plus a correction of order N+1 on S, and one sector propagator
-(:func:`_sector_propagator`) serves both the transverse kernel table and
+plus a correction of order N+1 on S, and one sector pair (U_S, F_S)
+(:func:`_sector_pair`) serves both the transverse kernel table and
 statevector evolution (:func:`evolve`), exactly and with no iteration.  With
 the grover mixer, H leaves span{|k>, |u>} invariant (|u> the uniform state
 over unmarked configurations), so one closed form,
@@ -35,6 +35,7 @@ from .proposal import (
     PermutationInvariantKernel,
     ProposalKernel,
     StructuredMarkedKernel,
+    _binomials,
     _check_entries,
 )
 
@@ -102,8 +103,7 @@ def dense_hamiltonian(h_c: MarkedStateHamiltonian, mixer: MixerSpec) -> np.ndarr
 
 
 def _eigendecomposition(h_c, mixer):
-    ham = dense_hamiltonian(h_c, mixer)
-    return np.linalg.eigh(ham)
+    return np.linalg.eigh(dense_hamiltonian(h_c, mixer))
 
 
 def _dense_evolve(h_c, mixer, psi, t):
@@ -119,7 +119,7 @@ def _sector_hamiltonian(n, variant, h, marked_energy):
     ``marked_energy`` at w = 0.
     """
     if variant == GROVER:
-        s = np.sqrt([math.comb(n, w) / 2.0 ** n for w in range(n + 1)])
+        s = np.sqrt(_binomials(n)[n] / 2.0 ** n)
         ham = h * n * np.outer(s, s)
     else:
         w = np.arange(n)
@@ -135,32 +135,34 @@ def _sector_propagator(ham, t):
     return (vec * np.exp(-1j * lam * t)) @ vec.T
 
 
-def _sector_evolve(h_c, mixer, psi, t):
-    """e^{-iHt} psi from the Dicke sector S about the marked state k.
+def _sector_pair(h_c, mixer, t):
+    """(U_S, F_S) on the Dicke sector about the marked state: e^{-iHt} and the
+    free part's propagator, F_S = I for grover."""
+    n, h = h_c.n_spins, mixer.field_strength
+    free = (np.eye(n + 1) if mixer.variant == GROVER else
+            _sector_propagator(_sector_hamiltonian(n, TRANSVERSE, h, 0.0), t))
+    return _sector_propagator(
+        _sector_hamiltonian(n, mixer.variant, h, -h_c.alpha * n), t), free
 
-    H leaves S invariant (|k> and |s> lie in it) and acts off S as its free
-    part: 0 for grover, h*sum(sigma^x) for transverse.  So
-    e^{-iHt} = F + B (U_S - F_S) B^T exactly, with B the Dicke basis about k
-    and F = I (grover) or (cos ht I - i sin ht X)^{(x)N} (transverse), in
-    O(N 2^N) with no iteration.
-    """
-    n = h_c.n_spins
-    h = mixer.field_strength
+
+def _sector_evolve(h_c, mixer, psi, t):
+    """e^{-iHt} psi = F psi + B (U_S - F_S) B^T psi exactly, in O(N 2^N) with
+    no iteration: B is the Dicke basis about the marked state, (U_S, F_S) is
+    :func:`_sector_pair`, and F = I (grover) or (cos ht I - i sin ht X)^{(x)N}
+    (transverse), the free part off the sector."""
+    n, h = h_c.n_spins, mixer.field_strength
     weight = np.bitwise_count(np.arange(h_c.dim) ^ h_c.marked)
-    scale = 1.0 / np.sqrt([float(math.comb(n, w)) for w in range(n + 1)])
+    scale = 1.0 / np.sqrt(_binomials(n)[n])
     coef = scale * (np.bincount(weight, psi.real, n + 1)
                     + 1j * np.bincount(weight, psi.imag, n + 1))
-    u_s = _sector_propagator(
-        _sector_hamiltonian(n, mixer.variant, h, -h_c.alpha * n), t)
-    if mixer.variant == GROVER:
-        free, f_s = psi.astype(complex), np.eye(n + 1)
-    else:
+    u_s, f_s = _sector_pair(h_c, mixer, t)
+    free = psi.astype(complex)
+    if mixer.variant == TRANSVERSE:
         c, s = math.cos(h * t), math.sin(h * t)
-        free = psi.astype(complex).reshape((2,) * n)
+        free = free.reshape((2,) * n)
         for axis in range(n):
             free = c * free - 1j * s * np.flip(free, axis=axis)
         free = free.reshape(-1)
-        f_s = _sector_propagator(_sector_hamiltonian(n, TRANSVERSE, h, 0.0), t)
     return free + (scale * ((u_s - f_s) @ coef))[weight]
 
 
@@ -196,25 +198,20 @@ def _transverse_table(h_c, h, t):
     """Transverse-mixer Q(x|y) as a table over (d, w_x, w_y): d = |x^y| and
     w_x, w_y the Hamming distances of x and y from the marked state k.
 
-    H leaves the symmetric sector S spanned by the Dicke states around k
-    invariant and equals the free mixer on its complement, so
-    U = U0 + B (U_S - U0_S) B^T with U0 = (cos ht I - i sin ht X)^{(x)N} and
-    B the Dicke basis.  Hence <x|U|y> = cos^{N-d}(ht) (-i sin ht)^d
-    + (U_S - U0_S)(w_x, w_y) / sqrt(C(N,w_x) C(N,w_y)).  Entries with x = k
+    As in :func:`_sector_evolve`, U = F + B (U_S - F_S) B^T, so
+    <x|U|y> = cos^{N-d}(ht) (-i sin ht)^d
+    + (U_S - F_S)(w_x, w_y) / sqrt(C(N,w_x) C(N,w_y)).  Entries with x = k
     or y = k are read off U_S alone, so the marked column carries no
-    cancellation against U0.
+    cancellation against F.
     """
     n = h_c.n_spins
     _check_entries("kernel table", n, 2 * (n + 1) ** 3)   # amp, complex
-    u_s = _sector_propagator(
-        _sector_hamiltonian(n, TRANSVERSE, h, -h_c.alpha * n), t)
-    u_0 = _sector_propagator(_sector_hamiltonian(n, TRANSVERSE, h, 0.0), t)
+    u_s, f_s = _sector_pair(h_c, MixerSpec(TRANSVERSE, h), t)
     w = np.arange(n + 1)
-    # float() first: numpy keeps binomials above 2^64 (N >= 68) as objects
-    scale = 1.0 / np.sqrt([float(math.comb(n, j)) for j in w])
+    scale = 1.0 / np.sqrt(_binomials(n)[n])
     c, s = math.cos(h * t), math.sin(h * t)
     free = c ** (n - w) * s ** w * np.array([1, -1j, -1, 1j])[w % 4]
-    amp = free[:, None, None] + ((u_s - u_0) * scale * scale[:, None])[None]
+    amp = free[:, None, None] + ((u_s - f_s) * scale * scale[:, None])[None]
     amp[w, w, 0] = u_s[:, 0] * scale
     amp[w, 0, w] = u_s[0, :] * scale
     return amp.real ** 2 + amp.imag ** 2

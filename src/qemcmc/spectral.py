@@ -21,10 +21,9 @@ distances i and j from k whose moves away from k overlap in t spins.  The
 integers beta^t_{i,j,k} come from one batched product of two binomial tables
 (:func:`_schrijver_beta`), exact: in int64 while a float64 bound certifies
 that no partial sum overflows (through N = 26), on Python ints beyond; only
-the quotient by the square root is rounded.  Block 0
-is the symmetrized chain lumped onto the N+1 distances.  The chain on the pair
-classes (i, j, t) is assembled once, in :func:`qemcmc.chain._class_chain`,
-which the exact mixing time reads as well.
+the quotient by the square root is rounded.  Block 0 is the symmetrized
+chain lumped onto the N+1 distances: the one lumped chain of
+:mod:`qemcmc.chain`, which the exact mixing time reads at every start.
 
 An eigenvalue read off a float64 eigensolver is good only to about
 eps * |I - P|, the largest eigenvalue, however small the gap.  So the dense
@@ -49,16 +48,16 @@ from .model import GibbsMeasure, MarkedStateHamiltonian, _log_pow2m1
 from .proposal import (
     ProposalKernel,
     StructuredMarkedKernel,
+    _binomials,
     _check_entries,
     _clamped,
-    weight_classes,
 )
 from .quantum import (
     GroverClosedForm,
     grover_closed_form,
     quantum_kernel,  # perfbench traces this name here
 )
-from .chain import TransitionMatrix, _class_chain
+from .chain import TransitionMatrix, _class_chain, _lumped_chain
 
 _LN2 = math.log(2.0)
 _REVERSIBILITY_TOL = 1e-9    # largest relative detailed-balance deviation
@@ -234,9 +233,11 @@ def _schrijver_beta(n: int):
     no partial sum can reach 2^62, and on Python ints otherwise.
     """
     _check_entries("block coefficients", n, (n // 2 + 1) * (n + 1) ** 3)
+    # Python ints, not the float table proposal._binomials: beta here and the
+    # block multiplicities of _symmetry_blocks are exact integers
     binomials = np.array([[math.comb(a, b) for b in range(n + 1)]
                           for a in range(n + 1)], dtype=object)
-    a, b = _schrijver_factors(binomials.astype(float), n)
+    a, b = _schrijver_factors(_binomials(n), n)
     bound = max(float(np.max(np.abs(b) @ np.abs(a)[:, None])),
                 float(np.max(np.abs(a))), float(np.max(np.abs(b))))
     # 2^62 leaves int64 a factor 2 over the bound's float64 rounding
@@ -285,10 +286,11 @@ def spectral_gap_blocks(kernel: ProposalKernel,
     """Gap 1 - |lambda_2| of the MH chain of a permutation-invariant kernel,
     from the chain's floor(N/2)+1 symmetry blocks, with no 2^N x 2^N matrix.
 
-    Block 0 is the chain lumped onto the distances from the marked state; as
-    in :func:`spectral_gap_dense`, each end of its spectrum is the Rayleigh
-    quotient of its Ritz vector in Dirichlet form on the lumped chain, so a
-    gap far below the rest of the spectrum keeps its relative accuracy.
+    Block 0 is the chain lumped onto the distances from the marked state
+    (:func:`~qemcmc.chain._lumped_chain` at w = 0); as in
+    :func:`spectral_gap_dense`, each end of its spectrum is the Rayleigh
+    quotient of its Ritz vector in Dirichlet form on that chain, so a gap
+    far below the rest of the spectrum keeps its relative accuracy.
     Blocks k >= 1 give their extreme eigenvalues directly, good to about
     eps * |B_k| <= 2 eps in absolute terms only.  So the relative accuracy
     holds only when the extreme mode lies in block 0; a tiny gap set by
@@ -298,14 +300,7 @@ def spectral_gap_blocks(kernel: ProposalKernel,
     n = kernel.n_spins
     coef = _block_coefficients(n)   # its size rule before any assembly
     move, stay, x = _class_chain(kernel, measure)
-    # the chain lumped onto the distances, and its stationary law
-    w = np.arange(n + 1)
-    lumped = np.einsum("ijt,ijt->ij", weight_classes(n)[0], move)
-    lumped[w, w] += stay
-    # float() first: numpy keeps binomials above 2^64 (N >= 68) as objects
-    log_pi = (measure.class_log_weights
-              + np.log([float(math.comb(n, a)) for a in w])
-              - measure.log_partition)
+    lumped, log_pi = _lumped_chain(move, stay, measure, 0)
     (block0, _), *rest = _symmetry_blocks(x, coef)
     _, vec = np.linalg.eigh(block0)
     ends = list(_dirichlet_forms(lumped, log_pi, vec[:, :2], vec[:, -1]))

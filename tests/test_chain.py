@@ -8,6 +8,7 @@ from qemcmc.chain import (
     TransitionMatrix,
     _class_chain,
     _first_crossing,
+    _lumped_chain,
     build_transition_matrix,
     exact_mixing_time,
     make_chain,
@@ -428,6 +429,52 @@ def test_class_mixing_time_matches_dense(variant):
                 build_transition_matrix(kern, measure), 0.01, 10_000_000))
             t_mix = _mixing_or_none(lambda: exact_mixing_time(kern, measure, 0.01))
             assert t_mix == ref, (n, variant)
+
+
+def _lumped_chain_cases():
+    """(kernel, measure) for grover, transverse and single flip at N <= 10,
+    at random marked states, temperatures, fields and times."""
+    rng = np.random.Generator(np.random.Philox(20))
+    for n in range(1, 11):
+        for kind in ("grover", "transverse", "single flip"):
+            beta = rng.uniform(0.0, 5.0)
+            if kind == "single flip":
+                h_c = MarkedStateHamiltonian(n, rng.uniform(0.5, 2.0))
+                kern = single_flip_kernel(n)
+            else:
+                h_c = MarkedStateHamiltonian(n, rng.uniform(0.5, 2.0),
+                                             int(rng.integers(1 << n)))
+                kern = quantum_kernel(h_c, MixerSpec(kind, rng.uniform(-2, 2)),
+                                      rng.uniform(0.0, 3.0))
+            yield kern, gibbs_measure(h_c, beta)
+
+
+def test_lumped_chain_is_stochastic_and_reversible():
+    # at every start distance w: rows sum to 1, pi sums to 1, and
+    # pi_a P(a, b) = pi_b P(b, a) entry by entry
+    for kern, measure in _lumped_chain_cases():
+        n = kern.n_spins
+        move, stay, _ = _class_chain(kern, measure)
+        for w in range(n + 1):
+            lumped, log_pi = _lumped_chain(move, stay, measure, w)
+            size = (w + 1) * (n - w + 1)
+            assert lumped.shape == (size, size) and log_pi.shape == (size,)
+            assert np.max(np.abs(lumped.sum(axis=1) - 1.0)) <= 1e-12, (n, w)
+            assert abs(np.exp(log_pi).sum() - 1.0) <= 1e-12, (n, w)
+            flux = np.exp(log_pi)[:, None] * lumped
+            np.testing.assert_allclose(flux, flux.T, rtol=1e-12, atol=0.0)
+
+
+def test_lumped_chain_at_either_end_is_the_distance_chain():
+    # about a start at w = 0 (the classes (0, b)) or w = N (the classes
+    # (a, 0)) every class is one distance from the marked state
+    for kern, measure in _lumped_chain_cases():
+        n = kern.n_spins
+        move, stay, _ = _class_chain(kern, measure)
+        at_k, log_pi_k = _lumped_chain(move, stay, measure, 0)
+        at_far, log_pi_far = _lumped_chain(move, stay, measure, n)
+        np.testing.assert_array_equal(at_far, at_k)
+        np.testing.assert_array_equal(log_pi_far, log_pi_k)
 
 
 def _per_start_mixing_times(kernel, measure, epsilon):

@@ -206,6 +206,28 @@ def test_unknown_config_key_rejected(tmp_path):
     assert cli.main(["--experiment", "scan", "--config", str(cfg_file)]) == 2
 
 
+def test_config_file_cannot_set_the_experiment(tmp_path, capsys):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("experiment = figure-b\n")
+    assert cli.main(["--experiment", "scan", "--config", str(cfg_file)]) == 2
+    assert "--experiment" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("experiment", ["scan", "figure-a"])
+@pytest.mark.parametrize("n", [512, 1030])
+def test_n_max_past_the_closed_forms_range_refused(capsys, experiment, n):
+    # (2^N - 1)^2 of the grover closed form overflows a double from N = 512
+    assert cli.main(["--experiment", experiment, "--n-min", str(n),
+                     "--n-max", str(n)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"configuration error: --n-max {n}:")
+    assert cli.main(["--experiment", "scan", "--n-min", "511",
+                     "--n-max", "511"]) == 0
+    value = float(_rows(capsys.readouterr().out)[0][7])
+    assert 0.0 < value < 1.0
+
+
 def test_value_spec_parsing():
     assert cli._parse_spec("1.5", allow_resonance=False) == 1.5
     assert cli._parse_spec("0:2", allow_resonance=False) == (0.0, 2.0)
@@ -577,6 +599,27 @@ def test_sample_skips_rows_past_the_size_rule(monkeypatch, capsys):
     assert notes == ([f"skipped tmix at N={n}" for n in range(11, 17)]
                      + ["skipped tv at N=17", "skipped tmix at N=17"])
     assert "Gibbs vector refused at N = 17" in captured.err
+
+
+def test_sample_skips_a_refused_path(capsys):
+    # 2^24 + 1 steps break the size rule of the path: refused before any
+    # draw (the 128 MiB path is never allocated), so the tv rows go with a
+    # note and the tmix row stays
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        assert cli.main(["--experiment", "sample", "--n-min", "6",
+                         "--n-max", "6", "--steps", "16777217"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 24
+    captured = capsys.readouterr()
+    assert [r[6] for r in _rows(captured.out)] == ["tmix"]
+    assert captured.err.splitlines() == [
+        "skipped tv at N=6: sample path refused at N = 6: 16777217 entries, "
+        "above the cap of 16777216"]
 
 
 def test_sample_skips_a_refused_kernel_table(capsys):

@@ -142,6 +142,18 @@ def test_column_matches_dense():
         kern.column(kern.dim)
 
 
+@pytest.mark.parametrize("n", [1, 67, 68, 202])
+def test_binomials_are_the_nearest_floats_and_read_only(n):
+    # entries pass 2^64 from N = 68, where an int64 table would overflow
+    table = proposal._binomials(n)
+    assert table.dtype == np.float64 and table.shape == (n + 1, n + 1)
+    assert all(table[a, b] == float(math.comb(a, b))
+               for a in range(n + 1) for b in range(n + 1))
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0, 0] = 2.0
+
+
 def test_weight_classes_match_loop_reference():
     for n in range(1, 25):
         w = range(n + 1)
