@@ -2,7 +2,6 @@
 marked-state Gibbs sampling problem."""
 
 from .model import (
-    Config,
     GibbsMeasure,
     MarkedStateHamiltonian,
     gibbs_measure,

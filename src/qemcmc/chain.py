@@ -7,11 +7,11 @@ expression, so rejection mass is absorbed exactly; this dense matrix serves
 the cross-checks.  A chain whose kernel is invariant under permutations of
 the spins about the marked state is also assembled once on its pair classes
 (:func:`_class_chain`, with the same kernel checks), with no 2^N object, and
-lumped about the marked state and a start by one builder
+lumped about the marked state and a cut of the spins by one builder
 (:func:`_lumped_chain`): the exact gap
-(:func:`qemcmc.spectral.spectral_gap_blocks`, block 0 at a start on the
-marked state), the exact mixing time (every start) and the sampled chain
-(:func:`sample_chain`, O(N) per move, not per step) read them.
+(:func:`qemcmc.spectral.spectral_gap_blocks`, block 0 at the empty cut),
+the exact mixing time (every cut, each serving two starts) and the sampled
+chain (:func:`sample_chain`, O(N) per move, not per step) read them.
 """
 
 from __future__ import annotations
@@ -298,11 +298,12 @@ def _first_crossing(p: np.ndarray, rows: np.ndarray, tv, epsilon: float,
 def _lumped_chain(move: np.ndarray, stay: np.ndarray, measure: GibbsMeasure,
                   w: int):
     """The chain of :func:`_class_chain` (its ``move`` and ``stay``) lumped
-    about the marked state k and a start x at distance w, and its log pi, over
-    the classes (a, b) in row order: the states that differ from k in a of
-    the w spins where x does and in b of the others.  The chain is invariant
-    under the permutations that fix k and x, so the lumping is exact; at
-    w = 0 or N the classes are the N+1 distances from k."""
+    about the marked state k and a cut of the spins into w and N - w, and its
+    log pi, over the classes (a, b) in row order: the states that differ
+    from k in a of the w spins and in b of the others.  The chain is
+    invariant under the permutations that fix k and the cut, so the lumping
+    is exact; the cut at N - w is the same chain with (a, b) read as (b, a),
+    and at w = 0 or N the classes are the N+1 distances from k."""
     n = move.shape[0] - 1
     # hankel[i, j, t1, t2] = move[i, j, t1 + t2] over t1 <= w, t2 <= N - w:
     # a strided view, every read inside move as t1 + t2 <= N
@@ -311,8 +312,8 @@ def _lumped_chain(move: np.ndarray, stay: np.ndarray, measure: GibbsMeasure,
         writeable=False)
     a, b = np.arange(w + 1), np.arange(n - w + 1)
     dist = a[:, None] + b[None, :]               # distance of class (a, b)
-    # move over (a, b, a', b', t1, t2), with overlap t1 inside supp(x^k)
-    # and t2 outside it
+    # move over (a, b, a', b', t1, t2), with overlap t1 inside the w spins
+    # and t2 outside them
     pair = hankel[dist[:, :, None, None], dist]
     lumped = np.einsum("act,bds,abcdts->abcd", weight_classes(w)[0],
                        weight_classes(n - w)[0], pair).reshape(dist.size, -1)
@@ -329,15 +330,16 @@ def exact_mixing_time(kernel: ProposalKernel, measure: GibbsMeasure,
     of the MH chain of a permutation-invariant kernel, with no 2^N x 2^N matrix.
 
     d_x(t) is the total variation of the chain lumped about the marked state
-    k and x (:func:`_lumped_chain`), which depends on x only through
-    w = |x^k|.  One search (:func:`_first_crossing`) runs in full from
-    w = N, each probe one vector-matrix product with a cached squaring of
-    the lumped chain, and gives the running worst T.  Every other start's
-    search begins at T: d_w is non-increasing, so d_w(T) <= epsilon settles
-    t_w <= T with one total variation, and only otherwise does the search
-    lift past T and raise it; the order of the starts decides only how many
-    searches run.  The largest gather, (w+1)^3 (N-w+1)^3 entries at
-    w = N/2, limits N to 30.
+    k and the cut {supp(x^k), its complement} (:func:`_lumped_chain`); the
+    starts at distance w and N - w share that chain, so the cuts w = 0..N/2
+    cover every start.  One search (:func:`_first_crossing`) runs in full on
+    cut 0 (distances 0 and N), each probe one product of the two start rows
+    with a cached squaring, d the larger of their total variations, and
+    gives the running worst T.  Every other cut's search begins at T: d is
+    non-increasing, so d(T) <= epsilon settles both starts with one probe,
+    and only otherwise does the search lift past T and raise it; the order
+    of the cuts decides only how many searches run.  The largest gather,
+    (w+1)^3 (N-w+1)^3 entries at w = N/2, limits N to 30.
 
     A chain that has not mixed within ``_MAX_STEPS`` raises NoConvergence:
     the cap marks how far the integer t_mix is reproducible, as each route
@@ -353,14 +355,16 @@ def exact_mixing_time(kernel: ProposalKernel, measure: GibbsMeasure,
                    ((n // 2 + 1) * (n - n // 2 + 1)) ** 3)
     move, stay, _ = _class_chain(kernel, measure)
     worst = 0
-    for w in range(n, -1, -1):
+    for w in range(n // 2 + 1):
         lumped, log_pi = _lumped_chain(move, stay, measure, w)
         pi = np.exp(log_pi)
-        start = np.zeros(pi.size)
-        start[w * (n - w + 1)] = 1.0             # the class (w, 0) of x
-        # d_w is non-increasing: one probe at the running worst settles
-        # t_w <= worst, and only a later crossing runs the search past it
+        # the point masses on the classes (w, 0) and (0, N - w): the starts
+        # at distance w and N - w (mirror images at w = N/2, both kept)
+        starts = np.eye(pi.size)[[w * (n - w + 1), n - w]]
+        # d is non-increasing: one probe at the running worst settles both
+        # starts' t <= worst, and only a later crossing runs the search past it
         worst = _first_crossing(
-            lumped, start, lambda row: total_variation(row, pi), epsilon,
-            _MAX_STEPS, worst)
+            lumped, starts,
+            lambda rows: max(total_variation(row, pi) for row in rows),
+            epsilon, _MAX_STEPS, worst)
     return worst

@@ -17,8 +17,6 @@ import numpy as np
 
 from .proposal import _check_entries
 
-Config = int
-
 
 @dataclass(frozen=True)
 class MarkedStateHamiltonian:
@@ -30,7 +28,7 @@ class MarkedStateHamiltonian:
 
     n_spins: int
     alpha: float
-    marked: Config = 0
+    marked: int = 0
 
     def __post_init__(self):
         if self.n_spins < 1:
@@ -61,7 +59,7 @@ class GibbsMeasure:
 
     beta: float
     n_spins: int
-    marked: Config
+    marked: int
     class_log_weights: np.ndarray
     log_partition: float
 

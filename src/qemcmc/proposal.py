@@ -11,8 +11,9 @@ w_y = |y^k|; its certificate is measured on that table in O(N^3).
 Every large array of the package keeps one size rule, :func:`_check_entries`:
 no more than 2^24 float64 entries (128 MiB).  So N <= 12 for a 2^N x 2^N
 matrix (a dense kernel, the dense Hamiltonian, the dense gap), N <= 24 for a
-2^N vector (a column, a Gibbs vector), and N <= 202, 75 and 30 for the
-transverse kernel table, the block coefficients and the mixing-time gather.
+2^N vector (a column, a Gibbs vector), N <= 255 for a four-value or
+single-flip kernel table, and N <= 202, 75 and 30 for the transverse kernel
+table, the block coefficients and the mixing-time gather.
 The binomials C(a, b), a, b <= N, are one cached float64 table,
 :func:`_binomials`, read by the pair classes, the Dicke sector, the
 marked-state bound and the lumped chain behind the gap and the mixing time.
@@ -204,6 +205,7 @@ class StructuredMarkedKernel(PermutationInvariantKernel):
 
     def __init__(self, n_spins, marked, off_marked, off_unmarked,
                  stay_marked, stay_unmarked):
+        _check_entries("kernel table", n_spins, (n_spins + 1) ** 3)
         table = np.full((n_spins + 1,) * 3, float(off_unmarked))
         table[:, 0, :] = table[:, :, 0] = off_marked
         table[0] = stay_unmarked
@@ -224,6 +226,7 @@ def single_flip_kernel(n_spins: int) -> PermutationInvariantKernel:
     Invariant under permutations of the spins about every state; carried
     about state 0 as the table T[1, w_x, w_y] = 1/N, 0 elsewhere.
     """
+    _check_entries("kernel table", n_spins, (n_spins + 1) ** 3)
     table = np.zeros((n_spins + 1,) * 3)
     table[1] = 1.0 / n_spins
     return PermutationInvariantKernel(n_spins, 0, table)

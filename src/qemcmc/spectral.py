@@ -23,7 +23,7 @@ integers beta^t_{i,j,k} come from one batched product of two binomial tables
 that no partial sum overflows (through N = 26), on Python ints beyond; only
 the quotient by the square root is rounded.  Block 0 is the symmetrized
 chain lumped onto the N+1 distances: the one lumped chain of
-:mod:`qemcmc.chain`, which the exact mixing time reads at every start.
+:mod:`qemcmc.chain`, which the exact mixing time reads at every cut.
 
 An eigenvalue read off a float64 eigensolver is good only to about
 eps * |I - P|, the largest eigenvalue, however small the gap.  So the dense

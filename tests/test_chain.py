@@ -432,10 +432,10 @@ def test_class_mixing_time_matches_dense(variant):
 
 
 def _lumped_chain_cases():
-    """(kernel, measure) for grover, transverse and single flip at N <= 10,
+    """(kernel, measure) for grover, transverse and single flip at N <= 12,
     at random marked states, temperatures, fields and times."""
     rng = np.random.Generator(np.random.Philox(20))
-    for n in range(1, 11):
+    for n in range(1, 13):
         for kind in ("grover", "transverse", "single flip"):
             beta = rng.uniform(0.0, 5.0)
             if kind == "single flip":
@@ -475,6 +475,24 @@ def test_lumped_chain_at_either_end_is_the_distance_chain():
         at_far, log_pi_far = _lumped_chain(move, stay, measure, n)
         np.testing.assert_array_equal(at_far, at_k)
         np.testing.assert_array_equal(log_pi_far, log_pi_k)
+
+
+def test_lumped_chain_is_one_chain_per_cut():
+    # the cuts at w and N - w are one partition of the spins, so with the
+    # classes (a, b) read as (b, a) the two lumped chains agree
+    for kern, measure in _lumped_chain_cases():
+        n = kern.n_spins
+        move, stay, _ = _class_chain(kern, measure)
+        for w in range(n + 1):
+            lumped, log_pi = _lumped_chain(move, stay, measure, w)
+            mirror, log_pi_mirror = _lumped_chain(move, stay, measure, n - w)
+            # class (a, b) of the cut at w is (b, a) of the cut at N - w
+            swap = np.arange(mirror.shape[0]).reshape(
+                n - w + 1, w + 1).T.ravel()
+            np.testing.assert_allclose(mirror[np.ix_(swap, swap)], lumped,
+                                       rtol=0.0, atol=1e-15)
+            np.testing.assert_allclose(log_pi_mirror[swap], log_pi,
+                                       rtol=0.0, atol=1e-15)
 
 
 def _per_start_mixing_times(kernel, measure, epsilon):
@@ -541,11 +559,12 @@ def test_mixing_time_matches_the_per_start_reference():
 @pytest.mark.parametrize("variant, n", [("transverse", 10), ("grover", 12)])
 def test_mixing_time_searches_once_on_the_sample_chains(monkeypatch, variant,
                                                         n):
-    # the sample workload's chains (beta 5, h at resonance, t 0.3): the first
-    # start searched is the worst, so each other start ends at its one probe
-    # at the running worst and only the first search lifts past where it
-    # began
-    begun, lifted = [], []
+    # the sample workload's chains (beta 5, h at resonance, t 0.3): one
+    # lumped chain per cut w = 0..N/2, each serving the starts at distance w
+    # and N - w; the first cut searched holds the worst start (distance N),
+    # so each other cut ends at its one probe at the running worst and only
+    # the first search lifts past where it began
+    begun, lifted, cuts = [], [], []
 
     def counting(p, rows, tv, epsilon, max_steps, t):
         t_w = _first_crossing(p, rows, tv, epsilon, max_steps, t)
@@ -553,13 +572,19 @@ def test_mixing_time_searches_once_on_the_sample_chains(monkeypatch, variant,
         lifted.append(t_w > t)
         return t_w
 
+    def lumping(move, stay, measure, w):
+        cuts.append(w)
+        return _lumped_chain(move, stay, measure, w)
+
     monkeypatch.setattr(chain, "_first_crossing", counting)
+    monkeypatch.setattr(chain, "_lumped_chain", lumping)
     h_c = MarkedStateHamiltonian(n, 1.0)
     kern = quantum_kernel(h_c, MixerSpec(variant, resonance_field(1.0, n)),
                           0.3)
     t_mix = exact_mixing_time(kern, gibbs_measure(h_c, 5.0), 0.01)
-    assert begun == [0] + [t_mix] * n
-    assert lifted == [True] + [False] * n
+    assert begun == [0] + [t_mix] * (n // 2)
+    assert lifted == [True] + [False] * (n // 2)
+    assert cuts == list(range(n // 2 + 1))
 
 
 def test_class_mixing_time_needs_an_invariant_kernel():

@@ -581,6 +581,29 @@ def test_figure_a_refuses_its_row_before_the_chain(monkeypatch, capsys):
                                    "block coefficients refused at N = 76:")
 
 
+def test_four_value_table_refused_past_the_size_rule(capsys):
+    # the (N+1)^3 table of the averaged grover kernel (figure-a) and of the
+    # grover kernel (sample) breaks the size rule at N = 256 (257^3 floats):
+    # refused before it is allocated, each with a skip note, and the run
+    # exits 0
+    note = ("kernel table refused at N = 256: 16974593 entries, "
+            "above the cap of 16777216")
+    assert cli.main(["--experiment", "figure-a", "--n-min", "256",
+                     "--n-max", "256", "--max-dense-n", "256",
+                     "--avg-samples", "4"]) == 0
+    captured = capsys.readouterr()
+    assert [r[6] for r in _rows(captured.out)] == ["delta_closed"]
+    assert captured.err.splitlines() == [
+        f"skipped delta_exact at N=256: {note}"]
+    assert cli.main(["--experiment", "sample", "--n-min", "256",
+                     "--n-max", "256", "--max-dense-n", "256",
+                     "--steps", "10"]) == 0
+    captured = capsys.readouterr()
+    assert _rows(captured.out) == []
+    assert captured.err.splitlines() == [f"skipped tv at N=256: {note}",
+                                         f"skipped tmix at N=256: {note}"]
+
+
 def test_sample_skips_rows_past_the_size_rule(monkeypatch, capsys):
     # with the cap lowered to 2^16 entries the Gibbs vector refuses N = 17
     # and the mixing-time gather N = 11 ((6 * 7)^3 entries): N = 17 loses its

@@ -233,19 +233,23 @@ def _refused_before_allocation(monkeypatch, call, what, n):
     ("kernel table", 40, lambda: partial(
         quantum_kernel, MarkedStateHamiltonian(40, 1.0),
         MixerSpec("transverse", 1.0), 1.0)),
+    ("kernel table", 40, lambda: partial(
+        structured_grover_kernel, MarkedStateHamiltonian(40, 1.0), 1.0, 1.0)),
+    ("kernel table", 40, lambda: partial(single_flip_kernel, 40)),
     ("block coefficients", 22, lambda: partial(_schrijver_beta, 22)),
     ("Gibbs vector", 17, lambda: gibbs_measure(
         MarkedStateHamiltonian(17, 1.0), 1.0).probabilities),
     ("mixing-time gather", 12, lambda: partial(
         exact_mixing_time, single_flip_kernel(12),
         gibbs_measure(MarkedStateHamiltonian(12, 1.0), 1.0), 0.01)),
-], ids=["hamiltonian", "kernel", "column", "table", "blocks", "gibbs",
-        "mixing"])
+], ids=["hamiltonian", "kernel", "column", "table", "four-value",
+        "single-flip", "blocks", "gibbs", "mixing"])
 def test_dense_routes_refuse_past_the_cap(monkeypatch, what, n, prepare):
     # a 2^9 x 2^9 matrix, a 2^17 vector, the 2(N+1)^3 floats of the complex
-    # table amplitudes at N = 40, the (N/2+1)(N+1)^3 block coefficients at
-    # N = 22 and the (7 * 7)^3 entries of the mixing time's gather at N = 12
-    # are past a cap of 2^16 entries
+    # table amplitudes and the (N+1)^3 of a four-value or single-flip table
+    # at N = 40, the (N/2+1)(N+1)^3 block coefficients at N = 22 and the
+    # (7 * 7)^3 entries of the mixing time's gather at N = 12 are past a cap
+    # of 2^16 entries
     _refused_before_allocation(monkeypatch, prepare(), what, n)
 
 
