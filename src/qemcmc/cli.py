@@ -47,6 +47,7 @@ from .errors import (
     NotStochastic,
 )
 from .model import MarkedStateHamiltonian, gibbs_measure
+from .proposal import _check_table
 from .quantum import (
     GROVER,
     TRANSVERSE,
@@ -58,6 +59,7 @@ from .quantum import (
 )
 from .spectral import (
     AveragingScheme,
+    _block_coefficients,
     averaged_grover_gap,
     grover_gap_closed_form,
     scaling_fit,
@@ -209,7 +211,7 @@ def run_figure_a(cfg: ExperimentConfig):
     """Time-averaged grover-chain gap per N: closed-form average for all N,
     and the averaged kernel's gap from its symmetry blocks as a cross-check
     for N <= max_dense_n, skipped past the size rule of the kernel table or
-    the block coefficients."""
+    the block coefficients, both checked before the kernel is built."""
     t_range = cfg.t_spec if isinstance(cfg.t_spec, tuple) else (cfg.t_spec,) * 2
     rows = []
     for n in cfg.n_values:
@@ -228,6 +230,10 @@ def run_figure_a(cfg: ExperimentConfig):
         if n <= cfg.max_dense_n:
             h_c = MarkedStateHamiltonian(n, cfg.alpha)
             try:
+                # both size rules before the (N+1)^3 table is filled, the
+                # table's first: a row they refuse builds no kernel
+                _check_table(n)
+                _block_coefficients(n)
                 kern = time_averaged_kernel(h_c, scheme)
                 delta = spectral_gap_blocks(kern, gibbs_measure(h_c, cfg.beta))
             except BudgetExceeded as exc:

@@ -44,6 +44,12 @@ def _check_entries(what: str, n_spins: int, entries: int) -> None:
             f"above the cap of {_ENTRIES_MAX}")
 
 
+def _check_table(n_spins: int, floats: int = 1) -> None:
+    """The size rule of an (N+1)^3 kernel table of ``floats`` float64 per
+    entry."""
+    _check_entries("kernel table", n_spins, floats * (n_spins + 1) ** 3)
+
+
 def _clamped(a: np.ndarray, n_spins: int) -> np.ndarray:
     """``a`` with entries in [_CLAMP_FLOOR, 0) set to 0; below the floor,
     NegativeProbability."""
@@ -205,7 +211,7 @@ class StructuredMarkedKernel(PermutationInvariantKernel):
 
     def __init__(self, n_spins, marked, off_marked, off_unmarked,
                  stay_marked, stay_unmarked):
-        _check_entries("kernel table", n_spins, (n_spins + 1) ** 3)
+        _check_table(n_spins)
         table = np.full((n_spins + 1,) * 3, float(off_unmarked))
         table[:, 0, :] = table[:, :, 0] = off_marked
         table[0] = stay_unmarked
@@ -226,7 +232,7 @@ def single_flip_kernel(n_spins: int) -> PermutationInvariantKernel:
     Invariant under permutations of the spins about every state; carried
     about state 0 as the table T[1, w_x, w_y] = 1/N, 0 elsewhere.
     """
-    _check_entries("kernel table", n_spins, (n_spins + 1) ** 3)
+    _check_table(n_spins)
     table = np.zeros((n_spins + 1,) * 3)
     table[1] = 1.0 / n_spins
     return PermutationInvariantKernel(n_spins, 0, table)

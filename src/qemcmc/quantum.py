@@ -9,13 +9,16 @@ plus a correction of order N+1 on S, and one sector pair (U_S, F_S)
 (:func:`_sector_pair`) serves both the transverse kernel table and
 statevector evolution (:func:`evolve`), exactly and with no iteration.  With
 the grover mixer, H leaves span{|k>, |u>} invariant (|u> the uniform state
-over unmarked configurations), so one closed form,
-:func:`grover_closed_form`, gives its four distinct proposal probabilities,
-and every grover kernel and column is built from it.  A transverse kernel
-costs two eigensolves of order N+1 for its (N+1)^3 table over (|x^y|, |x^k|,
-|y^k|); a column is an O(2^N) gather from that table, and only a dense
-matrix asks for the O(4^N) fill.  Dense diagonalization is the independent
-cross-check of every structured route.
+over unmarked configurations), so one closed form gives its four distinct
+proposal probabilities, and every grover kernel, column and gap is built
+from it.  The closed form (:func:`_grover_values`) is elementwise: one call
+evaluates a whole (h, t) sample grid in one array pass, and
+:func:`grover_closed_form` and :func:`structured_grover_kernel` are its
+views at a single (h, t), equal to the grid's rows to the bit.  A
+transverse kernel costs two eigensolves of order N+1 for its (N+1)^3 table
+over (|x^y|, |x^k|, |y^k|); a column is an O(2^N) gather from that table,
+and only a dense matrix asks for the O(4^N) fill.  Dense diagonalization is
+the independent cross-check of every structured route.
 The dense Hamiltonian, a dense kernel, a column and the kernel table keep the
 one size rule of :mod:`qemcmc.proposal`: N <= 12 for a matrix, N <= 24 for a
 column, N <= 202 for the table.
@@ -24,7 +27,8 @@ column, N <= 202 for the table.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,6 +41,7 @@ from .proposal import (
     StructuredMarkedKernel,
     _binomials,
     _check_entries,
+    _check_table,
 )
 
 GROVER = "grover"
@@ -205,7 +210,7 @@ def _transverse_table(h_c, h, t):
     cancellation against F.
     """
     n = h_c.n_spins
-    _check_entries("kernel table", n, 2 * (n + 1) ** 3)   # amp, complex
+    _check_table(n, 2)   # amp, complex
     u_s, f_s = _sector_pair(h_c, MixerSpec(TRANSVERSE, h), t)
     w = np.arange(n + 1)
     scale = 1.0 / np.sqrt(_binomials(n)[n])
@@ -264,22 +269,71 @@ def resonance_field(alpha: float, n_spins: int) -> float:
     return -alpha / (1.0 - 2.0 ** -n_spins)
 
 
-def two_level_frequency(n_spins: int, alpha: float, h: float) -> float:
+def two_level_frequency(n_spins: int, alpha: float, h):
     """omega = gamma / N, with gamma half the level splitting of H on
-    span{|k>, |u>} (|u> the uniform state over unmarked configurations)."""
-    radicand = (alpha + h) ** 2 - alpha * h * 2.0 ** (2 - n_spins)
-    return 0.5 * math.sqrt(max(radicand, 0.0))
+    span{|k>, |u>} (|u> the uniform state over unmarked configurations),
+    elementwise over an array of fields h."""
+    s = alpha + h
+    radicand = s * s - alpha * h * 2.0 ** (2 - n_spins)
+    return 0.5 * np.sqrt(np.maximum(radicand, 0.0))
 
 
-@dataclass(frozen=True)
-class GroverClosedForm:
+class GroverClosedForm(NamedTuple):
     """The four distinct grover proposal probabilities on span{|k>, |u>}, in
-    the argument order of :class:`~qemcmc.proposal.StructuredMarkedKernel`."""
+    the argument order of :class:`~qemcmc.proposal.StructuredMarkedKernel`:
+    floats, or arrays over the samples of a grid."""
 
     q_marked: float
     q_unmarked: float
     q_marked_stay: float
     q_unmarked_stay: float
+
+
+def _grover_values(n_spins: int, alpha: float, h, t) -> GroverClosedForm:
+    """The four grover proposal probabilities at field h and time t: floats,
+    or arrays over the broadcast shape of arrays h and t.
+
+    One formula serves one (h, t) and a whole sample grid; elementwise, the
+    grid's values equal the scalar ones to the bit.  So every square is a
+    product: numpy squares an array as x * x, while libm's pow(x, 2) on a
+    float can round the other way.  A value that is not finite (an h or t
+    whose evolution overflows a double) raises ValueError naming N, h and t
+    (the first such sample of a grid), and numpy warns of none.
+    """
+    dim = 2.0 ** n_spins
+    norm = (dim - 1.0) ** 2   # a float: OverflowError from N = 512
+    with np.errstate(all="ignore"):
+        gamma_t = n_spins * two_level_frequency(n_spins, alpha, h) * t
+        # sin(gamma t)/gamma = t*sinc(gamma t/pi), formed as np.sinc forms it;
+        # h*N*that/2^N = sqrt(q_marked)
+        y = math.pi * (gamma_t / math.pi)
+        at_zero = y == 0.0   # where the limit sin(y)/y = 1 is taken
+        sinc = (np.sin(y) + at_zero) / (y + at_zero)
+        base = h * n_spins * t * sinc * 2.0 ** -n_spins
+        # (2^N - 1)^2 q_unmarked = |1 - <u|e^{-iHt}|u>|^2
+        #   = (cos phi t - cos gamma t)^2 + (sin phi t + n_z sin gamma t)^2
+        phi_t = 0.5 * n_spins * (h - alpha) * t
+        cos_diff = -2.0 * np.sin(0.5 * (phi_t + gamma_t)) * np.sin(0.5 * (phi_t - gamma_t))
+        n_z_sin = n_spins * (0.5 * (h + alpha) - h * 2.0 ** -n_spins) * t * sinc
+        sin_sum = np.sin(phi_t) + n_z_sin
+        q_marked = base * base
+        q_unmarked = (cos_diff * cos_diff + sin_sum * sin_sum) / norm
+        values = GroverClosedForm(q_marked, q_unmarked,
+                                  1.0 - (dim - 1.0) * q_marked,
+                                  1.0 - q_marked - (dim - 2.0) * q_unmarked)
+    # a grid's largest magnitude is finite only if every value is (NaN
+    # propagates through the max); four floats are checked one by one
+    finite = (math.isfinite(np.max(np.abs(values)))
+              if isinstance(q_marked, np.ndarray)
+              else all(map(math.isfinite, values)))
+    if not finite:
+        first = np.argmin(np.isfinite(values).all(axis=0))
+        shape = np.broadcast(h, t).shape
+        h_bad, t_bad = (float(np.broadcast_to(v, shape).flat[first])
+                        for v in (h, t))
+        raise ValueError(f"grover closed form not finite at N = {n_spins}, "
+                         f"h = {h_bad!r}, t = {t_bad!r}")
+    return values
 
 
 def grover_closed_form(n_spins: int, alpha: float, h: float,
@@ -293,31 +347,15 @@ def grover_closed_form(n_spins: int, alpha: float, h: float,
     n.sigma) on the two levels, each q value is a sum of squares of terms
     that vanish with t, so no term of order one cancels as t -> 0, and every
     sin(gamma t)/gamma goes through sinc, so the gamma -> 0 limit is the
-    removable one.
+    removable one.  This is :func:`_grover_values` at one (h, t), as floats.
     """
-    dim = 2.0 ** n_spins
-    gamma_t = n_spins * two_level_frequency(n_spins, alpha, h) * t
-    # sin(gamma t)/gamma = t*sinc(gamma t/pi); h*N*that/2^N = sqrt(q_marked)
-    sinc = np.sinc(gamma_t / math.pi)
-    base = h * n_spins * t * sinc * 2.0 ** -n_spins
-    # (2^N - 1)^2 q_unmarked = |1 - <u|e^{-iHt}|u>|^2
-    #   = (cos phi t - cos gamma t)^2 + (sin phi t + n_z sin gamma t)^2
-    phi_t = 0.5 * n_spins * (h - alpha) * t
-    cos_diff = -2.0 * math.sin(0.5 * (phi_t + gamma_t)) * math.sin(0.5 * (phi_t - gamma_t))
-    n_z_sin = n_spins * (0.5 * (h + alpha) - h * 2.0 ** -n_spins) * t * sinc
-    q_marked = float(base * base)
-    q_unmarked = float(cos_diff ** 2 + (math.sin(phi_t) + n_z_sin) ** 2) / (dim - 1.0) ** 2
-    return GroverClosedForm(
-        q_marked=q_marked,
-        q_unmarked=q_unmarked,
-        q_marked_stay=1.0 - (dim - 1.0) * q_marked,
-        q_unmarked_stay=1.0 - q_marked - (dim - 2.0) * q_unmarked,
-    )
+    return GroverClosedForm(*map(float, _grover_values(n_spins, alpha, h, t)))
 
 
 def structured_grover_kernel(h_c: MarkedStateHamiltonian, h: float,
                              t: float) -> StructuredMarkedKernel:
-    """The grover proposal kernel, assembled from :func:`grover_closed_form`:
-    the one grover kernel and column of the ``auto`` routes."""
-    cf = grover_closed_form(h_c.n_spins, h_c.alpha, h, t)
-    return StructuredMarkedKernel(h_c.n_spins, h_c.marked, *astuple(cf))
+    """The grover proposal kernel, assembled from the closed form
+    (:func:`_grover_values`): the one grover kernel and column of the
+    ``auto`` routes."""
+    return StructuredMarkedKernel(h_c.n_spins, h_c.marked,
+                                  *_grover_values(h_c.n_spins, h_c.alpha, h, t))

@@ -5,7 +5,15 @@ returns delta = 1 - |lambda_2| as a float; the relaxation-time bounds on the
 mixing time are a separate function of delta and log pi_min.  The grover gaps,
 single and time-averaged, come from the two block gaps of one helper, and
 the time-averaged grover kernel is one mean: all read the four proposal
-probabilities of :func:`~qemcmc.quantum.grover_closed_form`.
+probabilities of the one grover closed form of :mod:`qemcmc.quantum`.  The
+averaged routes evaluate it over the scheme's whole (h, t) grid in one array
+pass, and their reductions keep the rounding of the per-sample loop, so
+they equal it to the bit.  The two-level weight factor exp(logaddexp(0, u))
+depends only on N, alpha and beta, so it stays one scalar math.exp (numpy's
+exp on an array rounds some inputs differently).  The averaged gap is
+np.mean of the per-sample block gaps, not the mean proposal times that
+factor, which rounds differently.  The averaged table is an axis-0 sum,
+which adds the per-sample rows in sample order, as a sum of tables does.
 
 A chain on the marked model whose kernel is invariant under permutations of
 the spins about the marked state k (every kernel the experiments build) has
@@ -38,7 +46,7 @@ acceptance checks and the tests.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -54,7 +62,7 @@ from .proposal import (
 )
 from .quantum import (
     GroverClosedForm,
-    grover_closed_form,
+    _grover_values,
     quantum_kernel,  # perfbench traces this name here
 )
 from .chain import TransitionMatrix, _class_chain, _lumped_chain
@@ -325,9 +333,10 @@ def uniform_gap_closed_form(n_spins: int, alpha: float, beta: float) -> float:
 
 
 def _grover_gaps(n_spins: int, alpha: float, beta: float,
-                 cf: GroverClosedForm) -> tuple[float, float]:
+                 cf: GroverClosedForm):
     """1 - lambda for the two nontrivial eigenvalues of the grover chain
-    whose proposal probabilities ``cf`` holds.
+    whose proposal probabilities ``cf`` holds: floats, or arrays over the
+    samples of a grid.
 
     The two-level block {marked, uniform-unmarked} gives
     q_marked * (1 + (2^N - 1) e^{-N beta alpha}), the weight factor taken in
@@ -349,8 +358,8 @@ def grover_gap_closed_form(n_spins: int, alpha: float, beta: float,
                            h: float, t: float) -> float:
     """Exact gap 1 - max|lambda| of the grover-mixed chain, over the two-level
     block and the unmarked bulk."""
-    cf = grover_closed_form(n_spins, alpha, h, t)
-    return _gap_from_blocks(*_grover_gaps(n_spins, alpha, beta, cf))
+    cf = _grover_values(n_spins, alpha, h, t)
+    return float(_gap_from_blocks(*_grover_gaps(n_spins, alpha, beta, cf)))
 
 
 # ---------------------------------------------------------------------------
@@ -397,14 +406,15 @@ class AveragingScheme:
 def time_averaged_kernel(h_c: MarkedStateHamiltonian,
                          scheme: AveragingScheme) -> StructuredMarkedKernel:
     """Mean grover proposal kernel over the scheme's (h, t) samples, hence
-    symmetric and doubly stochastic: the mean of the four values of
-    :func:`~qemcmc.quantum.grover_closed_form`, each clamped as a kernel
+    symmetric and doubly stochastic: the mean of the four closed-form values,
+    evaluated over the samples in one array pass, each clamped as a kernel
     table clamps it and summed in sample order, so it equals the mean of the
     per-sample tables to the bit.
     """
     n = h_c.n_spins
-    values = np.array([astuple(grover_closed_form(n, h_c.alpha, h, t))
-                       for h, t in scheme.samples()])
+    # the values over the samples, shape (samples, 4)
+    values = np.stack(_grover_values(n, h_c.alpha, *scheme.samples().T),
+                      axis=-1)
     # an axis-0 reduction adds the rows in order, as a sum of tables does
     mean = (1.0 / len(values)) * _clamped(values, n).sum(axis=0)
     return StructuredMarkedKernel(n, h_c.marked, *mean)
@@ -418,9 +428,8 @@ def averaged_grover_gap(n_spins: int, alpha: float, beta: float,
     averaged over the scheme's (h, t) samples before the smaller is taken;
     this equals the gap of the chain driven by the averaged kernel.
     """
-    two_level, bulk = zip(*(
-        _grover_gaps(n_spins, alpha, beta, grover_closed_form(n_spins, alpha, h, t))
-        for h, t in scheme.samples()))
+    cf = _grover_values(n_spins, alpha, *scheme.samples().T)
+    two_level, bulk = _grover_gaps(n_spins, alpha, beta, cf)
     return _gap_from_blocks(float(np.mean(two_level)), float(np.mean(bulk)))
 
 

@@ -581,6 +581,31 @@ def test_figure_a_refuses_its_row_before_the_chain(monkeypatch, capsys):
                                    "block coefficients refused at N = 76:")
 
 
+def test_figure_a_builds_no_kernel_for_a_refused_row(monkeypatch, capsys):
+    # N = 76..255: the block coefficients refuse the row before the averaged
+    # kernel's (N+1)^3 table is built; N = 300: the table's own rule, checked
+    # first, names it.  Each note reads as the refusal itself does.
+    def unreachable(*args):
+        raise AssertionError("averaged kernel built")
+
+    monkeypatch.setattr(cli, "time_averaged_kernel", unreachable)
+    assert cli.main(["--experiment", "figure-a", "--n-min", "76",
+                     "--n-max", "255", "--max-dense-n", "300",
+                     "--avg-samples", "4"]) == 0
+    captured = capsys.readouterr()
+    assert {r[6] for r in _rows(captured.out)} == {"delta_closed"}
+    assert captured.err.splitlines() == [
+        f"skipped delta_exact at N={n}: block coefficients refused at N = {n}: "
+        f"{(n // 2 + 1) * (n + 1) ** 3} entries, above the cap of 16777216"
+        for n in range(76, 256)]
+    assert cli.main(["--experiment", "figure-a", "--n-min", "300",
+                     "--n-max", "300", "--max-dense-n", "300",
+                     "--avg-samples", "4"]) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        "skipped delta_exact at N=300: kernel table refused at N = 300: "
+        "27270901 entries, above the cap of 16777216"]
+
+
 def test_four_value_table_refused_past_the_size_rule(capsys):
     # the (N+1)^3 table of the averaged grover kernel (figure-a) and of the
     # grover kernel (sample) breaks the size rule at N = 256 (257^3 floats):

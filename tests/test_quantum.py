@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -372,6 +373,25 @@ def test_small_t_proposals_keep_first_order_term():
     off_marked, off_unmarked = table[1, 1, 0], table[2, 1, 1]
     assert off_marked == pytest.approx(first_order, rel=1e-9, abs=0.0)
     assert off_unmarked == pytest.approx(first_order, rel=1e-9, abs=0.0)
+
+
+@pytest.mark.parametrize("h, t", [(1e200, 1.0), (1.0, 1e308), (math.inf, 1.0),
+                                  (math.nan, 1.0), (1.0, -math.inf)])
+def test_closed_form_refuses_values_that_are_not_finite(h, t):
+    # an h or t whose evolution overflows a double raises, naming N, h and t,
+    # from both scalar views; filterwarnings = error keeps numpy silent too
+    note = re.escape(f"not finite at N = 10, h = {h!r}, t = {t!r}")
+    with pytest.raises(ValueError, match=note):
+        grover_closed_form(10, 1.0, h, t)
+    with pytest.raises(ValueError, match=note):
+        structured_grover_kernel(MarkedStateHamiltonian(10, 1.0), h, t)
+
+
+def test_closed_form_overflows_past_n_511():
+    # (2^N - 1)^2 overflows a double from N = 512, as the CLI's --n-max says
+    assert math.isfinite(grover_closed_form(511, 1.0, -1.0, 0.3).q_unmarked)
+    with pytest.raises(OverflowError):
+        grover_closed_form(512, 1.0, -1.0, 0.3)
 
 
 def test_resonance_field_values():

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 from functools import partial
 
 import numpy as np
@@ -29,6 +30,7 @@ from qemcmc.proposal import (
 )
 from qemcmc.quantum import (
     MixerSpec,
+    _grover_values,
     grover_closed_form,
     quantum_kernel,
     resonance_field,
@@ -41,6 +43,7 @@ from qemcmc.spectral import (
     grover_gap_closed_form,
     mixing_time_bounds,
     _block_coefficients,
+    _gap_from_blocks,
     _grover_gaps,
     _schrijver_beta,
     _symmetry_blocks,
@@ -240,6 +243,55 @@ def test_scheme_h_range_grid_is_square(count):
                            sample_count=count).samples()
     assert grid.shape == (count, 2)
     assert len(np.unique(grid[:, 0])) == len(np.unique(grid[:, 1])) == side
+
+
+def _sample_schemes(n):
+    """Fixed-h and square-grid schemes: t ranges from 0 and past it, h = 0,
+    the resonance field, and an h grid through 0."""
+    h_res = resonance_field(1.0, n)
+    return [AveragingScheme((2.0, 20.0), h_fixed=h_res),
+            AveragingScheme((0.0, 20.0), h_fixed=h_res),
+            AveragingScheme((0.0, 3.0), h_fixed=0.0, sample_count=5),
+            AveragingScheme((0.3, 4.0), h_fixed=0.8, sample_count=7),
+            AveragingScheme((0.0, 20.0), h_range=(-2.0, 2.0), sample_count=81),
+            AveragingScheme((0.3, 4.0), h_range=(h_res, 0.5), sample_count=16)]
+
+
+@pytest.mark.parametrize("n", [*range(1, 41), 100, 255, 511])
+def test_averaged_gap_is_the_mean_of_the_sample_gaps(n):
+    # the reference is the per-sample loop: each sample's scalar closed form
+    # and block gaps, averaged; the one array pass must equal it to the bit,
+    # and each of its rows must equal the scalar closed form of its sample
+    alpha, beta = 1.0, 5.0
+    for scheme in _sample_schemes(n):
+        samples = scheme.samples()
+        scalar = [grover_closed_form(n, alpha, h, t) for h, t in samples]
+        rows = np.stack(_grover_values(n, alpha, *samples.T), axis=-1)
+        assert np.array_equal(rows, np.array(scalar)), (n, scheme)
+        two_level, bulk = zip(*(_grover_gaps(n, alpha, beta, cf)
+                                for cf in scalar))
+        ref = _gap_from_blocks(float(np.mean(two_level)), float(np.mean(bulk)))
+        gap = averaged_grover_gap(n, alpha, beta, scheme)
+        assert gap == ref and type(gap) is float, (n, scheme)
+
+
+def test_averaged_routes_refuse_a_sample_that_is_not_finite():
+    # one sample of two overflows (t = 1e308): both averaged routes raise,
+    # naming it, and return no mean over the other
+    h_c = MarkedStateHamiltonian(6, 1.0)
+    scheme = AveragingScheme((0.0, 1e308), h_fixed=0.5, sample_count=2)
+    note = "not finite at N = 6, h = 0.5, t = 1e+308"
+    with pytest.raises(ValueError, match=re.escape(note)):
+        averaged_grover_gap(6, 1.0, 5.0, scheme)
+    with pytest.raises(ValueError, match=re.escape(note)):
+        time_averaged_kernel(h_c, scheme)
+    # the h end of a grid: the first sample past it is named
+    scheme = AveragingScheme((0.0, 1.0), h_range=(0.5, 1e200), sample_count=4)
+    note = "not finite at N = 6, h = 1e+200, t = 0.0"
+    with pytest.raises(ValueError, match=re.escape(note)):
+        averaged_grover_gap(6, 1.0, 5.0, scheme)
+    with pytest.raises(ValueError, match=re.escape(note)):
+        time_averaged_kernel(h_c, scheme)
 
 
 def test_single_sample_average_is_the_kernel():
