@@ -2,10 +2,10 @@
 
 The marked-state specialization needs only the proposal mass that leaves
 the marked configuration.  A kernel invariant under permutations of the
-spins about the marked state carries it in the N+1 entries T[w, w, 0] of its
-table (one per distance w, each shared by C(N, w) states), so the bound costs
-O(N) for both mixers and no 2^N column is formed; a 2^N column is still
-accepted, as the dense cross-checks pass one.
+spins about the marked state carries it in the N+1 entries table[0, w, 0]
+of its table over pair classes (one per distance w, each shared by C(N, w)
+states), so the bound costs O(N) for both mixers and no 2^N column is
+formed; a 2^N column is still accepted, as the dense cross-checks pass one.
 """
 
 from __future__ import annotations
@@ -68,15 +68,16 @@ def marked_state_bound(q_k, n_spins: int, alpha: float, beta: float,
     state.  Moves into the marked state are always downhill, so the
     acceptance factor is 1 and the escape mass is the off-marked column sum,
     summed directly to avoid the 1 - Q(k|k) cancellation.  From a kernel the
-    column is read as C(N, w) * T[w, w, 0] per distance w, in O(N).
+    column is read as C(N, w) * table[0, w, 0] per distance w, in O(N).
     """
     if isinstance(q_k, PermutationInvariantKernel):
         if (q_k.n_spins, q_k.marked) != (n_spins, marked):
             raise ValueError(
                 f"kernel on N = {q_k.n_spins} about state {q_k.marked}, "
                 f"expected N = {n_spins} about state {marked}")
-        # Q(x|k) = T[w, w, 0] for each of the C(N, w) states x at distance w
-        col = _binomials(n_spins)[n_spins] * np.diagonal(q_k.table()[:, :, 0])
+        # Q(x|k) = table[0, w, 0] for each of the C(N, w) states x at
+        # distance w
+        col = _binomials(n_spins)[n_spins] * q_k.table()[0, :, 0]
         escape = math.fsum(col[1:])
     else:
         col = np.asarray(q_k, dtype=float)

@@ -6,8 +6,9 @@ are always completed from row stochasticity rather than any closed-form
 expression, so rejection mass is absorbed exactly; this dense matrix serves
 the cross-checks.  A chain whose kernel is invariant under permutations of
 the spins about the marked state is also assembled once on its pair classes
-(:func:`_class_chain`, with the same kernel checks), with no 2^N object, and
-lumped about the marked state and a cut of the spins by one builder
+(:func:`_class_chain`, with the same kernel checks), from the kernel's table
+over those classes as stored and with no 2^N object, and lumped about the
+marked state and a cut of the spins by one builder
 (:func:`_lumped_chain`): the exact gap
 (:func:`qemcmc.spectral.spectral_gap_blocks`, block 0 at the empty cut),
 the exact mixing time (every cut, each serving two starts) and the sampled
@@ -152,15 +153,12 @@ def _class_chain(kernel: PermutationInvariantKernel, measure: GibbsMeasure):
         raise ValueError(f"measure marks state {measure.marked}, the kernel "
                          f"state {kernel.marked}")
     lw = measure.class_log_weights
-    count, distance = weight_classes(n)
     w = np.arange(n + 1)
-    i, j = w[:, None, None], w[None, :, None]
-    moves = count > 0
-    moves[w, w, w] = False                       # y = x
-    q = np.where(moves, kernel.table()[distance, j, i], 0.0)   # Q(y|x)
+    q = kernel.table().copy()                    # Q(y|x)
+    q[w, w, w] = 0.0                             # y = x
     step = lw[None, :] - lw[:, None]
     move = q * np.exp(np.minimum(0.0, step))[:, :, None]
-    off_mass = np.einsum("ijt,ijt->ij", count, move).sum(axis=1)
+    off_mass = np.einsum("ijt,ijt->ij", weight_classes(n), move).sum(axis=1)
     rejection = 1.0 - off_mass
     if np.min(rejection) < -1e-10:
         raise NegativeDiagonal(
@@ -189,7 +187,7 @@ def sample_chain(state: ChainState, kernel: ProposalKernel,
     _check_entries("sample path", n, n_steps)
     move, _, _ = _class_chain(kernel, measure)
     # (i, j * (N+1) + t); the class y = x holds no move mass
-    mass = (weight_classes(n)[0] * move).reshape(n + 1, -1)
+    mass = (weight_classes(n) * move).reshape(n + 1, -1)
     cdf = np.cumsum(mass, axis=1).tolist()
     # a uniform rounded onto the total mass still lands on a positive class
     last = [int(row.nonzero()[0][-1]) if row.any() else -1 for row in mass]
@@ -315,8 +313,8 @@ def _lumped_chain(move: np.ndarray, stay: np.ndarray, measure: GibbsMeasure,
     # move over (a, b, a', b', t1, t2), with overlap t1 inside the w spins
     # and t2 outside them
     pair = hankel[dist[:, :, None, None], dist]
-    lumped = np.einsum("act,bds,abcdts->abcd", weight_classes(w)[0],
-                       weight_classes(n - w)[0], pair).reshape(dist.size, -1)
+    lumped = np.einsum("act,bds,abcdts->abcd", weight_classes(w),
+                       weight_classes(n - w), pair).reshape(dist.size, -1)
     lumped.flat[::dist.size + 1] += stay[dist].ravel()
     binom = _binomials(n)
     log_size = np.log(np.outer(binom[w, :w + 1], binom[n - w, :n - w + 1]))

@@ -5,8 +5,12 @@ kernel is column-indexed by the current configuration and every column is a
 probability distribution over proposed configurations.
 
 A kernel invariant under permutations of the spins about the marked state k
-is carried as its table over (d, w_x, w_y), with d = |x^y| and w_x = |x^k|,
-w_y = |y^k|; its certificate is measured on that table in O(N^3).
+is carried as its table over the pair classes (i, j, t) of
+:func:`weight_classes`: Q(y|x) for x at distance i from k, y at distance j,
+and t spins where both differ from k.  The chain, the certificate (in
+O(N^3)) and the marked-state bound read it as stored; only the two 2^N
+gathers, a column and the dense matrix, form |x^y| = i + j - 2t to find
+each state pair's class.
 
 Every large array of the package keeps one size rule, :func:`_check_entries`:
 no more than 2^24 float64 entries (128 MiB).  So N <= 12 for a 2^N x 2^N
@@ -118,14 +122,13 @@ def _binomials(n_spins: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def weight_classes(n_spins: int):
+def weight_classes(n_spins: int) -> np.ndarray:
     """Pair classes about the marked state, over (i, j, t).
 
     For x at distance i from the marked state, ``count[i, j, t]`` is the
     number C(i, t) C(N - i, j - t) of states y at distance j that differ
-    from the marked state in t of the i spins where x does, and
-    ``distance[i, j, t]`` is |x^y| = i + j - 2t (clipped into range where
-    the count is 0).
+    from the marked state in t of the i spins where x does; a class no pair
+    realizes counts 0.  Every pair of the class is |x^y| = i + j - 2t apart.
     """
     n = n_spins
     w = np.arange(n + 1)
@@ -133,16 +136,16 @@ def weight_classes(n_spins: int):
     binom = _binomials(n)
     count = np.where(t <= j, binom[i, t] * binom[n - i, np.maximum(j - t, 0)],
                      0.0)
-    distance = np.clip(i + j - 2 * t, 0, n)
-    count.flags.writeable = distance.flags.writeable = False
-    return count, distance
+    count.flags.writeable = False
+    return count
 
 
 class PermutationInvariantKernel(ProposalKernel):
     """Kernel invariant under permutations of the spins about a marked state k.
 
-    Q(x|y) = T[d, w_x, w_y] depends only on d = |x^y| and the distances
-    w_x = |x^k|, w_y = |y^k|, so the (N+1)^3 table T holds every entry.
+    Q(y|x) depends only on the pair class (i, j, t) of x and y (see
+    :func:`weight_classes`), so the (N+1)^3 table ``table[i, j, t]`` = Q(y|x)
+    holds every entry.
     """
 
     def __init__(self, n_spins, marked, table):
@@ -150,24 +153,28 @@ class PermutationInvariantKernel(ProposalKernel):
         if not 0 <= marked < self.dim:
             raise IndexError(f"marked index {marked} out of range")
         self.marked = marked
-        self._raw_table = table
+        self._raw = table
         self._table = None
 
+    def _raw_table(self):
+        """The table as given, read once by :meth:`table`."""
+        return self._raw
+
     def table(self) -> np.ndarray:
-        """T[d, w_x, w_y], checked once.  Classes no pair of states realizes
-        read 0, and entries are clamped as :meth:`dense` clamps them."""
+        """table[i, j, t] = Q(y|x), checked once.  Classes no pair of states
+        realizes read 0, and entries are clamped as :meth:`dense` clamps
+        them; once it is built, the kernel keeps no reference to the raw
+        table."""
         if self._table is None:
             n = self.n_spins
-            table = np.asarray(self._raw_table, dtype=float)
+            table = np.asarray(self._raw_table(), dtype=float)
             if table.shape != (n + 1,) * 3:
                 raise MismatchedDimensions(
                     f"expected {(n + 1,) * 3} table, got {table.shape}"
                 )
-            count, distance = weight_classes(n)
-            i, j, _ = np.nonzero(count)
-            realized = np.zeros(table.shape, dtype=bool)
-            realized[distance[count > 0], i, j] = True
-            self._table = _clamped(np.where(realized, table, 0.0), self.n_spins)
+            self._table = _clamped(
+                np.where(weight_classes(n) > 0, table, 0.0), n)
+            self._raw = None
         return self._table
 
     def column(self, y):
@@ -176,8 +183,10 @@ class PermutationInvariantKernel(ProposalKernel):
         if not 0 <= y < self.dim:
             raise IndexError(f"configuration {y} out of range")
         x = np.arange(self.dim, dtype=np.int32)
-        table = self.table()[:, :, int(y ^ self.marked).bit_count()]
-        return table[np.bitwise_count(x ^ y), np.bitwise_count(x ^ self.marked)]
+        i = int(y ^ self.marked).bit_count()
+        j = np.bitwise_count(x ^ self.marked)
+        # 2t = i + j - |x^y|
+        return self.table()[i, j, (i + j - np.bitwise_count(x ^ y)) >> 1]
 
     def _build_dense(self):
         """Gather the table in blocks of about 2^20 entries: the one place a
@@ -187,16 +196,18 @@ class PermutationInvariantKernel(ProposalKernel):
         table = self.table().ravel()
         x = np.arange(dim, dtype=np.int32)
         w = np.bitwise_count(x ^ self.marked).astype(np.int32)
-        w_row = w * (n + 1)
+        # the source y (a column) at i, the proposal x (a row) at j
+        i_part, j_part = w * (n + 1) ** 2, w * (n + 1)
         q = np.empty((dim, dim))
         rows = max(1, (1 << 20) // dim)
         for x0 in range(0, dim, rows):
             block = slice(x0, x0 + rows)
-            # flat table index d*(n+1)^2 + w_x*(n+1) + w_y
-            idx = np.multiply(np.bitwise_count(x[block, None] ^ x), (n + 1) ** 2,
-                              dtype=np.int32)
-            idx += w_row[block, None]
-            idx += w
+            # flat table index i*(n+1)^2 + j*(n+1) + t, 2t = i + j - |x^y|
+            idx = w[block, None] + w
+            idx -= np.bitwise_count(x[block, None] ^ x)
+            idx >>= 1
+            idx += j_part[block, None]
+            idx += i_part
             np.take(table, idx, out=q[block])
         return q
 
@@ -206,17 +217,25 @@ class StructuredMarkedKernel(PermutationInvariantKernel):
 
     ``off_marked`` is Q(k|x) = Q(x|k) for any unmarked x, ``off_unmarked`` is
     Q(x|y) for distinct unmarked x, y, and the two ``stay`` values sit on the
-    diagonal; the table alone holds them (T[1, 1, 0] is ``off_marked``).
+    diagonal.  The table's size rule is checked here, and the table alone
+    holds them once :meth:`table` first fills it (table[0, 1, 0] is
+    ``off_marked``).
     """
 
     def __init__(self, n_spins, marked, off_marked, off_unmarked,
                  stay_marked, stay_unmarked):
         _check_table(n_spins)
-        table = np.full((n_spins + 1,) * 3, float(off_unmarked))
-        table[:, 0, :] = table[:, :, 0] = off_marked
-        table[0] = stay_unmarked
+        super().__init__(n_spins, marked, None)
+        self._values = (off_marked, off_unmarked, stay_marked, stay_unmarked)
+
+    def _raw_table(self):
+        off_marked, off_unmarked, stay_marked, stay_unmarked = self._values
+        w = np.arange(self.n_spins + 1)
+        table = np.full((self.n_spins + 1,) * 3, float(off_unmarked))
+        table[0] = table[:, 0] = off_marked       # x = k or y = k
+        table[w, w, w] = stay_unmarked            # y = x
         table[0, 0, 0] = stay_marked
-        super().__init__(n_spins, marked, table)
+        return table
 
 
 def uniform_kernel(n_spins: int) -> ProposalKernel:
@@ -230,11 +249,14 @@ def single_flip_kernel(n_spins: int) -> PermutationInvariantKernel:
     """Local proposal: flip one uniformly chosen spin.
 
     Invariant under permutations of the spins about every state; carried
-    about state 0 as the table T[1, w_x, w_y] = 1/N, 0 elsewhere.
+    about state 0 on the classes |x^y| = 1 apart: y one spin further from
+    state 0 than x (table[i, i + 1, i]) or one nearer (table[i + 1, i, i]),
+    each 1/N, and 0 elsewhere.
     """
     _check_table(n_spins)
     table = np.zeros((n_spins + 1,) * 3)
-    table[1] = 1.0 / n_spins
+    w = np.arange(n_spins)
+    table[w, w + 1, w] = table[w + 1, w, w] = 1.0 / n_spins
     return PermutationInvariantKernel(n_spins, 0, table)
 
 
@@ -267,22 +289,22 @@ def affine_combination(weights, kernels) -> DenseKernel:
 def validate_kernel(kernel: ProposalKernel) -> KernelCertificate:
     """Measure stochasticity and symmetry deviations; never raises on violation.
 
-    A :class:`PermutationInvariantKernel` is measured on its table: each
-    column or row sum is a sum over the pair classes of one distance from the
-    marked state, and the asymmetry is that of T[d, w_x, w_y] in w_x, w_y.
+    A :class:`PermutationInvariantKernel` is measured on its table: a column
+    sum (source x at distance i) is a sum over the pair classes (i, j, t),
+    and a row sum over the same classes of the transposed table, whose entry
+    (i, j, t) is Q(x|y) for y at distance j; the asymmetry is that of the
+    table against its transpose.
     """
     if isinstance(kernel, PermutationInvariantKernel):
         table = kernel.table()
-        count, distance = weight_classes(kernel.n_spins)
-        w = np.arange(kernel.n_spins + 1)
-        i, j = w[:, None, None], w[None, :, None]
-        # source (column) at distance i, proposals at j; and the transpose
-        col_sums = (count * table[distance, j, i]).sum(axis=(1, 2))
-        row_sums = (count * table[distance, i, j]).sum(axis=(1, 2))
+        count = weight_classes(kernel.n_spins)
+        reverse = table.transpose(1, 0, 2)
+        col_sums = (count * table).sum(axis=(1, 2))
+        row_sums = (count * reverse).sum(axis=(1, 2))
         return KernelCertificate(
             float(np.max(np.abs(col_sums - 1.0))),
             float(np.max(np.abs(row_sums - 1.0))),
-            float(np.max(np.abs(table - table.transpose(0, 2, 1)))),
+            float(np.max(np.abs(table - reverse))),
         )
     q = kernel.dense()
     col_dev = float(np.max(np.abs(q.sum(axis=0) - 1.0)))

@@ -16,9 +16,11 @@ evaluates a whole (h, t) sample grid in one array pass, and
 :func:`grover_closed_form` and :func:`structured_grover_kernel` are its
 views at a single (h, t), equal to the grid's rows to the bit.  A
 transverse kernel costs two eigensolves of order N+1 for its (N+1)^3 table
-over (|x^y|, |x^k|, |y^k|); a column is an O(2^N) gather from that table,
-and only a dense matrix asks for the O(4^N) fill.  Dense diagonalization is
-the independent cross-check of every structured route.
+over the pair classes (i, j, t) about k (see
+:func:`~qemcmc.proposal.weight_classes`), written directly on those
+classes; a column is an O(2^N) gather from that table, and only a dense
+matrix asks for the O(4^N) fill.  Dense diagonalization is the independent
+cross-check of every structured route.
 The dense Hamiltonian, a dense kernel, a column and the kernel table keep the
 one size rule of :mod:`qemcmc.proposal`: N <= 12 for a matrix, N <= 24 for a
 column, N <= 202 for the table.
@@ -200,14 +202,17 @@ def evolve(h_c: MarkedStateHamiltonian, mixer: MixerSpec, psi0: np.ndarray,
 # transverse kernel table
 
 def _transverse_table(h_c, h, t):
-    """Transverse-mixer Q(x|y) as a table over (d, w_x, w_y): d = |x^y| and
-    w_x, w_y the Hamming distances of x and y from the marked state k.
+    """Transverse-mixer Q(y|x) as a table over the pair classes (i, j, t) of
+    :func:`~qemcmc.proposal.weight_classes`: x and y at distances i and j
+    from the marked state k, both differing from it in t spins, so
+    d = |x^y| = i + j - 2t.
 
     As in :func:`_sector_evolve`, U = F + B (U_S - F_S) B^T, so
-    <x|U|y> = cos^{N-d}(ht) (-i sin ht)^d
-    + (U_S - F_S)(w_x, w_y) / sqrt(C(N,w_x) C(N,w_y)).  Entries with x = k
-    or y = k are read off U_S alone, so the marked column carries no
-    cancellation against F.
+    <y|U|x> = cos^{N-d}(ht) (-i sin ht)^d
+    + (U_S - F_S)(j, i) / sqrt(C(N,i) C(N,j)).  Entries with x = k or y = k
+    are read off U_S alone, so the marked column carries no cancellation
+    against F.  d is the one place this table needs |x^y|; it is formed
+    here in int16, clipped into range on the classes no pair realizes.
     """
     n = h_c.n_spins
     _check_table(n, 2)   # amp, complex
@@ -216,10 +221,16 @@ def _transverse_table(h_c, h, t):
     scale = 1.0 / np.sqrt(_binomials(n)[n])
     c, s = math.cos(h * t), math.sin(h * t)
     free = c ** (n - w) * s ** w * np.array([1, -1j, -1, 1j])[w % 4]
-    amp = free[:, None, None] + ((u_s - f_s) * scale * scale[:, None])[None]
-    amp[w, w, 0] = u_s[:, 0] * scale
-    amp[w, 0, w] = u_s[0, :] * scale
-    return amp.real ** 2 + amp.imag ** 2
+    k = np.arange(n + 1, dtype=np.int16)
+    d = k[:, None, None] + k[:, None] - 2 * k
+    amp = free[np.clip(d, 0, n, out=d)]
+    del d
+    amp += ((u_s - f_s) * scale * scale[:, None]).T[:, :, None]
+    amp[0, w, 0] = u_s[:, 0] * scale     # x = k
+    amp[w, 0, 0] = u_s[0, :] * scale     # y = k
+    table = amp.real ** 2
+    table += amp.imag ** 2
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +242,8 @@ def quantum_kernel(h_c: MarkedStateHamiltonian, mixer: MixerSpec, t: float,
 
     ``auto`` builds it on the mixer's invariant subspace: the grover closed
     form (:func:`structured_grover_kernel`), or the transverse symmetric
-    sector's (d, w_x, w_y) table, which densifies in O(4^N) only on demand.
+    sector's table over pair classes, which densifies in O(4^N) only on
+    demand.
     ``dense`` is the independent cross-check of both, an O(8^N)
     diagonalization of H.  Any other method raises ValueError.
     """

@@ -334,17 +334,20 @@ def uniform_gap_closed_form(n_spins: int, alpha: float, beta: float) -> float:
 
 def _grover_gaps(n_spins: int, alpha: float, beta: float,
                  cf: GroverClosedForm):
-    """1 - lambda for the two nontrivial eigenvalues of the grover chain
-    whose proposal probabilities ``cf`` holds: floats, or arrays over the
-    samples of a grid.
+    """1 - lambda for the nontrivial eigenvalues of the grover chain whose
+    proposal probabilities ``cf`` holds: floats, or arrays over the samples
+    of a grid.
 
     The two-level block {marked, uniform-unmarked} gives
     q_marked * (1 + (2^N - 1) e^{-N beta alpha}), the weight factor taken in
     log space; the (2^N - 2)-fold unmarked bulk gives
     q_marked + (2^N - 1) * q_unmarked.  Both are sums of nonnegative terms.
+    At N = 1 the bulk is empty and the two-level block is the whole chain.
     """
     u = _log_pow2m1(n_spins) - n_spins * beta * alpha
     two_level = cf.q_marked * math.exp(np.logaddexp(0.0, u))
+    if n_spins == 1:
+        return (two_level,)
     bulk = cf.q_marked + (2.0 ** n_spins - 1.0) * cf.q_unmarked
     return two_level, bulk
 
@@ -357,7 +360,7 @@ def _gap_from_blocks(*deltas: float) -> float:
 def grover_gap_closed_form(n_spins: int, alpha: float, beta: float,
                            h: float, t: float) -> float:
     """Exact gap 1 - max|lambda| of the grover-mixed chain, over the two-level
-    block and the unmarked bulk."""
+    block and the unmarked bulk (empty at N = 1)."""
     cf = _grover_values(n_spins, alpha, h, t)
     return float(_gap_from_blocks(*_grover_gaps(n_spins, alpha, beta, cf)))
 
@@ -429,8 +432,8 @@ def averaged_grover_gap(n_spins: int, alpha: float, beta: float,
     this equals the gap of the chain driven by the averaged kernel.
     """
     cf = _grover_values(n_spins, alpha, *scheme.samples().T)
-    two_level, bulk = _grover_gaps(n_spins, alpha, beta, cf)
-    return _gap_from_blocks(float(np.mean(two_level)), float(np.mean(bulk)))
+    return _gap_from_blocks(*(float(np.mean(block)) for block
+                              in _grover_gaps(n_spins, alpha, beta, cf)))
 
 
 def scaling_fit(points) -> float:

@@ -239,7 +239,7 @@ def test_sample_chain_needs_an_invariant_kernel():
 def test_sample_chain_rejects_asymmetric_table():
     h_c = MarkedStateHamiltonian(4, 1.0, marked=6)
     table = quantum_kernel(h_c, MixerSpec("transverse", 0.7), 1.9).table().copy()
-    table[3, 1, 2] += 1e-3          # realized: x, y at distances 1, 2, d = 3
+    table[2, 1, 0] += 1e-3          # realized: x, y at distances 2, 1, t = 0
     kern = PermutationInvariantKernel(4, 6, table)
     with pytest.raises(AsymmetricKernel):
         sample_chain(make_chain(0, seed=1), kern, gibbs_measure(h_c, 1.0), 10)
@@ -505,8 +505,8 @@ def _per_start_mixing_times(kernel, measure, epsilon):
     log_pi = measure.class_log_weights - measure.log_partition
     times = []
     for w in range(n + 1):
-        inside, _ = weight_classes(w)
-        outside, _ = weight_classes(n - w)
+        inside = weight_classes(w)
+        outside = weight_classes(n - w)
         a, b = np.arange(w + 1), np.arange(n - w + 1)
         dist = a[:, None] + b[None, :]
         pair = move[dist[:, :, None, None, None, None],

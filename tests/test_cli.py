@@ -1,3 +1,4 @@
+import ast
 import importlib.util
 import os
 import subprocess
@@ -60,6 +61,19 @@ def test_scan_gaps_decrease_with_system_size():
     ordered = [gaps[n] for n in sorted(gaps)]
     assert len(ordered) == 11
     assert np.all(np.diff(ordered) < 0)
+
+
+def test_scan_from_one_spin_exits_0(capsys):
+    # at N = 1 the grover gap is the two-level block's: positive, so the
+    # scaling fit takes the row
+    assert cli.main(["--experiment", "scan", "--n-min", "1", "--n-max", "6",
+                     "--h", "0.9", "--t", "2.5"]) == 0
+    captured = capsys.readouterr()
+    rows = _rows(captured.out)
+    gaps = {r[1]: float(r[7]) for r in rows if r[6] == "delta_closed"}
+    assert gaps["1"] == pytest.approx(0.4450, abs=1e-4)
+    assert [r[6] for r in rows].count("slope") == 1
+    assert captured.err == ""
 
 
 def test_figure_a_dual_route_agreement():
@@ -395,6 +409,17 @@ def test_perfbench_tracer_finds_every_traced_name():
     assert all(vars(cli)[name] is value for name, value in before.items())
 
 
+def test_cli_imports_only_public_names():
+    # cli runs the library through its public names; a private helper it
+    # needs is a sign that the helper's check belongs inside the library
+    path = Path(cli.__file__)
+    tree = ast.parse(path.read_text())
+    private = [f"{node.module}.{alias.name}"
+               for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == []
+
+
 @pytest.mark.parametrize("argv", [
     ["--experiment", "figure-b", "--n-min", "4", "--n-max", "5"],
     ["--experiment", "sample", "--mixer", "transverse", "--n-min", "4",
@@ -583,12 +608,17 @@ def test_figure_a_refuses_its_row_before_the_chain(monkeypatch, capsys):
 
 def test_figure_a_builds_no_kernel_for_a_refused_row(monkeypatch, capsys):
     # N = 76..255: the block coefficients refuse the row before the averaged
-    # kernel's (N+1)^3 table is built; N = 300: the table's own rule, checked
-    # first, names it.  Each note reads as the refusal itself does.
-    def unreachable(*args):
-        raise AssertionError("averaged kernel built")
+    # kernel's (N+1)^3 table is filled; N = 300: the table's own rule, checked
+    # as the kernel is built, names it.  Each note reads as the refusal itself
+    # does.
+    built = []
+    build = cli.time_averaged_kernel
 
-    monkeypatch.setattr(cli, "time_averaged_kernel", unreachable)
+    def recorded(*args):
+        built.append(build(*args))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "time_averaged_kernel", recorded)
     assert cli.main(["--experiment", "figure-a", "--n-min", "76",
                      "--n-max", "255", "--max-dense-n", "300",
                      "--avg-samples", "4"]) == 0
@@ -598,12 +628,15 @@ def test_figure_a_builds_no_kernel_for_a_refused_row(monkeypatch, capsys):
         f"skipped delta_exact at N={n}: block coefficients refused at N = {n}: "
         f"{(n // 2 + 1) * (n + 1) ** 3} entries, above the cap of 16777216"
         for n in range(76, 256)]
+    assert len(built) == 180
+    assert all(kern._table is None for kern in built)
     assert cli.main(["--experiment", "figure-a", "--n-min", "300",
                      "--n-max", "300", "--max-dense-n", "300",
                      "--avg-samples", "4"]) == 0
     assert capsys.readouterr().err.splitlines() == [
         "skipped delta_exact at N=300: kernel table refused at N = 300: "
         "27270901 entries, above the cap of 16777216"]
+    assert len(built) == 180      # refused as it was built
 
 
 def test_four_value_table_refused_past_the_size_rule(capsys):

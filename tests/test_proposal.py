@@ -159,7 +159,7 @@ def test_weight_classes_match_loop_reference():
         w = range(n + 1)
         loop = np.array([[[math.comb(a, c) * math.comb(n - a, b - c) if c <= b else 0
                            for c in w] for b in w] for a in w], dtype=float)
-        assert np.array_equal(weight_classes(n)[0], loop), n
+        assert np.array_equal(weight_classes(n), loop), n
 
 
 @settings(max_examples=25, deadline=None)
@@ -191,6 +191,52 @@ def test_table_certificate_matches_dense():
                       "max_asymmetry"):
             assert abs(getattr(table_cert, field)
                        - getattr(dense_cert, field)) < 1e-14
+
+
+def _brute_force_dense(table, n, marked):
+    """q[y, x] = table[i, j, t] over every pair of states, with x at distance
+    i from the marked state, y at distance j and t the spins where both
+    differ from it, each counted from the bits."""
+    q = np.empty((1 << n, 1 << n))
+    for x in range(1 << n):
+        for y in range(1 << n):
+            i, j = (x ^ marked).bit_count(), (y ^ marked).bit_count()
+            q[y, x] = table[i, j, ((x ^ marked) & (y ^ marked)).bit_count()]
+    return q
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_table_layout_matches_brute_force_reference(n):
+    # random tables over (i, j, t), one asymmetric and its symmetrization,
+    # at random marked states: the gathers read table[i, j, t] as Q(y|x),
+    # and the table certificate is the dense one
+    rng = np.random.default_rng(100 + n)
+    for marked in rng.integers(1 << n, size=2):
+        raw = rng.random((n + 1,) * 3) / 2.0 ** n
+        for table in (raw, 0.5 * (raw + raw.transpose(1, 0, 2))):
+            kern = PermutationInvariantKernel(n, int(marked), table)
+            ref = _brute_force_dense(table, n, int(marked))
+            assert np.array_equal(kern.dense(), ref)
+            for y in range(kern.dim):
+                assert np.array_equal(kern.column(y), ref[:, y])
+            table_cert = validate_kernel(kern)
+            dense_cert = validate_kernel(DenseKernel(kern.dense()))
+            for field in ("max_column_deviation", "max_row_deviation",
+                          "max_asymmetry"):
+                assert abs(getattr(table_cert, field)
+                           - getattr(dense_cert, field)) <= 1e-14, field
+
+
+def test_table_keeps_one_array():
+    # the raw table is released on the first read, and a four-value table
+    # is filled only then
+    raw = np.full((4, 4, 4), 0.125)
+    kern = PermutationInvariantKernel(3, 5, raw)
+    kern.table()
+    assert kern._raw is None
+    grover = StructuredMarkedKernel(3, 5, 0.1, 0.1, 0.3, 0.3)
+    assert grover._table is None
+    assert grover.table()[0, 1, 0] == 0.1
 
 
 def test_structured_table_gathers_to_its_dense_matrix():
@@ -256,7 +302,7 @@ def test_dense_routes_refuse_past_the_cap(monkeypatch, what, n, prepare):
 def test_table_certificate_reports_corruption():
     kern = _invariant_kernels()[2]
     table = kern.table().copy()
-    table[3, 1, 2] += 1e-3          # realized: x, y at distances 1, 2, d = 3
+    table[2, 1, 0] += 1e-3          # realized: x, y at distances 2, 1, t = 0
     cert = validate_kernel(PermutationInvariantKernel(6, 45, table))
     assert cert.max_asymmetry == pytest.approx(1e-3, rel=1e-9, abs=0.0)
     # a source at distance 2 sees C(2,0) C(4,1) = 4 states at distance 1, d = 3

@@ -106,6 +106,34 @@ def test_grover_closed_form_matches_eigensolve():
     assert abs(delta - ref) / ref < 1e-9
 
 
+def test_grover_closed_form_matches_dense_gap_at_n1():
+    # N = 1 has no unmarked bulk: the two-level block is the whole chain
+    # (with the empty bulk's eigenvalue, this draw read -0.0354)
+    draws = [(1.0, 5.0, 0.9, 2.5)]
+    rng = np.random.default_rng(21)
+    draws += [tuple(rng.uniform(lo, hi) for lo, hi in
+                    ((0.1, 3.0), (0.0, 6.0), (-3.0, 3.0), (0.1, 10.0)))
+              for _ in range(30)]
+    for alpha, beta, h, t in draws:
+        ref = spectral_gap_dense(_grover_chain(1, alpha, beta, h, t))
+        gap = grover_gap_closed_form(1, alpha, beta, h, t)
+        assert abs(gap - ref) <= 1e-10 * ref, (alpha, beta, h, t)
+    assert grover_gap_closed_form(1, 1.0, 5.0, 0.9, 2.5) == pytest.approx(
+        0.4450, abs=1e-4)
+
+
+@pytest.mark.parametrize("scheme", [
+    AveragingScheme((2.0, 20.0), h_fixed=resonance_field(1.0, 1)),
+    AveragingScheme((0.3, 4.0), h_range=(-2.0, 2.0), sample_count=16),
+], ids=["figure-a", "h-range"])
+def test_averaged_gap_matches_block_gap_at_n1(scheme):
+    h_c = MarkedStateHamiltonian(1, 1.3)
+    delta = spectral_gap_blocks(time_averaged_kernel(h_c, scheme),
+                                gibbs_measure(h_c, 2.0))
+    analytic = averaged_grover_gap(1, 1.3, 2.0, scheme)
+    assert abs(delta - analytic) <= 1e-10 * analytic
+
+
 def test_grover_gap_t0():
     assert grover_gap_closed_form(6, 1.0, 5.0, 1.0, 0.0) == 0.0
 
@@ -268,9 +296,8 @@ def test_averaged_gap_is_the_mean_of_the_sample_gaps(n):
         scalar = [grover_closed_form(n, alpha, h, t) for h, t in samples]
         rows = np.stack(_grover_values(n, alpha, *samples.T), axis=-1)
         assert np.array_equal(rows, np.array(scalar)), (n, scheme)
-        two_level, bulk = zip(*(_grover_gaps(n, alpha, beta, cf)
-                                for cf in scalar))
-        ref = _gap_from_blocks(float(np.mean(two_level)), float(np.mean(bulk)))
+        blocks = zip(*(_grover_gaps(n, alpha, beta, cf) for cf in scalar))
+        ref = _gap_from_blocks(*(float(np.mean(b)) for b in blocks))
         gap = averaged_grover_gap(n, alpha, beta, scheme)
         assert gap == ref and type(gap) is float, (n, scheme)
 
@@ -556,9 +583,17 @@ def _transverse_table(n=5, marked=9, h=0.8, t=1.1):
     return h_c, quantum_kernel(h_c, MixerSpec("transverse", h), t).table().copy()
 
 
+def _scale_moves(table, factor):
+    """Scale every class of ``table`` but y = x by ``factor``, in place."""
+    w = np.arange(table.shape[0])
+    stay = table[w, w, w].copy()
+    table *= factor
+    table[w, w, w] = stay
+
+
 def test_block_route_rejects_asymmetric_table():
     h_c, table = _transverse_table()
-    table[3, 1, 2] += 1e-6
+    table[2, 1, 0] += 1e-6
     with pytest.raises(AsymmetricKernel):
         spectral_gap_blocks(PermutationInvariantKernel(5, 9, table),
                             gibbs_measure(h_c, 2.0))
@@ -573,7 +608,7 @@ def test_block_route_rejects_non_stochastic_table():
 
 def test_block_route_rejects_negative_entry():
     h_c, table = _transverse_table()
-    table[2, 1, 1] = -1e-6
+    table[1, 1, 0] = -1e-6
     with pytest.raises(NegativeProbability):
         spectral_gap_blocks(PermutationInvariantKernel(5, 9, table),
                             gibbs_measure(h_c, 2.0))
@@ -584,7 +619,7 @@ def test_block_route_rejects_negative_rejection_mass(monkeypatch):
     # to the rejection-mass check
     monkeypatch.setattr(chain, "SYMMETRY_TOL", 1.0)
     h_c, table = _transverse_table()
-    table[1:] *= 1.5
+    _scale_moves(table, 1.5)
     with pytest.raises(NegativeDiagonal):
         _class_chain(PermutationInvariantKernel(5, 9, table),
                      gibbs_measure(h_c, 2.0))
@@ -594,13 +629,13 @@ def _corrupted(defect):
     """The transverse table's kernel with one defect, and its measure."""
     h_c, table = _transverse_table()
     if defect == "asymmetric":
-        table[3, 1, 2] += 1e-6
+        table[2, 1, 0] += 1e-6
     elif defect == "not-stochastic":
         table *= 0.9
     elif defect == "negative-entry":
-        table[2, 1, 1] = -1e-6
+        table[1, 1, 0] = -1e-6
     elif defect == "nan":
-        table[2, 1, 1] = np.nan
+        table[1, 1, 0] = np.nan
     return PermutationInvariantKernel(5, 9, table), gibbs_measure(h_c, 2.0)
 
 
@@ -626,7 +661,7 @@ def test_mixing_time_rejects_negative_rejection_mass(monkeypatch):
     # test_block_route_rejects_negative_rejection_mass
     monkeypatch.setattr(chain, "SYMMETRY_TOL", 1.0)
     h_c, table = _transverse_table()
-    table[1:] *= 1.5
+    _scale_moves(table, 1.5)
     with pytest.raises(NegativeDiagonal):
         exact_mixing_time(PermutationInvariantKernel(5, 9, table),
                           gibbs_measure(h_c, 2.0), 0.01)
@@ -643,7 +678,7 @@ def test_block_route_rejects_irreversible_chain(monkeypatch):
     # with the kernel asymmetry check relaxed, the blocks' own certificate
     # catches the asymmetric table
     monkeypatch.setattr(chain, "SYMMETRY_TOL", 1.0)
-    table[3, 1, 2] += 1e-3
+    table[2, 1, 0] += 1e-3
     _, _, x = _class_chain(PermutationInvariantKernel(5, 9, table),
                            gibbs_measure(h_c, 2.0))
     with pytest.raises(NotReversible):
