@@ -28,6 +28,7 @@ from .quantum import (
     quantum_proposal_column,
     resonance_field,
     structured_grover_kernel,
+    transverse_marked_column,
 )
 from .chain import (
     ChainState,

@@ -2,10 +2,11 @@
 
 The marked-state specialization needs only the proposal mass that leaves
 the marked configuration.  A kernel invariant under permutations of the
-spins about the marked state carries it in the N+1 entries table[0, w, 0]
-of its table over pair classes (one per distance w, each shared by C(N, w)
-states), so the bound costs O(N) for both mixers and no 2^N column is
-formed; a 2^N column is still accepted, as the dense cross-checks pass one.
+spins about the marked state carries it in N+1 values, one per distance w
+(each shared by C(N, w) states): its table's table[0, w, 0], or the
+transverse sector's marked column with no table.  So the bound costs O(N)
+and no 2^N column is formed; a 2^N column is still accepted, as the dense
+cross-checks pass one.
 """
 
 from __future__ import annotations
@@ -63,27 +64,34 @@ def marked_state_bound(q_k, n_spins: int, alpha: float, beta: float,
                        marked: int = 0) -> float:
     """Gap upper bound from the marked-state cut, Q symmetric assumed.
 
-    ``q_k`` is either a :class:`~qemcmc.proposal.PermutationInvariantKernel`
-    carried about ``marked`` or the 2^N proposal column out of the marked
-    state.  Moves into the marked state are always downhill, so the
-    acceptance factor is 1 and the escape mass is the off-marked column sum,
-    summed directly to avoid the 1 - Q(k|k) cancellation.  From a kernel the
-    column is read as C(N, w) * table[0, w, 0] per distance w, in O(N).
+    ``q_k`` is the proposal column out of the marked state: a
+    :class:`~qemcmc.proposal.PermutationInvariantKernel` about ``marked``
+    (its table[0, :, 0]), that column's N+1 values Q(x|k) per distance w
+    (:func:`~qemcmc.quantum.transverse_marked_column`), or the 2^N column,
+    as which a two-entry array at N = 1 is read.  Moves into the marked
+    state are always downhill, so the acceptance factor is 1 and the escape
+    mass is the off-marked column sum, summed directly to avoid the
+    1 - Q(k|k) cancellation; per distance it is sum_w C(N, w) col[w].
     """
-    if isinstance(q_k, PermutationInvariantKernel):
+    by_distance = isinstance(q_k, PermutationInvariantKernel)
+    if by_distance:
         if (q_k.n_spins, q_k.marked) != (n_spins, marked):
             raise ValueError(
                 f"kernel on N = {q_k.n_spins} about state {q_k.marked}, "
                 f"expected N = {n_spins} about state {marked}")
-        # Q(x|k) = table[0, w, 0] for each of the C(N, w) states x at
-        # distance w
-        col = _binomials(n_spins)[n_spins] * q_k.table()[0, :, 0]
-        escape = math.fsum(col[1:])
+        col = q_k.table()[0, :, 0]
     else:
         col = np.asarray(q_k, dtype=float)
+        by_distance = n_spins > 1 and col.shape == (n_spins + 1,)
+    if by_distance:
+        # Q(x|k) = col[w] for each of the C(N, w) states x at distance w
+        col = _binomials(n_spins)[n_spins] * col
+        escape = math.fsum(col[1:])
+    else:
         dim = 1 << n_spins
         if col.shape != (dim,):
-            raise ValueError(f"column has shape {col.shape}, expected ({dim},)")
+            raise ValueError(f"column has shape {col.shape}, expected "
+                             f"({dim},) or ({n_spins + 1},)")
         escape = float(np.delete(col, marked).sum())
     if np.min(col) < -1e-12 or abs(col.sum() - 1.0) > 1e-8:
         raise ValueError("the marked column is not a probability distribution")

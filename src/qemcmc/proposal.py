@@ -16,11 +16,12 @@ Every large array of the package keeps one size rule, :func:`_check_entries`:
 no more than 2^24 float64 entries (128 MiB).  So N <= 12 for a 2^N x 2^N
 matrix (a dense kernel, the dense Hamiltonian, the dense gap), N <= 24 for a
 2^N vector (a column, a Gibbs vector), N <= 255 for a four-value or
-single-flip kernel table, and N <= 202, 75 and 30 for the transverse kernel
-table, the block coefficients and the mixing-time gather.
+single-flip kernel table, and N <= 202 and 30 for the transverse kernel
+table and the mixing-time gather.
 The binomials C(a, b), a, b <= N, are one cached float64 table,
 :func:`_binomials`, read by the pair classes, the Dicke sector, the
-marked-state bound and the lumped chain behind the gap and the mixing time.
+marked-state bound, the symmetry blocks and the lumped chain behind the gap
+and the mixing time.
 """
 
 from __future__ import annotations

@@ -19,8 +19,9 @@ transverse kernel costs two eigensolves of order N+1 for its (N+1)^3 table
 over the pair classes (i, j, t) about k (see
 :func:`~qemcmc.proposal.weight_classes`), written directly on those
 classes; a column is an O(2^N) gather from that table, and only a dense
-matrix asks for the O(4^N) fill.  Dense diagonalization is the independent
-cross-check of every structured route.
+matrix asks for the O(4^N) fill.  The marked column alone, all the bound
+reads, needs only U_S (:func:`transverse_marked_column`).  Dense
+diagonalization is the independent cross-check of every structured route.
 The dense Hamiltonian, a dense kernel, a column and the kernel table keep the
 one size rule of :mod:`qemcmc.proposal`: N <= 12 for a matrix, N <= 24 for a
 column, N <= 202 for the table.
@@ -211,8 +212,9 @@ def _transverse_table(h_c, h, t):
     <y|U|x> = cos^{N-d}(ht) (-i sin ht)^d
     + (U_S - F_S)(j, i) / sqrt(C(N,i) C(N,j)).  Entries with x = k or y = k
     are read off U_S alone, so the marked column carries no cancellation
-    against F.  d is the one place this table needs |x^y|; it is formed
-    here in int16, clipped into range on the classes no pair realizes.
+    against F; :func:`transverse_marked_column` forms the x = k row alone.
+    d is the one place this table needs |x^y|; it is formed here in int16,
+    clipped into range on the classes no pair realizes.
     """
     n = h_c.n_spins
     _check_table(n, 2)   # amp, complex
@@ -231,6 +233,20 @@ def _transverse_table(h_c, h, t):
     table = amp.real ** 2
     table += amp.imag ** 2
     return table
+
+
+def transverse_marked_column(h_c: MarkedStateHamiltonian, h: float,
+                             t: float) -> np.ndarray:
+    """Transverse Q(x|k) for one state x per distance w = 0..N from the
+    marked state k, |U_S[w, 0]|^2 / C(N, w): one eigensolve of order N+1,
+    no F_S and no table.  U_S, the scale and the squares are formed as
+    :func:`_transverse_table` forms its x = k row, so the two agree to the
+    bit."""
+    n = h_c.n_spins
+    u_s = _sector_propagator(
+        _sector_hamiltonian(n, TRANSVERSE, h, -h_c.alpha * n), t)
+    amp = u_s[:, 0] * (1.0 / np.sqrt(_binomials(n)[n]))
+    return amp.real ** 2 + amp.imag ** 2
 
 
 # ---------------------------------------------------------------------------

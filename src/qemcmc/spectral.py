@@ -20,17 +20,21 @@ the spins about the marked state k (every kernel the experiments build) has
 L = D^1/2 (I - P) D^-1/2 in the Terwilliger algebra of the hypercube, so its
 whole spectrum comes from floor(N/2)+1 symmetric blocks of order at most N+1
 (Schrijver, IEEE Trans. Inf. Theory 51, 2859 (2005)).  Block k has
-multiplicity C(N,k) - C(N,k-1) and entries
+multiplicity C(N,k) - C(N,k-1) and, with m = N - 2k, entries
 
-    B_k[i,j] = sum_t beta^t_{i,j,k} x^t_{i,j} / sqrt(C(N-2k,i-k) C(N-2k,j-k))
+    B_k[l,l'] = sqrt(C(m,l)/C(m,l')) sum_r C(l,r) C(m-l,l'-r) (D^k x)[k+l,k+l',r]
 
-over i, j in [k, N-k], where x^t_{i,j} is the entry of L between states at
-distances i and j from k whose moves away from k overlap in t spins.  The
-integers beta^t_{i,j,k} come from one batched product of two binomial tables
-(:func:`_schrijver_beta`), exact: in int64 while a float64 bound certifies
-that no partial sum overflows (through N = 26), on Python ints beyond; only
-the quotient by the square root is rounded.  Block 0 is the symmetrized
-chain lumped onto the N+1 distances: the one lumped chain of
+over l, l' in [0, m], where x^t_{i,j} is the entry of L between states at
+distances i and j from k whose moves away from k overlap in t spins, and
+D^k is the k-th forward difference along t.  Over k disjoint spin pairs
+(p, q) and the m other spins R, the functions
+f_l(z) = prod (z_p - z_q) [|z_R| = l] of the moves z away from k span the
+multiplicity space of the (N-k, k) irrep of S_N, and <f_l, L f_l'> counts
+state pairs by the spin pairs they agree on (each disagreement flips the
+sign: the difference) and by their overlap r on R (the weights).  Every
+weight is positive; the only signed step differences the entries of x,
+which are at most 1, so no float cancels a large binomial.  Block 0 is the
+symmetrized chain lumped onto the N+1 distances: the one lumped chain of
 :mod:`qemcmc.chain`, which the exact mixing time reads at every cut.
 
 An eigenvalue read off a float64 eigensolver is good only to about
@@ -47,7 +51,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -210,75 +213,43 @@ def _dirichlet_forms(p: np.ndarray, log_pi: np.ndarray, low: np.ndarray,
 # ---------------------------------------------------------------------------
 # symmetry blocks
 
-def _schrijver_factors(binomials: np.ndarray, n: int):
-    """The two factors of beta^t_{i,j,k} = sum_u A[k,u,t] B[k,i,j,u],
-
-        A[k,u,t]   = (-1)^(u-t) C(u,t) C(N-2k,u-k),
-        B[k,i,j,u] = C(N-k-u,i-u) C(N-k-u,j-u),
-
-    read in the dtype of ``binomials``, the table C(a,b) over a, b in [0, N]
-    (0 for b > a); a binomial with a negative argument is 0.
-    """
-    def comb(a, b):
-        return np.where((a >= 0) & (b >= 0),
-                        binomials[np.maximum(a, 0), np.maximum(b, 0)], 0)
-
-    r = np.arange(n + 1)
-    k, u, t = np.arange(n // 2 + 1)[:, None, None], r[:, None], r
-    a = (1 - 2 * ((u - t) & 1)) * comb(u, t) * comb(n - 2 * k, u - k)
-    k, i, j, u = k[..., None], r[:, None, None], r[:, None], r
-    b = comb(n - k - u, i - u) * comb(n - k - u, j - u)
-    return a, b
-
-
-def _schrijver_beta(n: int):
-    """Schrijver's beta^t_{i,j,k} over (k, i, j, t) and the norms
-    C(N-2k,i-k) C(N-2k,j-k) over (k, i, j), as exact integers: zero outside
-    k <= i, j <= N-k and t <= min(i, j).
-
-    beta = B @ A (see :func:`_schrijver_factors`) runs in int64 when a
-    float64 bound on the factors and on sum_u |A| |B| shows that no entry and
-    no partial sum can reach 2^62, and on Python ints otherwise.
-    """
-    _check_entries("block coefficients", n, (n // 2 + 1) * (n + 1) ** 3)
-    # Python ints, not the float table proposal._binomials: beta here and the
-    # block multiplicities of _symmetry_blocks are exact integers
-    binomials = np.array([[math.comb(a, b) for b in range(n + 1)]
-                          for a in range(n + 1)], dtype=object)
-    a, b = _schrijver_factors(_binomials(n), n)
-    bound = max(float(np.max(np.abs(b) @ np.abs(a)[:, None])),
-                float(np.max(np.abs(a))), float(np.max(np.abs(b))))
-    # 2^62 leaves int64 a factor 2 over the bound's float64 rounding
-    a, b = _schrijver_factors(
-        binomials.astype(np.int64 if bound < 2.0 ** 62 else object), n)
-    k = np.arange(n // 2 + 1)
-    # B at u = k is C(N-2k,i-k) C(N-2k,j-k)
-    return b @ a[:, None], b[k, :, :, k]
-
-
-@lru_cache(maxsize=None)
-def _block_coefficients(n_spins: int) -> np.ndarray:
-    """beta^t_{i,j,k} / sqrt(C(N-2k,i-k) C(N-2k,j-k)) over (k, i, j, t), zero
-    outside k <= i, j <= N-k; only this quotient is rounded."""
-    beta, norm = _schrijver_beta(n_spins)
-    coef = np.zeros(beta.shape)
-    np.divide(beta.astype(float), np.sqrt(norm.astype(float))[..., None],
-              out=coef, where=(norm > 0)[..., None])
-    coef.flags.writeable = False
-    return coef
-
-
-def _symmetry_blocks(x: np.ndarray, coef: np.ndarray):
+def _symmetry_blocks(x: np.ndarray):
     """Blocks B_k of L from its class entries x^t_{i,j}, k = 0..floor(N/2),
-    each with its multiplicity C(N,k) - C(N,k-1); ``coef`` is
-    :func:`_block_coefficients` at N.
+    each with its multiplicity C(N,k) - C(N,k-1), by the difference form of
+    the module docstring.
 
-    Their asymmetry is the reversibility certificate; the blocks returned
-    are symmetrized.
+    Block k reads the k-th forward difference of x along t.  Its weights,
+    each the positive C(m,l) C(l,r) C(m-l,l'-r) / sqrt(C(m,l) C(m,l')) of
+    that formula and symmetric in l and l', are built for that block alone,
+    in row chunks of about 2^20 entries.  The blocks' asymmetry is the
+    reversibility certificate; the blocks returned are symmetrized.
     """
     n = x.shape[0] - 1
-    full = np.einsum("kijt,ijt->kij", coef, x)
-    blocks = [full[k, k:n - k + 1, k:n - k + 1] for k in range(n // 2 + 1)]
+    binom = _binomials(n)
+    # C(a, b) at [a, N - b] for b in [-N, N], 0 at b < 0: C(m-l, l'-r) over
+    # (l, l', r) is one strided view, contiguous along r
+    padded = np.zeros((n + 1, 2 * n + 1))
+    padded[:, :n + 1] = binom[:, ::-1]
+    row, col = padded.strides
+    blocks, d = [], x
+    for k in range(n // 2 + 1):
+        m = n - 2 * k
+        if k:   # D^k x at t <= m, all that this and later blocks read
+            d = d[1:-1, 1:-1, 1:m + 2] - d[1:-1, 1:-1, :m + 1]
+        l = np.arange(m + 1)
+        size = binom[m, :m + 1]
+        toeplitz = np.lib.stride_tricks.as_strided(
+            padded[m, n:], (m + 1,) * 3, (-row, -col, col), writeable=False)
+        block = np.empty((m + 1, m + 1))
+        rows = max(1, (1 << 20) // (m + 1) ** 2)
+        for lo in range(0, m + 1, rows):
+            i, j = l[lo:lo + rows, None, None], l[:, None]
+            # C(m,l) C(l,r) C(m-l,l'-r) / sqrt(C(m,l) C(m,l'))
+            weight = size[i] * binom[i, l] * toeplitz[lo:lo + rows]
+            weight /= np.sqrt(size[i] * size[j])
+            block[lo:lo + rows] = np.einsum("ijr,ijr->ij", weight,
+                                            d[lo:lo + rows])
+        blocks.append(block)
     scale = max(max(float(np.max(np.abs(b))) for b in blocks), 1e-300)
     asym = max(float(np.max(np.abs(b - b.T))) for b in blocks) / scale
     if not asym <= _REVERSIBILITY_TOL:   # NaN fails too
@@ -298,18 +269,17 @@ def spectral_gap_blocks(kernel: ProposalKernel,
     (:func:`~qemcmc.chain._lumped_chain` at w = 0); as in
     :func:`spectral_gap_dense`, each end of its spectrum is the Rayleigh
     quotient of its Ritz vector in Dirichlet form on that chain, so a gap
-    far below the rest of the spectrum keeps its relative accuracy.
+    far below the rest of the spectrum keeps its relative accuracy down to
+    about eps^2 in absolute terms, the error of a Ritz vector good to eps.
     Blocks k >= 1 give their extreme eigenvalues directly, good to about
     eps * |B_k| <= 2 eps in absolute terms only.  So the relative accuracy
     holds only when the extreme mode lies in block 0; a tiny gap set by
     block k >= 1 (nearly periodic transverse chains, h t near pi/2) keeps
     about eps / delta of it.
     """
-    n = kernel.n_spins
-    coef = _block_coefficients(n)   # its size rule before any assembly
     move, stay, x = _class_chain(kernel, measure)
     lumped, log_pi = _lumped_chain(move, stay, measure, 0)
-    (block0, _), *rest = _symmetry_blocks(x, coef)
+    (block0, _), *rest = _symmetry_blocks(x)
     _, vec = np.linalg.eigh(block0)
     ends = list(_dirichlet_forms(lumped, log_pi, vec[:, :2], vec[:, -1]))
     for block, _ in rest:

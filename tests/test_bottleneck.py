@@ -17,6 +17,7 @@ from qemcmc.quantum import (
     MixerSpec,
     quantum_kernel,
     structured_grover_kernel,
+    transverse_marked_column,
 )
 from qemcmc.spectral import (
     grover_gap_closed_form,
@@ -234,6 +235,39 @@ def test_marked_bound_table_validates_marked_column():
         marked_state_bound(kernel(q), n + 1, 1.0, 1.0)
 
 
+@pytest.mark.parametrize("h", [1.0, 1e3, 1e5])
+def test_sector_column_bound_equals_table_bound(h):
+    # the marked column from U_S alone is the table's x = k row, and the
+    # bound read off it equals the table-read bound, bit for bit
+    for n in [*range(1, 41), 200, 201, 202]:
+        h_c = MarkedStateHamiltonian(n, 1.0)
+        column = transverse_marked_column(h_c, h, 1.0)
+        kern = quantum_kernel(h_c, MixerSpec("transverse", h), 1.0)
+        assert np.array_equal(column.view(np.uint64),
+                              kern.table()[0, :, 0].view(np.uint64)), n
+        for beta in (0.5, 5.0):
+            from_column = marked_state_bound(column, n, 1.0, beta)
+            from_table = marked_state_bound(kern, n, 1.0, beta)
+            assert from_column.hex() == from_table.hex(), (n, beta)
+
+
+def test_sector_column_bound_validates_the_column():
+    # a corrupted distance column raises as a corrupted table row does
+    n = 12
+    column = transverse_marked_column(MarkedStateHamiltonian(n, 1.0), 1.0, 1.0)
+    assert marked_state_bound(column, n, 1.0, 5.0) > 0.0
+    for defect in ("negative", "mass", "length"):
+        bad = column.copy()
+        if defect == "negative":
+            bad[3] = -1e-9
+        elif defect == "mass":
+            bad[0] *= 1.001
+        else:
+            bad = bad[:-1]
+        with pytest.raises(ValueError):
+            marked_state_bound(bad, n, 1.0, 5.0)
+
+
 def test_certificate_uniform():
     cert = sum_qa_certificate(uniform_kernel(4), 0)
     assert cert == pytest.approx((2 ** 4 - 1) / 2 ** 4)
@@ -250,7 +284,8 @@ def test_certificate_quantum_kernels():
 
 
 def test_transverse_slope_check_forms_no_column(monkeypatch):
-    # criterion 6 reads the bound off the kernel table, as figure-b does
+    # criterion 6 reads the bound off the sector's marked column, as
+    # figure-b does
     from qemcmc import validation
     from qemcmc.proposal import PermutationInvariantKernel
 

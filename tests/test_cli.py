@@ -460,7 +460,7 @@ def test_experiments_load_no_scipy():
 
 
 def test_figure_b_forms_no_proposal_column(monkeypatch, capsys):
-    # the bound reads the kernel table's marked column in O(N)
+    # the bound reads the sector's marked column in O(N)
     from qemcmc.proposal import PermutationInvariantKernel, ProposalKernel
 
     def refuse(*args, **kwargs):
@@ -559,84 +559,133 @@ def test_figure_b_bound_past_n_24_matches_mpmath():
 
 
 def test_figures_skip_rows_past_the_size_rule(monkeypatch, capsys):
-    # with the cap lowered to 2^16 entries, the kernel table refuses N = 32
-    # (2 * 33^3 floats) and the block coefficients N = 18 (10 * 19^3); each
-    # refused row is skipped with a note, and the run exits 0
-    from qemcmc import proposal, spectral
+    # with the cap lowered to 2^16 entries, the transverse table refuses
+    # N = 32 (2 * 33^3 floats) and the four-value table N = 40 (41^3): each
+    # refused exact-gap row is skipped with a note, every bound row stays
+    # (it needs no table), and the run exits 0
+    from qemcmc import proposal
 
     monkeypatch.setattr(proposal, "_ENTRIES_MAX", 1 << 16)
-    spectral._block_coefficients.cache_clear()   # refuse N = 18 if cached
-    assert cli.main(["--experiment", "figure-b", "--n-min", "17",
-                     "--n-max", "32", "--max-dense-n", "18"]) == 0
+    assert cli.main(["--experiment", "figure-b", "--n-min", "31",
+                     "--n-max", "33", "--max-dense-n", "33"]) == 0
     captured = capsys.readouterr()
     keys = sorted((int(r[1]), r[6]) for r in _rows(captured.out))
-    assert keys == sorted([(n, "bound") for n in range(17, 32)]
-                          + [(17, "delta_exact")])
+    assert keys == sorted([(n, "bound") for n in range(31, 34)]
+                          + [(31, "delta_exact")])
     assert captured.err.splitlines() == [
-        "skipped delta_exact at N=18: block coefficients refused at N = 18: "
-        "68590 entries, above the cap of 65536",
-        "skipped bound at N=32: kernel table refused at N = 32: "
-        "71874 entries, above the cap of 65536"]
-    assert cli.main(["--experiment", "figure-a", "--n-min", "17",
-                     "--n-max", "18", "--max-dense-n", "18",
+        "skipped delta_exact at N=32: kernel table refused at N = 32: "
+        "71874 entries, above the cap of 65536",
+        "skipped delta_exact at N=33: kernel table refused at N = 33: "
+        "78608 entries, above the cap of 65536"]
+    assert cli.main(["--experiment", "figure-a", "--n-min", "39",
+                     "--n-max", "40", "--max-dense-n", "40",
                      "--avg-samples", "4"]) == 0
     captured = capsys.readouterr()
     keys = sorted((int(r[1]), r[6]) for r in _rows(captured.out))
-    assert keys == [(17, "delta_closed"), (17, "delta_exact"),
-                    (18, "delta_closed")]
-    assert captured.err.startswith("skipped delta_exact at N=18: "
-                                   "block coefficients refused at N = 18:")
+    assert keys == [(39, "delta_closed"), (39, "delta_exact"),
+                    (40, "delta_closed")]
+    assert captured.err.splitlines() == [
+        "skipped delta_exact at N=40: kernel table refused at N = 40: "
+        "68921 entries, above the cap of 65536"]
 
 
 def test_figure_a_refuses_its_row_before_the_chain(monkeypatch, capsys):
-    # the block coefficients refuse N = 76 before the averaged kernel's
-    # chain is assembled
-    from qemcmc import spectral
+    # with the cap lowered to 2^16 entries, the averaged kernel's table
+    # refuses N = 40 before the chain is assembled
+    from qemcmc import proposal, spectral
 
     def unreachable(*args):
         raise AssertionError("class chain assembled")
 
+    monkeypatch.setattr(proposal, "_ENTRIES_MAX", 1 << 16)
     monkeypatch.setattr(spectral, "_class_chain", unreachable)
+    assert cli.main(["--experiment", "figure-a", "--n-min", "40",
+                     "--n-max", "40", "--max-dense-n", "40",
+                     "--avg-samples", "4"]) == 0
+    captured = capsys.readouterr()
+    assert [r[6] for r in _rows(captured.out)] == ["delta_closed"]
+    assert captured.err.startswith("skipped delta_exact at N=40: "
+                                   "kernel table refused at N = 40:")
+
+
+def test_figure_a_builds_no_kernel_for_a_refused_row(monkeypatch, capsys):
+    # with the cap lowered to 2^16 entries: N = 38 and 39 build their
+    # averaged kernels and fill their tables; the table's rule, checked as
+    # the kernel is built, refuses N = 40 and 41 before any table exists,
+    # and each note reads as the refusal itself does
+    import tracemalloc
+
+    from qemcmc import proposal
+
+    built, peaks = [], []
+    build = cli.time_averaged_kernel
+
+    def recorded(h_c, scheme):
+        if h_c.n_spins >= 40:
+            tracemalloc.start()
+            try:
+                return build(h_c, scheme)
+            finally:
+                peaks.append(tracemalloc.get_traced_memory()[1])
+                tracemalloc.stop()
+        built.append(build(h_c, scheme))
+        return built[-1]
+
+    monkeypatch.setattr(proposal, "_ENTRIES_MAX", 1 << 16)
+    monkeypatch.setattr(cli, "time_averaged_kernel", recorded)
+    assert cli.main(["--experiment", "figure-a", "--n-min", "38",
+                     "--n-max", "41", "--max-dense-n", "41",
+                     "--avg-samples", "4"]) == 0
+    captured = capsys.readouterr()
+    keys = sorted((int(r[1]), r[6]) for r in _rows(captured.out))
+    assert keys == sorted([(n, "delta_closed") for n in range(38, 42)]
+                          + [(38, "delta_exact"), (39, "delta_exact")])
+    assert captured.err.splitlines() == [
+        f"skipped delta_exact at N={n}: kernel table refused at N = {n}: "
+        f"{(n + 1) ** 3} entries, above the cap of 65536"
+        for n in (40, 41)]
+    assert [kern.n_spins for kern in built] == [38, 39]
+    assert all(kern._table is not None for kern in built)
+    # a 41^3 table is 551 KB: the refused rows allocate none
+    assert len(peaks) == 2 and max(peaks) < 1 << 17
+
+
+def test_rows_past_the_old_block_rule_are_emitted(capsys):
+    # figure-a and figure-b exact rows past N = 75 and figure-b bound rows
+    # past the transverse table's N = 202, with no note: a bound row builds
+    # no table (at N = 203 one would take 135 MB)
+    import tracemalloc
+
     assert cli.main(["--experiment", "figure-a", "--n-min", "76",
                      "--n-max", "76", "--max-dense-n", "76",
                      "--avg-samples", "4"]) == 0
     captured = capsys.readouterr()
-    assert [r[6] for r in _rows(captured.out)] == ["delta_closed"]
-    assert captured.err.startswith("skipped delta_exact at N=76: "
-                                   "block coefficients refused at N = 76:")
-
-
-def test_figure_a_builds_no_kernel_for_a_refused_row(monkeypatch, capsys):
-    # N = 76..255: the block coefficients refuse the row before the averaged
-    # kernel's (N+1)^3 table is filled; N = 300: the table's own rule, checked
-    # as the kernel is built, names it.  Each note reads as the refusal itself
-    # does.
-    built = []
-    build = cli.time_averaged_kernel
-
-    def recorded(*args):
-        built.append(build(*args))
-        return built[-1]
-
-    monkeypatch.setattr(cli, "time_averaged_kernel", recorded)
-    assert cli.main(["--experiment", "figure-a", "--n-min", "76",
-                     "--n-max", "255", "--max-dense-n", "300",
-                     "--avg-samples", "4"]) == 0
+    rows = {r[6]: float(r[7]) for r in _rows(captured.out)}
+    assert captured.err == ""
+    assert rows["delta_exact"] == pytest.approx(rows["delta_closed"],
+                                                rel=1e-12, abs=0.0)
+    assert cli.main(["--experiment", "figure-b", "--n-min", "76",
+                     "--n-max", "76", "--max-dense-n", "76"]) == 0
     captured = capsys.readouterr()
-    assert {r[6] for r in _rows(captured.out)} == {"delta_closed"}
-    assert captured.err.splitlines() == [
-        f"skipped delta_exact at N={n}: block coefficients refused at N = {n}: "
-        f"{(n // 2 + 1) * (n + 1) ** 3} entries, above the cap of 16777216"
-        for n in range(76, 256)]
-    assert len(built) == 180
-    assert all(kern._table is None for kern in built)
-    assert cli.main(["--experiment", "figure-a", "--n-min", "300",
-                     "--n-max", "300", "--max-dense-n", "300",
-                     "--avg-samples", "4"]) == 0
-    assert capsys.readouterr().err.splitlines() == [
-        "skipped delta_exact at N=300: kernel table refused at N = 300: "
-        "27270901 entries, above the cap of 16777216"]
-    assert len(built) == 180      # refused as it was built
+    rows = {r[6]: float(r[7]) for r in _rows(captured.out)}
+    assert captured.err == ""
+    assert 0.0 < rows["delta_exact"] <= rows["bound"]
+    tracemalloc.start()
+    try:
+        assert cli.main(["--experiment", "figure-b", "--n-min", "203",
+                         "--n-max", "203", "--max-dense-n", "0"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 24
+    first = capsys.readouterr()
+    assert cli.main(["--experiment", "figure-b", "--n-min", "511",
+                     "--n-max", "511", "--max-dense-n", "0"]) == 0
+    for n, captured in ((203, first), (511, capsys.readouterr())):
+        assert captured.err == ""
+        (row,) = _rows(captured.out)
+        assert (int(row[1]), row[6]) == (n, "bound")
+        assert 0.0 < float(row[7]) < 1.0
 
 
 def test_four_value_table_refused_past_the_size_rule(capsys):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from qemcmc import chain
+from qemcmc.bottleneck import marked_state_bound
 from qemcmc.chain import (
     TransitionMatrix,
     _class_chain,
@@ -27,6 +28,7 @@ from qemcmc.proposal import (
     PermutationInvariantKernel,
     single_flip_kernel,
     uniform_kernel,
+    weight_classes,
 )
 from qemcmc.quantum import (
     MixerSpec,
@@ -42,10 +44,8 @@ from qemcmc.spectral import (
     averaged_grover_gap,
     grover_gap_closed_form,
     mixing_time_bounds,
-    _block_coefficients,
     _gap_from_blocks,
     _grover_gaps,
-    _schrijver_beta,
     _symmetry_blocks,
     scaling_fit,
     spectral_gap_blocks,
@@ -217,10 +217,7 @@ def test_budget_guard(monkeypatch):
 
 
 def test_sector_arrays_stop_at_the_real_cap():
-    # at 2^24 entries the block coefficients take N <= 75, the table N <= 202
-    with pytest.raises(BudgetExceeded,
-                       match="^block coefficients refused at N = 76:"):
-        _schrijver_beta(76)
+    # at 2^24 entries the transverse table takes N <= 202
     with pytest.raises(BudgetExceeded, match="^kernel table refused at N = 203:"):
         quantum_kernel(MarkedStateHamiltonian(203, 1.0),
                        MixerSpec("transverse", 1.0), 1.0)
@@ -468,7 +465,7 @@ def test_block_spectrum_matches_dense(variant):
         np.fill_diagonal(sym, 1.0 - np.diag(p))
         ref = np.linalg.eigvalsh(sym)
         _, _, x = _class_chain(kern, measure)
-        blocks = _symmetry_blocks(x, _block_coefficients(n))
+        blocks = _symmetry_blocks(x)
         assert sum(mult * len(b) for b, mult in blocks) == 1 << n
         lam = np.sort(np.concatenate([np.repeat(np.linalg.eigvalsh(b), mult)
                                       for b, mult in blocks]))
@@ -488,47 +485,119 @@ def _beta_brute(n, k, i, j, t):
     return total
 
 
-def _beta_reference(n):
-    """Schrijver's beta^t_{i,j,k} as exact integers, keyed (k, i, j, t) over
-    k <= N/2, i and j in [k, N-k], and t <= min(i, j): the sum over u term
-    by term, the reference for the batched product of the package."""
-    comb = math.comb
-    beta = {}
-    for k in range(n // 2 + 1):
-        for i in range(k, n - k + 1):
-            for j in range(k, n - k + 1):
-                for t in range(min(i, j) + 1):
-                    beta[k, i, j, t] = sum(
-                        (-1) ** (u - t) * comb(u, t) * comb(n - 2 * k, u - k)
-                        * comb(n - k - u, i - u) * comb(n - k - u, j - u)
-                        for u in range(max(k, t), min(i, j) + 1))
-    return beta
+def _schrijver_beta(n):
+    """Schrijver's beta^t_{i,j,k} = sum_u A[k,u,t] B[k,i,j,u] over
+    (k, i, j, t), with A[k,u,t] = (-1)^(u-t) C(u,t) C(N-2k,u-k) and
+    B[k,i,j,u] = C(N-k-u,i-u) C(N-k-u,j-u), and the norms
+    C(N-2k,i-k) C(N-2k,j-k) over (k, i, j), all as exact Python integers:
+    zero outside k <= i, j <= N-k and t <= min(i, j).  The blocks'
+    exact-integer reference, from one batched product of two binomial
+    tables."""
+    binomials = np.array([[math.comb(a, b) for b in range(n + 1)]
+                          for a in range(n + 1)], dtype=object)
+
+    def comb(a, b):
+        return np.where((a >= 0) & (b >= 0),
+                        binomials[np.maximum(a, 0), np.maximum(b, 0)], 0)
+
+    r = np.arange(n + 1)
+    k, u, t = np.arange(n // 2 + 1)[:, None, None], r[:, None], r
+    a = (1 - 2 * ((u - t) & 1)) * comb(u, t) * comb(n - 2 * k, u - k)
+    k, i, j, u = k[..., None], r[:, None, None], r[:, None], r
+    b = comb(n - k - u, i - u) * comb(n - k - u, j - u)
+    k = np.arange(n // 2 + 1)
+    # B at u = k is C(N-2k,i-k) C(N-2k,j-k)
+    return b @ a[:, None], b[k, :, :, k]
 
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_beta_coefficients_brute_force(n):
     beta, _ = _schrijver_beta(n)
-    keys = list(_beta_reference(n))
-    assert len(keys) > 0
-    for k, i, j, t in keys:
-        assert beta[k, i, j, t] == _beta_brute(n, k, i, j, t), (k, i, j, t)
+    for k in range(n // 2 + 1):
+        for i in range(k, n - k + 1):
+            for j in range(k, n - k + 1):
+                for t in range(min(i, j) + 1):
+                    assert beta[k, i, j, t] == _beta_brute(n, k, i, j, t), \
+                        (k, i, j, t)
 
 
-@pytest.mark.parametrize("n", [*range(1, 21), 26, 27, 28])
+def _random_symmetric_table(n, rng):
+    """A random symmetric, column-stochastic table over the pair classes."""
+    w = np.arange(n + 1)
+    count = weight_classes(n)
+    raw = rng.random((n + 1,) * 3)
+    table = np.where(count > 0, raw + raw.transpose(1, 0, 2), 0.0)
+    table[w, w, w] = 0.0
+    table /= 1.25 * np.max(np.einsum("ijt,ijt->i", count, table))
+    table[w, w, w] = 1.0 - np.einsum("ijt,ijt->i", count, table)
+    return table
+
+
+def _reference_kernels(n):
+    """Transverse at (h, t) = (1, 1) and (0.6 sqrt(N), 7), grover at
+    resonance, single flip and a random symmetric table, about state 0."""
+    h_c = MarkedStateHamiltonian(n, 1.0)
+    return [quantum_kernel(h_c, MixerSpec("transverse", 1.0), 1.0),
+            quantum_kernel(h_c, MixerSpec("transverse", 0.6 * math.sqrt(n)),
+                           7.0),
+            quantum_kernel(h_c, MixerSpec("grover", resonance_field(1.0, n)),
+                           2.0),
+            single_flip_kernel(n),
+            PermutationInvariantKernel(n, 0, _random_symmetric_table(
+                n, np.random.Generator(np.random.Philox(n))))]
+
+
+@pytest.mark.parametrize("n", [*range(1, 31), 36, 40])
 def test_block_coefficients_match_exact_reference(n):
-    # N = 26 runs the product in int64, N = 27 and 28 on Python ints
-    ref = _beta_reference(n)
-    beta, _ = _schrijver_beta(n)
-    assert beta.dtype == (np.int64 if n <= 26 else object)
-    exact = np.zeros(beta.shape, dtype=object)
+    # the difference-form blocks against blocks from the exact-integer
+    # coefficients beta / sqrt(norm), each rounded once, on every kernel
+    # family at three temperatures
+    beta, norm = _schrijver_beta(n)
     coef = np.zeros(beta.shape)
-    for (k, i, j, t), value in ref.items():
-        exact[k, i, j, t] = value
-        norm = math.comb(n - 2 * k, i - k) * math.comb(n - 2 * k, j - k)
-        coef[k, i, j, t] = value / math.sqrt(norm)
-    assert np.array_equal(beta, exact)
-    assert np.array_equal(_block_coefficients(n).view(np.uint64),
-                          coef.view(np.uint64))
+    np.divide(beta.astype(float), np.sqrt(norm.astype(float))[..., None],
+              out=coef, where=(norm > 0)[..., None])
+    for kern in _reference_kernels(n):
+        for inverse_temperature in (0.5, 1.0, 5.0):
+            _, _, x = _class_chain(kern, gibbs_measure(
+                MarkedStateHamiltonian(n, 1.0), inverse_temperature))
+            full = np.einsum("kijt,ijt->kij", coef, x)
+            blocks = _symmetry_blocks(x)
+            assert len(blocks) == n // 2 + 1
+            for k, (block, mult) in enumerate(blocks):
+                ref = full[k, k:n - k + 1, k:n - k + 1]
+                err = float(np.max(np.abs(block - 0.5 * (ref + ref.T))))
+                assert err <= 8 * np.finfo(float).eps, (n, k)
+                assert mult == math.comb(n, k) - (math.comb(n, k - 1)
+                                                  if k else 0)
+
+
+@pytest.mark.parametrize("n", [76, 100])
+def test_blocks_past_the_old_coefficient_rule(n):
+    # no exact reference this far: the blocks pass their own symmetry
+    # certificate, carry L's trace and Frobenius norm with multiplicity, and
+    # the gap stays under the marked-state cut up to the floor of block 0's
+    # Dirichlet form, about eps^2 absolute (its Ritz vector is good to eps):
+    # at N = 100 and beta >= 1 the transverse gap lies below that floor
+    h_c = MarkedStateHamiltonian(n, 1.0)
+    count = weight_classes(n)
+    size = np.array([float(math.comb(n, i)) for i in range(n + 1)])
+    for kern in _reference_kernels(n):
+        for inverse_temperature in (0.5, 1.0, 5.0):
+            measure = gibbs_measure(h_c, inverse_temperature)
+            _, _, x = _class_chain(kern, measure)
+            blocks = _symmetry_blocks(x)
+            trace = sum(float(mult) * float(np.trace(b)) for b, mult in blocks)
+            frob = sum(float(mult) * float(np.sum(b * b)) for b, mult in blocks)
+            w = np.arange(n + 1)
+            assert trace == pytest.approx(float(size @ x[w, w, w]),
+                                          rel=1e-12, abs=0.0)
+            assert frob == pytest.approx(
+                float(size @ np.einsum("ijt,ijt->i", count, x * x)),
+                rel=1e-12, abs=0.0)
+            delta = spectral_gap_blocks(kern, measure)
+            bound = marked_state_bound(kern, n, 1.0, inverse_temperature)
+            floor = 64 * np.finfo(float).eps ** 2
+            assert 0.0 <= delta <= bound + floor, (n, inverse_temperature)
 
 
 def test_block_gap_at_tiny_gap():
@@ -571,8 +640,7 @@ def test_block_gap_nearly_periodic(n, alpha):
     delta = spectral_gap_blocks(kern, measure)
     assert abs(delta - ref) <= 1e-10 * ref
     _, _, x = _class_chain(kern, measure)
-    (block0, _), (block1, _), *_ = _symmetry_blocks(x,
-                                                    _block_coefficients(n))
+    (block0, _), (block1, _), *_ = _symmetry_blocks(x)
     lam0, lam1 = np.linalg.eigvalsh(block0), np.linalg.eigvalsh(block1)
     assert abs(2.0 - lam1[-1] - delta) <= 1e-10 * ref
     assert min(lam0[1], 2.0 - lam0[-1]) > delta
@@ -674,7 +742,7 @@ def test_block_route_rejects_irreversible_chain(monkeypatch):
                            gibbs_measure(h_c, 2.0))
     x[2, 3, 2] = np.nan
     with pytest.raises(NotReversible):
-        _symmetry_blocks(x, _block_coefficients(5))
+        _symmetry_blocks(x)
     # with the kernel asymmetry check relaxed, the blocks' own certificate
     # catches the asymmetric table
     monkeypatch.setattr(chain, "SYMMETRY_TOL", 1.0)
@@ -682,7 +750,7 @@ def test_block_route_rejects_irreversible_chain(monkeypatch):
     _, _, x = _class_chain(PermutationInvariantKernel(5, 9, table),
                            gibbs_measure(h_c, 2.0))
     with pytest.raises(NotReversible):
-        _symmetry_blocks(x, _block_coefficients(5))
+        _symmetry_blocks(x)
 
 
 def test_block_route_needs_an_invariant_measure():
