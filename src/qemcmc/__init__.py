@@ -42,6 +42,7 @@ from .chain import (
 from .spectral import (
     AveragingScheme,
     averaged_grover_gap,
+    check_block_route,
     grover_gap_closed_form,
     mixing_time_bounds,
     scaling_fit,
@@ -54,6 +55,7 @@ from .bottleneck import (
     bottleneck_bound,
     flow,
     marked_state_bound,
+    marked_state_bound_dense,
     sum_qa_certificate,
 )
 from . import errors

@@ -5,8 +5,8 @@ the marked configuration.  A kernel invariant under permutations of the
 spins about the marked state carries it in N+1 values, one per distance w
 (each shared by C(N, w) states): its table's table[0, w, 0], or the
 transverse sector's marked column with no table.  So the bound costs O(N)
-and no 2^N column is formed; a 2^N column is still accepted, as the dense
-cross-checks pass one.
+and no 2^N column is formed; the dense cross-checks pass a 2^N column to
+:func:`marked_state_bound_dense`.
 """
 
 from __future__ import annotations
@@ -64,35 +64,48 @@ def marked_state_bound(q_k, n_spins: int, alpha: float, beta: float,
                        marked: int = 0) -> float:
     """Gap upper bound from the marked-state cut, Q symmetric assumed.
 
-    ``q_k`` is the proposal column out of the marked state: a
-    :class:`~qemcmc.proposal.PermutationInvariantKernel` about ``marked``
-    (its table[0, :, 0]), that column's N+1 values Q(x|k) per distance w
-    (:func:`~qemcmc.quantum.transverse_marked_column`), or the 2^N column,
-    as which a two-entry array at N = 1 is read.  Moves into the marked
-    state are always downhill, so the acceptance factor is 1 and the escape
-    mass is the off-marked column sum, summed directly to avoid the
-    1 - Q(k|k) cancellation; per distance it is sum_w C(N, w) col[w].
+    ``q_k`` is the proposal column out of the marked state k per distance:
+    a :class:`~qemcmc.proposal.PermutationInvariantKernel` about ``marked``
+    (its table[0, :, 0]) or the N+1 values Q(x|k), one per distance w = 0..N
+    of x from k, each shared by C(N, w) states
+    (:func:`~qemcmc.quantum.transverse_marked_column`).  Moves into the
+    marked state are always downhill, so the acceptance factor is 1 and the
+    escape mass is the off-marked column sum, sum_{w >= 1} C(N, w) Q(x|k),
+    summed directly to avoid the 1 - Q(k|k) cancellation, in O(N).
+    :func:`marked_state_bound_dense` takes the 2^N column instead.
     """
-    by_distance = isinstance(q_k, PermutationInvariantKernel)
-    if by_distance:
+    if isinstance(q_k, PermutationInvariantKernel):
         if (q_k.n_spins, q_k.marked) != (n_spins, marked):
             raise ValueError(
                 f"kernel on N = {q_k.n_spins} about state {q_k.marked}, "
                 f"expected N = {n_spins} about state {marked}")
-        col = q_k.table()[0, :, 0]
-    else:
-        col = np.asarray(q_k, dtype=float)
-        by_distance = n_spins > 1 and col.shape == (n_spins + 1,)
-    if by_distance:
-        # Q(x|k) = col[w] for each of the C(N, w) states x at distance w
-        col = _binomials(n_spins)[n_spins] * col
-        escape = math.fsum(col[1:])
-    else:
-        dim = 1 << n_spins
-        if col.shape != (dim,):
-            raise ValueError(f"column has shape {col.shape}, expected "
-                             f"({dim},) or ({n_spins + 1},)")
-        escape = float(np.delete(col, marked).sum())
+        q_k = q_k.table()[0, :, 0]
+    col = np.asarray(q_k, dtype=float)
+    if col.shape != (n_spins + 1,):
+        raise ValueError(f"column has shape {col.shape}, "
+                         f"expected ({n_spins + 1},)")
+    # Q(x|k) = col[w] for each of the C(N, w) states x at distance w
+    col = _binomials(n_spins)[n_spins] * col
+    return _cut_bound(col, math.fsum(col[1:]), n_spins, alpha, beta)
+
+
+def marked_state_bound_dense(col, n_spins: int, alpha: float, beta: float,
+                             marked: int = 0) -> float:
+    """:func:`marked_state_bound` from the 2^N proposal column out of
+    ``marked``, as the dense cross-checks form it."""
+    col = np.asarray(col, dtype=float)
+    if col.shape != (1 << n_spins,):
+        raise ValueError(f"column has shape {col.shape}, "
+                         f"expected ({1 << n_spins},)")
+    return _cut_bound(col, float(np.delete(col, marked).sum()), n_spins,
+                      alpha, beta)
+
+
+def _cut_bound(col, escape: float, n_spins: int, alpha: float,
+               beta: float) -> float:
+    """The marked-state cut's bound from the escape mass, once ``col`` (the
+    masses Q(x|k) over the states or the distances) is checked to be a
+    probability distribution."""
     if np.min(col) < -1e-12 or abs(col.sum() - 1.0) > 1e-8:
         raise ValueError("the marked column is not a probability distribution")
     g = 2.0 ** n_spins - 1.0

@@ -164,7 +164,8 @@ def _class_chain(kernel: PermutationInvariantKernel, measure: GibbsMeasure):
         raise NegativeDiagonal(
             f"rejection mass {np.min(rejection):.3e} negative: defective kernel"
         )
-    x = -q * np.exp(-0.5 * np.abs(step))[:, :, None]
+    x = np.negative(q, out=q)                   # q's buffer holds x
+    x *= np.exp(-0.5 * np.abs(step))[:, :, None]
     x[w, w, w] = off_mass
     return move, np.clip(rejection, 0.0, None), x
 

@@ -42,6 +42,7 @@ from .chain import (
 from .errors import (
     AsymmetricKernel,
     BudgetExceeded,
+    ImpreciseGap,
     NegativeProbability,
     NoConvergence,
     NotStochastic,
@@ -60,6 +61,7 @@ from .quantum import (
 from .spectral import (
     AveragingScheme,
     averaged_grover_gap,
+    check_block_route,
     grover_gap_closed_form,
     scaling_fit,
     spectral_gap_blocks,
@@ -209,8 +211,10 @@ def _skip(quantity, n, exc):
 def run_figure_a(cfg: ExperimentConfig):
     """Time-averaged grover-chain gap per N: closed-form average for all N,
     and the averaged kernel's gap from its symmetry blocks as a cross-check
-    for N <= max_dense_n, skipped past the size rule of the kernel table,
-    which is checked as the kernel is built, before its table is filled."""
+    for N <= max_dense_n, skipped past the size rules of the kernel table
+    and of the symmetry-block route, both checked before the table is
+    filled, or when the gap's rounding estimate leaves it under half its
+    digits."""
     t_range = cfg.t_spec if isinstance(cfg.t_spec, tuple) else (cfg.t_spec,) * 2
     rows = []
     for n in cfg.n_values:
@@ -231,7 +235,7 @@ def run_figure_a(cfg: ExperimentConfig):
             try:
                 kern = time_averaged_kernel(h_c, scheme)
                 delta = spectral_gap_blocks(kern, gibbs_measure(h_c, cfg.beta))
-            except BudgetExceeded as exc:
+            except (BudgetExceeded, ImpreciseGap) as exc:
                 _skip("delta_exact", n, exc)
                 continue
             rows.append(("figure-a", n, cfg.alpha, cfg.beta, h_label, "avg",
@@ -245,7 +249,8 @@ def run_figure_b(cfg: ExperimentConfig):
     values, no table), and, for N <= max_dense_n, the exact gap from the
     symmetry blocks of the kernel table, built for that row alone.  No row
     forms a 2^N proposal column; an exact-gap row past the size rule of the
-    table is skipped."""
+    symmetry-block route, checked before the table is built, or whose gap
+    keeps under half its digits, is skipped."""
     rows = []
     for n in cfg.n_values:
         h = _resolve_h(cfg, n)
@@ -256,10 +261,11 @@ def run_figure_b(cfg: ExperimentConfig):
                      "bound", bound, "marked-state-cut", cfg.seed))
         if n <= cfg.max_dense_n:
             try:
+                check_block_route(n)     # before the table is built
                 kern = quantum_kernel(h_c, MixerSpec(TRANSVERSE, h),
                                       cfg.t_spec)
                 delta = spectral_gap_blocks(kern, gibbs_measure(h_c, cfg.beta))
-            except BudgetExceeded as exc:
+            except (BudgetExceeded, ImpreciseGap) as exc:
                 _skip("delta_exact", n, exc)
                 continue
             rows.append(("figure-b", n, cfg.alpha, cfg.beta, h, cfg.t_spec,

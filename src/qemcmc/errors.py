@@ -33,6 +33,11 @@ class EigensolverFailure(QemcmcError):
     """The dense symmetric eigensolver did not converge."""
 
 
+class ImpreciseGap(QemcmcError):
+    """A gap's own rounding-error estimate exceeds sqrt(eps) of it: fewer
+    than half of its digits would be significant."""
+
+
 class NoConvergence(QemcmcError):
     """The mixing-time search hit its step cap before its total-variation
     target (gap numerically zero)."""

@@ -16,8 +16,9 @@ Every large array of the package keeps one size rule, :func:`_check_entries`:
 no more than 2^24 float64 entries (128 MiB).  So N <= 12 for a 2^N x 2^N
 matrix (a dense kernel, the dense Hamiltonian, the dense gap), N <= 24 for a
 2^N vector (a column, a Gibbs vector), N <= 255 for a four-value or
-single-flip kernel table, and N <= 202 and 30 for the transverse kernel
-table and the mixing-time gather.
+single-flip kernel table, and N <= 202, 139 and 30 for the transverse
+kernel table, the six (N+1)^3 arrays of the symmetry-block route together
+and the mixing-time gather.
 The binomials C(a, b), a, b <= N, are one cached float64 table,
 :func:`_binomials`, read by the pair classes, the Dicke sector, the
 marked-state bound, the symmetry blocks and the lumped chain behind the gap
@@ -55,13 +56,13 @@ def _check_table(n_spins: int, floats: int = 1) -> None:
     _check_entries("kernel table", n_spins, floats * (n_spins + 1) ** 3)
 
 
-def _clamped(a: np.ndarray, n_spins: int) -> np.ndarray:
-    """``a`` with entries in [_CLAMP_FLOOR, 0) set to 0; below the floor,
-    NegativeProbability."""
+def _clamped(a: np.ndarray, n_spins: int, out=None) -> np.ndarray:
+    """``a`` with entries in [_CLAMP_FLOOR, 0) set to 0, written to ``out``
+    (``a`` itself to clamp in place); below the floor, NegativeProbability."""
     if np.min(a) < _CLAMP_FLOOR:
         raise NegativeProbability(
             f"kernel entry {np.min(a):.3e} below clamp floor at N = {n_spins}")
-    return np.clip(a, 0.0, None)
+    return np.clip(a, 0.0, None, out=out)
 
 
 @dataclass(frozen=True)
@@ -173,8 +174,8 @@ class PermutationInvariantKernel(ProposalKernel):
                 raise MismatchedDimensions(
                     f"expected {(n + 1,) * 3} table, got {table.shape}"
                 )
-            self._table = _clamped(
-                np.where(weight_classes(n) > 0, table, 0.0), n)
+            table = np.where(weight_classes(n) > 0, table, 0.0)
+            self._table = _clamped(table, n, out=table)
             self._raw = None
         return self._table
 
@@ -302,10 +303,11 @@ def validate_kernel(kernel: ProposalKernel) -> KernelCertificate:
         reverse = table.transpose(1, 0, 2)
         col_sums = (count * table).sum(axis=(1, 2))
         row_sums = (count * reverse).sum(axis=(1, 2))
+        asym = table - reverse
         return KernelCertificate(
             float(np.max(np.abs(col_sums - 1.0))),
             float(np.max(np.abs(row_sums - 1.0))),
-            float(np.max(np.abs(table - reverse))),
+            float(np.max(np.abs(asym, out=asym))),
         )
     q = kernel.dense()
     col_dev = float(np.max(np.abs(q.sum(axis=0) - 1.0)))

@@ -143,14 +143,20 @@ def _sector_propagator(ham, t):
     return (vec * np.exp(-1j * lam * t)) @ vec.T
 
 
+def _marked_propagator(h_c, variant, h, t):
+    """U_S = e^{-iHt} on the Dicke sector about the marked state."""
+    n = h_c.n_spins
+    return _sector_propagator(
+        _sector_hamiltonian(n, variant, h, -h_c.alpha * n), t)
+
+
 def _sector_pair(h_c, mixer, t):
     """(U_S, F_S) on the Dicke sector about the marked state: e^{-iHt} and the
     free part's propagator, F_S = I for grover."""
     n, h = h_c.n_spins, mixer.field_strength
     free = (np.eye(n + 1) if mixer.variant == GROVER else
             _sector_propagator(_sector_hamiltonian(n, TRANSVERSE, h, 0.0), t))
-    return _sector_propagator(
-        _sector_hamiltonian(n, mixer.variant, h, -h_c.alpha * n), t), free
+    return _marked_propagator(h_c, mixer.variant, h, t), free
 
 
 def _sector_evolve(h_c, mixer, psi, t):
@@ -239,13 +245,12 @@ def transverse_marked_column(h_c: MarkedStateHamiltonian, h: float,
                              t: float) -> np.ndarray:
     """Transverse Q(x|k) for one state x per distance w = 0..N from the
     marked state k, |U_S[w, 0]|^2 / C(N, w): one eigensolve of order N+1,
-    no F_S and no table.  U_S, the scale and the squares are formed as
+    no F_S and no table.  U_S is :func:`_marked_propagator`, as in
+    :func:`_sector_pair`, and the scale and the squares are formed as
     :func:`_transverse_table` forms its x = k row, so the two agree to the
     bit."""
-    n = h_c.n_spins
-    u_s = _sector_propagator(
-        _sector_hamiltonian(n, TRANSVERSE, h, -h_c.alpha * n), t)
-    amp = u_s[:, 0] * (1.0 / np.sqrt(_binomials(n)[n]))
+    u_s = _marked_propagator(h_c, TRANSVERSE, h, t)
+    amp = u_s[:, 0] * (1.0 / np.sqrt(_binomials(h_c.n_spins)[h_c.n_spins]))
     return amp.real ** 2 + amp.imag ** 2
 
 

@@ -42,9 +42,11 @@ eps * |I - P|, the largest eigenvalue, however small the gap.  So the dense
 solve, and block 0 of the block route, take each end of the spectrum instead
 as the Rayleigh quotient of its Ritz vector, written as a Dirichlet form: a
 sum of nonnegative terms, whose accuracy scales with the gap itself rather
-than with 1.  The dense solve works on I - P (diagonal rebuilt from
-off-diagonal row sums) and is the cross-check of the block route, used by the
-acceptance checks and the tests.
+than with 1, down to the rounding of its terms: each squares a difference of
+two rounded numbers.  That rounding is estimated with the form, and a gap
+keeping fewer than half its digits raises ImpreciseGap.  The dense solve
+works on I - P (diagonal rebuilt from off-diagonal row sums) and is the
+cross-check of the block route, used by the acceptance checks and the tests.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EigensolverFailure, NotReversible
+from .errors import EigensolverFailure, ImpreciseGap, NotReversible
 from .model import GibbsMeasure, MarkedStateHamiltonian, _log_pow2m1
 from .proposal import (
     ProposalKernel,
@@ -72,6 +74,8 @@ from .chain import TransitionMatrix, _class_chain, _lumped_chain
 
 _LN2 = math.log(2.0)
 _REVERSIBILITY_TOL = 1e-9    # largest relative detailed-balance deviation
+_GAP_RTOL = math.sqrt(np.finfo(float).eps)   # half the digits of a double
+_ROUTE_ARRAYS = 6            # (N+1)^3 arrays the block route holds at once
 
 
 def mixing_time_bounds(delta: float, log_pi_min: float, epsilon: float):
@@ -124,9 +128,8 @@ def spectral_gap_dense(p: TransitionMatrix) -> float:
     np.negative(sym, out=sym)
     np.fill_diagonal(sym, diag)
     low, top = _extreme_ritz_vectors(sym)  # Ritz vectors of I - P
-    gap_low, gap_high = _dirichlet_forms(
-        p.p, p.stationary.log_probabilities(), low, top)
-    return min(max(min(gap_low, gap_high), 0.0), 1.0)
+    return _checked_gap(_dirichlet_forms(
+        p.p, p.stationary.log_probabilities(), low, top))
 
 
 def _extreme_ritz_vectors(a: np.ndarray):
@@ -183,31 +186,53 @@ def _dirichlet_forms(p: np.ndarray, log_pi: np.ndarray, low: np.ndarray,
                      top: np.ndarray):
     """phi^T (I - S) phi / |phi|^2 and psi^T (I + S) psi / |psi|^2 for a
     reversible P with stationary law pi = exp(log_pi), S = D^1/2 P D^-1/2
-    and D = diag(pi).
+    and D = diag(pi): two (form, rounding estimate) pairs.
 
     ``low`` holds the Ritz vectors of I - S for its two lowest eigenvalues,
     which span {sqrt(pi), phi_1} up to rounding: phi is their leading
     direction once sqrt(pi) is projected out.  psi = ``top`` is the Ritz
-    vector for the highest.  Each form is written as
-    1/2 sum_{x,y} (sqrt(P(x,y)) v_x -+ sqrt(P(y,x)) v_y)^2, a sum of
-    nonnegative terms.  With g = phi/sqrt(pi) the first is the Dirichlet
-    form 1/2 sum pi(x) P(x,y) (g_x - g_y)^2, blind to any sqrt(pi) component
-    of phi.  No term cancels, so a small result keeps the relative accuracy
-    of P's entries.  Rows are taken in blocks to bound the temporaries.
+    vector for the highest.  Each form is 1/2 sum_{x,y} (a -+ b)^2 with
+    a = sqrt(P(x,y)) v_x and b = sqrt(P(y,x)) v_y, a sum of nonnegative
+    terms; with g = phi/sqrt(pi) the first is the Dirichlet form
+    1/2 sum pi(x) P(x,y) (g_x - g_y)^2, blind to any sqrt(pi) component of
+    phi.  No term cancels, but each squares a difference whose a and b carry
+    about 2 eps of relative rounding: the estimate is the shift that allows,
+    2 eps sum |a -+ b| (|a| + |b|) / |v|^2.  It leaves out the Ritz
+    vector's own error, yet on the marked model it tracked the whole error
+    within a factor 4 against 50-digit references.  Rows are taken in
+    blocks to bound the temporaries.
     """
     sqrt_pi = np.exp(0.5 * log_pi)
     phi = np.linalg.svd(low - np.outer(sqrt_pi, sqrt_pi @ low),
                         full_matrices=False)[0][:, 0]
     block = 256
-    form_low = form_high = 0.0
+    form_low = form_high = err_low = err_high = 0.0
     for lo in range(0, p.shape[0], block):
         hi = lo + block
         rows, cols = np.sqrt(p[lo:hi]), np.sqrt(p[:, lo:hi].T)
-        d = rows * phi[lo:hi, None] - cols * phi[None, :]
+        a, b = rows * phi[lo:hi, None], cols * phi[None, :]
+        d = a - b
         form_low += float(np.einsum("ij,ij->", d, d))
-        d = rows * top[lo:hi, None] + cols * top[None, :]
+        err_low += float(np.einsum("ij,ij->", np.abs(d), np.abs(a) + np.abs(b)))
+        a, b = rows * top[lo:hi, None], cols * top[None, :]
+        d = a + b
         form_high += float(np.einsum("ij,ij->", d, d))
-    return 0.5 * form_low / float(phi @ phi), 0.5 * form_high / float(top @ top)
+        err_high += float(np.einsum("ij,ij->", np.abs(d), np.abs(a) + np.abs(b)))
+    eps = np.finfo(float).eps
+    norm_low, norm_high = float(phi @ phi), float(top @ top)
+    return ((0.5 * form_low / norm_low, 2.0 * eps * err_low / norm_low),
+            (0.5 * form_high / norm_high, 2.0 * eps * err_high / norm_high))
+
+
+def _checked_gap(ends) -> float:
+    """1 - |lambda_2| from (value, rounding estimate) pairs for the ends of
+    the spectrum, clipped into [0, 1]: ImpreciseGap when the end that sets
+    it has an estimate above sqrt(eps) of its value."""
+    value, err = min(ends, key=lambda end: end[0])
+    if err > _GAP_RTOL * max(value, 0.0):
+        raise ImpreciseGap(f"gap {value:.3e} has a rounding-error estimate of "
+                           f"{err:.1e}, above {_GAP_RTOL:.1e} of it")
+    return min(max(value, 0.0), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -260,6 +285,14 @@ def _symmetry_blocks(x: np.ndarray):
             for k, b in enumerate(blocks)]
 
 
+def check_block_route(n_spins: int) -> None:
+    """BudgetExceeded unless the six (N+1)^3 arrays that
+    :func:`spectral_gap_blocks` holds at once keep the size rule together
+    (N <= 139): a caller checks it before it builds a table for that route."""
+    _check_entries("symmetry-block route", n_spins,
+                   _ROUTE_ARRAYS * (n_spins + 1) ** 3)
+
+
 def spectral_gap_blocks(kernel: ProposalKernel,
                         measure: GibbsMeasure) -> float:
     """Gap 1 - |lambda_2| of the MH chain of a permutation-invariant kernel,
@@ -269,23 +302,34 @@ def spectral_gap_blocks(kernel: ProposalKernel,
     (:func:`~qemcmc.chain._lumped_chain` at w = 0); as in
     :func:`spectral_gap_dense`, each end of its spectrum is the Rayleigh
     quotient of its Ritz vector in Dirichlet form on that chain, so a gap
-    far below the rest of the spectrum keeps its relative accuracy down to
-    about eps^2 in absolute terms, the error of a Ritz vector good to eps.
-    Blocks k >= 1 give their extreme eigenvalues directly, good to about
-    eps * |B_k| <= 2 eps in absolute terms only.  So the relative accuracy
-    holds only when the extreme mode lies in block 0; a tiny gap set by
-    block k >= 1 (nearly periodic transverse chains, h t near pi/2) keeps
-    about eps / delta of it.
+    far below the rest of the spectrum keeps the relative accuracy of the
+    form's terms.  Their rounding grows as the gap shrinks: past sqrt(eps)
+    of the gap (:func:`_checked_gap`; on the marked model at beta = 5, past
+    about N = 70 for the transverse chain at h = t = 1 and N = 95 for the
+    averaged grover one) the route raises ImpreciseGap.  Blocks k >= 1 give
+    their extreme eigenvalues directly, good to about eps * |B_k| <= 2 eps
+    in absolute terms only, which is their estimate: a gap set there
+    (nearly periodic transverse chains, h t near pi/2) raises below about
+    3e-8.
+
+    The route holds up to six (N+1)^3 float64 arrays at once (the kernel's
+    table, the pair counts, move, x, and the lumped gather of move or the
+    first two differences of x); together they keep the one size rule
+    (:func:`check_block_route`), checked before the kernel's table is read
+    or filled.
     """
+    check_block_route(kernel.n_spins)
     move, stay, x = _class_chain(kernel, measure)
     lumped, log_pi = _lumped_chain(move, stay, measure, 0)
+    del move
     (block0, _), *rest = _symmetry_blocks(x)
     _, vec = np.linalg.eigh(block0)
     ends = list(_dirichlet_forms(lumped, log_pi, vec[:, :2], vec[:, -1]))
     for block, _ in rest:
         lam = np.linalg.eigvalsh(block)
-        ends += [float(lam[0]), 2.0 - float(lam[-1])]
-    return min(max(min(ends), 0.0), 1.0)
+        err = np.finfo(float).eps * float(np.max(np.abs(lam)))
+        ends += [(float(lam[0]), err), (2.0 - float(lam[-1]), err)]
+    return _checked_gap(ends)
 
 
 def uniform_gap_closed_form(n_spins: int, alpha: float, beta: float) -> float:

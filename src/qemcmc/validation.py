@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bottleneck import bottleneck_bound, marked_state_bound, sum_qa_certificate
+from .bottleneck import (bottleneck_bound, marked_state_bound,
+                         marked_state_bound_dense, sum_qa_certificate)
 from .chain import build_transition_matrix, exact_mixing_time
 from .model import MarkedStateHamiltonian, gibbs_measure
 from .proposal import affine_combination, uniform_kernel, validate_kernel
@@ -109,7 +110,8 @@ def check_grover_closed_form(n_values=range(4, 11), betas=(1.0, 5.0),
                 err = abs(delta - ref) / ref
                 if err > worst_gap:
                     worst_gap, where_gap = err, _point(n, alpha, h, t, beta)
-                bound = marked_state_bound(col_k, n, alpha, beta, h_c.marked)
+                bound = marked_state_bound_dense(col_k, n, alpha, beta,
+                                                 h_c.marked)
                 block = _grover_gaps(n, alpha, beta, cf)[0]
                 err = abs(bound - block) / block
                 if err > worst_sat:
@@ -137,8 +139,8 @@ def check_bound_direction(n_values=range(6, 13), beta=5.0, alpha=1.0,
         kern = quantum_kernel(h_c, MixerSpec(TRANSVERSE, h), t, "dense")
         p = build_transition_matrix(kern, gibbs_measure(h_c, beta))
         delta = spectral_gap_dense(p)
-        bound = marked_state_bound(kern.dense()[:, h_c.marked], n, alpha, beta,
-                                   h_c.marked)
+        bound = marked_state_bound_dense(kern.dense()[:, h_c.marked], n, alpha,
+                                         beta, h_c.marked)
         worst = max(worst, delta - bound)
         if n <= set_n_max:
             small_chains.append((p, delta, h_c.marked))

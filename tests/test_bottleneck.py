@@ -7,6 +7,7 @@ from qemcmc.bottleneck import (
     bottleneck_bound,
     flow,
     marked_state_bound,
+    marked_state_bound_dense,
     sum_qa_certificate,
 )
 from qemcmc.chain import TransitionMatrix, build_transition_matrix
@@ -148,13 +149,13 @@ def test_exhaustive_grover_minimum_is_marked_cut():
 def test_marked_bound_identity_kernel():
     col = np.zeros(16)
     col[0] = 1.0
-    assert marked_state_bound(col, 4, 1.0, 5.0) == 0.0
+    assert marked_state_bound_dense(col, 4, 1.0, 5.0) == 0.0
 
 
 def test_marked_bound_uniform_kernel():
     n, beta = 6, 5.0
     col = np.full(1 << n, 2.0 ** -n)
-    bound = marked_state_bound(col, n, 1.0, beta)
+    bound = marked_state_bound_dense(col, n, 1.0, beta)
     expected = (1.0 + math.exp(-n * beta) * (2 ** n - 1)) / 2 ** n
     assert bound == pytest.approx(expected, rel=1e-12, abs=0.0)
     assert bound == pytest.approx(uniform_gap_closed_form(n, 1.0, beta),
@@ -165,7 +166,7 @@ def test_marked_bound_grover_saturation():
     n, alpha, beta, h, t = 7, 1.0, 5.0, 1.0, 1.0
     h_c = MarkedStateHamiltonian(n, alpha)
     col = structured_grover_kernel(h_c, h, t).column(h_c.marked)
-    bound = marked_state_bound(col, n, alpha, beta)
+    bound = marked_state_bound_dense(col, n, alpha, beta)
     assert bound == pytest.approx(grover_gap_closed_form(n, alpha, beta, h, t),
                                   rel=1e-10, abs=0.0)
 
@@ -176,20 +177,26 @@ def test_marked_bound_agrees_with_dense_flow():
     kern = quantum_kernel(h_c, MixerSpec("transverse", 1.0), 1.0, "dense")
     p = build_transition_matrix(kern, gibbs_measure(h_c, beta))
     dense = bottleneck_bound(p, [x for x in range(p.dim) if x != 0])
-    column = marked_state_bound(kern.dense()[:, 0], n, alpha, beta)
+    column = marked_state_bound_dense(kern.dense()[:, 0], n, alpha, beta)
     assert column == pytest.approx(dense, rel=1e-10, abs=0.0)
 
 
 def test_marked_bound_validates_distribution():
     with pytest.raises(ValueError):
-        marked_state_bound(np.full(16, 0.1), 4, 1.0, 1.0)
+        marked_state_bound_dense(np.full(16, 0.1), 4, 1.0, 1.0)
     with pytest.raises(ValueError):
-        marked_state_bound(np.full(8, 0.125), 4, 1.0, 1.0)
+        marked_state_bound_dense(np.full(8, 0.125), 4, 1.0, 1.0)
+    # past N = 1 each entry point refuses the other's column by its length
+    with pytest.raises(ValueError, match="expected \\(5,\\)"):
+        marked_state_bound(np.full(16, 1.0 / 16), 4, 1.0, 1.0)
+    with pytest.raises(ValueError, match="expected \\(16,\\)"):
+        marked_state_bound_dense(np.full(5, 0.2), 4, 1.0, 1.0)
 
 
 def _table_and_column_bounds(kern, n, alpha, beta, marked):
     table = marked_state_bound(kern, n, alpha, beta, marked)
-    column = marked_state_bound(kern.column(marked), n, alpha, beta, marked)
+    column = marked_state_bound_dense(kern.column(marked), n, alpha, beta,
+                                      marked)
     return table, column
 
 
@@ -266,6 +273,27 @@ def test_sector_column_bound_validates_the_column():
             bad = bad[:-1]
         with pytest.raises(ValueError):
             marked_state_bound(bad, n, 1.0, 5.0)
+
+
+@pytest.mark.parametrize("marked", [0, 1])
+def test_distance_and_state_columns_at_one_spin(marked):
+    # at N = 1 both columns hold two entries: marked_state_bound reads its
+    # array per distance and marked_state_bound_dense per state, so about
+    # state 1 neither is taken for the other
+    alpha, beta, h, t = 0.7, 2.0, 1.3, 0.9
+    h_c = MarkedStateHamiltonian(1, alpha, marked)
+    kern = quantum_kernel(h_c, MixerSpec("transverse", h), t)
+    by_distance = transverse_marked_column(h_c, h, t)
+    by_state = kern.column(marked)
+    assert by_state[marked] == by_distance[0]
+    assert by_state[1 - marked] == by_distance[1]
+    expected = marked_state_bound(kern, 1, alpha, beta, marked)
+    assert marked_state_bound(by_distance, 1, alpha, beta, marked) == expected
+    assert marked_state_bound_dense(by_state, 1, alpha, beta,
+                                    marked) == pytest.approx(expected,
+                                                             rel=1e-15)
+    g = math.exp(-alpha * beta)
+    assert expected == pytest.approx(by_distance[1] * (1.0 + g), rel=1e-15)
 
 
 def test_certificate_uniform():

@@ -1,6 +1,7 @@
 import ast
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -559,39 +560,56 @@ def test_figure_b_bound_past_n_24_matches_mpmath():
 
 
 def test_figures_skip_rows_past_the_size_rule(monkeypatch, capsys):
-    # with the cap lowered to 2^16 entries, the transverse table refuses
-    # N = 32 (2 * 33^3 floats) and the four-value table N = 40 (41^3): each
-    # refused exact-gap row is skipped with a note, every bound row stays
-    # (it needs no table), and the run exits 0
+    # with the cap lowered to 2^16 entries, the symmetry-block route's six
+    # (N+1)^3 arrays refuse N = 22 (6 * 23^3 floats) and the four-value
+    # table N = 40 (41^3): each refused exact-gap row is skipped with a
+    # note, every bound row stays (it needs no table), and the run exits 0.
+    # figure-b checks the route's rule before it builds its transverse
+    # table, so no refused row builds one (at N = 32 the table's own rule,
+    # 2 * 33^3 floats, would refuse it too)
     from qemcmc import proposal
 
     monkeypatch.setattr(proposal, "_ENTRIES_MAX", 1 << 16)
-    assert cli.main(["--experiment", "figure-b", "--n-min", "31",
-                     "--n-max", "33", "--max-dense-n", "33"]) == 0
-    captured = capsys.readouterr()
-    keys = sorted((int(r[1]), r[6]) for r in _rows(captured.out))
-    assert keys == sorted([(n, "bound") for n in range(31, 34)]
-                          + [(31, "delta_exact")])
-    assert captured.err.splitlines() == [
-        "skipped delta_exact at N=32: kernel table refused at N = 32: "
-        "71874 entries, above the cap of 65536",
-        "skipped delta_exact at N=33: kernel table refused at N = 33: "
-        "78608 entries, above the cap of 65536"]
-    assert cli.main(["--experiment", "figure-a", "--n-min", "39",
-                     "--n-max", "40", "--max-dense-n", "40",
-                     "--avg-samples", "4"]) == 0
-    captured = capsys.readouterr()
-    keys = sorted((int(r[1]), r[6]) for r in _rows(captured.out))
-    assert keys == [(39, "delta_closed"), (39, "delta_exact"),
-                    (40, "delta_closed")]
-    assert captured.err.splitlines() == [
-        "skipped delta_exact at N=40: kernel table refused at N = 40: "
-        "68921 entries, above the cap of 65536"]
+    built, build = [], cli.quantum_kernel
+
+    def recorded(h_c, *args):
+        built.append(h_c.n_spins)
+        return build(h_c, *args)
+
+    monkeypatch.setattr(cli, "quantum_kernel", recorded)
+    route = ("skipped delta_exact at N={n}: symmetry-block route refused at "
+             "N = {n}: {entries} entries, above the cap of 65536")
+    for lo, hi in ((21, 22), (32, 32)):
+        assert cli.main(["--experiment", "figure-b", "--n-min", str(lo),
+                         "--n-max", str(hi), "--max-dense-n", str(hi)]) == 0
+        captured = capsys.readouterr()
+        keys = sorted((int(r[1]), r[6]) for r in _rows(captured.out))
+        exact = [(21, "delta_exact")] if lo == 21 else []
+        assert keys == sorted([(n, "bound") for n in range(lo, hi + 1)]
+                              + exact)
+        assert captured.err.splitlines() == [
+            route.format(n=hi, entries=6 * (hi + 1) ** 3)]
+    assert built == [21]
+    route = route.format(n=22, entries=73002)
+    for lo, hi, note in (
+            (21, 22, route),
+            (40, 40, "skipped delta_exact at N=40: kernel table refused at "
+                     "N = 40: 68921 entries, above the cap of 65536")):
+        assert cli.main(["--experiment", "figure-a", "--n-min", str(lo),
+                         "--n-max", str(hi), "--max-dense-n", str(hi),
+                         "--avg-samples", "4"]) == 0
+        captured = capsys.readouterr()
+        keys = sorted((int(r[1]), r[6]) for r in _rows(captured.out))
+        exact = [(21, "delta_exact")] if lo == 21 else []
+        assert keys == sorted([(n, "delta_closed") for n in range(lo, hi + 1)]
+                              + exact)
+        assert captured.err.splitlines() == [note]
 
 
 def test_figure_a_refuses_its_row_before_the_chain(monkeypatch, capsys):
     # with the cap lowered to 2^16 entries, the averaged kernel's table
-    # refuses N = 40 before the chain is assembled
+    # refuses N = 40 as the kernel is built, and the symmetry-block route
+    # N = 22 as the gap starts: both before the chain is assembled
     from qemcmc import proposal, spectral
 
     def unreachable(*args):
@@ -599,20 +617,22 @@ def test_figure_a_refuses_its_row_before_the_chain(monkeypatch, capsys):
 
     monkeypatch.setattr(proposal, "_ENTRIES_MAX", 1 << 16)
     monkeypatch.setattr(spectral, "_class_chain", unreachable)
-    assert cli.main(["--experiment", "figure-a", "--n-min", "40",
-                     "--n-max", "40", "--max-dense-n", "40",
-                     "--avg-samples", "4"]) == 0
-    captured = capsys.readouterr()
-    assert [r[6] for r in _rows(captured.out)] == ["delta_closed"]
-    assert captured.err.startswith("skipped delta_exact at N=40: "
-                                   "kernel table refused at N = 40:")
+    for n, what in ((40, "kernel table"), (22, "symmetry-block route")):
+        assert cli.main(["--experiment", "figure-a", "--n-min", str(n),
+                         "--n-max", str(n), "--max-dense-n", str(n),
+                         "--avg-samples", "4"]) == 0
+        captured = capsys.readouterr()
+        assert [r[6] for r in _rows(captured.out)] == ["delta_closed"]
+        assert captured.err.startswith(f"skipped delta_exact at N={n}: "
+                                       f"{what} refused at N = {n}:")
 
 
 def test_figure_a_builds_no_kernel_for_a_refused_row(monkeypatch, capsys):
-    # with the cap lowered to 2^16 entries: N = 38 and 39 build their
-    # averaged kernels and fill their tables; the table's rule, checked as
-    # the kernel is built, refuses N = 40 and 41 before any table exists,
-    # and each note reads as the refusal itself does
+    # with the cap lowered to 2^16 entries: N = 21 builds its averaged
+    # kernel and fills its table; N = 22 builds the kernel, but the
+    # symmetry-block route refuses it before the table is filled; the
+    # table's rule, checked as the kernel is built, refuses N = 40 and 41
+    # before any table exists; each note reads as the refusal itself does
     import tracemalloc
 
     from qemcmc import proposal
@@ -633,27 +653,39 @@ def test_figure_a_builds_no_kernel_for_a_refused_row(monkeypatch, capsys):
 
     monkeypatch.setattr(proposal, "_ENTRIES_MAX", 1 << 16)
     monkeypatch.setattr(cli, "time_averaged_kernel", recorded)
-    assert cli.main(["--experiment", "figure-a", "--n-min", "38",
-                     "--n-max", "41", "--max-dense-n", "41",
-                     "--avg-samples", "4"]) == 0
-    captured = capsys.readouterr()
-    keys = sorted((int(r[1]), r[6]) for r in _rows(captured.out))
-    assert keys == sorted([(n, "delta_closed") for n in range(38, 42)]
-                          + [(38, "delta_exact"), (39, "delta_exact")])
-    assert captured.err.splitlines() == [
+    notes = []
+    for lo, hi in ((21, 22), (40, 41)):
+        assert cli.main(["--experiment", "figure-a", "--n-min", str(lo),
+                         "--n-max", str(hi), "--max-dense-n", str(hi),
+                         "--avg-samples", "4"]) == 0
+        captured = capsys.readouterr()
+        keys = sorted((int(r[1]), r[6]) for r in _rows(captured.out))
+        exact = [(21, "delta_exact")] if lo == 21 else []
+        assert keys == sorted([(n, "delta_closed") for n in range(lo, hi + 1)]
+                              + exact)
+        notes += captured.err.splitlines()
+    assert notes == [
+        "skipped delta_exact at N=22: symmetry-block route refused at "
+        "N = 22: 73002 entries, above the cap of 65536"] + [
         f"skipped delta_exact at N={n}: kernel table refused at N = {n}: "
         f"{(n + 1) ** 3} entries, above the cap of 65536"
         for n in (40, 41)]
-    assert [kern.n_spins for kern in built] == [38, 39]
-    assert all(kern._table is not None for kern in built)
+    assert [kern.n_spins for kern in built] == [21, 22]
+    assert built[0]._table is not None and built[1]._table is None
     # a 41^3 table is 551 KB: the refused rows allocate none
     assert len(peaks) == 2 and max(peaks) < 1 << 17
 
 
-def test_rows_past_the_old_block_rule_are_emitted(capsys):
-    # figure-a and figure-b exact rows past N = 75 and figure-b bound rows
-    # past the transverse table's N = 202, with no note: a bound row builds
-    # no table (at N = 203 one would take 135 MB)
+def test_exact_rows_past_n_75_are_emitted_when_precise(capsys):
+    # exact rows past the old N = 75 rule are emitted while the gap keeps
+    # half its digits: figure-a at N = 76 matches its closed form, and
+    # figure-b at N = 100 and beta = 0.5 stays under its bound.  Where the
+    # gap's rounding estimate exceeds sqrt(eps) of it (figure-b at beta = 5
+    # from about N = 71, figure-a from about N = 96) the row is skipped with
+    # a note; at N = 100 and 125 the values were off by x19 and x1.95.  The
+    # block route's six (N+1)^3 arrays refuse N = 140 before the averaged
+    # table is filled or the transverse one built.  Bound rows run past the transverse table's N = 202:
+    # a bound row builds no table (at N = 203 one would take 135 MB).
     import tracemalloc
 
     assert cli.main(["--experiment", "figure-a", "--n-min", "76",
@@ -664,12 +696,31 @@ def test_rows_past_the_old_block_rule_are_emitted(capsys):
     assert captured.err == ""
     assert rows["delta_exact"] == pytest.approx(rows["delta_closed"],
                                                 rel=1e-12, abs=0.0)
-    assert cli.main(["--experiment", "figure-b", "--n-min", "76",
-                     "--n-max", "76", "--max-dense-n", "76"]) == 0
+    assert cli.main(["--experiment", "figure-b", "--n-min", "100",
+                     "--n-max", "100", "--max-dense-n", "100",
+                     "--beta", "0.5"]) == 0
     captured = capsys.readouterr()
     rows = {r[6]: float(r[7]) for r in _rows(captured.out)}
     assert captured.err == ""
     assert 0.0 < rows["delta_exact"] <= rows["bound"]
+    for experiment, n in (("figure-b", 76), ("figure-b", 100),
+                          ("figure-a", 125)):
+        assert cli.main(["--experiment", experiment, "--n-min", str(n),
+                         "--n-max", str(n), "--max-dense-n", str(n),
+                         "--avg-samples", "4"]) == 0
+        captured = capsys.readouterr()
+        assert [r[6] for r in _rows(captured.out)] == [
+            "bound" if experiment == "figure-b" else "delta_closed"]
+        assert re.fullmatch(
+            f"skipped delta_exact at N={n}: gap \\S+ has a rounding-error "
+            "estimate of \\S+, above 1.5e-08 of it\n", captured.err)
+    for experiment in ("figure-a", "figure-b"):
+        assert cli.main(["--experiment", experiment, "--n-min", "140",
+                         "--n-max", "140", "--max-dense-n", "140",
+                         "--avg-samples", "4"]) == 0
+        assert capsys.readouterr().err == (
+            "skipped delta_exact at N=140: symmetry-block route refused at "
+            "N = 140: 16819326 entries, above the cap of 16777216\n")
     tracemalloc.start()
     try:
         assert cli.main(["--experiment", "figure-b", "--n-min", "203",

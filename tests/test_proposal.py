@@ -27,6 +27,7 @@ from qemcmc.quantum import (
     quantum_kernel,
     structured_grover_kernel,
 )
+from qemcmc.spectral import spectral_gap_blocks
 
 
 def test_uniform_n1():
@@ -281,18 +282,23 @@ def _refused_before_allocation(monkeypatch, call, what, n):
     ("kernel table", 40, lambda: partial(
         structured_grover_kernel, MarkedStateHamiltonian(40, 1.0), 1.0, 1.0)),
     ("kernel table", 40, lambda: partial(single_flip_kernel, 40)),
+    ("symmetry-block route", 22, lambda: partial(
+        spectral_gap_blocks, uniform_kernel(22),
+        gibbs_measure(MarkedStateHamiltonian(22, 1.0), 1.0))),
     ("Gibbs vector", 17, lambda: gibbs_measure(
         MarkedStateHamiltonian(17, 1.0), 1.0).probabilities),
     ("mixing-time gather", 12, lambda: partial(
         exact_mixing_time, single_flip_kernel(12),
         gibbs_measure(MarkedStateHamiltonian(12, 1.0), 1.0), 0.01)),
 ], ids=["hamiltonian", "kernel", "column", "table", "four-value",
-        "single-flip", "gibbs", "mixing"])
+        "single-flip", "blocks", "gibbs", "mixing"])
 def test_dense_routes_refuse_past_the_cap(monkeypatch, what, n, prepare):
     # a 2^9 x 2^9 matrix, a 2^17 vector, the 2(N+1)^3 floats of the complex
     # table amplitudes and the (N+1)^3 of a four-value or single-flip table
-    # at N = 40 and the (7 * 7)^3 entries of the mixing time's gather at
-    # N = 12 are past a cap of 2^16 entries
+    # at N = 40, the 6(N+1)^3 floats the symmetry-block route holds at N = 22
+    # (refused before the lazily filled table is read) and the (7 * 7)^3
+    # entries of the mixing time's gather at N = 12 are past a cap of 2^16
+    # entries
     _refused_before_allocation(monkeypatch, prepare(), what, n)
 
 

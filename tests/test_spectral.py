@@ -17,6 +17,7 @@ from qemcmc.chain import (
 from qemcmc.errors import (
     AsymmetricKernel,
     BudgetExceeded,
+    ImpreciseGap,
     NegativeDiagonal,
     NegativeProbability,
     NotReversible,
@@ -44,6 +45,7 @@ from qemcmc.spectral import (
     averaged_grover_gap,
     grover_gap_closed_form,
     mixing_time_bounds,
+    _GAP_RTOL,
     _gap_from_blocks,
     _grover_gaps,
     _symmetry_blocks,
@@ -217,10 +219,18 @@ def test_budget_guard(monkeypatch):
 
 
 def test_sector_arrays_stop_at_the_real_cap():
-    # at 2^24 entries the transverse table takes N <= 202
+    # at 2^24 entries the transverse table takes N <= 202, and the six
+    # (N+1)^3 arrays of the symmetry-block route N <= 139, refused before a
+    # four-value table is filled
     with pytest.raises(BudgetExceeded, match="^kernel table refused at N = 203:"):
         quantum_kernel(MarkedStateHamiltonian(203, 1.0),
                        MixerSpec("transverse", 1.0), 1.0)
+    kern = uniform_kernel(140)
+    with pytest.raises(BudgetExceeded, match="^symmetry-block route refused "
+                       "at N = 140: 16819326 entries"):
+        spectral_gap_blocks(kern, gibbs_measure(
+            MarkedStateHamiltonian(140, 1.0), 1.0))
+    assert kern._table is None
 
 
 def test_scaling_fit_exact_slope():
@@ -574,14 +584,16 @@ def test_block_coefficients_match_exact_reference(n):
 @pytest.mark.parametrize("n", [76, 100])
 def test_blocks_past_the_old_coefficient_rule(n):
     # no exact reference this far: the blocks pass their own symmetry
-    # certificate, carry L's trace and Frobenius norm with multiplicity, and
-    # the gap stays under the marked-state cut up to the floor of block 0's
-    # Dirichlet form, about eps^2 absolute (its Ritz vector is good to eps):
-    # at N = 100 and beta >= 1 the transverse gap lies below that floor
+    # certificate and carry L's trace and Frobenius norm with multiplicity.
+    # A gap the route returns is good to sqrt(eps) of itself and stays under
+    # the marked-state cut to that (the grover cut is tight: its bound is
+    # the two-level gap).  Only gaps far below the rest of the spectrum are
+    # refused as imprecise: at N = 100 and beta >= 1 the transverse ones.
     h_c = MarkedStateHamiltonian(n, 1.0)
     count = weight_classes(n)
     size = np.array([float(math.comb(n, i)) for i in range(n + 1)])
-    for kern in _reference_kernels(n):
+    returned, refused = [], []
+    for index, kern in enumerate(_reference_kernels(n)):
         for inverse_temperature in (0.5, 1.0, 5.0):
             measure = gibbs_measure(h_c, inverse_temperature)
             _, _, x = _class_chain(kern, measure)
@@ -594,11 +606,41 @@ def test_blocks_past_the_old_coefficient_rule(n):
             assert frob == pytest.approx(
                 float(size @ np.einsum("ijt,ijt->i", count, x * x)),
                 rel=1e-12, abs=0.0)
-            delta = spectral_gap_blocks(kern, measure)
             bound = marked_state_bound(kern, n, 1.0, inverse_temperature)
-            floor = 64 * np.finfo(float).eps ** 2
-            assert 0.0 <= delta <= bound + floor, (n, inverse_temperature)
+            key = (index, inverse_temperature)
+            try:
+                delta = spectral_gap_blocks(kern, measure)
+            except ImpreciseGap:
+                assert bound < 1e-20, key
+                refused.append(key)
+                continue
+            assert 0.0 <= delta <= bound * (1.0 + _GAP_RTOL), key
+            returned.append(key)
+    assert len(returned) >= 4
+    if n == 100:
+        assert {(0, 1.0), (0, 5.0), (1, 1.0), (1, 5.0)} <= set(refused)
 
+
+
+@pytest.mark.parametrize("n", [60, 80, 90, 95, 100, 110, 125])
+def test_imprecise_gap_against_the_closed_form(n):
+    # figure-a's averaged grover chain at beta = 5 has its closed form as an
+    # independent reference: a gap the route returns matches it to
+    # sqrt(eps) (measured 2e-16 at N = 60, 2e-9 at N = 95), and past that,
+    # where the rounding estimate exceeds sqrt(eps) of the gap, the route
+    # raises instead of returning a value off by 8e-8 (N = 100) to x1.95
+    # (N = 125)
+    h_c = MarkedStateHamiltonian(n, 1.0)
+    scheme = AveragingScheme((2.0, 20.0), h_fixed=resonance_field(1.0, n),
+                             sample_count=4)
+    kern = time_averaged_kernel(h_c, scheme)
+    measure = gibbs_measure(h_c, 5.0)
+    if n >= 100:
+        with pytest.raises(ImpreciseGap, match="rounding-error estimate"):
+            spectral_gap_blocks(kern, measure)
+    else:
+        assert spectral_gap_blocks(kern, measure) == pytest.approx(
+            averaged_grover_gap(n, 1.0, 5.0, scheme), rel=_GAP_RTOL, abs=0.0)
 
 def test_block_gap_at_tiny_gap():
     n, alpha, h, t, beta = (4, 1.8720632369324413, -1.023269195786007,
@@ -645,6 +687,21 @@ def test_block_gap_nearly_periodic(n, alpha):
     assert abs(2.0 - lam1[-1] - delta) <= 1e-10 * ref
     assert min(lam0[1], 2.0 - lam0[-1]) > delta
 
+
+
+def test_block_gap_nearly_periodic_below_its_accuracy():
+    # at alpha = 1e-6 and h t = pi/2 - 1e-6 the gap, about 2e-12, sits at the
+    # -1 end of block 1, a bare eigenvalue good only to eps |B_1|: the route
+    # raises rather than return it; the dense route reads that end as a
+    # Dirichlet form and keeps it
+    h_c = MarkedStateHamiltonian(6, 1e-6, 5)
+    kern = quantum_kernel(h_c, MixerSpec("transverse", 1.0),
+                          math.pi / 2 - 1e-6)
+    measure = gibbs_measure(h_c, 1.0)
+    with pytest.raises(ImpreciseGap, match="estimate of 4.4e-16"):
+        spectral_gap_blocks(kern, measure)
+    assert 1e-12 < spectral_gap_dense(build_transition_matrix(kern,
+                                                              measure)) < 1e-11
 
 def _transverse_table(n=5, marked=9, h=0.8, t=1.1):
     h_c = MarkedStateHamiltonian(n, 1.0, marked)
