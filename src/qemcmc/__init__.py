@@ -23,8 +23,10 @@ from .quantum import (
     apply_hamiltonian,
     dense_hamiltonian,
     evolve,
+    evolve_dense,
     grover_closed_form,
     quantum_kernel,
+    quantum_kernel_dense,
     quantum_proposal_column,
     resonance_field,
     structured_grover_kernel,

@@ -4,9 +4,9 @@ The marked-state specialization needs only the proposal mass that leaves
 the marked configuration.  A kernel invariant under permutations of the
 spins about the marked state carries it in N+1 values, one per distance w
 (each shared by C(N, w) states): its table's table[0, w, 0], or the
-transverse sector's marked column with no table.  So the bound costs O(N)
-and no 2^N column is formed; the dense cross-checks pass a 2^N column to
-:func:`marked_state_bound_dense`.
+transverse sector's marked column with no table.  :func:`marked_state_bound`
+takes those N+1 values, so the bound costs O(N) and no 2^N column is formed;
+the dense cross-checks pass a 2^N column to :func:`marked_state_bound_dense`.
 """
 
 from __future__ import annotations
@@ -17,13 +17,15 @@ import numpy as np
 
 from .errors import MeasureTooLarge
 from .chain import TransitionMatrix
-from .model import logsumexp
-from .proposal import PermutationInvariantKernel, ProposalKernel, _binomials
+from .proposal import ProposalKernel, _binomials
 
 
 def flow(p: TransitionMatrix, s1, s2) -> float:
     """Equilibrium flow sum_{x in S1, y in S2} pi(x) P(x, y), accumulated in
     log space."""
+    # a dense cross-check, so scipy stays off every experiment's import path
+    from scipy.special import logsumexp
+
     s1 = np.asarray(sorted(set(s1)), dtype=np.intp)
     s2 = np.asarray(sorted(set(s2)), dtype=np.intp)
     if s1.size == 0 or s2.size == 0:
@@ -39,6 +41,8 @@ def flow(p: TransitionMatrix, s1, s2) -> float:
 
 
 def _log_measure(p: TransitionMatrix, s) -> float:
+    from scipy.special import logsumexp   # dense cross-check only, as in flow
+
     return logsumexp(p.stationary.log_probabilities()[np.asarray(s, dtype=np.intp)])
 
 
@@ -60,27 +64,20 @@ def bottleneck_bound(p: TransitionMatrix, s1) -> float:
     return math.exp(math.log(out_flow) - log_m1 - _log_measure(p, complement))
 
 
-def marked_state_bound(q_k, n_spins: int, alpha: float, beta: float,
-                       marked: int = 0) -> float:
+def marked_state_bound(column, n_spins: int, alpha: float,
+                       beta: float) -> float:
     """Gap upper bound from the marked-state cut, Q symmetric assumed.
 
-    ``q_k`` is the proposal column out of the marked state k per distance:
-    a :class:`~qemcmc.proposal.PermutationInvariantKernel` about ``marked``
-    (its table[0, :, 0]) or the N+1 values Q(x|k), one per distance w = 0..N
-    of x from k, each shared by C(N, w) states
-    (:func:`~qemcmc.quantum.transverse_marked_column`).  Moves into the
+    ``column`` holds the N+1 values Q(x|k) of the proposal column out of the
+    marked state k, one per distance w = 0..N of x from k, each shared by
+    C(N, w) states: a permutation-invariant kernel's table[0, :, 0], or
+    :func:`~qemcmc.quantum.transverse_marked_column`.  Moves into the
     marked state are always downhill, so the acceptance factor is 1 and the
     escape mass is the off-marked column sum, sum_{w >= 1} C(N, w) Q(x|k),
     summed directly to avoid the 1 - Q(k|k) cancellation, in O(N).
     :func:`marked_state_bound_dense` takes the 2^N column instead.
     """
-    if isinstance(q_k, PermutationInvariantKernel):
-        if (q_k.n_spins, q_k.marked) != (n_spins, marked):
-            raise ValueError(
-                f"kernel on N = {q_k.n_spins} about state {q_k.marked}, "
-                f"expected N = {n_spins} about state {marked}")
-        q_k = q_k.table()[0, :, 0]
-    col = np.asarray(q_k, dtype=float)
+    col = np.asarray(column, dtype=float)
     if col.shape != (n_spins + 1,):
         raise ValueError(f"column has shape {col.shape}, "
                          f"expected ({n_spins + 1},)")

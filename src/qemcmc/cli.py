@@ -68,7 +68,6 @@ from .spectral import (
     spectral_gap_dense,  # the dense cross-check; perfbench traces this name here
     time_averaged_kernel,
 )
-from . import validation
 
 _HEADER = "experiment,N,alpha,beta,h,t,quantity,value,method,seed"
 
@@ -219,14 +218,8 @@ def run_figure_a(cfg: ExperimentConfig):
     rows = []
     for n in cfg.n_values:
         h = _resolve_h(cfg, n)
-        if isinstance(h, tuple):
-            scheme = AveragingScheme(t_range, h_range=h,
-                                     sample_count=cfg.avg_samples)
-            h_label = "%.17g:%.17g" % h
-        else:
-            scheme = AveragingScheme(t_range, h_fixed=h,
-                                     sample_count=cfg.avg_samples)
-            h_label = _fmt(h)
+        scheme = AveragingScheme(h, t_range, cfg.avg_samples)
+        h_label = "%.17g:%.17g" % h if isinstance(h, tuple) else _fmt(h)
         gap = averaged_grover_gap(n, cfg.alpha, cfg.beta, scheme)
         rows.append(("figure-a", n, cfg.alpha, cfg.beta, h_label, "avg",
                      "delta_closed", gap, "closed-form-average", cfg.seed))
@@ -256,7 +249,7 @@ def run_figure_b(cfg: ExperimentConfig):
         h = _resolve_h(cfg, n)
         h_c = MarkedStateHamiltonian(n, cfg.alpha)
         column = transverse_marked_column(h_c, h, cfg.t_spec)
-        bound = marked_state_bound(column, n, cfg.alpha, cfg.beta, h_c.marked)
+        bound = marked_state_bound(column, n, cfg.alpha, cfg.beta)
         rows.append(("figure-b", n, cfg.alpha, cfg.beta, h, cfg.t_spec,
                      "bound", bound, "marked-state-cut", cfg.seed))
         if n <= cfg.max_dense_n:
@@ -338,19 +331,24 @@ def run_sample(cfg: ExperimentConfig):
 
 def _figure_determinism(cfg: ExperimentConfig):
     """Byte-identical CSV from two reduced figure runs with the same seed."""
+    from .validation import CriterionResult
+
     probe = replace(cfg, experiment="figure-a", mixer=GROVER, h="resonance",
                     t="2:20", n_min=10, n_max=14, avg_samples=16,
                     max_dense_n=10)
     first = _emit(run_figure_a(probe))
     second = _emit(run_figure_a(probe))
     mismatch = 0.0 if first == second else 1.0
-    return validation.CriterionResult("figure-determinism", mismatch, 0.0,
-                                      mismatch == 0.0)
+    return CriterionResult("figure-determinism", mismatch, 0.0,
+                           mismatch == 0.0)
 
 
 def run_validate(cfg: ExperimentConfig):
     """Reduced acceptance checks as data rows; verdicts drive the exit code."""
-    results = validation.default_suite()
+    # only validate runs the checks, so no other experiment imports them
+    from .validation import default_suite
+
+    results = default_suite()
     results.append(_figure_determinism(cfg))
     rows = []
     for res in results:

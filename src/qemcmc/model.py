@@ -4,8 +4,10 @@ A classical spin configuration on ``n_spins`` sites is encoded as an integer
 index in ``[0, 2**n_spins)``; bit ``i`` carries spin ``x_i`` (bit 0 means +1).
 The marked model's Gibbs measure depends on x only through its distance
 w = |x XOR k| from the marked state k, so it is carried on the N+1 distances.
-All probability mass is stored and combined in log space so that inverse
-temperatures up to ``beta * alpha * n_spins ~ 200`` stay finite.
+All probability mass is stored and combined in log space, so the measure is
+finite for any finite ``beta * alpha * n_spins``.  The chain's moves out of
+the marked state, Q e^{-beta alpha N} (``move`` of
+:func:`~qemcmc.chain._class_chain`), underflow past beta * alpha * N ~ 745.
 """
 
 from __future__ import annotations
@@ -87,23 +89,6 @@ class GibbsMeasure:
 def _log_pow2m1(n_spins: int) -> float:
     """log(2^N - 1), stable for any N."""
     return n_spins * math.log(2.0) + math.log1p(-(2.0 ** -n_spins))
-
-
-def logsumexp(a) -> float:
-    """log sum exp(a), shifted by the largest term so that none overflows.
-
-    The terms equal to the largest are counted apart and the rest enter
-    through log1p, so a sum that one term dominates keeps its full relative
-    accuracy (the evaluation order of scipy.special.logsumexp).
-    """
-    a = np.asarray(a, dtype=float)
-    top = float(np.max(a))
-    if not math.isfinite(top):
-        return top
-    at_top = a == top
-    count = int(np.count_nonzero(at_top))
-    rest = float(np.sum(np.exp(np.where(at_top, -np.inf, a - top))))
-    return math.log1p(rest / count) + math.log(count) + top
 
 
 def gibbs_measure(hamiltonian: MarkedStateHamiltonian,

@@ -99,10 +99,8 @@ class ProposalKernel:
 
 
 class DenseKernel(ProposalKernel):
-    def __init__(self, matrix: np.ndarray, n_spins: int | None = None):
+    def __init__(self, matrix: np.ndarray, n_spins: int):
         matrix = np.asarray(matrix, dtype=float)
-        if n_spins is None:
-            n_spins = int(matrix.shape[0]).bit_length() - 1
         super().__init__(n_spins)
         if matrix.shape != (self.dim, self.dim):
             raise MismatchedDimensions(

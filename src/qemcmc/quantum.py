@@ -20,8 +20,11 @@ over the pair classes (i, j, t) about k (see
 :func:`~qemcmc.proposal.weight_classes`), written directly on those
 classes; a column is an O(2^N) gather from that table, and only a dense
 matrix asks for the O(4^N) fill.  The marked column alone, all the bound
-reads, needs only U_S (:func:`transverse_marked_column`).  Dense
-diagonalization is the independent cross-check of every structured route.
+reads, needs only U_S (:func:`transverse_marked_column`).  Each sector
+propagator is I + V expm1(-i Lambda t) V^T (:func:`_sector_propagator`), so
+at t = 0 it is I exactly.  Dense diagonalization, :func:`quantum_kernel_dense`
+and :func:`evolve_dense`, is the independent cross-check of every structured
+route.
 The dense Hamiltonian, a dense kernel, a column and the kernel table keep the
 one size rule of :mod:`qemcmc.proposal`: N <= 12 for a matrix, N <= 24 for a
 column, N <= 202 for the table.
@@ -114,11 +117,6 @@ def _eigendecomposition(h_c, mixer):
     return np.linalg.eigh(dense_hamiltonian(h_c, mixer))
 
 
-def _dense_evolve(h_c, mixer, psi, t):
-    lam, vec = _eigendecomposition(h_c, mixer)
-    return vec @ (np.exp(-1j * lam * t) * (vec.T @ psi))
-
-
 def _sector_hamiltonian(n, variant, h, marked_energy):
     """H on the Dicke states |D_w> about the marked state, w = 0..n.
 
@@ -138,9 +136,11 @@ def _sector_hamiltonian(n, variant, h, marked_energy):
 
 
 def _sector_propagator(ham, t):
-    """e^{-i ham t} for a sector Hamiltonian of order N+1."""
+    """e^{-i ham t} for a sector Hamiltonian of order N+1, as
+    I + V expm1(-i Lambda t) V^T: the correction to I vanishes with t, so at
+    t = 0 the propagator is I exactly, with no eps left off its diagonal."""
     lam, vec = np.linalg.eigh(ham)
-    return (vec * np.exp(-1j * lam * t)) @ vec.T
+    return np.eye(len(lam)) + (vec * np.expm1(-1j * lam * t)) @ vec.T
 
 
 def _marked_propagator(h_c, variant, h, t):
@@ -180,15 +180,8 @@ def _sector_evolve(h_c, mixer, psi, t):
     return free + (scale * ((u_s - f_s) @ coef))[weight]
 
 
-def evolve(h_c: MarkedStateHamiltonian, mixer: MixerSpec, psi0: np.ndarray,
-           t: float, method: str = "auto") -> np.ndarray:
-    """Return e^{-iHt} |psi0> from the Dicke sector about the marked state
-    (``auto``, the default: see :func:`_sector_evolve`) or by dense
-    diagonalization (``dense``, its independent cross-check).  Any other
-    method raises ValueError."""
-    if method not in ("auto", "dense"):
-        raise ValueError("evolve takes method 'auto' or 'dense', "
-                         f"not {method!r}")
+def _checked_state(h_c, psi0, t):
+    """The input checks of :func:`evolve` and :func:`evolve_dense`."""
     if not math.isfinite(t):
         raise ValueError("evolution time must be finite")
     if psi0.shape != (h_c.dim,):
@@ -198,11 +191,27 @@ def evolve(h_c: MarkedStateHamiltonian, mixer: MixerSpec, psi0: np.ndarray,
     norm = np.linalg.norm(psi0)
     if abs(norm - 1.0) > 1e-10:
         raise ValueError(f"initial state norm {norm} is not 1")
+
+
+def evolve(h_c: MarkedStateHamiltonian, mixer: MixerSpec, psi0: np.ndarray,
+           t: float) -> np.ndarray:
+    """Return e^{-iHt} |psi0> from the Dicke sector about the marked state
+    (see :func:`_sector_evolve`); :func:`evolve_dense` is its cross-check."""
+    _checked_state(h_c, psi0, t)
     if t == 0.0:
         return psi0.astype(complex)
-    if method == "dense":
-        return _dense_evolve(h_c, mixer, psi0.astype(complex), t)
     return _sector_evolve(h_c, mixer, psi0, t)
+
+
+def evolve_dense(h_c: MarkedStateHamiltonian, mixer: MixerSpec,
+                 psi0: np.ndarray, t: float) -> np.ndarray:
+    """:func:`evolve` by dense diagonalization of H in O(8^N): its
+    independent cross-check."""
+    _checked_state(h_c, psi0, t)
+    if t == 0.0:
+        return psi0.astype(complex)
+    lam, vec = _eigendecomposition(h_c, mixer)
+    return vec @ (np.exp(-1j * lam * t) * (vec.T @ psi0.astype(complex)))
 
 
 # ---------------------------------------------------------------------------
@@ -257,32 +266,33 @@ def transverse_marked_column(h_c: MarkedStateHamiltonian, h: float,
 # ---------------------------------------------------------------------------
 # proposal kernels
 
-def quantum_kernel(h_c: MarkedStateHamiltonian, mixer: MixerSpec, t: float,
-                   method: str = "auto") -> ProposalKernel:
-    """Proposal kernel Q(x|y) = |<x| e^{-iHt} |y>|^2.
-
-    ``auto`` builds it on the mixer's invariant subspace: the grover closed
-    form (:func:`structured_grover_kernel`), or the transverse symmetric
-    sector's table over pair classes, which densifies in O(4^N) only on
-    demand.
-    ``dense`` is the independent cross-check of both, an O(8^N)
-    diagonalization of H.  Any other method raises ValueError.
+def quantum_kernel(h_c: MarkedStateHamiltonian, mixer: MixerSpec,
+                   t: float) -> ProposalKernel:
+    """Proposal kernel Q(x|y) = |<x| e^{-iHt} |y>|^2, built on the mixer's
+    invariant subspace: the grover closed form
+    (:func:`structured_grover_kernel`), or the transverse symmetric sector's
+    table over pair classes, which densifies in O(4^N) only on demand.
+    :func:`quantum_kernel_dense` is the independent cross-check of both.
     """
-    if method not in ("auto", "dense"):
-        raise ValueError("quantum_kernel takes method 'auto' or 'dense', "
-                         f"not {method!r}")
-    n = h_c.n_spins
     if not math.isfinite(t):
         raise ValueError("evolution time must be finite")
-    if method == "auto":
-        if mixer.variant == GROVER:
-            return structured_grover_kernel(h_c, mixer.field_strength, t)
-        return PermutationInvariantKernel(
-            n, h_c.marked, _transverse_table(h_c, mixer.field_strength, t))
+    if mixer.variant == GROVER:
+        return structured_grover_kernel(h_c, mixer.field_strength, t)
+    return PermutationInvariantKernel(
+        h_c.n_spins, h_c.marked,
+        _transverse_table(h_c, mixer.field_strength, t))
+
+
+def quantum_kernel_dense(h_c: MarkedStateHamiltonian, mixer: MixerSpec,
+                         t: float) -> DenseKernel:
+    """:func:`quantum_kernel` by an O(8^N) diagonalization of H: the
+    independent cross-check of both structured routes."""
+    if not math.isfinite(t):
+        raise ValueError("evolution time must be finite")
     lam, vec = _eigendecomposition(h_c, mixer)
     re = (vec * np.cos(lam * t)) @ vec.T
     im = (vec * np.sin(lam * t)) @ vec.T
-    return DenseKernel(re * re + im * im, n)
+    return DenseKernel(re * re + im * im, h_c.n_spins)
 
 
 def quantum_proposal_column(h_c: MarkedStateHamiltonian, mixer: MixerSpec,
@@ -388,7 +398,7 @@ def grover_closed_form(n_spins: int, alpha: float, h: float,
 def structured_grover_kernel(h_c: MarkedStateHamiltonian, h: float,
                              t: float) -> StructuredMarkedKernel:
     """The grover proposal kernel, assembled from the closed form
-    (:func:`_grover_values`): the one grover kernel and column of the
-    ``auto`` routes."""
+    (:func:`_grover_values`): the one grover kernel and column of
+    :func:`quantum_kernel`."""
     return StructuredMarkedKernel(h_c.n_spins, h_c.marked,
                                   *_grover_values(h_c.n_spins, h_c.alpha, h, t))

@@ -94,9 +94,9 @@ def mixing_time_bounds(delta: float, log_pi_min: float, epsilon: float):
 
 
 def spectral_gap_dense(p: TransitionMatrix) -> float:
-    """Gap 1 - |lambda_2| of P by a symmetric eigensolve: the O(8^N)
-    cross-check of :func:`spectral_gap_blocks`, and the package's only route
-    through scipy (its LAPACK tridiagonal reduction and bisection).
+    """Gap 1 - |lambda_2| of P by a symmetric eigensolve (scipy's LAPACK
+    tridiagonal reduction and bisection): the O(8^N) cross-check of
+    :func:`spectral_gap_blocks`.
 
     The asymmetry of P conjugated with sqrt(pi(x)/pi(y)) is the
     reversibility certificate; the solve itself works on the cospectral
@@ -142,8 +142,8 @@ def _extreme_ritz_vectors(a: np.ndarray):
     the back-transform: the O(n^3) work of an eigenvalue-only solve plus
     O(n^2).
     """
-    # This dense route (validate and the tests) is the package's only scipy
-    # user; importing scipy here keeps it off every experiment's import path.
+    # Only the dense cross-checks (validate and the tests) use scipy;
+    # importing it here keeps it off every experiment's import path.
     from scipy.linalg import lapack
 
     n = a.shape[0]
@@ -240,8 +240,7 @@ def _checked_gap(ends) -> float:
 
 def _symmetry_blocks(x: np.ndarray):
     """Blocks B_k of L from its class entries x^t_{i,j}, k = 0..floor(N/2),
-    each with its multiplicity C(N,k) - C(N,k-1), by the difference form of
-    the module docstring.
+    by the difference form of the module docstring.
 
     Block k reads the k-th forward difference of x along t.  Its weights,
     each the positive C(m,l) C(l,r) C(m-l,l'-r) / sqrt(C(m,l) C(m,l')) of
@@ -281,8 +280,7 @@ def _symmetry_blocks(x: np.ndarray):
         raise NotReversible(
             f"block asymmetry {asym:.3e} exceeds {_REVERSIBILITY_TOL:.1e}"
         )
-    return [(0.5 * (b + b.T), math.comb(n, k) - (math.comb(n, k - 1) if k else 0))
-            for k, b in enumerate(blocks)]
+    return [0.5 * (b + b.T) for b in blocks]
 
 
 def check_block_route(n_spins: int) -> None:
@@ -322,10 +320,10 @@ def spectral_gap_blocks(kernel: ProposalKernel,
     move, stay, x = _class_chain(kernel, measure)
     lumped, log_pi = _lumped_chain(move, stay, measure, 0)
     del move
-    (block0, _), *rest = _symmetry_blocks(x)
+    block0, *rest = _symmetry_blocks(x)
     _, vec = np.linalg.eigh(block0)
     ends = list(_dirichlet_forms(lumped, log_pi, vec[:, :2], vec[:, -1]))
-    for block, _ in rest:
+    for block in rest:
         lam = np.linalg.eigvalsh(block)
         err = np.finfo(float).eps * float(np.max(np.abs(lam)))
         ends += [(float(lam[0]), err), (2.0 - float(lam[-1]), err)]
@@ -384,22 +382,21 @@ def grover_gap_closed_form(n_spins: int, alpha: float, beta: float,
 
 @dataclass(frozen=True)
 class AveragingScheme:
-    """(h, t) randomization used when parameters are redrawn each MCMC step."""
+    """(h, t) randomization used when parameters are redrawn each MCMC step:
+    ``h`` is a fixed field or an (lo, hi) range of fields."""
 
+    h: float | tuple
     t_range: tuple
-    h_fixed: float | None = None
-    h_range: tuple | None = None
     sample_count: int = 64
 
     def __post_init__(self):
         if self.sample_count < 1:
             raise ValueError("sample_count must be >= 1")
-        ends = [*self.t_range, *(self.h_range or ()), self.h_fixed or 0.0]
+        h_ends = self.h if isinstance(self.h, tuple) else (self.h,)
+        ends = [*self.t_range, *h_ends]
         if not all(math.isfinite(v) for v in ends):
             raise ValueError(f"h and t must be finite, not {ends}")
-        if (self.h_fixed is None) == (self.h_range is None):
-            raise ValueError("exactly one of h_fixed/h_range must be set")
-        if (self.h_range is not None
+        if (isinstance(self.h, tuple)
                 and math.isqrt(self.sample_count) ** 2 != self.sample_count):
             raise ValueError("an h range averages over a square grid: "
                              f"sample count {self.sample_count} is not a "
@@ -407,14 +404,14 @@ class AveragingScheme:
 
     def samples(self) -> np.ndarray:
         """The (h, t) grid, shape (sample_count, 2): ``sample_count`` times
-        on ``t_range`` at a fixed h, or a square grid over ``h_range`` x
+        on ``t_range`` at a fixed h, or a square grid over the h range x
         ``t_range``."""
         t0, t1 = self.t_range
-        if self.h_fixed is not None:
+        if not isinstance(self.h, tuple):
             ts = np.linspace(t0, t1, self.sample_count)
-            return np.column_stack([np.full_like(ts, self.h_fixed), ts])
+            return np.column_stack([np.full_like(ts, self.h), ts])
         side = math.isqrt(self.sample_count)
-        hs = np.linspace(*self.h_range, side)
+        hs = np.linspace(*self.h, side)
         ts = np.linspace(t0, t1, side)
         hh, tt = np.meshgrid(hs, ts, indexing="ij")
         return np.column_stack([hh.ravel(), tt.ravel()])

@@ -24,8 +24,9 @@ from .quantum import (
     TRANSVERSE,
     MixerSpec,
     evolve,
+    evolve_dense,
     grover_closed_form,
-    quantum_kernel,
+    quantum_kernel_dense,
     resonance_field,
     structured_grover_kernel,
     transverse_marked_column,
@@ -40,11 +41,12 @@ from .spectral import (
     uniform_gap_closed_form,
 )
 
-# The checks build kernels and evolve states by dense diagonalization (method
-# "dense"), independently of the invariant-subspace routes the experiments
-# take.  For the grover mixer that route is the one closed form,
-# grover_closed_form, whose dense cross-check is criteria 2 and 3; criterion 8
-# checks the Dicke-sector propagator behind evolve and the transverse table.
+# The checks build kernels and evolve states by dense diagonalization
+# (quantum_kernel_dense, evolve_dense), independently of the
+# invariant-subspace routes the experiments take.  For the grover mixer that
+# route is the one closed form, grover_closed_form, whose dense cross-check is
+# criteria 2 and 3; criterion 8 checks the Dicke-sector propagator behind
+# evolve and the transverse table.
 
 
 @dataclass(frozen=True)
@@ -100,7 +102,7 @@ def check_grover_closed_form(n_values=range(4, 11), betas=(1.0, 5.0),
     for n in n_values:
         for alpha, h, t in draws:
             h_c = MarkedStateHamiltonian(n, alpha)
-            kern = quantum_kernel(h_c, MixerSpec(GROVER, h), t, "dense")
+            kern = quantum_kernel_dense(h_c, MixerSpec(GROVER, h), t)
             col_k = kern.dense()[:, h_c.marked]
             cf = grover_closed_form(n, alpha, h, t)
             for beta in betas:
@@ -136,7 +138,7 @@ def check_bound_direction(n_values=range(6, 13), beta=5.0, alpha=1.0,
         n = n_cycle[i % len(n_cycle)]
         h, t = rng.uniform(-2.0, 2.0), rng.uniform(0.0, 3.0)
         h_c = MarkedStateHamiltonian(n, alpha)
-        kern = quantum_kernel(h_c, MixerSpec(TRANSVERSE, h), t, "dense")
+        kern = quantum_kernel_dense(h_c, MixerSpec(TRANSVERSE, h), t)
         p = build_transition_matrix(kern, gibbs_measure(h_c, beta))
         delta = spectral_gap_dense(p)
         bound = marked_state_bound_dense(kern.dense()[:, h_c.marked], n, alpha,
@@ -232,9 +234,9 @@ def check_mixing_sandwich(n_values=range(4, 9), betas=(1.0, 5.0), alpha=1.0,
 
 def check_propagator(n_values=range(4, 11), n_draws=20,
                      seed=20240819) -> CriterionResult:
-    """Sector evolution (``evolve``'s default route, the production math of
-    every transverse kernel) against dense diagonalization on random states,
-    with random marked states and both mixers."""
+    """Sector evolution (``evolve``, the production math of every transverse
+    kernel) against ``evolve_dense`` on random states, with random marked
+    states and both mixers."""
     rng = _rng(seed)
     worst = 0.0
     ns = list(n_values)
@@ -248,7 +250,7 @@ def check_propagator(n_values=range(4, 11), n_draws=20,
         psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
         psi /= np.linalg.norm(psi)
         t = rng.uniform(0.0, 3.0)
-        a = evolve(h_c, mixer, psi, t, "dense")
+        a = evolve_dense(h_c, mixer, psi, t)
         b = evolve(h_c, mixer, psi, t)
         worst = max(worst, 1.0 - abs(np.vdot(a, b)))
     return CriterionResult("propagator-fidelity", worst, 1e-10, worst <= 1e-10)
@@ -265,12 +267,13 @@ def check_structural_invariants(n_cases=100, seed=20240820) -> CriterionResult:
         h_c = MarkedStateHamiltonian(n, rng.uniform(0.5, 2.0),
                                      int(rng.integers(dim)))
         variant = GROVER if i % 2 == 0 else TRANSVERSE
-        kern = quantum_kernel(h_c, MixerSpec(variant, rng.uniform(-2.0, 2.0)),
-                              rng.uniform(0.0, 4.0), "dense")
+        kern = quantum_kernel_dense(
+            h_c, MixerSpec(variant, rng.uniform(-2.0, 2.0)),
+            rng.uniform(0.0, 4.0))
         if i % 5 == 0:
-            other = quantum_kernel(
+            other = quantum_kernel_dense(
                 h_c, MixerSpec(variant, rng.uniform(-2.0, 2.0)),
-                rng.uniform(0.0, 4.0), "dense")
+                rng.uniform(0.0, 4.0))
             w = rng.uniform(0.2, 0.8)
             kern = affine_combination([w, 1.0 - w], [kern, other])
         cert = validate_kernel(kern)

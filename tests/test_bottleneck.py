@@ -17,6 +17,7 @@ from qemcmc.proposal import DenseKernel, StructuredMarkedKernel, uniform_kernel
 from qemcmc.quantum import (
     MixerSpec,
     quantum_kernel,
+    quantum_kernel_dense,
     structured_grover_kernel,
     transverse_marked_column,
 )
@@ -174,7 +175,7 @@ def test_marked_bound_grover_saturation():
 def test_marked_bound_agrees_with_dense_flow():
     n, alpha, beta = 6, 1.0, 5.0
     h_c = MarkedStateHamiltonian(n, alpha)
-    kern = quantum_kernel(h_c, MixerSpec("transverse", 1.0), 1.0, "dense")
+    kern = quantum_kernel_dense(h_c, MixerSpec("transverse", 1.0), 1.0)
     p = build_transition_matrix(kern, gibbs_measure(h_c, beta))
     dense = bottleneck_bound(p, [x for x in range(p.dim) if x != 0])
     column = marked_state_bound_dense(kern.dense()[:, 0], n, alpha, beta)
@@ -194,7 +195,7 @@ def test_marked_bound_validates_distribution():
 
 
 def _table_and_column_bounds(kern, n, alpha, beta, marked):
-    table = marked_state_bound(kern, n, alpha, beta, marked)
+    table = marked_state_bound(kern.table()[0, :, 0], n, alpha, beta)
     column = marked_state_bound_dense(kern.column(marked), n, alpha, beta,
                                       marked)
     return table, column
@@ -228,18 +229,17 @@ def test_marked_bound_table_validates_marked_column():
     # marked-column mass stay + (2^N - 1) off: off by 2e-8 raises, 5e-9 not
     n, q = 4, 1.0 / 16
 
-    def kernel(stay_marked, marked=0):
-        return StructuredMarkedKernel(n, marked, q, q, stay_marked, q)
+    def column(stay_marked):
+        kern = StructuredMarkedKernel(n, 0, q, q, stay_marked, q)
+        return kern.table()[0, :, 0]
 
-    assert marked_state_bound(kernel(q + 5e-9), n, 1.0, 1.0) > 0.0
+    assert marked_state_bound(column(q + 5e-9), n, 1.0, 1.0) > 0.0
     for excess in (2e-8, -2e-8):
         with pytest.raises(ValueError):
-            marked_state_bound(kernel(q + excess), n, 1.0, 1.0)
-    # the table is carried about its own marked state and spin count
+            marked_state_bound(column(q + excess), n, 1.0, 1.0)
+    # a column of another spin count is refused by its length
     with pytest.raises(ValueError):
-        marked_state_bound(kernel(q, marked=3), n, 1.0, 1.0, marked=0)
-    with pytest.raises(ValueError):
-        marked_state_bound(kernel(q), n + 1, 1.0, 1.0)
+        marked_state_bound(column(q), n + 1, 1.0, 1.0)
 
 
 @pytest.mark.parametrize("h", [1.0, 1e3, 1e5])
@@ -254,7 +254,8 @@ def test_sector_column_bound_equals_table_bound(h):
                               kern.table()[0, :, 0].view(np.uint64)), n
         for beta in (0.5, 5.0):
             from_column = marked_state_bound(column, n, 1.0, beta)
-            from_table = marked_state_bound(kern, n, 1.0, beta)
+            from_table = marked_state_bound(kern.table()[0, :, 0], n, 1.0,
+                                            beta)
             assert from_column.hex() == from_table.hex(), (n, beta)
 
 
@@ -287,8 +288,8 @@ def test_distance_and_state_columns_at_one_spin(marked):
     by_state = kern.column(marked)
     assert by_state[marked] == by_distance[0]
     assert by_state[1 - marked] == by_distance[1]
-    expected = marked_state_bound(kern, 1, alpha, beta, marked)
-    assert marked_state_bound(by_distance, 1, alpha, beta, marked) == expected
+    expected = marked_state_bound(kern.table()[0, :, 0], 1, alpha, beta)
+    assert marked_state_bound(by_distance, 1, alpha, beta) == expected
     assert marked_state_bound_dense(by_state, 1, alpha, beta,
                                     marked) == pytest.approx(expected,
                                                              rel=1e-15)
@@ -307,7 +308,7 @@ def test_certificate_quantum_kernels():
     h_c = MarkedStateHamiltonian(6, 1.0)
     for _ in range(5):
         mixer = MixerSpec("transverse", rng.uniform(-2, 2))
-        kern = quantum_kernel(h_c, mixer, rng.uniform(0, 3), "dense")
+        kern = quantum_kernel_dense(h_c, mixer, rng.uniform(0, 3))
         assert sum_qa_certificate(kern, 0) <= 1.0 + 1e-10
 
 

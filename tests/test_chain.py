@@ -32,6 +32,7 @@ from qemcmc.proposal import (
 from qemcmc.quantum import (
     MixerSpec,
     quantum_kernel,
+    quantum_kernel_dense,
     resonance_field,
     structured_grover_kernel,
 )
@@ -93,7 +94,7 @@ def test_structured_and_simulated_grover_agree():
     h_c = MarkedStateHamiltonian(6, 1.0)
     measure = gibbs_measure(h_c, 2.0)
     sim = build_transition_matrix(
-        quantum_kernel(h_c, MixerSpec("grover", 1.0), 1.0, "dense"), measure)
+        quantum_kernel_dense(h_c, MixerSpec("grover", 1.0), 1.0), measure)
     closed = build_transition_matrix(
         structured_grover_kernel(h_c, 1.0, 1.0), measure)
     assert np.max(np.abs(sim.p - closed.p)) < 1e-9

@@ -1,5 +1,6 @@
 import ast
 import importlib.util
+import math
 import os
 import re
 import subprocess
@@ -113,6 +114,31 @@ def test_figure_b_exact_below_bound():
         assert value <= bound[n] + 1e-12
 
 
+def test_figure_b_rows_near_t_zero():
+    # at t = 0, Q = I and every row is exactly 0, with no propagator
+    # rounding left in it; at t = 1e-20 the escape is N h^2 t^2 to leading
+    # order, so the bound is N h^2 t^2 (1 + e^{-beta alpha N} g) / g with
+    # g = 2^N - 1, and the exact gap stays below it
+    csv_text, status = _run(["--experiment", "figure-b", "--n-min", "1",
+                             "--n-max", "12", "--t", "0"])
+    assert status == 0
+    rows = _rows(csv_text)
+    assert len(rows) == 24
+    assert all(float(r[7]) == 0.0 for r in rows)
+    csv_text, status = _run(["--experiment", "figure-b", "--n-min", "1",
+                             "--n-max", "12", "--t", "1e-20"])
+    assert status == 0
+    rows = _rows(csv_text)
+    bound = {int(r[1]): float(r[7]) for r in rows if r[6] == "bound"}
+    exact = {int(r[1]): float(r[7]) for r in rows if r[6] == "delta_exact"}
+    alpha, beta, h, t = 1.0, 5.0, 1.0, 1e-20
+    for n in range(2, 13):
+        g = 2.0 ** n - 1.0
+        ref = n * h * h * t * t * (1.0 + math.exp(-beta * alpha * n) * g) / g
+        assert bound[n] == pytest.approx(ref, rel=1e-12, abs=0.0), n
+        assert exact[n] <= bound[n], n
+
+
 def test_sample_rows():
     csv_text, _ = _run(["--experiment", "sample", "--n-min", "4", "--n-max", "4",
                         "--beta", "1", "--steps", "200", "--seed", "11"])
@@ -128,7 +154,7 @@ def test_sample_rows():
 def test_sample_tmix_matches_dense_powering(mixer):
     from qemcmc.chain import build_transition_matrix
     from qemcmc.model import MarkedStateHamiltonian, gibbs_measure
-    from qemcmc.quantum import MixerSpec, quantum_kernel, resonance_field
+    from qemcmc.quantum import MixerSpec, quantum_kernel_dense, resonance_field
     from test_chain import _dense_mixing_time
 
     csv_text, _ = _run(["--experiment", "sample", "--mixer", mixer,
@@ -138,8 +164,8 @@ def test_sample_tmix_matches_dense_powering(mixer):
     assert set(tmix) == set(range(4, 9))
     for n, value in tmix.items():
         h_c = MarkedStateHamiltonian(n, 1.0)
-        kern = quantum_kernel(h_c, MixerSpec(mixer, resonance_field(1.0, n)),
-                              0.3, "dense")
+        kern = quantum_kernel_dense(
+            h_c, MixerSpec(mixer, resonance_field(1.0, n)), 0.3)
         p = build_transition_matrix(kern, gibbs_measure(h_c, 1.0))
         assert value == _dense_mixing_time(p, 0.01, 10_000_000), n
 
@@ -438,7 +464,8 @@ def test_field_time_beyond_double_precision_exits_2(argv, capsys):
 
 
 def test_experiments_load_no_scipy():
-    # numpy alone serves the experiments; scipy is the dense cross-check's
+    # numpy alone serves the experiments; scipy is the dense cross-check's,
+    # and the validate checks are loaded by validate alone
     code = textwrap.dedent("""
         import sys
         from qemcmc import cli
@@ -448,6 +475,7 @@ def test_experiments_load_no_scipy():
                       "--n-min", "4", "--n-max", "4", "--steps", "200"]):
             csv_text, status = cli.run(cli.build_config(argv))
             assert status == 0 and csv_text.count("\\n") > 1
+        assert "qemcmc.validation" not in sys.modules
         print(sorted(m for m in sys.modules
                      if m == "scipy" or m.startswith("scipy.")))
     """)

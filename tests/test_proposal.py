@@ -25,6 +25,7 @@ from qemcmc.quantum import (
     MixerSpec,
     dense_hamiltonian,
     quantum_kernel,
+    quantum_kernel_dense,
     structured_grover_kernel,
 )
 from qemcmc.spectral import spectral_gap_blocks
@@ -99,8 +100,8 @@ def test_affine_negative_entry_rejected():
     # pair pushes some entry negative
     h_c = MarkedStateHamiltonian(2, 1.0)
     mixer = MixerSpec("grover", 1.0)
-    k1 = quantum_kernel(h_c, mixer, 0.4, "dense")
-    k2 = quantum_kernel(h_c, mixer, 1.1, "dense")
+    k1 = quantum_kernel_dense(h_c, mixer, 0.4)
+    k2 = quantum_kernel_dense(h_c, mixer, 1.1)
     with pytest.raises(NegativeProbability):
         affine_combination([2.0, -1.0], [k1, k2])
 
@@ -186,7 +187,7 @@ def _invariant_kernels():
 def test_table_certificate_matches_dense():
     for kern in _invariant_kernels():
         table_cert = validate_kernel(kern)
-        dense_cert = validate_kernel(DenseKernel(kern.dense()))
+        dense_cert = validate_kernel(DenseKernel(kern.dense(), kern.n_spins))
         for field in ("max_column_deviation", "max_row_deviation",
                       "max_asymmetry"):
             assert abs(getattr(table_cert, field)
@@ -220,7 +221,7 @@ def test_table_layout_matches_brute_force_reference(n):
             for y in range(kern.dim):
                 assert np.array_equal(kern.column(y), ref[:, y])
             table_cert = validate_kernel(kern)
-            dense_cert = validate_kernel(DenseKernel(kern.dense()))
+            dense_cert = validate_kernel(DenseKernel(kern.dense(), n))
             for field in ("max_column_deviation", "max_row_deviation",
                           "max_asymmetry"):
                 assert abs(getattr(table_cert, field)

@@ -17,8 +17,10 @@ from qemcmc.quantum import (
     apply_hamiltonian,
     dense_hamiltonian,
     evolve,
+    evolve_dense,
     grover_closed_form,
     quantum_kernel,
+    quantum_kernel_dense,
     quantum_proposal_column,
     _sector_hamiltonian,
     _sector_propagator,
@@ -126,10 +128,13 @@ def test_auto_evolve_matches_dense():
             mixer = MixerSpec(variant, rng.uniform(-2, 2))
             psi = _random_state(rng, 1 << n)
             t = rng.uniform(0.1, 3.0)
-            a = evolve(h_c, mixer, psi, t, "dense")
+            a = evolve_dense(h_c, mixer, psi, t)
             b = evolve(h_c, mixer, psi, t)
             assert 1.0 - abs(np.vdot(a, b)) < 1e-10
             assert np.max(np.abs(a - b)) < 1e-10
+            # at t = 0 both routes return the state itself
+            assert np.array_equal(evolve_dense(h_c, mixer, psi, 0.0), psi)
+            assert np.array_equal(evolve(h_c, mixer, psi, 0.0), psi)
 
 
 def test_evolve_rejects_unnormalized():
@@ -138,26 +143,10 @@ def test_evolve_rejects_unnormalized():
         evolve(MarkedStateHamiltonian(4, 1.0), MixerSpec(GROVER, 1.0), psi, 1.0)
 
 
-def test_evolve_takes_auto_or_dense():
-    # the two words quantum_kernel takes, auto the default; any other method
-    # is rejected, at t = 0 as well
-    h_c = MarkedStateHamiltonian(4, 1.0)
-    psi = basis_state(4, 11)
-    for method in ("krylov", "lanczos"):
-        for t in (1.0, 0.0):
-            with pytest.raises(ValueError):
-                evolve(h_c, MixerSpec(GROVER, 1.0), psi, t, method)
-    mixer = MixerSpec(TRANSVERSE, 1.0)
-    assert np.array_equal(evolve(h_c, mixer, psi, 0.7),
-                          evolve(h_c, mixer, psi, 0.7, "auto"))
-    for method in ("auto", "dense"):
-        assert np.array_equal(evolve(h_c, mixer, psi, 0.0, method), psi)
-
-
 def test_grover_two_level_closure():
     # from an unmarked start, all other unmarked states carry equal probability
     h_c = MarkedStateHamiltonian(5, 1.0, marked=0)
-    out = evolve(h_c, MixerSpec(GROVER, 0.7), basis_state(5, 9), 1.4, "dense")
+    out = evolve_dense(h_c, MixerSpec(GROVER, 0.7), basis_state(5, 9), 1.4)
     probs = np.abs(out) ** 2
     rest = np.delete(probs, [0, 9])
     assert np.ptp(rest) < 1e-12
@@ -167,14 +156,14 @@ def test_grover_two_level_closure():
 # kernels
 
 def test_kernel_t0_identity():
-    kern = quantum_kernel(MarkedStateHamiltonian(3, 1.0),
-                          MixerSpec(TRANSVERSE, 1.0), 0.0, "dense")
+    kern = quantum_kernel_dense(MarkedStateHamiltonian(3, 1.0),
+                                MixerSpec(TRANSVERSE, 1.0), 0.0)
     assert np.allclose(kern.dense(), np.eye(8), atol=1e-12)
 
 
 def test_grover_kernel_matches_closed_form():
     h_c = MarkedStateHamiltonian(4, 1.0)
-    kern = quantum_kernel(h_c, MixerSpec(GROVER, 1.0), 1.0, "dense")
+    kern = quantum_kernel_dense(h_c, MixerSpec(GROVER, 1.0), 1.0)
     cf = grover_closed_form(4, 1.0, 1.0, 1.0)
     q = kern.dense()
     assert q[0, 5] == pytest.approx(cf.q_marked, abs=1e-10)
@@ -185,7 +174,7 @@ def test_grover_kernel_matches_closed_form():
 
 def test_structured_kernel_matches_simulation():
     h_c = MarkedStateHamiltonian(6, 1.3, marked=40)
-    sim = quantum_kernel(h_c, MixerSpec(GROVER, -0.9), 2.1, "dense").dense()
+    sim = quantum_kernel_dense(h_c, MixerSpec(GROVER, -0.9), 2.1).dense()
     structured = structured_grover_kernel(h_c, -0.9, 2.1).dense()
     assert np.max(np.abs(sim - structured)) < 1e-12
 
@@ -193,13 +182,13 @@ def test_structured_kernel_matches_simulation():
 def test_rank2_fast_path_matches_dense():
     h_c = MarkedStateHamiltonian(5, 0.8, marked=3)
     auto = quantum_kernel(h_c, MixerSpec(GROVER, 1.7), 0.9)     # closed form
-    sim = quantum_kernel(h_c, MixerSpec(GROVER, 1.7), 0.9, "dense")
+    sim = quantum_kernel_dense(h_c, MixerSpec(GROVER, 1.7), 0.9)
     assert np.max(np.abs(auto.dense() - sim.dense())) < 1e-12
 
 
 def test_transverse_kernel_symmetric_doubly_stochastic():
-    kern = quantum_kernel(MarkedStateHamiltonian(4, 1.0),
-                          MixerSpec(TRANSVERSE, 1.0), 1.0, "dense")
+    kern = quantum_kernel_dense(MarkedStateHamiltonian(4, 1.0),
+                                MixerSpec(TRANSVERSE, 1.0), 1.0)
     cert = validate_kernel(kern)
     assert cert.max_asymmetry < 1e-10
     assert cert.max_column_deviation < 1e-10
@@ -223,7 +212,7 @@ def test_transverse_sector_kernel_matches_dense():
         mixer = MixerSpec(TRANSVERSE, rng.uniform(-2.0, 2.0))
         t = rng.uniform(0.0, 4.0)
         auto = quantum_kernel(h_c, mixer, t).dense()       # symmetric sector
-        sim = quantum_kernel(h_c, mixer, t, "dense").dense()
+        sim = quantum_kernel_dense(h_c, mixer, t).dense()
         assert np.max(np.abs(auto - sim)) < 1e-12
 
 
@@ -243,7 +232,7 @@ def test_transverse_sector_column_matches_dense():
     mixer = MixerSpec(TRANSVERSE, -0.8)
     for y in (45, 0, 100):
         auto = quantum_proposal_column(h_c, mixer, 2.3, y)
-        sim = np.abs(evolve(h_c, mixer, basis_state(7, y), 2.3, "dense")) ** 2
+        sim = np.abs(evolve_dense(h_c, mixer, basis_state(7, y), 2.3)) ** 2
         assert np.max(np.abs(auto - sim)) < 1e-12
 
 
@@ -301,13 +290,6 @@ def test_marked_escape_matches_expm_multiply(n):
             escape = np.delete(col, y).sum()
             escape_ref = np.delete(np.abs(ref) ** 2, y).sum()
             assert abs(escape - escape_ref) < 1e-10 * escape_ref
-
-
-def test_kernel_has_no_krylov_route():
-    for method in ("krylov", "Dense", ""):
-        with pytest.raises(ValueError):
-            quantum_kernel(MarkedStateHamiltonian(3, 1.0),
-                           MixerSpec(TRANSVERSE, 1.0), 1.0, method)
 
 
 def test_proposal_column_point_mass_at_t0():

@@ -36,6 +36,7 @@ from qemcmc.quantum import (
     _grover_values,
     grover_closed_form,
     quantum_kernel,
+    quantum_kernel_dense,
     resonance_field,
     structured_grover_kernel,
     two_level_frequency,
@@ -66,8 +67,8 @@ def _dense_average(h_c, variant, scheme):
     weight = 1.0 / len(samples)
     mean = np.zeros((h_c.dim, h_c.dim))
     for h, t in samples:
-        mean += weight * quantum_kernel(h_c, MixerSpec(variant, h), t,
-                                        "dense").dense()
+        mean += weight * quantum_kernel_dense(h_c, MixerSpec(variant, h),
+                                              t).dense()
     return mean
 
 
@@ -101,7 +102,7 @@ def test_uniform_closed_form_stable_at_large_n():
 
 def test_grover_closed_form_matches_eigensolve():
     h_c = MarkedStateHamiltonian(8, 1.0)
-    kern = quantum_kernel(h_c, MixerSpec("grover", 1.0), 1.0, "dense")
+    kern = quantum_kernel_dense(h_c, MixerSpec("grover", 1.0), 1.0)
     delta = spectral_gap_dense(
         build_transition_matrix(kern, gibbs_measure(h_c, 5.0)))
     ref = grover_gap_closed_form(8, 1.0, 5.0, 1.0, 1.0)
@@ -125,8 +126,8 @@ def test_grover_closed_form_matches_dense_gap_at_n1():
 
 
 @pytest.mark.parametrize("scheme", [
-    AveragingScheme((2.0, 20.0), h_fixed=resonance_field(1.0, 1)),
-    AveragingScheme((0.3, 4.0), h_range=(-2.0, 2.0), sample_count=16),
+    AveragingScheme(resonance_field(1.0, 1), (2.0, 20.0)),
+    AveragingScheme((-2.0, 2.0), (0.3, 4.0), sample_count=16),
 ], ids=["figure-a", "h-range"])
 def test_averaged_gap_matches_block_gap_at_n1(scheme):
     h_c = MarkedStateHamiltonian(1, 1.3)
@@ -246,22 +247,20 @@ def test_scaling_fit_needs_points():
 
 
 def test_scheme_grid_deterministic():
-    scheme = AveragingScheme((2.0, 20.0), h_fixed=-1.0, sample_count=16)
+    scheme = AveragingScheme(-1.0, (2.0, 20.0), sample_count=16)
     assert np.array_equal(scheme.samples(), scheme.samples())
     assert scheme.samples().shape == (16, 2)
 
 
 def test_scheme_validation():
     with pytest.raises(ValueError):
-        AveragingScheme((0.0, 1.0), h_fixed=1.0, h_range=(0.0, 1.0))
-    with pytest.raises(ValueError):
-        AveragingScheme((0.0, 1.0), h_fixed=1.0, sample_count=0)
+        AveragingScheme(1.0, (0.0, 1.0), sample_count=0)
     # a non-finite h or t is refused when the scheme is made
-    for t_range, h in [((0.0, math.inf), {"h_fixed": 1.0}),
-                       ((0.0, 1.0), {"h_fixed": math.nan}),
-                       ((0.0, 1.0), {"h_range": (-math.inf, 1.0)})]:
+    for h, t_range in [(1.0, (0.0, math.inf)),
+                       (math.nan, (0.0, 1.0)),
+                       ((-math.inf, 1.0), (0.0, 1.0))]:
         with pytest.raises(ValueError, match="finite"):
-            AveragingScheme(t_range, **h)
+            AveragingScheme(h, t_range)
 
 
 @pytest.mark.parametrize("count", [1, 2, 9, 10, 63, 64])
@@ -271,10 +270,10 @@ def test_scheme_h_range_grid_is_square(count):
     side = math.isqrt(count)
     if side * side != count:
         with pytest.raises(ValueError, match="perfect square"):
-            AveragingScheme((0.0, 1.0), h_range=(-1.0, 0.5),
+            AveragingScheme((-1.0, 0.5), (0.0, 1.0),
                             sample_count=count)
         return
-    grid = AveragingScheme((0.0, 1.0), h_range=(-1.0, 0.5),
+    grid = AveragingScheme((-1.0, 0.5), (0.0, 1.0),
                            sample_count=count).samples()
     assert grid.shape == (count, 2)
     assert len(np.unique(grid[:, 0])) == len(np.unique(grid[:, 1])) == side
@@ -284,12 +283,12 @@ def _sample_schemes(n):
     """Fixed-h and square-grid schemes: t ranges from 0 and past it, h = 0,
     the resonance field, and an h grid through 0."""
     h_res = resonance_field(1.0, n)
-    return [AveragingScheme((2.0, 20.0), h_fixed=h_res),
-            AveragingScheme((0.0, 20.0), h_fixed=h_res),
-            AveragingScheme((0.0, 3.0), h_fixed=0.0, sample_count=5),
-            AveragingScheme((0.3, 4.0), h_fixed=0.8, sample_count=7),
-            AveragingScheme((0.0, 20.0), h_range=(-2.0, 2.0), sample_count=81),
-            AveragingScheme((0.3, 4.0), h_range=(h_res, 0.5), sample_count=16)]
+    return [AveragingScheme(h_res, (2.0, 20.0)),
+            AveragingScheme(h_res, (0.0, 20.0)),
+            AveragingScheme(0.0, (0.0, 3.0), sample_count=5),
+            AveragingScheme(0.8, (0.3, 4.0), sample_count=7),
+            AveragingScheme((-2.0, 2.0), (0.0, 20.0), sample_count=81),
+            AveragingScheme((h_res, 0.5), (0.3, 4.0), sample_count=16)]
 
 
 @pytest.mark.parametrize("n", [*range(1, 41), 100, 255, 511])
@@ -313,14 +312,14 @@ def test_averaged_routes_refuse_a_sample_that_is_not_finite():
     # one sample of two overflows (t = 1e308): both averaged routes raise,
     # naming it, and return no mean over the other
     h_c = MarkedStateHamiltonian(6, 1.0)
-    scheme = AveragingScheme((0.0, 1e308), h_fixed=0.5, sample_count=2)
+    scheme = AveragingScheme(0.5, (0.0, 1e308), sample_count=2)
     note = "not finite at N = 6, h = 0.5, t = 1e+308"
     with pytest.raises(ValueError, match=re.escape(note)):
         averaged_grover_gap(6, 1.0, 5.0, scheme)
     with pytest.raises(ValueError, match=re.escape(note)):
         time_averaged_kernel(h_c, scheme)
     # the h end of a grid: the first sample past it is named
-    scheme = AveragingScheme((0.0, 1.0), h_range=(0.5, 1e200), sample_count=4)
+    scheme = AveragingScheme((0.5, 1e200), (0.0, 1.0), sample_count=4)
     note = "not finite at N = 6, h = 1e+200, t = 0.0"
     with pytest.raises(ValueError, match=re.escape(note)):
         averaged_grover_gap(6, 1.0, 5.0, scheme)
@@ -330,7 +329,7 @@ def test_averaged_routes_refuse_a_sample_that_is_not_finite():
 
 def test_single_sample_average_is_the_kernel():
     h_c = MarkedStateHamiltonian(5, 1.0)
-    scheme = AveragingScheme((1.3, 1.3), h_fixed=0.9, sample_count=1)
+    scheme = AveragingScheme(0.9, (1.3, 1.3), sample_count=1)
     avg = time_averaged_kernel(h_c, scheme)
     single = structured_grover_kernel(h_c, 0.9, 1.3)
     assert np.max(np.abs(avg.dense() - single.dense())) < 1e-14
@@ -343,9 +342,9 @@ def test_averaged_table_is_the_mean_of_the_sample_tables(count):
     for n in range(1, 13):
         h_c = MarkedStateHamiltonian(n, 1.0, marked=n // 2)
         for scheme in (
-                AveragingScheme((2.0, 20.0), h_fixed=resonance_field(1.0, n),
+                AveragingScheme(resonance_field(1.0, n), (2.0, 20.0),
                                 sample_count=count),
-                AveragingScheme((0.3, 4.0), h_range=(-2.0, 2.0),
+                AveragingScheme((-2.0, 2.0), (0.3, 4.0),
                                 sample_count=count)):
             samples = scheme.samples()
             total = sum(structured_grover_kernel(h_c, h, t).table()
@@ -358,7 +357,7 @@ def test_averaged_table_is_the_mean_of_the_sample_tables(count):
 
 def test_averaged_kernel_symmetric():
     h_c = MarkedStateHamiltonian(4, 1.0)
-    scheme = AveragingScheme((0.5, 2.5), h_fixed=1.0, sample_count=8)
+    scheme = AveragingScheme(1.0, (0.5, 2.5), sample_count=8)
     q = _dense_average(h_c, "transverse", scheme)
     assert np.max(np.abs(q - q.T)) < 1e-9
     assert np.max(np.abs(q.sum(axis=0) - 1.0)) < 1e-9
@@ -370,7 +369,7 @@ def test_averaged_gap_matches_averaged_kernel():
     h = -alpha
     omega = two_level_frequency(n, alpha, h)
     period = math.pi / (n * omega)
-    scheme = AveragingScheme((2.0, 2.0 + period), h_fixed=h, sample_count=24)
+    scheme = AveragingScheme(h, (2.0, 2.0 + period), sample_count=24)
     h_c = MarkedStateHamiltonian(n, alpha)
     kern = time_averaged_kernel(h_c, scheme)
     delta = spectral_gap_dense(
@@ -381,7 +380,7 @@ def test_averaged_gap_matches_averaged_kernel():
 
 def _grover_chain(n, alpha, beta, h, t):
     h_c = MarkedStateHamiltonian(n, alpha)
-    kern = quantum_kernel(h_c, MixerSpec("grover", h), t, "dense")
+    kern = quantum_kernel_dense(h_c, MixerSpec("grover", h), t)
     return build_transition_matrix(kern, gibbs_measure(h_c, beta))
 
 
@@ -403,7 +402,7 @@ def test_averaged_gap_is_the_smaller_averaged_block(t_range):
     # (0.65, 0.85) it wins on 3 of 5 samples but the two-level block wins on
     # average, so a mean of per-sample minima would be too small
     n, alpha, h, beta = 7, 0.5387855542266777, -1.1702963844100096, 1.0
-    scheme = AveragingScheme(t_range, h_fixed=h, sample_count=5)
+    scheme = AveragingScheme(h, t_range, sample_count=5)
     h_c = MarkedStateHamiltonian(n, alpha)
     kern = time_averaged_kernel(h_c, scheme)
     delta = spectral_gap_dense(
@@ -444,7 +443,7 @@ def _draw(rng, n):
 
 def _kernel(variant, h_c, h, t):
     if variant == "averaged":
-        scheme = AveragingScheme((t, t + 1.0), h_fixed=h, sample_count=5)
+        scheme = AveragingScheme(h, (t, t + 1.0), sample_count=5)
         return time_averaged_kernel(h_c, scheme)
     return quantum_kernel(h_c, MixerSpec(variant, h), t)
 
@@ -475,11 +474,17 @@ def test_block_spectrum_matches_dense(variant):
         np.fill_diagonal(sym, 1.0 - np.diag(p))
         ref = np.linalg.eigvalsh(sym)
         _, _, x = _class_chain(kern, measure)
-        blocks = _symmetry_blocks(x)
+        blocks = list(zip(_symmetry_blocks(x), _multiplicities(n)))
         assert sum(mult * len(b) for b, mult in blocks) == 1 << n
         lam = np.sort(np.concatenate([np.repeat(np.linalg.eigvalsh(b), mult)
                                       for b, mult in blocks]))
         assert np.max(np.abs(lam - ref)) < 1e-12, n
+
+
+def _multiplicities(n):
+    """C(N,k) - C(N,k-1), the multiplicity of symmetry block k."""
+    return [math.comb(n, k) - (math.comb(n, k - 1) if k else 0)
+            for k in range(n // 2 + 1)]
 
 
 def _beta_brute(n, k, i, j, t):
@@ -573,12 +578,10 @@ def test_block_coefficients_match_exact_reference(n):
             full = np.einsum("kijt,ijt->kij", coef, x)
             blocks = _symmetry_blocks(x)
             assert len(blocks) == n // 2 + 1
-            for k, (block, mult) in enumerate(blocks):
+            for k, block in enumerate(blocks):
                 ref = full[k, k:n - k + 1, k:n - k + 1]
                 err = float(np.max(np.abs(block - 0.5 * (ref + ref.T))))
                 assert err <= 8 * np.finfo(float).eps, (n, k)
-                assert mult == math.comb(n, k) - (math.comb(n, k - 1)
-                                                  if k else 0)
 
 
 @pytest.mark.parametrize("n", [76, 100])
@@ -597,7 +600,7 @@ def test_blocks_past_the_old_coefficient_rule(n):
         for inverse_temperature in (0.5, 1.0, 5.0):
             measure = gibbs_measure(h_c, inverse_temperature)
             _, _, x = _class_chain(kern, measure)
-            blocks = _symmetry_blocks(x)
+            blocks = list(zip(_symmetry_blocks(x), _multiplicities(n)))
             trace = sum(float(mult) * float(np.trace(b)) for b, mult in blocks)
             frob = sum(float(mult) * float(np.sum(b * b)) for b, mult in blocks)
             w = np.arange(n + 1)
@@ -606,7 +609,8 @@ def test_blocks_past_the_old_coefficient_rule(n):
             assert frob == pytest.approx(
                 float(size @ np.einsum("ijt,ijt->i", count, x * x)),
                 rel=1e-12, abs=0.0)
-            bound = marked_state_bound(kern, n, 1.0, inverse_temperature)
+            bound = marked_state_bound(kern.table()[0, :, 0], n, 1.0,
+                                       inverse_temperature)
             key = (index, inverse_temperature)
             try:
                 delta = spectral_gap_blocks(kern, measure)
@@ -631,7 +635,7 @@ def test_imprecise_gap_against_the_closed_form(n):
     # raises instead of returning a value off by 8e-8 (N = 100) to x1.95
     # (N = 125)
     h_c = MarkedStateHamiltonian(n, 1.0)
-    scheme = AveragingScheme((2.0, 20.0), h_fixed=resonance_field(1.0, n),
+    scheme = AveragingScheme(resonance_field(1.0, n), (2.0, 20.0),
                              sample_count=4)
     kern = time_averaged_kernel(h_c, scheme)
     measure = gibbs_measure(h_c, 5.0)
@@ -682,7 +686,7 @@ def test_block_gap_nearly_periodic(n, alpha):
     delta = spectral_gap_blocks(kern, measure)
     assert abs(delta - ref) <= 1e-10 * ref
     _, _, x = _class_chain(kern, measure)
-    (block0, _), (block1, _), *_ = _symmetry_blocks(x)
+    block0, block1, *_ = _symmetry_blocks(x)
     lam0, lam1 = np.linalg.eigvalsh(block0), np.linalg.eigvalsh(block1)
     assert abs(2.0 - lam1[-1] - delta) <= 1e-10 * ref
     assert min(lam0[1], 2.0 - lam0[-1]) > delta
