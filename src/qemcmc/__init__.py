@@ -57,7 +57,6 @@ from .bottleneck import (
     bottleneck_bound,
     flow,
     marked_state_bound,
-    marked_state_bound_dense,
     sum_qa_certificate,
 )
 from . import errors

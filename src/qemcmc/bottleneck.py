@@ -6,7 +6,8 @@ spins about the marked state carries it in N+1 values, one per distance w
 (each shared by C(N, w) states): its table's table[0, w, 0], or the
 transverse sector's marked column with no table.  :func:`marked_state_bound`
 takes those N+1 values, so the bound costs O(N) and no 2^N column is formed;
-the dense cross-checks pass a 2^N column to :func:`marked_state_bound_dense`.
+the dense cross-checks read the same cut as :func:`bottleneck_bound` of the
+dense chain.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from .errors import MeasureTooLarge
 from .chain import TransitionMatrix
-from .proposal import ProposalKernel, _binomials
+from .proposal import ProposalKernel, _binomial_row
 
 
 def flow(p: TransitionMatrix, s1, s2) -> float:
@@ -75,39 +76,18 @@ def marked_state_bound(column, n_spins: int, alpha: float,
     marked state are always downhill, so the acceptance factor is 1 and the
     escape mass is the off-marked column sum, sum_{w >= 1} C(N, w) Q(x|k),
     summed directly to avoid the 1 - Q(k|k) cancellation, in O(N).
-    :func:`marked_state_bound_dense` takes the 2^N column instead.
     """
     col = np.asarray(column, dtype=float)
     if col.shape != (n_spins + 1,):
         raise ValueError(f"column has shape {col.shape}, "
                          f"expected ({n_spins + 1},)")
     # Q(x|k) = col[w] for each of the C(N, w) states x at distance w
-    col = _binomials(n_spins)[n_spins] * col
-    return _cut_bound(col, math.fsum(col[1:]), n_spins, alpha, beta)
-
-
-def marked_state_bound_dense(col, n_spins: int, alpha: float, beta: float,
-                             marked: int = 0) -> float:
-    """:func:`marked_state_bound` from the 2^N proposal column out of
-    ``marked``, as the dense cross-checks form it."""
-    col = np.asarray(col, dtype=float)
-    if col.shape != (1 << n_spins,):
-        raise ValueError(f"column has shape {col.shape}, "
-                         f"expected ({1 << n_spins},)")
-    return _cut_bound(col, float(np.delete(col, marked).sum()), n_spins,
-                      alpha, beta)
-
-
-def _cut_bound(col, escape: float, n_spins: int, alpha: float,
-               beta: float) -> float:
-    """The marked-state cut's bound from the escape mass, once ``col`` (the
-    masses Q(x|k) over the states or the distances) is checked to be a
-    probability distribution."""
+    col = _binomial_row(n_spins) * col
     if np.min(col) < -1e-12 or abs(col.sum() - 1.0) > 1e-8:
         raise ValueError("the marked column is not a probability distribution")
     g = 2.0 ** n_spins - 1.0
     factor = 1.0 + math.exp(-n_spins * beta * alpha) * g
-    return escape * factor / g
+    return math.fsum(col[1:]) * factor / g
 
 
 def sum_qa_certificate(kernel: ProposalKernel, marked: int) -> float:

@@ -398,8 +398,10 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--beta", type=float, default=None)
     parser.add_argument("--mixer", choices=(GROVER, TRANSVERSE), default=None)
     parser.add_argument("--h", default=None,
-                        help="field strength: float, lo:hi, or 'resonance'")
-    parser.add_argument("--t", default=None, help="evolution time: float or lo:hi")
+                        help="field strength: float, lo:hi, or 'resonance' "
+                        "(a negative range joined by '=', as --h=-2:0.5)")
+    parser.add_argument("--t", default=None, help="evolution time: float or "
+                        "lo:hi (a negative range joined by '=', as --t=-1:1)")
     parser.add_argument("--avg-samples", type=int, default=None)
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--out", default=None, help="output path, '-' for stdout")

@@ -19,15 +19,15 @@ matrix (a dense kernel, the dense Hamiltonian, the dense gap), N <= 24 for a
 single-flip kernel table, and N <= 202, 139 and 30 for the transverse
 kernel table, the six (N+1)^3 arrays of the symmetry-block route together
 and the mixing-time gather.
-The binomials C(a, b), a, b <= N, are one cached float64 table,
-:func:`_binomials`, read by the pair classes, the Dicke sector, the
-marked-state bound, the symmetry blocks and the lumped chain behind the gap
-and the mixing time.
+The binomials C(n, b) are exact rows, :func:`_binomial_row` (the Dicke
+sector and the marked-state bound read one), which :func:`_binomials` stacks
+into the cached C(a, b), a, b <= N.  The pair counts C(i, t) C(m - i, j - t)
+have one construction, :func:`_pair_factors`, shared by the pair classes
+and the symmetry blocks.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -93,12 +93,13 @@ class ProposalKernel:
     def dense(self) -> np.ndarray:
         """Dense matrix q[x, y] = Q(x|y), built once and cached."""
         if self._dense is None:
-            self._dense = _clamped(np.asarray(self._build_dense(), dtype=float),
-                                   self.n_spins)
+            self._dense = self._build_dense()
         return self._dense
 
 
 class DenseKernel(ProposalKernel):
+    """A kernel given as its matrix, kept as one array clamped when built."""
+
     def __init__(self, matrix: np.ndarray, n_spins: int):
         matrix = np.asarray(matrix, dtype=float)
         super().__init__(n_spins)
@@ -106,22 +107,46 @@ class DenseKernel(ProposalKernel):
             raise MismatchedDimensions(
                 f"expected {(self.dim, self.dim)} matrix, got {matrix.shape}"
             )
-        self._matrix = matrix
+        self._dense = _clamped(matrix, n_spins)
 
-    def _build_dense(self):
-        return self._matrix
+
+def _binomial_row(n: int) -> np.ndarray:
+    """C(n, b) over b in [0, n], each the nearest float64, by the exact
+    integer recurrence C(n, b + 1) = C(n, b) (n - b) / (b + 1)."""
+    row, c = [1.0], 1
+    for b in range(n):
+        c = c * (n - b) // (b + 1)
+        row.append(float(c))
+    return np.array(row)
 
 
 @lru_cache(maxsize=None)
 def _binomials(n_spins: int) -> np.ndarray:
-    """Read-only C(a, b) over a, b in [0, N], each the nearest float64."""
-    w = range(n_spins + 1)
-    table = np.array([[float(math.comb(a, b)) for b in w] for a in w])
+    """Read-only C(a, b) over a, b in [0, N]: the rows of
+    :func:`_binomial_row`, 0 past b = a."""
+    table = np.zeros((n_spins + 1, n_spins + 1))
+    for a in range(n_spins + 1):
+        table[a, :a + 1] = _binomial_row(a)
     table.flags.writeable = False
     return table
 
 
-@lru_cache(maxsize=None)
+def _pair_factors(binom: np.ndarray, m: int):
+    """The two factors of the pair counts of m spins over (i, j, t) in
+    [0, m]^3, read from ``binom``, a table of :func:`_binomials` of order at
+    least m: C(i, t), shape (m + 1, 1, m + 1), and C(m - i, j - t), 0 at
+    j < t, a read-only (m + 1)^3 strided view of m + 1 padded rows."""
+    # padded[a, c] = C(a, m - c), 0 past c = m: C(m - i, j - t) sits at
+    # [m - i, m - j + t], so one view, contiguous along t, holds it
+    padded = np.zeros((m + 1, 2 * m + 1))
+    padded[:, :m + 1] = binom[:m + 1, m::-1]
+    row, col = padded.strides
+    rest = np.lib.stride_tricks.as_strided(
+        padded[m, m:], (m + 1,) * 3, (-row, -col, col), writeable=False)
+    return binom[:m + 1, None, :m + 1], rest
+
+
+@lru_cache(maxsize=1)
 def weight_classes(n_spins: int) -> np.ndarray:
     """Pair classes about the marked state, over (i, j, t).
 
@@ -129,13 +154,10 @@ def weight_classes(n_spins: int) -> np.ndarray:
     number C(i, t) C(N - i, j - t) of states y at distance j that differ
     from the marked state in t of the i spins where x does; a class no pair
     realizes counts 0.  Every pair of the class is |x^y| = i + j - 2t apart.
+    Only the table of the last N asked for is kept.
     """
-    n = n_spins
-    w = np.arange(n + 1)
-    i, j, t = w[:, None, None], w[None, :, None], w[None, None, :]
-    binom = _binomials(n)
-    count = np.where(t <= j, binom[i, t] * binom[n - i, np.maximum(j - t, 0)],
-                     0.0)
+    inside, outside = _pair_factors(_binomials(n_spins), n_spins)
+    count = inside * outside
     count.flags.writeable = False
     return count
 
@@ -162,9 +184,9 @@ class PermutationInvariantKernel(ProposalKernel):
 
     def table(self) -> np.ndarray:
         """table[i, j, t] = Q(y|x), checked once.  Classes no pair of states
-        realizes read 0, and entries are clamped as :meth:`dense` clamps
-        them; once it is built, the kernel keeps no reference to the raw
-        table."""
+        realizes read 0, and entries are clamped, so a column or the dense
+        matrix gathered from it needs no clamp of its own; once it is built,
+        the kernel keeps no reference to the raw table."""
         if self._table is None:
             n = self.n_spins
             table = np.asarray(self._raw_table(), dtype=float)
@@ -208,7 +230,8 @@ class PermutationInvariantKernel(ProposalKernel):
             idx >>= 1
             idx += j_part[block, None]
             idx += i_part
-            np.take(table, idx, out=q[block])
+            # every index is in range: "clip" writes into q unbuffered
+            np.take(table, idx, out=q[block], mode="clip")
         return q
 
 

@@ -45,7 +45,7 @@ from .proposal import (
     PermutationInvariantKernel,
     ProposalKernel,
     StructuredMarkedKernel,
-    _binomials,
+    _binomial_row,
     _check_entries,
     _check_table,
 )
@@ -125,7 +125,7 @@ def _sector_hamiltonian(n, variant, h, marked_energy):
     ``marked_energy`` at w = 0.
     """
     if variant == GROVER:
-        s = np.sqrt(_binomials(n)[n] / 2.0 ** n)
+        s = np.sqrt(_binomial_row(n) / 2.0 ** n)
         ham = h * n * np.outer(s, s)
     else:
         w = np.arange(n)
@@ -166,7 +166,7 @@ def _sector_evolve(h_c, mixer, psi, t):
     (transverse), the free part off the sector."""
     n, h = h_c.n_spins, mixer.field_strength
     weight = np.bitwise_count(np.arange(h_c.dim) ^ h_c.marked)
-    scale = 1.0 / np.sqrt(_binomials(n)[n])
+    scale = 1.0 / np.sqrt(_binomial_row(n))
     coef = scale * (np.bincount(weight, psi.real, n + 1)
                     + 1j * np.bincount(weight, psi.imag, n + 1))
     u_s, f_s = _sector_pair(h_c, mixer, t)
@@ -235,7 +235,7 @@ def _transverse_table(h_c, h, t):
     _check_table(n, 2)   # amp, complex
     u_s, f_s = _sector_pair(h_c, MixerSpec(TRANSVERSE, h), t)
     w = np.arange(n + 1)
-    scale = 1.0 / np.sqrt(_binomials(n)[n])
+    scale = 1.0 / np.sqrt(_binomial_row(n))
     c, s = math.cos(h * t), math.sin(h * t)
     free = c ** (n - w) * s ** w * np.array([1, -1j, -1, 1j])[w % 4]
     k = np.arange(n + 1, dtype=np.int16)
@@ -259,7 +259,7 @@ def transverse_marked_column(h_c: MarkedStateHamiltonian, h: float,
     :func:`_transverse_table` forms its x = k row, so the two agree to the
     bit."""
     u_s = _marked_propagator(h_c, TRANSVERSE, h, t)
-    amp = u_s[:, 0] * (1.0 / np.sqrt(_binomials(h_c.n_spins)[h_c.n_spins]))
+    amp = u_s[:, 0] * (1.0 / np.sqrt(_binomial_row(h_c.n_spins)))
     return amp.real ** 2 + amp.imag ** 2
 
 

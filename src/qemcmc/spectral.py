@@ -31,7 +31,8 @@ D^k is the k-th forward difference along t.  Over k disjoint spin pairs
 f_l(z) = prod (z_p - z_q) [|z_R| = l] of the moves z away from k span the
 multiplicity space of the (N-k, k) irrep of S_N, and <f_l, L f_l'> counts
 state pairs by the spin pairs they agree on (each disagreement flips the
-sign: the difference) and by their overlap r on R (the weights).  Every
+sign: the difference) and by their overlap r on R (the weights: the pair
+counts of R, as in :func:`~qemcmc.proposal.weight_classes`).  Every
 weight is positive; the only signed step differences the entries of x,
 which are at most 1, so no float cancels a large binomial.  Block 0 is the
 symmetrized chain lumped onto the N+1 distances: the one lumped chain of
@@ -64,6 +65,7 @@ from .proposal import (
     _binomials,
     _check_entries,
     _clamped,
+    _pair_factors,
 )
 from .quantum import (
     GroverClosedForm,
@@ -244,36 +246,24 @@ def _symmetry_blocks(x: np.ndarray):
 
     Block k reads the k-th forward difference of x along t.  Its weights,
     each the positive C(m,l) C(l,r) C(m-l,l'-r) / sqrt(C(m,l) C(m,l')) of
-    that formula and symmetric in l and l', are built for that block alone,
-    in row chunks of about 2^20 entries.  The blocks' asymmetry is the
-    reversibility certificate; the blocks returned are symmetrized.
+    that formula and symmetric in l and l', are built for that block alone
+    from the pair counts of its m unpaired spins (:func:`_pair_factors`).
+    The blocks' asymmetry is the reversibility certificate; the blocks
+    returned are symmetrized.
     """
     n = x.shape[0] - 1
     binom = _binomials(n)
-    # C(a, b) at [a, N - b] for b in [-N, N], 0 at b < 0: C(m-l, l'-r) over
-    # (l, l', r) is one strided view, contiguous along r
-    padded = np.zeros((n + 1, 2 * n + 1))
-    padded[:, :n + 1] = binom[:, ::-1]
-    row, col = padded.strides
     blocks, d = [], x
     for k in range(n // 2 + 1):
         m = n - 2 * k
         if k:   # D^k x at t <= m, all that this and later blocks read
             d = d[1:-1, 1:-1, 1:m + 2] - d[1:-1, 1:-1, :m + 1]
-        l = np.arange(m + 1)
-        size = binom[m, :m + 1]
-        toeplitz = np.lib.stride_tricks.as_strided(
-            padded[m, n:], (m + 1,) * 3, (-row, -col, col), writeable=False)
-        block = np.empty((m + 1, m + 1))
-        rows = max(1, (1 << 20) // (m + 1) ** 2)
-        for lo in range(0, m + 1, rows):
-            i, j = l[lo:lo + rows, None, None], l[:, None]
-            # C(m,l) C(l,r) C(m-l,l'-r) / sqrt(C(m,l) C(m,l'))
-            weight = size[i] * binom[i, l] * toeplitz[lo:lo + rows]
-            weight /= np.sqrt(size[i] * size[j])
-            block[lo:lo + rows] = np.einsum("ijr,ijr->ij", weight,
-                                            d[lo:lo + rows])
-        blocks.append(block)
+        c_lr, c_rest = _pair_factors(binom, m)
+        size = binom[m, :m + 1, None, None]
+        weight = size * c_lr * c_rest
+        weight /= np.sqrt(size * size[:, 0])
+        blocks.append(np.einsum("ijr,ijr->ij", weight, d))
+        del weight   # freed before the next difference is formed
     scale = max(max(float(np.max(np.abs(b))) for b in blocks), 1e-300)
     asym = max(float(np.max(np.abs(b - b.T))) for b in blocks) / scale
     if not asym <= _REVERSIBILITY_TOL:   # NaN fails too
@@ -311,10 +301,10 @@ def spectral_gap_blocks(kernel: ProposalKernel,
     3e-8.
 
     The route holds up to six (N+1)^3 float64 arrays at once (the kernel's
-    table, the pair counts, move, x, and the lumped gather of move or the
-    first two differences of x); together they keep the one size rule
-    (:func:`check_block_route`), checked before the kernel's table is read
-    or filled.
+    table, the pair counts, move, x, and the lumped gather of move, or two
+    differences of x or a difference and a block's weights); together they
+    keep the one size rule (:func:`check_block_route`), checked before the
+    kernel's table is read or filled.
     """
     check_block_route(kernel.n_spins)
     move, stay, x = _class_chain(kernel, measure)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bottleneck import (bottleneck_bound, marked_state_bound,
-                         marked_state_bound_dense, sum_qa_certificate)
+                         sum_qa_certificate)
 from .chain import build_transition_matrix, exact_mixing_time
 from .model import MarkedStateHamiltonian, gibbs_measure
 from .proposal import affine_combination, uniform_kernel, validate_kernel
@@ -68,6 +68,15 @@ def _point(n, alpha, h, t, beta):
             f"beta={float(beta)!r}")
 
 
+def _marked_cut_bound(p, marked: int) -> float:
+    """The marked-state cut's bottleneck bound on the dense chain P: S1 is
+    {marked} or its complement, whichever has pi(S1) <= 1/2."""
+    s1 = [marked]
+    if p.stationary.log_probabilities()[marked] > math.log(0.5):
+        s1 = [x for x in range(p.dim) if x != marked]
+    return bottleneck_bound(p, s1)
+
+
 def check_uniform_closed_form(n_values=range(4, 11), betas=(0.0, 1.0, 5.0),
                               alpha=1.0) -> CriterionResult:
     """Uniform-proposal eigensolve gap against its closed form."""
@@ -103,7 +112,6 @@ def check_grover_closed_form(n_values=range(4, 11), betas=(1.0, 5.0),
         for alpha, h, t in draws:
             h_c = MarkedStateHamiltonian(n, alpha)
             kern = quantum_kernel_dense(h_c, MixerSpec(GROVER, h), t)
-            col_k = kern.dense()[:, h_c.marked]
             cf = grover_closed_form(n, alpha, h, t)
             for beta in betas:
                 p = build_transition_matrix(kern, gibbs_measure(h_c, beta))
@@ -112,8 +120,7 @@ def check_grover_closed_form(n_values=range(4, 11), betas=(1.0, 5.0),
                 err = abs(delta - ref) / ref
                 if err > worst_gap:
                     worst_gap, where_gap = err, _point(n, alpha, h, t, beta)
-                bound = marked_state_bound_dense(col_k, n, alpha, beta,
-                                                 h_c.marked)
+                bound = _marked_cut_bound(p, h_c.marked)
                 block = _grover_gaps(n, alpha, beta, cf)[0]
                 err = abs(bound - block) / block
                 if err > worst_sat:
@@ -141,8 +148,7 @@ def check_bound_direction(n_values=range(6, 13), beta=5.0, alpha=1.0,
         kern = quantum_kernel_dense(h_c, MixerSpec(TRANSVERSE, h), t)
         p = build_transition_matrix(kern, gibbs_measure(h_c, beta))
         delta = spectral_gap_dense(p)
-        bound = marked_state_bound_dense(kern.dense()[:, h_c.marked], n, alpha,
-                                         beta, h_c.marked)
+        bound = _marked_cut_bound(p, h_c.marked)
         worst = max(worst, delta - bound)
         if n <= set_n_max:
             small_chains.append((p, delta, h_c.marked))

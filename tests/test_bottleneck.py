@@ -7,7 +7,6 @@ from qemcmc.bottleneck import (
     bottleneck_bound,
     flow,
     marked_state_bound,
-    marked_state_bound_dense,
     sum_qa_certificate,
 )
 from qemcmc.chain import TransitionMatrix, build_transition_matrix
@@ -26,6 +25,7 @@ from qemcmc.spectral import (
     spectral_gap_dense,
     uniform_gap_closed_form,
 )
+from qemcmc.validation import _marked_cut_bound
 
 
 def _uniform_chain(n, alpha, beta):
@@ -148,15 +148,15 @@ def test_exhaustive_grover_minimum_is_marked_cut():
 
 
 def test_marked_bound_identity_kernel():
-    col = np.zeros(16)
+    col = np.zeros(5)
     col[0] = 1.0
-    assert marked_state_bound_dense(col, 4, 1.0, 5.0) == 0.0
+    assert marked_state_bound(col, 4, 1.0, 5.0) == 0.0
 
 
 def test_marked_bound_uniform_kernel():
     n, beta = 6, 5.0
-    col = np.full(1 << n, 2.0 ** -n)
-    bound = marked_state_bound_dense(col, n, 1.0, beta)
+    col = np.full(n + 1, 2.0 ** -n)
+    bound = marked_state_bound(col, n, 1.0, beta)
     expected = (1.0 + math.exp(-n * beta) * (2 ** n - 1)) / 2 ** n
     assert bound == pytest.approx(expected, rel=1e-12, abs=0.0)
     assert bound == pytest.approx(uniform_gap_closed_form(n, 1.0, beta),
@@ -166,8 +166,8 @@ def test_marked_bound_uniform_kernel():
 def test_marked_bound_grover_saturation():
     n, alpha, beta, h, t = 7, 1.0, 5.0, 1.0, 1.0
     h_c = MarkedStateHamiltonian(n, alpha)
-    col = structured_grover_kernel(h_c, h, t).column(h_c.marked)
-    bound = marked_state_bound_dense(col, n, alpha, beta)
+    col = structured_grover_kernel(h_c, h, t).table()[0, :, 0]
+    bound = marked_state_bound(col, n, alpha, beta)
     assert bound == pytest.approx(grover_gap_closed_form(n, alpha, beta, h, t),
                                   rel=1e-10, abs=0.0)
 
@@ -178,51 +178,53 @@ def test_marked_bound_agrees_with_dense_flow():
     kern = quantum_kernel_dense(h_c, MixerSpec("transverse", 1.0), 1.0)
     p = build_transition_matrix(kern, gibbs_measure(h_c, beta))
     dense = bottleneck_bound(p, [x for x in range(p.dim) if x != 0])
-    column = marked_state_bound_dense(kern.dense()[:, 0], n, alpha, beta)
+    column = marked_state_bound(transverse_marked_column(h_c, 1.0, 1.0), n,
+                                alpha, beta)
     assert column == pytest.approx(dense, rel=1e-10, abs=0.0)
 
 
 def test_marked_bound_validates_distribution():
-    with pytest.raises(ValueError):
-        marked_state_bound_dense(np.full(16, 0.1), 4, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        marked_state_bound_dense(np.full(8, 0.125), 4, 1.0, 1.0)
-    # past N = 1 each entry point refuses the other's column by its length
+    # the masses C(4, w) * 0.1 sum to 1.6
+    with pytest.raises(ValueError, match="not a probability distribution"):
+        marked_state_bound(np.full(5, 0.1), 4, 1.0, 1.0)
+    # a 2^N column is refused by its length
     with pytest.raises(ValueError, match="expected \\(5,\\)"):
         marked_state_bound(np.full(16, 1.0 / 16), 4, 1.0, 1.0)
-    with pytest.raises(ValueError, match="expected \\(16,\\)"):
-        marked_state_bound_dense(np.full(5, 0.2), 4, 1.0, 1.0)
 
 
-def _table_and_column_bounds(kern, n, alpha, beta, marked):
+def _table_and_cut_bounds(kern, n, alpha, beta, marked):
+    """The O(N) bound off the table's row T[0, w, 0], and the marked cut's
+    bottleneck bound on the dense chain."""
     table = marked_state_bound(kern.table()[0, :, 0], n, alpha, beta)
-    column = marked_state_bound_dense(kern.column(marked), n, alpha, beta,
-                                      marked)
-    return table, column
+    h_c = MarkedStateHamiltonian(n, alpha, marked)
+    p = build_transition_matrix(kern, gibbs_measure(h_c, beta))
+    return table, _marked_cut_bound(p, marked)
 
 
 def test_marked_bound_from_table_matches_column():
-    # the O(N) read of T[w, w, 0] against the 2^N column gathered from it
+    # the O(N) read of T[0, w, 0] against the cut's flow on the dense chain
     rng = np.random.Generator(np.random.Philox(29))
-    for n in range(1, 13):
+    for n in range(1, 11):
         for _ in range(4):
             alpha, beta = rng.uniform(0.5, 2.0), rng.uniform(0.0, 5.0)
             h_c = MarkedStateHamiltonian(n, alpha, int(rng.integers(1 << n)))
             mixer = MixerSpec("transverse", rng.uniform(-2.0, 2.0))
             kern = quantum_kernel(h_c, mixer, rng.uniform(0.0, 3.0))
-            table, column = _table_and_column_bounds(kern, n, alpha, beta,
-                                                     h_c.marked)
-            assert table == pytest.approx(column, rel=1e-14, abs=0.0), n
+            table, cut = _table_and_cut_bounds(kern, n, alpha, beta,
+                                               h_c.marked)
+            assert table == pytest.approx(cut, rel=1e-13, abs=0.0), n
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 9, 12])
 def test_marked_bound_from_grover_table_matches_column(n):
     h_c = MarkedStateHamiltonian(n, 1.3, (1 << n) - 1)
     kern = structured_grover_kernel(h_c, -0.7, 2.1)
-    table, column = _table_and_column_bounds(kern, n, 1.3, 5.0, h_c.marked)
-    assert table == pytest.approx(column, rel=1e-14, abs=0.0)
+    table = marked_state_bound(kern.table()[0, :, 0], n, 1.3, 5.0)
     assert table == pytest.approx(
         grover_gap_closed_form(n, 1.3, 5.0, -0.7, 2.1), rel=1e-10, abs=0.0)
+    if n <= 9:   # the dense chain past that holds 2^24 entries
+        _, cut = _table_and_cut_bounds(kern, n, 1.3, 5.0, h_c.marked)
+        assert table == pytest.approx(cut, rel=1e-13, abs=0.0)
 
 
 def test_marked_bound_table_validates_marked_column():
@@ -278,9 +280,9 @@ def test_sector_column_bound_validates_the_column():
 
 @pytest.mark.parametrize("marked", [0, 1])
 def test_distance_and_state_columns_at_one_spin(marked):
-    # at N = 1 both columns hold two entries: marked_state_bound reads its
-    # array per distance and marked_state_bound_dense per state, so about
-    # state 1 neither is taken for the other
+    # at N = 1 the distance column and the state column both hold two
+    # entries; about state 1 they are each other's reverse, and the bound
+    # read off the distance column is the marked cut's on the dense chain
     alpha, beta, h, t = 0.7, 2.0, 1.3, 0.9
     h_c = MarkedStateHamiltonian(1, alpha, marked)
     kern = quantum_kernel(h_c, MixerSpec("transverse", h), t)
@@ -290,9 +292,8 @@ def test_distance_and_state_columns_at_one_spin(marked):
     assert by_state[1 - marked] == by_distance[1]
     expected = marked_state_bound(kern.table()[0, :, 0], 1, alpha, beta)
     assert marked_state_bound(by_distance, 1, alpha, beta) == expected
-    assert marked_state_bound_dense(by_state, 1, alpha, beta,
-                                    marked) == pytest.approx(expected,
-                                                             rel=1e-15)
+    p = build_transition_matrix(kern, gibbs_measure(h_c, beta))
+    assert _marked_cut_bound(p, marked) == pytest.approx(expected, rel=1e-15)
     g = math.exp(-alpha * beta)
     assert expected == pytest.approx(by_distance[1] * (1.0 + g), rel=1e-15)
 

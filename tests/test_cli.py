@@ -373,6 +373,18 @@ def test_h_range_with_a_non_square_sample_count_exits_2(capsys):
     assert status == 0 and len(_rows(csv_text)) == 4
 
 
+def test_negative_range_needs_its_flag_joined(capsys):
+    # argparse reads "-2:0.5" after a space as a flag, not as --h's value
+    base = ["--experiment", "figure-a", "--n-min", "4", "--n-max", "4",
+            "--avg-samples", "4"]
+    assert cli.main(base + ["--h", "-2:0.5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --h: expected one argument" in captured.err
+    csv_text, status = _run(base + ["--h=-2:0.5"])
+    assert status == 0 and len(_rows(csv_text)) == 2
+
+
 @pytest.mark.parametrize("argv", [
     ["--experiment", "sample", "--h=0:1", "--n-min", "4", "--n-max", "4",
      "--steps", "10"],

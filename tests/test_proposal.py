@@ -155,12 +155,54 @@ def test_binomials_are_the_nearest_floats_and_read_only(n):
         table[0, 0] = 2.0
 
 
+def _comb_counts(n):
+    """C(i, t) C(N - i, j - t) over (i, j, t), each factor math.comb's
+    nearest float and 0 at t > j, formed over the whole grid at once."""
+    w = np.arange(n + 1)
+    i, j, t = w[:, None, None], w[None, :, None], w[None, None, :]
+    comb = np.frompyfunc(math.comb, 2, 1)
+    inside = comb(i, t).astype(float)
+    outside = comb(n - i, np.maximum(j - t, 0)).astype(float)
+    return np.where(t <= j, inside * outside, 0.0)
+
+
 def test_weight_classes_match_loop_reference():
     for n in range(1, 25):
         w = range(n + 1)
         loop = np.array([[[math.comb(a, c) * math.comb(n - a, b - c) if c <= b else 0
                            for c in w] for b in w] for a in w], dtype=float)
         assert np.array_equal(weight_classes(n), loop), n
+    # one N past 101, where the pair counts of a block's m = N spins pass
+    # 2^20 entries
+    assert np.array_equal(weight_classes(103), _comb_counts(103))
+
+
+@pytest.mark.parametrize("n", [*range(61), 255, 511])
+def test_binomial_row_is_the_nearest_floats(n):
+    row = proposal._binomial_row(n)
+    assert row.dtype == np.float64 and row.shape == (n + 1,)
+    assert row.tolist() == [float(math.comb(n, b)) for b in range(n + 1)]
+
+
+def test_a_dense_kernel_holds_one_matrix():
+    # a DenseKernel keeps its clamped matrix alone, and a table kernel's
+    # gather writes its result with no second matrix
+    h_c = MarkedStateHamiltonian(9, 1.0)
+    tracemalloc.start()
+    try:
+        kern = quantum_kernel_dense(h_c, MixerSpec("transverse", 1.0), 1.0)
+        kern.dense()
+        held = tracemalloc.get_traced_memory()[0]
+        table_kern = single_flip_kernel(10)
+        table_kern.table()
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        dense = table_kern.dense()
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert held < 1.25 * kern.dense().nbytes
+    assert peak < 3 * dense.nbytes
 
 
 @settings(max_examples=25, deadline=None)

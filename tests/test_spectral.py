@@ -536,6 +536,15 @@ def test_beta_coefficients_brute_force(n):
                         (k, i, j, t)
 
 
+def test_one_count_table_kept_across_rows():
+    # a run over many N keeps the pair counts of one N, not one per N
+    for n in (12, 13):
+        h_c = MarkedStateHamiltonian(n, 1.0)
+        spectral_gap_blocks(quantum_kernel(h_c, MixerSpec("transverse", 1.0),
+                                           1.0), gibbs_measure(h_c, 0.5))
+    assert weight_classes.cache_info().currsize <= 1
+
+
 def _random_symmetric_table(n, rng):
     """A random symmetric, column-stochastic table over the pair classes."""
     w = np.arange(n + 1)
