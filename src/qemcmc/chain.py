@@ -36,6 +36,7 @@ from .proposal import (
     ProposalKernel,
     _binomials,
     _check_entries,
+    _pair_factors,
     validate_kernel,
     weight_classes,
 )
@@ -309,18 +310,19 @@ def _lumped_chain(move: np.ndarray, stay: np.ndarray, measure: GibbsMeasure,
     hankel = np.lib.stride_tricks.as_strided(
         move, (n + 1, n + 1, w + 1, n - w + 1), move.strides + move.strides[2:],
         writeable=False)
-    a, b = np.arange(w + 1), np.arange(n - w + 1)
-    dist = a[:, None] + b[None, :]               # distance of class (a, b)
+    dist = np.add.outer(np.arange(w + 1), np.arange(n - w + 1))   # a + b
     # move over (a, b, a', b', t1, t2), with overlap t1 inside the w spins
     # and t2 outside them
     pair = hankel[dist[:, :, None, None], dist]
-    lumped = np.einsum("act,bds,abcdts->abcd", weight_classes(w),
-                       weight_classes(n - w), pair).reshape(dist.size, -1)
-    lumped.flat[::dist.size + 1] += stay[dist].ravel()
     binom = _binomials(n)
+    # the cached weight_classes is N's alone: a cut's counts are formed here
+    counts = [weight_classes(m) if m == n else
+              np.multiply(*_pair_factors(binom, m)) for m in (w, n - w)]
+    lumped = np.einsum("act,bds,abcdts->abcd", *counts, pair)
+    lumped.flat[::dist.size + 1] += stay[dist].ravel()
     log_size = np.log(np.outer(binom[w, :w + 1], binom[n - w, :n - w + 1]))
     log_pi = measure.class_log_weights - measure.log_partition
-    return lumped, (log_size + log_pi[dist]).ravel()
+    return lumped.reshape(dist.size, -1), (log_size + log_pi[dist]).ravel()
 
 
 def exact_mixing_time(kernel: ProposalKernel, measure: GibbsMeasure,

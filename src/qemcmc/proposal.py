@@ -19,11 +19,10 @@ matrix (a dense kernel, the dense Hamiltonian, the dense gap), N <= 24 for a
 single-flip kernel table, and N <= 202, 139 and 30 for the transverse
 kernel table, the six (N+1)^3 arrays of the symmetry-block route together
 and the mixing-time gather.
-The binomials C(n, b) are exact rows, :func:`_binomial_row` (the Dicke
-sector and the marked-state bound read one), which :func:`_binomials` stacks
-into the cached C(a, b), a, b <= N.  The pair counts C(i, t) C(m - i, j - t)
-have one construction, :func:`_pair_factors`, shared by the pair classes
-and the symmetry blocks.
+The binomials C(n, b) are exact rows, :func:`_binomial_row`, which the
+cached :func:`_binomials` stacks.  The pair counts C(i, t) C(m - i, j - t)
+have one construction, :func:`_pair_factors`, for the pair classes, the
+symmetry blocks and the cuts of the lumped chain.
 """
 
 from __future__ import annotations

@@ -71,10 +71,9 @@ def _point(n, alpha, h, t, beta):
 def _marked_cut_bound(p, marked: int) -> float:
     """The marked-state cut's bottleneck bound on the dense chain P: S1 is
     {marked} or its complement, whichever has pi(S1) <= 1/2."""
-    s1 = [marked]
     if p.stationary.log_probabilities()[marked] > math.log(0.5):
-        s1 = [x for x in range(p.dim) if x != marked]
-    return bottleneck_bound(p, s1)
+        return bottleneck_bound(p, [x for x in range(p.dim) if x != marked])
+    return bottleneck_bound(p, [marked])
 
 
 def check_uniform_closed_form(n_values=range(4, 11), betas=(0.0, 1.0, 5.0),

@@ -192,38 +192,50 @@ def test_marked_bound_validates_distribution():
         marked_state_bound(np.full(16, 1.0 / 16), 4, 1.0, 1.0)
 
 
-def _table_and_cut_bounds(kern, n, alpha, beta, marked):
-    """The O(N) bound off the table's row T[0, w, 0], and the marked cut's
-    bottleneck bound on the dense chain."""
+def _table_and_column_bounds(kern, n, alpha, beta, marked):
+    """The O(N) bound off the table's row T[0, w, 0], and the same bound
+    summed over the 2^N column gathered from the table."""
     table = marked_state_bound(kern.table()[0, :, 0], n, alpha, beta)
+    escape = math.fsum(np.delete(kern.column(marked), marked))
+    g = 2.0 ** n - 1.0
+    return table, escape * (1.0 + math.exp(-beta * alpha * n) * g) / g
+
+
+def _cut_bound(kern, n, alpha, beta, marked):
+    """The marked cut's bottleneck bound on the dense chain."""
     h_c = MarkedStateHamiltonian(n, alpha, marked)
     p = build_transition_matrix(kern, gibbs_measure(h_c, beta))
-    return table, _marked_cut_bound(p, marked)
+    return _marked_cut_bound(p, marked)
 
 
 def test_marked_bound_from_table_matches_column():
-    # the O(N) read of T[0, w, 0] against the cut's flow on the dense chain
+    # the O(N) read of T[0, w, 0] against the 2^N column gathered from it,
+    # and up to N = 8 against the cut's flow on the dense chain
     rng = np.random.Generator(np.random.Philox(29))
-    for n in range(1, 11):
+    for n in range(1, 13):
         for _ in range(4):
             alpha, beta = rng.uniform(0.5, 2.0), rng.uniform(0.0, 5.0)
             h_c = MarkedStateHamiltonian(n, alpha, int(rng.integers(1 << n)))
             mixer = MixerSpec("transverse", rng.uniform(-2.0, 2.0))
             kern = quantum_kernel(h_c, mixer, rng.uniform(0.0, 3.0))
-            table, cut = _table_and_cut_bounds(kern, n, alpha, beta,
-                                               h_c.marked)
-            assert table == pytest.approx(cut, rel=1e-13, abs=0.0), n
+            table, column = _table_and_column_bounds(kern, n, alpha, beta,
+                                                     h_c.marked)
+            assert table == pytest.approx(column, rel=1e-14, abs=0.0), n
+            if n <= 8:
+                cut = _cut_bound(kern, n, alpha, beta, h_c.marked)
+                assert table == pytest.approx(cut, rel=1e-13, abs=0.0), n
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 9, 12])
 def test_marked_bound_from_grover_table_matches_column(n):
     h_c = MarkedStateHamiltonian(n, 1.3, (1 << n) - 1)
     kern = structured_grover_kernel(h_c, -0.7, 2.1)
-    table = marked_state_bound(kern.table()[0, :, 0], n, 1.3, 5.0)
+    table, column = _table_and_column_bounds(kern, n, 1.3, 5.0, h_c.marked)
+    assert table == pytest.approx(column, rel=1e-14, abs=0.0)
     assert table == pytest.approx(
         grover_gap_closed_form(n, 1.3, 5.0, -0.7, 2.1), rel=1e-10, abs=0.0)
     if n <= 9:   # the dense chain past that holds 2^24 entries
-        _, cut = _table_and_cut_bounds(kern, n, 1.3, 5.0, h_c.marked)
+        cut = _cut_bound(kern, n, 1.3, 5.0, h_c.marked)
         assert table == pytest.approx(cut, rel=1e-13, abs=0.0)
 
 

@@ -177,8 +177,9 @@ def test_weight_classes_match_loop_reference():
     assert np.array_equal(weight_classes(103), _comb_counts(103))
 
 
-@pytest.mark.parametrize("n", [*range(61), 255, 511])
+@pytest.mark.parametrize("n", [255, 511])
 def test_binomial_row_is_the_nearest_floats(n):
+    # _binomials stacks these rows, and its own test reads them to N = 202
     row = proposal._binomial_row(n)
     assert row.dtype == np.float64 and row.shape == (n + 1,)
     assert row.tolist() == [float(math.comb(n, b)) for b in range(n + 1)]
