@@ -306,10 +306,11 @@ def _lumped_chain(move: np.ndarray, stay: np.ndarray, measure: GibbsMeasure,
     and at w = 0 or N the classes are the N+1 distances from k."""
     n = move.shape[0] - 1
     # hankel[i, j, t1, t2] = move[i, j, t1 + t2] over t1 <= w, t2 <= N - w:
-    # a strided view, every read inside move as t1 + t2 <= N
-    hankel = np.lib.stride_tricks.as_strided(
-        move, (n + 1, n + 1, w + 1, n - w + 1), move.strides + move.strides[2:],
-        writeable=False)
+    # a strided view of the contiguous move, every read inside it as
+    # t1 + t2 <= N
+    hankel = np.ndarray((n + 1, n + 1, w + 1, n - w + 1), move.dtype, move,
+                        0, move.strides + move.strides[2:])
+    hankel.flags.writeable = False
     dist = np.add.outer(np.arange(w + 1), np.arange(n - w + 1))   # a + b
     # move over (a, b, a', b', t1, t2), with overlap t1 inside the w spins
     # and t2 outside them

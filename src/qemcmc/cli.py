@@ -215,18 +215,20 @@ def run_figure_a(cfg: ExperimentConfig):
     filled, or when the gap's rounding estimate leaves it under half its
     digits."""
     t_range = cfg.t_spec if isinstance(cfg.t_spec, tuple) else (cfg.t_spec,) * 2
+    scheme = AveragingScheme(cfg.h_spec, t_range, cfg.avg_samples)
+    values = scheme.values(cfg.n_values, cfg.alpha)   # the (N, sample) grid
+    gaps = averaged_grover_gap(cfg.n_values, cfg.alpha, cfg.beta, values)
     rows = []
-    for n in cfg.n_values:
+    for i, n in enumerate(cfg.n_values):
         h = _resolve_h(cfg, n)
-        scheme = AveragingScheme(h, t_range, cfg.avg_samples)
         h_label = "%.17g:%.17g" % h if isinstance(h, tuple) else _fmt(h)
-        gap = averaged_grover_gap(n, cfg.alpha, cfg.beta, scheme)
         rows.append(("figure-a", n, cfg.alpha, cfg.beta, h_label, "avg",
-                     "delta_closed", gap, "closed-form-average", cfg.seed))
+                     "delta_closed", gaps[i], "closed-form-average", cfg.seed))
         if n <= cfg.max_dense_n:
             h_c = MarkedStateHamiltonian(n, cfg.alpha)
             try:
-                kern = time_averaged_kernel(h_c, scheme)
+                row = values._make(v[i] for v in values)
+                kern = time_averaged_kernel(h_c, row)
                 delta = spectral_gap_blocks(kern, gibbs_measure(h_c, cfg.beta))
             except (BudgetExceeded, ImpreciseGap) as exc:
                 _skip("delta_exact", n, exc)
@@ -268,16 +270,14 @@ def run_figure_b(cfg: ExperimentConfig):
 
 def run_scan(cfg: ExperimentConfig):
     """Closed-form grover gap over the N range plus a log2 scaling slope."""
-    rows = []
-    points = []
-    for n in cfg.n_values:
-        h = _resolve_h(cfg, n)
-        gap = grover_gap_closed_form(n, cfg.alpha, cfg.beta, h, cfg.t_spec)
-        rows.append(("scan", n, cfg.alpha, cfg.beta, h, cfg.t_spec,
-                     "delta_closed", gap, "closed-form", cfg.seed))
-        points.append((n, gap))
-    if len(points) >= 4:
-        slope = scaling_fit(points)
+    hs = [_resolve_h(cfg, n) for n in cfg.n_values]
+    gaps = grover_gap_closed_form(cfg.n_values, cfg.alpha, cfg.beta,
+                                  np.array(hs), cfg.t_spec)
+    rows = [("scan", n, cfg.alpha, cfg.beta, h, cfg.t_spec, "delta_closed",
+             gap, "closed-form", cfg.seed)
+            for n, h, gap in zip(cfg.n_values, hs, gaps)]
+    if len(gaps) >= 4:
+        slope = scaling_fit(zip(cfg.n_values, gaps))
         rows.append(("scan", cfg.n_max, cfg.alpha, cfg.beta, cfg.h, cfg.t_spec,
                      "slope", slope, "least-squares", cfg.seed))
     return rows

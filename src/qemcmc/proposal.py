@@ -140,8 +140,10 @@ def _pair_factors(binom: np.ndarray, m: int):
     padded = np.zeros((m + 1, 2 * m + 1))
     padded[:, :m + 1] = binom[:m + 1, m::-1]
     row, col = padded.strides
-    rest = np.lib.stride_tricks.as_strided(
-        padded[m, m:], (m + 1,) * 3, (-row, -col, col), writeable=False)
+    # from padded[m, m]; np.ndarray forms the view without as_strided's cost
+    rest = np.ndarray((m + 1,) * 3, padded.dtype, padded, m * (row + col),
+                      (-row, -col, col))
+    rest.flags.writeable = False
     return binom[:m + 1, None, :m + 1], rest
 
 

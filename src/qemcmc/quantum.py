@@ -11,10 +11,13 @@ statevector evolution (:func:`evolve`), exactly and with no iteration.  With
 the grover mixer, H leaves span{|k>, |u>} invariant (|u> the uniform state
 over unmarked configurations), so one closed form gives its four distinct
 proposal probabilities, and every grover kernel, column and gap is built
-from it.  The closed form (:func:`_grover_values`) is elementwise: one call
-evaluates a whole (h, t) sample grid in one array pass, and
-:func:`grover_closed_form` and :func:`structured_grover_kernel` are its
-views at a single (h, t), equal to the grid's rows to the bit.  A
+from it.  The closed form (:func:`_grover_values`) is elementwise, with N
+an array axis like h and t: one call evaluates a whole (N, h, t) grid, an
+integer column of N against an (h, t) sample grid, in one array pass.
+:func:`grover_closed_form` and :func:`structured_grover_kernel` here, and
+``grover_gap_closed_form`` and ``averaged_grover_gap`` of
+:mod:`qemcmc.spectral` at one N, are that pass at a single N, equal to the
+grid's rows to the bit.  A
 transverse kernel costs two eigensolves of order N+1 for its (N+1)^3 table
 over the pair classes (i, j, t) about k (see
 :func:`~qemcmc.proposal.weight_classes`), written directly on those
@@ -312,12 +315,20 @@ def resonance_field(alpha: float, n_spins: int) -> float:
     return -alpha / (1.0 - 2.0 ** -n_spins)
 
 
+def _per_n(n: np.ndarray, value) -> np.ndarray:
+    """value(N) at each N of the integer array n, a float formed one N at a
+    time: the closed form's constants in N (powers of two, the norm, the
+    resonance field, the two-level weight) round as they do at one N."""
+    return np.reshape([value(k) for k in n.ravel().tolist()], n.shape)
+
+
 def two_level_frequency(n_spins: int, alpha: float, h):
     """omega = gamma / N, with gamma half the level splitting of H on
     span{|k>, |u>} (|u> the uniform state over unmarked configurations),
-    elementwise over an array of fields h."""
+    elementwise over arrays of N and of fields h."""
     s = alpha + h
-    radicand = s * s - alpha * h * 2.0 ** (2 - n_spins)
+    radicand = s * s - alpha * h * _per_n(np.asarray(n_spins),
+                                          lambda k: 2.0 ** (2 - k))
     return 0.5 * np.sqrt(np.maximum(radicand, 0.0))
 
 
@@ -332,32 +343,39 @@ class GroverClosedForm(NamedTuple):
     q_unmarked_stay: float
 
 
-def _grover_values(n_spins: int, alpha: float, h, t) -> GroverClosedForm:
-    """The four grover proposal probabilities at field h and time t: floats,
-    or arrays over the broadcast shape of arrays h and t.
+def _grover_values(n_spins, alpha: float, h, t) -> GroverClosedForm:
+    """The four grover proposal probabilities at N spins, field h and time t:
+    floats, or arrays over the broadcast shape of n_spins, h and t, such as
+    an integer column of N against an (h, t) sample grid.
 
-    One formula serves one (h, t) and a whole sample grid; elementwise, the
-    grid's values equal the scalar ones to the bit.  So every square is a
-    product: numpy squares an array as x * x, while libm's pow(x, 2) on a
-    float can round the other way.  A value that is not finite (an h or t
-    whose evolution overflows a double) raises ValueError naming N, h and t
-    (the first such sample of a grid), and numpy warns of none.
+    One formula serves one (N, h, t) and a whole (N, sample) grid;
+    elementwise, the grid's values equal the scalar ones to the bit.  So
+    every square is a product (numpy squares an array as x * x, while libm's
+    pow(x, 2) on a float can round the other way).  The constants in N are
+    formed one N at a time (:func:`_per_n`): the powers of two, and the norm
+    (2^N - 1)^2 as a float square.  That norm overflows a double from
+    N = 512, so there the constants are NaN.  A value that is not finite
+    (such an N, or an h or t whose evolution overflows a double) raises
+    ValueError naming N, h and t (the first such point of a grid), and numpy
+    warns of none.
     """
-    dim = 2.0 ** n_spins
-    norm = (dim - 1.0) ** 2   # a float: OverflowError from N = 512
+    n = np.asarray(n_spins)
+    dim = _per_n(n, lambda k: 2.0 ** k if k < 512 else math.nan)
+    inv_dim = _per_n(n, lambda k: 2.0 ** -k)
+    norm = _per_n(n, lambda k: (2.0 ** k - 1.0) ** 2 if k < 512 else math.nan)
     with np.errstate(all="ignore"):
-        gamma_t = n_spins * two_level_frequency(n_spins, alpha, h) * t
+        gamma_t = n * two_level_frequency(n, alpha, h) * t
         # sin(gamma t)/gamma = t*sinc(gamma t/pi), formed as np.sinc forms it;
         # h*N*that/2^N = sqrt(q_marked)
         y = math.pi * (gamma_t / math.pi)
         at_zero = y == 0.0   # where the limit sin(y)/y = 1 is taken
         sinc = (np.sin(y) + at_zero) / (y + at_zero)
-        base = h * n_spins * t * sinc * 2.0 ** -n_spins
+        base = h * n * t * sinc * inv_dim
         # (2^N - 1)^2 q_unmarked = |1 - <u|e^{-iHt}|u>|^2
         #   = (cos phi t - cos gamma t)^2 + (sin phi t + n_z sin gamma t)^2
-        phi_t = 0.5 * n_spins * (h - alpha) * t
+        phi_t = 0.5 * n * (h - alpha) * t
         cos_diff = -2.0 * np.sin(0.5 * (phi_t + gamma_t)) * np.sin(0.5 * (phi_t - gamma_t))
-        n_z_sin = n_spins * (0.5 * (h + alpha) - h * 2.0 ** -n_spins) * t * sinc
+        n_z_sin = n * (0.5 * (h + alpha) - h * inv_dim) * t * sinc
         sin_sum = np.sin(phi_t) + n_z_sin
         q_marked = base * base
         q_unmarked = (cos_diff * cos_diff + sin_sum * sin_sum) / norm
@@ -371,11 +389,11 @@ def _grover_values(n_spins: int, alpha: float, h, t) -> GroverClosedForm:
               else all(map(math.isfinite, values)))
     if not finite:
         first = np.argmin(np.isfinite(values).all(axis=0))
-        shape = np.broadcast(h, t).shape
-        h_bad, t_bad = (float(np.broadcast_to(v, shape).flat[first])
-                        for v in (h, t))
-        raise ValueError(f"grover closed form not finite at N = {n_spins}, "
-                         f"h = {h_bad!r}, t = {t_bad!r}")
+        shape = np.broadcast(n, h, t).shape
+        n_bad, h_bad, t_bad = (np.broadcast_to(v, shape).flat[first]
+                               for v in (n, h, t))
+        raise ValueError(f"grover closed form not finite at N = {int(n_bad)}, "
+                         f"h = {float(h_bad)!r}, t = {float(t_bad)!r}")
     return values
 
 
@@ -390,7 +408,8 @@ def grover_closed_form(n_spins: int, alpha: float, h: float,
     n.sigma) on the two levels, each q value is a sum of squares of terms
     that vanish with t, so no term of order one cancels as t -> 0, and every
     sin(gamma t)/gamma goes through sinc, so the gamma -> 0 limit is the
-    removable one.  This is :func:`_grover_values` at one (h, t), as floats.
+    removable one.  This is :func:`_grover_values` at one (N, h, t), as
+    floats.
     """
     return GroverClosedForm(*map(float, _grover_values(n_spins, alpha, h, t)))
 

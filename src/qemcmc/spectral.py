@@ -5,15 +5,18 @@ returns delta = 1 - |lambda_2| as a float; the relaxation-time bounds on the
 mixing time are a separate function of delta and log pi_min.  The grover gaps,
 single and time-averaged, come from the two block gaps of one helper, and
 the time-averaged grover kernel is one mean: all read the four proposal
-probabilities of the one grover closed form of :mod:`qemcmc.quantum`.  The
-averaged routes evaluate it over the scheme's whole (h, t) grid in one array
-pass, and their reductions keep the rounding of the per-sample loop, so
-they equal it to the bit.  The two-level weight factor exp(logaddexp(0, u))
-depends only on N, alpha and beta, so it stays one scalar math.exp (numpy's
-exp on an array rounds some inputs differently).  The averaged gap is
-np.mean of the per-sample block gaps, not the mean proposal times that
-factor, which rounds differently.  The averaged table is an axis-0 sum,
-which adds the per-sample rows in sample order, as a sum of tables does.
+probabilities of the one grover closed form of :mod:`qemcmc.quantum`.  A
+run over N evaluates it once, over the whole (N, h, t) grid
+(:meth:`AveragingScheme.values`, or :func:`grover_gap_closed_form` at one
+(h, t) per N), in one array pass; one N is that pass with one N, and the
+reductions keep the rounding of the per-N, per-sample loop, so they equal it
+to the bit.  The two-level weight factor exp(logaddexp(0, u)) depends only
+on N, alpha and beta, so it stays one scalar math.exp per N (numpy's exp on
+an array rounds some inputs differently).  The averaged gap is np.mean of
+the per-sample block gaps along the contiguous sample axis, not the mean
+proposal times that factor, which rounds differently.  The averaged table
+is an axis-0 sum over one N's row of the grid, which adds the per-sample
+rows in sample order, as a sum of tables does.
 
 A chain on the marked model whose kernel is invariant under permutations of
 the spins about the marked state k (every kernel the experiments build) has
@@ -54,6 +57,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -70,7 +74,9 @@ from .proposal import (
 from .quantum import (
     GroverClosedForm,
     _grover_values,
+    _per_n,
     quantum_kernel,  # perfbench traces this name here
+    resonance_field,
 )
 from .chain import TransitionMatrix, _class_chain, _lumped_chain
 
@@ -334,24 +340,24 @@ def uniform_gap_closed_form(n_spins: int, alpha: float, beta: float) -> float:
     return math.exp(np.logaddexp(0.0, u) - n_spins * _LN2)
 
 
-def _grover_gaps(n_spins: int, alpha: float, beta: float,
-                 cf: GroverClosedForm):
+def _grover_gaps(n_spins, alpha: float, beta: float, cf: GroverClosedForm):
     """1 - lambda for the nontrivial eigenvalues of the grover chain whose
-    proposal probabilities ``cf`` holds: floats, or arrays over the samples
-    of a grid.
+    proposal probabilities ``cf`` holds at N = ``n_spins``: floats, or
+    arrays over the broadcast shape of an array of N and of ``cf``.
 
     The two-level block {marked, uniform-unmarked} gives
     q_marked * (1 + (2^N - 1) e^{-N beta alpha}), the weight factor taken in
-    log space; the (2^N - 2)-fold unmarked bulk gives
-    q_marked + (2^N - 1) * q_unmarked.  Both are sums of nonnegative terms.
-    At N = 1 the bulk is empty and the two-level block is the whole chain.
+    log space, one scalar math.exp per N; the (2^N - 2)-fold unmarked bulk
+    gives q_marked + (2^N - 1) * q_unmarked.  Both are sums of nonnegative
+    terms.  At N = 1 the bulk is empty and the two-level block is the whole
+    chain, so the bulk's value there is no eigenvalue's (:func:`_gap_per_n`
+    leaves it out).
     """
-    u = _log_pow2m1(n_spins) - n_spins * beta * alpha
-    two_level = cf.q_marked * math.exp(np.logaddexp(0.0, u))
-    if n_spins == 1:
-        return (two_level,)
-    bulk = cf.q_marked + (2.0 ** n_spins - 1.0) * cf.q_unmarked
-    return two_level, bulk
+    n = np.asarray(n_spins)
+    weight = _per_n(n, lambda k: math.exp(
+        np.logaddexp(0.0, _log_pow2m1(k) - k * beta * alpha)))
+    return (cf.q_marked * weight,
+            cf.q_marked + _per_n(n, lambda k: 2.0 ** k - 1.0) * cf.q_unmarked)
 
 
 def _gap_from_blocks(*deltas: float) -> float:
@@ -359,12 +365,23 @@ def _gap_from_blocks(*deltas: float) -> float:
     return min(min(d, 2.0 - d) for d in deltas)
 
 
-def grover_gap_closed_form(n_spins: int, alpha: float, beta: float,
-                           h: float, t: float) -> float:
+def _gap_per_n(n_spins, two_level, bulk):
+    """:func:`_gap_from_blocks` at each N of ``n_spins`` from its two-level
+    and bulk values, the bulk left out at N = 1: a float at one N, or a list
+    over an array of N."""
+    rows = zip(*(np.ravel(v).tolist() for v in (n_spins, two_level, bulk)))
+    gaps = [_gap_from_blocks(*((a,) if n == 1 else (a, b)))
+            for n, a, b in rows]
+    return gaps if np.ndim(n_spins) else gaps[0]
+
+
+def grover_gap_closed_form(n_spins, alpha: float, beta: float, h, t: float):
     """Exact gap 1 - max|lambda| of the grover-mixed chain, over the two-level
-    block and the unmarked bulk (empty at N = 1)."""
+    block and the unmarked bulk (empty at N = 1): a float at one N, or a list
+    over a 1-D array of N (h one field or one per N) from one pass of the
+    closed form."""
     cf = _grover_values(n_spins, alpha, h, t)
-    return float(_gap_from_blocks(*_grover_gaps(n_spins, alpha, beta, cf)))
+    return _gap_per_n(n_spins, *_grover_gaps(n_spins, alpha, beta, cf))
 
 
 # ---------------------------------------------------------------------------
@@ -373,16 +390,19 @@ def grover_gap_closed_form(n_spins: int, alpha: float, beta: float,
 @dataclass(frozen=True)
 class AveragingScheme:
     """(h, t) randomization used when parameters are redrawn each MCMC step:
-    ``h`` is a fixed field or an (lo, hi) range of fields."""
+    ``h`` is a fixed field, ``"resonance"`` (at each N the fixed field
+    :func:`~qemcmc.quantum.resonance_field`), or an (lo, hi) range of
+    fields."""
 
-    h: float | tuple
+    h: float | str | tuple
     t_range: tuple
     sample_count: int = 64
 
     def __post_init__(self):
         if self.sample_count < 1:
             raise ValueError("sample_count must be >= 1")
-        h_ends = self.h if isinstance(self.h, tuple) else (self.h,)
+        h_ends = (self.h if isinstance(self.h, tuple) else
+                  () if self.h == "resonance" else (self.h,))
         ends = [*self.t_range, *h_ends]
         if not all(math.isfinite(v) for v in ends):
             raise ValueError(f"h and t must be finite, not {ends}")
@@ -392,49 +412,63 @@ class AveragingScheme:
                              f"sample count {self.sample_count} is not a "
                              "perfect square")
 
-    def samples(self) -> np.ndarray:
-        """The (h, t) grid, shape (sample_count, 2): ``sample_count`` times
-        on ``t_range`` at a fixed h, or a square grid over the h range x
-        ``t_range``."""
+    def grid(self, n_spins, alpha: float):
+        """The samples' fields and times at N = ``n_spins``: h and t, which
+        broadcast to shape (sample_count,) at one N and to (N count,
+        sample_count) over a 1-D array of N.  ``sample_count`` times on
+        ``t_range`` at a fixed h, or a square grid over the h range x
+        ``t_range``; alpha sets the resonance field."""
         t0, t1 = self.t_range
-        if not isinstance(self.h, tuple):
-            ts = np.linspace(t0, t1, self.sample_count)
-            return np.column_stack([np.full_like(ts, self.h), ts])
-        side = math.isqrt(self.sample_count)
-        hs = np.linspace(*self.h, side)
-        ts = np.linspace(t0, t1, side)
-        hh, tt = np.meshgrid(hs, ts, indexing="ij")
-        return np.column_stack([hh.ravel(), tt.ravel()])
+        if isinstance(self.h, tuple):
+            side = math.isqrt(self.sample_count)
+            hh, tt = np.meshgrid(np.linspace(*self.h, side),
+                                 np.linspace(t0, t1, side), indexing="ij")
+            return hh.ravel(), tt.ravel()
+        ts = np.linspace(t0, t1, self.sample_count)
+        if self.h != "resonance":
+            return self.h, ts
+        n = np.expand_dims(n_spins, -1)
+        return _per_n(n, partial(resonance_field, alpha)), ts
+
+    def values(self, n_spins, alpha: float) -> GroverClosedForm:
+        """The four grover proposal probabilities over the samples at N =
+        ``n_spins``: one pass of the closed form over the (N, sample) grid,
+        arrays of shape (sample_count,) at one N or (N count, sample_count)
+        over a 1-D array of N, each row in sample order."""
+        return _grover_values(np.expand_dims(n_spins, -1), alpha,
+                              *self.grid(n_spins, alpha))
 
 
 def time_averaged_kernel(h_c: MarkedStateHamiltonian,
-                         scheme: AveragingScheme) -> StructuredMarkedKernel:
-    """Mean grover proposal kernel over the scheme's (h, t) samples, hence
-    symmetric and doubly stochastic: the mean of the four closed-form values,
-    evaluated over the samples in one array pass, each clamped as a kernel
-    table clamps it and summed in sample order, so it equals the mean of the
-    per-sample tables to the bit.
+                         values: GroverClosedForm) -> StructuredMarkedKernel:
+    """Mean grover proposal kernel over the samples whose closed-form values
+    ``values`` holds at h_c's N (:meth:`AveragingScheme.values` at that N, or
+    its row of a grid over N), hence symmetric and doubly stochastic: the
+    mean of the four values, each sample's clamped as a kernel table clamps
+    it and summed in sample order, so it equals the mean of the per-sample
+    tables to the bit.
     """
     n = h_c.n_spins
-    # the values over the samples, shape (samples, 4)
-    values = np.stack(_grover_values(n, h_c.alpha, *scheme.samples().T),
-                      axis=-1)
+    stack = np.stack(values, axis=-1)   # shape (samples, 4)
     # an axis-0 reduction adds the rows in order, as a sum of tables does
-    mean = (1.0 / len(values)) * _clamped(values, n).sum(axis=0)
+    mean = (1.0 / len(stack)) * _clamped(stack, n).sum(axis=0)
     return StructuredMarkedKernel(n, h_c.marked, *mean)
 
 
-def averaged_grover_gap(n_spins: int, alpha: float, beta: float,
-                        scheme: AveragingScheme) -> float:
-    """Gap of the chain driven by the averaged grover kernel.
+def averaged_grover_gap(n_spins, alpha: float, beta: float,
+                        values: GroverClosedForm):
+    """Gap of the chain driven by the averaged grover kernel at N =
+    ``n_spins``, whose samples' closed-form values ``values`` holds
+    (:meth:`AveragingScheme.values`): a float at one N, or a list over a 1-D
+    array of N.
 
     Both block gaps are linear in the proposal probabilities, so each is
-    averaged over the scheme's (h, t) samples before the smaller is taken;
-    this equals the gap of the chain driven by the averaged kernel.
+    averaged over the samples before the smaller is taken; this equals the
+    gap of the chain driven by the averaged kernel.  The mean runs along the
+    contiguous sample axis, the pairwise sum of a 1-D np.mean.
     """
-    cf = _grover_values(n_spins, alpha, *scheme.samples().T)
-    return _gap_from_blocks(*(float(np.mean(block)) for block
-                              in _grover_gaps(n_spins, alpha, beta, cf)))
+    blocks = _grover_gaps(np.expand_dims(n_spins, -1), alpha, beta, values)
+    return _gap_per_n(n_spins, *(np.mean(b, axis=-1) for b in blocks))
 
 
 def scaling_fit(points) -> float:

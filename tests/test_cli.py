@@ -65,6 +65,28 @@ def test_scan_gaps_decrease_with_system_size():
     assert np.all(np.diff(ordered) < 0)
 
 
+@pytest.mark.parametrize("alpha, beta, h, t", [
+    ("1", "5", "resonance", "0.3"), ("0.4", "0.5", "resonance", "2.5"),
+    ("2.3", "1", "0.7", "1.3"), ("1", "5", "-1.5", "0.01")])
+def test_scan_rows_are_the_closed_form_at_each_n(alpha, beta, h, t):
+    # the one pass over N = 1..511 writes, at every N, the gap that
+    # grover_gap_closed_form gives at that N alone, to the bit
+    from qemcmc.quantum import resonance_field
+    from qemcmc.spectral import grover_gap_closed_form
+
+    csv_text, _ = _run(["--experiment", "scan", "--n-min", "1", "--n-max",
+                        "511", "--alpha", alpha, "--beta", beta, "--h", h,
+                        "--t", t])
+    rows = [r for r in _rows(csv_text) if r[6] == "delta_closed"]
+    assert sorted(int(r[1]) for r in rows) == list(range(1, 512))
+    for r in rows:
+        n = int(r[1])
+        field = (resonance_field(float(alpha), n) if h == "resonance"
+                 else float(h))
+        assert r[7] == "%.17g" % grover_gap_closed_form(
+            n, float(alpha), float(beta), field, float(t)), r
+
+
 def test_scan_from_one_spin_exits_0(capsys):
     # at N = 1 the grover gap is the two-level block's: positive, so the
     # scaling fit takes the row

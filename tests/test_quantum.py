@@ -370,9 +370,10 @@ def test_closed_form_refuses_values_that_are_not_finite(h, t):
 
 
 def test_closed_form_overflows_past_n_511():
-    # (2^N - 1)^2 overflows a double from N = 512, as the CLI's --n-max says
+    # (2^N - 1)^2 overflows a double from N = 512, as the CLI's --n-max says:
+    # the closed form refuses that N with a ValueError naming it
     assert math.isfinite(grover_closed_form(511, 1.0, -1.0, 0.3).q_unmarked)
-    with pytest.raises(OverflowError):
+    with pytest.raises(ValueError, match="not finite at N = 512, h = -1.0"):
         grover_closed_form(512, 1.0, -1.0, 0.3)
 
 

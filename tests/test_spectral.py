@@ -23,17 +23,17 @@ from qemcmc.errors import (
     NotReversible,
     NotStochastic,
 )
-from qemcmc.model import MarkedStateHamiltonian, gibbs_measure
+from qemcmc.model import MarkedStateHamiltonian, _log_pow2m1, gibbs_measure
 from qemcmc.proposal import (
     DenseKernel,
     PermutationInvariantKernel,
+    StructuredMarkedKernel,
     single_flip_kernel,
     uniform_kernel,
     weight_classes,
 )
 from qemcmc.quantum import (
     MixerSpec,
-    _grover_values,
     grover_closed_form,
     quantum_kernel,
     quantum_kernel_dense,
@@ -60,10 +60,19 @@ from qemcmc.spectral import (
 from test_proposal import _refused_before_allocation
 
 
+def _samples(scheme, n, alpha):
+    """The scheme's (h, t) samples at one N, shape (sample_count, 2)."""
+    return np.column_stack(np.broadcast_arrays(*scheme.grid(n, alpha)))
+
+
+def _averaged_kernel(h_c, scheme):
+    return time_averaged_kernel(h_c, scheme.values(h_c.n_spins, h_c.alpha))
+
+
 def _dense_average(h_c, variant, scheme):
     """Mean of the dense-diagonalization kernels over the scheme's (h, t)
     grid."""
-    samples = scheme.samples()
+    samples = _samples(scheme, h_c.n_spins, h_c.alpha)
     weight = 1.0 / len(samples)
     mean = np.zeros((h_c.dim, h_c.dim))
     for h, t in samples:
@@ -131,9 +140,9 @@ def test_grover_closed_form_matches_dense_gap_at_n1():
 ], ids=["figure-a", "h-range"])
 def test_averaged_gap_matches_block_gap_at_n1(scheme):
     h_c = MarkedStateHamiltonian(1, 1.3)
-    delta = spectral_gap_blocks(time_averaged_kernel(h_c, scheme),
+    delta = spectral_gap_blocks(_averaged_kernel(h_c, scheme),
                                 gibbs_measure(h_c, 2.0))
-    analytic = averaged_grover_gap(1, 1.3, 2.0, scheme)
+    analytic = averaged_grover_gap(1, 1.3, 2.0, scheme.values(1, 1.3))
     assert abs(delta - analytic) <= 1e-10 * analytic
 
 
@@ -248,8 +257,8 @@ def test_scaling_fit_needs_points():
 
 def test_scheme_grid_deterministic():
     scheme = AveragingScheme(-1.0, (2.0, 20.0), sample_count=16)
-    assert np.array_equal(scheme.samples(), scheme.samples())
-    assert scheme.samples().shape == (16, 2)
+    assert np.array_equal(_samples(scheme, 5, 1.0), _samples(scheme, 5, 1.0))
+    assert _samples(scheme, 5, 1.0).shape == (16, 2)
 
 
 def test_scheme_validation():
@@ -273,8 +282,8 @@ def test_scheme_h_range_grid_is_square(count):
             AveragingScheme((-1.0, 0.5), (0.0, 1.0),
                             sample_count=count)
         return
-    grid = AveragingScheme((-1.0, 0.5), (0.0, 1.0),
-                           sample_count=count).samples()
+    grid = _samples(AveragingScheme((-1.0, 0.5), (0.0, 1.0),
+                                    sample_count=count), 5, 1.0)
     assert grid.shape == (count, 2)
     assert len(np.unique(grid[:, 0])) == len(np.unique(grid[:, 1])) == side
 
@@ -288,7 +297,8 @@ def _sample_schemes(n):
             AveragingScheme(0.0, (0.0, 3.0), sample_count=5),
             AveragingScheme(0.8, (0.3, 4.0), sample_count=7),
             AveragingScheme((-2.0, 2.0), (0.0, 20.0), sample_count=81),
-            AveragingScheme((h_res, 0.5), (0.3, 4.0), sample_count=16)]
+            AveragingScheme((h_res, 0.5), (0.3, 4.0), sample_count=16),
+            AveragingScheme("resonance", (2.0, 20.0), sample_count=9)]
 
 
 @pytest.mark.parametrize("n", [*range(1, 41), 100, 255, 511])
@@ -298,39 +308,130 @@ def test_averaged_gap_is_the_mean_of_the_sample_gaps(n):
     # and each of its rows must equal the scalar closed form of its sample
     alpha, beta = 1.0, 5.0
     for scheme in _sample_schemes(n):
-        samples = scheme.samples()
+        samples = _samples(scheme, n, alpha)
         scalar = [grover_closed_form(n, alpha, h, t) for h, t in samples]
-        rows = np.stack(_grover_values(n, alpha, *samples.T), axis=-1)
+        values = scheme.values(n, alpha)
+        rows = np.stack(values, axis=-1)
         assert np.array_equal(rows, np.array(scalar)), (n, scheme)
-        blocks = zip(*(_grover_gaps(n, alpha, beta, cf) for cf in scalar))
-        ref = _gap_from_blocks(*(float(np.mean(b)) for b in blocks))
-        gap = averaged_grover_gap(n, alpha, beta, scheme)
+        blocks = list(zip(*(_grover_gaps(n, alpha, beta, cf)
+                            for cf in scalar)))
+        # at N = 1 the bulk is empty: the two-level block is the whole chain
+        ref = _gap_from_blocks(*(float(np.mean(b))
+                                 for b in blocks[:1 if n == 1 else 2]))
+        gap = averaged_grover_gap(n, alpha, beta, values)
         assert gap == ref and type(gap) is float, (n, scheme)
 
 
+def _closed_form_at_one_n(n, alpha, h, t):
+    """The grover closed form at one N over (h, t) arrays, as it was written
+    before N became an array axis: the bitwise reference of the pass."""
+    dim = 2.0 ** n
+    norm = (dim - 1.0) ** 2
+    s = alpha + h
+    omega = 0.5 * np.sqrt(np.maximum(s * s - alpha * h * 2.0 ** (2 - n), 0.0))
+    with np.errstate(all="ignore"):
+        gamma_t = n * omega * t
+        y = math.pi * (gamma_t / math.pi)
+        at_zero = y == 0.0
+        sinc = (np.sin(y) + at_zero) / (y + at_zero)
+        base = h * n * t * sinc * 2.0 ** -n
+        phi_t = 0.5 * n * (h - alpha) * t
+        cos_diff = (-2.0 * np.sin(0.5 * (phi_t + gamma_t))
+                    * np.sin(0.5 * (phi_t - gamma_t)))
+        sin_sum = np.sin(phi_t) + n * (0.5 * (h + alpha) - h * 2.0 ** -n) * t * sinc
+        q_m = base * base
+        q_u = (cos_diff * cos_diff + sin_sum * sin_sum) / norm
+    return q_m, q_u, 1.0 - (dim - 1.0) * q_m, 1.0 - q_m - (dim - 2.0) * q_u
+
+
+def _averaged_gap_at_one_n(n, alpha, beta, q_m, q_u):
+    """The averaged gap at one N from its sample values, as it was written
+    before N became an array axis."""
+    u = _log_pow2m1(n) - n * beta * alpha
+    blocks = [q_m * math.exp(np.logaddexp(0.0, u))]
+    if n > 1:
+        blocks.append(q_m + (2.0 ** n - 1.0) * q_u)
+    return min(min(d, 2.0 - d) for d in (float(np.mean(b)) for b in blocks))
+
+
+@pytest.mark.parametrize("count", [1, 16, 64])
+@pytest.mark.parametrize("alpha", [0.4, 1.0, 2.3])
+def test_n_axis_pass_is_the_closed_form_at_each_n(alpha, count):
+    # one pass over N = 1..511 against the closed form and the averaged gap
+    # formed one N at a time, to the bit: values, gaps at three beta, and
+    # the resonance, fixed-h and h-range schemes
+    ns = np.arange(1, 512)
+    for scheme in (AveragingScheme("resonance", (2.0, 20.0), count),
+                   AveragingScheme(0.8, (0.3, 4.0), count),
+                   AveragingScheme((-2.0, 0.5), (0.3, 4.0), count)):
+        cf = scheme.values(ns, alpha)
+        values = np.stack(cf)
+        assert values.shape == (4, len(ns), count)
+        gaps = {beta: averaged_grover_gap(ns, alpha, beta, cf)
+                for beta in (0.5, 1.0, 5.0)}
+        for i, n in enumerate(ns.tolist()):
+            h, t = np.broadcast_arrays(*scheme.grid(n, alpha))
+            ref = _closed_form_at_one_n(n, alpha, h, t)
+            assert np.array_equal(values[:, i], np.stack(ref)), (n, scheme)
+            for beta, gap in gaps.items():
+                assert gap[i] == _averaged_gap_at_one_n(
+                    n, alpha, beta, ref[0], ref[1]), (n, beta, scheme)
+
+
+def test_averaged_kernel_from_a_grid_row_is_the_one_n_kernel():
+    # a kernel built from row i of a grid over N equals the table of the
+    # per-N mean of the reference closed form, to the bit
+    ns = list(range(1, 13))
+    for scheme in (AveragingScheme("resonance", (2.0, 20.0)),
+                   AveragingScheme((-2.0, 2.0), (0.3, 4.0), 16)):
+        values = scheme.values(ns, 1.3)
+        for i, n in enumerate(ns):
+            h_c = MarkedStateHamiltonian(n, 1.3, marked=n // 2)
+            row = values._make(v[i] for v in values)
+            kern = time_averaged_kernel(h_c, row)
+            h, t = np.broadcast_arrays(*scheme.grid(n, 1.3))
+            stack = np.stack(_closed_form_at_one_n(n, 1.3, h, t), axis=-1)
+            mean = (1.0 / len(stack)) * np.clip(stack, 0.0, None).sum(axis=0)
+            ref = StructuredMarkedKernel(n, h_c.marked, *mean)
+            assert np.array_equal(kern.table(), ref.table()), (n, scheme)
+
+
+def test_closed_form_gaps_refuse_n_past_511():
+    # (2^N - 1)^2 overflows a double from N = 512: the gaps' pass, at one N
+    # and over N ranges, raises the ValueError of its finiteness check,
+    # naming the first such N
+    note = re.escape("not finite at N = 512, h = -1.0, t = 1.0")
+    scheme = AveragingScheme(-1.0, (1.0, 1.0), sample_count=1)
+    for call in (partial(grover_gap_closed_form, 512, 1.0, 5.0, -1.0, 1.0),
+                 partial(grover_gap_closed_form, [510, 511, 512, 513], 1.0,
+                         5.0, -1.0, 1.0),
+                 partial(scheme.values, 512, 1.0),
+                 partial(scheme.values, range(500, 1100), 1.0)):
+        with pytest.raises(ValueError, match=note):
+            call()
+
+
 def test_averaged_routes_refuse_a_sample_that_is_not_finite():
-    # one sample of two overflows (t = 1e308): both averaged routes raise,
-    # naming it, and return no mean over the other
-    h_c = MarkedStateHamiltonian(6, 1.0)
+    # one sample of two overflows (t = 1e308): the pass that both averaged
+    # routes read raises, naming it, at one N and over an N range, and
+    # returns no values for the other
     scheme = AveragingScheme(0.5, (0.0, 1e308), sample_count=2)
     note = "not finite at N = 6, h = 0.5, t = 1e+308"
-    with pytest.raises(ValueError, match=re.escape(note)):
-        averaged_grover_gap(6, 1.0, 5.0, scheme)
-    with pytest.raises(ValueError, match=re.escape(note)):
-        time_averaged_kernel(h_c, scheme)
+    for ns in (6, [6, 7]):
+        with pytest.raises(ValueError, match=re.escape(note)):
+            scheme.values(ns, 1.0)
     # the h end of a grid: the first sample past it is named
     scheme = AveragingScheme((0.5, 1e200), (0.0, 1.0), sample_count=4)
     note = "not finite at N = 6, h = 1e+200, t = 0.0"
-    with pytest.raises(ValueError, match=re.escape(note)):
-        averaged_grover_gap(6, 1.0, 5.0, scheme)
-    with pytest.raises(ValueError, match=re.escape(note)):
-        time_averaged_kernel(h_c, scheme)
+    for ns in (6, [6, 7]):
+        with pytest.raises(ValueError, match=re.escape(note)):
+            scheme.values(ns, 1.0)
 
 
 def test_single_sample_average_is_the_kernel():
     h_c = MarkedStateHamiltonian(5, 1.0)
     scheme = AveragingScheme(0.9, (1.3, 1.3), sample_count=1)
-    avg = time_averaged_kernel(h_c, scheme)
+    avg = _averaged_kernel(h_c, scheme)
     single = structured_grover_kernel(h_c, 0.9, 1.3)
     assert np.max(np.abs(avg.dense() - single.dense())) < 1e-14
 
@@ -346,12 +447,12 @@ def test_averaged_table_is_the_mean_of_the_sample_tables(count):
                                 sample_count=count),
                 AveragingScheme((-2.0, 2.0), (0.3, 4.0),
                                 sample_count=count)):
-            samples = scheme.samples()
+            samples = _samples(scheme, n, 1.0)
             total = sum(structured_grover_kernel(h_c, h, t).table()
                         for h, t in samples)
             ref = PermutationInvariantKernel(n, h_c.marked,
                                              (1.0 / len(samples)) * total)
-            avg = time_averaged_kernel(h_c, scheme)
+            avg = _averaged_kernel(h_c, scheme)
             assert np.array_equal(avg.table(), ref.table()), (n, count)
 
 
@@ -371,10 +472,10 @@ def test_averaged_gap_matches_averaged_kernel():
     period = math.pi / (n * omega)
     scheme = AveragingScheme(h, (2.0, 2.0 + period), sample_count=24)
     h_c = MarkedStateHamiltonian(n, alpha)
-    kern = time_averaged_kernel(h_c, scheme)
+    kern = _averaged_kernel(h_c, scheme)
     delta = spectral_gap_dense(
         build_transition_matrix(kern, gibbs_measure(h_c, beta)))
-    analytic = averaged_grover_gap(n, alpha, beta, scheme)
+    analytic = averaged_grover_gap(n, alpha, beta, scheme.values(n, alpha))
     assert abs(delta - analytic) / analytic < 1e-8
 
 
@@ -404,10 +505,10 @@ def test_averaged_gap_is_the_smaller_averaged_block(t_range):
     n, alpha, h, beta = 7, 0.5387855542266777, -1.1702963844100096, 1.0
     scheme = AveragingScheme(h, t_range, sample_count=5)
     h_c = MarkedStateHamiltonian(n, alpha)
-    kern = time_averaged_kernel(h_c, scheme)
+    kern = _averaged_kernel(h_c, scheme)
     delta = spectral_gap_dense(
         build_transition_matrix(kern, gibbs_measure(h_c, beta)))
-    analytic = averaged_grover_gap(n, alpha, beta, scheme)
+    analytic = averaged_grover_gap(n, alpha, beta, scheme.values(n, alpha))
     assert abs(delta - analytic) / analytic < 1e-10
 
 
@@ -444,7 +545,7 @@ def _draw(rng, n):
 def _kernel(variant, h_c, h, t):
     if variant == "averaged":
         scheme = AveragingScheme(h, (t, t + 1.0), sample_count=5)
-        return time_averaged_kernel(h_c, scheme)
+        return _averaged_kernel(h_c, scheme)
     return quantum_kernel(h_c, MixerSpec(variant, h), t)
 
 
@@ -646,14 +747,15 @@ def test_imprecise_gap_against_the_closed_form(n):
     h_c = MarkedStateHamiltonian(n, 1.0)
     scheme = AveragingScheme(resonance_field(1.0, n), (2.0, 20.0),
                              sample_count=4)
-    kern = time_averaged_kernel(h_c, scheme)
+    kern = _averaged_kernel(h_c, scheme)
     measure = gibbs_measure(h_c, 5.0)
     if n >= 100:
         with pytest.raises(ImpreciseGap, match="rounding-error estimate"):
             spectral_gap_blocks(kern, measure)
     else:
         assert spectral_gap_blocks(kern, measure) == pytest.approx(
-            averaged_grover_gap(n, 1.0, 5.0, scheme), rel=_GAP_RTOL, abs=0.0)
+            averaged_grover_gap(n, 1.0, 5.0, scheme.values(n, 1.0)),
+            rel=_GAP_RTOL, abs=0.0)
 
 def test_block_gap_at_tiny_gap():
     n, alpha, h, t, beta = (4, 1.8720632369324413, -1.023269195786007,
