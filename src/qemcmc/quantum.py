@@ -11,13 +11,11 @@ statevector evolution (:func:`evolve`), exactly and with no iteration.  With
 the grover mixer, H leaves span{|k>, |u>} invariant (|u> the uniform state
 over unmarked configurations), so one closed form gives its four distinct
 proposal probabilities, and every grover kernel, column and gap is built
-from it.  The closed form (:func:`_grover_values`) is elementwise, with N
-an array axis like h and t: one call evaluates a whole (N, h, t) grid, an
-integer column of N against an (h, t) sample grid, in one array pass.
-:func:`grover_closed_form` and :func:`structured_grover_kernel` here, and
-``grover_gap_closed_form`` and ``averaged_grover_gap`` of
-:mod:`qemcmc.spectral` at one N, are that pass at a single N, equal to the
-grid's rows to the bit.  A
+from it.  The closed form (:func:`_grover_values`) is elementwise over an
+(N, h, t) grid, so one array pass evaluates a run's column of N against its
+(h, t) samples; every grover view at one N (:func:`grover_closed_form`,
+:func:`structured_grover_kernel`, and the closed-form gaps of
+:mod:`qemcmc.spectral`) is that pass at that N, equal to its row to the bit.  A
 transverse kernel costs two eigensolves of order N+1 for its (N+1)^3 table
 over the pair classes (i, j, t) about k (see
 :func:`~qemcmc.proposal.weight_classes`), written directly on those
@@ -316,9 +314,7 @@ def resonance_field(alpha: float, n_spins: int) -> float:
 
 
 def _per_n(n: np.ndarray, value) -> np.ndarray:
-    """value(N) at each N of the integer array n, a float formed one N at a
-    time: the closed form's constants in N (powers of two, the norm, the
-    resonance field, the two-level weight) round as they do at one N."""
+    """value(N) at each N of the integer array n, formed as at one N."""
     return np.reshape([value(k) for k in n.ravel().tolist()], n.shape)
 
 
@@ -344,20 +340,17 @@ class GroverClosedForm(NamedTuple):
 
 
 def _grover_values(n_spins, alpha: float, h, t) -> GroverClosedForm:
-    """The four grover proposal probabilities at N spins, field h and time t:
-    floats, or arrays over the broadcast shape of n_spins, h and t, such as
-    an integer column of N against an (h, t) sample grid.
+    """The four grover proposal probabilities at N spins, field h and time
+    t: floats, or arrays over the broadcast shape of n_spins, h and t.
 
-    One formula serves one (N, h, t) and a whole (N, sample) grid;
-    elementwise, the grid's values equal the scalar ones to the bit.  So
-    every square is a product (numpy squares an array as x * x, while libm's
-    pow(x, 2) on a float can round the other way).  The constants in N are
-    formed one N at a time (:func:`_per_n`): the powers of two, and the norm
-    (2^N - 1)^2 as a float square.  That norm overflows a double from
-    N = 512, so there the constants are NaN.  A value that is not finite
-    (such an N, or an h or t whose evolution overflows a double) raises
-    ValueError naming N, h and t (the first such point of a grid), and numpy
-    warns of none.
+    One formula serves one (N, h, t) and a whole grid; elementwise, the
+    grid's values equal the scalar ones to the bit.  So every square is a
+    product (numpy squares an array as x * x, while libm's pow(x, 2) on a
+    float can round the other way), and the constants in N are floats formed
+    per N.  A value that is not finite (N >= 512, where (2^N - 1)^2
+    overflows, or an h or t whose evolution overflows) raises ValueError
+    naming N, h and t (the first such point of a grid), and numpy warns of
+    none.
     """
     n = np.asarray(n_spins)
     dim = _per_n(n, lambda k: 2.0 ** k if k < 512 else math.nan)

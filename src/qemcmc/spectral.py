@@ -5,18 +5,14 @@ returns delta = 1 - |lambda_2| as a float; the relaxation-time bounds on the
 mixing time are a separate function of delta and log pi_min.  The grover gaps,
 single and time-averaged, come from the two block gaps of one helper, and
 the time-averaged grover kernel is one mean: all read the four proposal
-probabilities of the one grover closed form of :mod:`qemcmc.quantum`.  A
-run over N evaluates it once, over the whole (N, h, t) grid
-(:meth:`AveragingScheme.values`, or :func:`grover_gap_closed_form` at one
-(h, t) per N), in one array pass; one N is that pass with one N, and the
-reductions keep the rounding of the per-N, per-sample loop, so they equal it
-to the bit.  The two-level weight factor exp(logaddexp(0, u)) depends only
-on N, alpha and beta, so it stays one scalar math.exp per N (numpy's exp on
-an array rounds some inputs differently).  The averaged gap is np.mean of
-the per-sample block gaps along the contiguous sample axis, not the mean
-proposal times that factor, which rounds differently.  The averaged table
-is an axis-0 sum over one N's row of the grid, which adds the per-sample
-rows in sample order, as a sum of tables does.
+probabilities of the one grover closed form of :mod:`qemcmc.quantum`, in one
+array pass over a run's whole (N, h, t) grid; the reductions keep the
+rounding of the per-N, per-sample loop, so they equal it to the bit.  The
+two-level weight factor exp(logaddexp(0, u)) stays one scalar math.exp per N
+(numpy's exp on an array rounds some inputs differently).  The averaged gap
+is np.mean of the per-sample block gaps along the sample axis, not the mean
+proposal times that factor, which rounds differently.  The averaged table is
+an axis-0 sum over one N's samples, in sample order, as a sum of tables.
 
 A chain on the marked model whose kernel is invariant under permutations of
 the spins about the marked state k (every kernel the experiments build) has
@@ -57,7 +53,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -343,15 +338,13 @@ def uniform_gap_closed_form(n_spins: int, alpha: float, beta: float) -> float:
 def _grover_gaps(n_spins, alpha: float, beta: float, cf: GroverClosedForm):
     """1 - lambda for the nontrivial eigenvalues of the grover chain whose
     proposal probabilities ``cf`` holds at N = ``n_spins``: floats, or
-    arrays over the broadcast shape of an array of N and of ``cf``.
+    arrays.
 
     The two-level block {marked, uniform-unmarked} gives
     q_marked * (1 + (2^N - 1) e^{-N beta alpha}), the weight factor taken in
-    log space, one scalar math.exp per N; the (2^N - 2)-fold unmarked bulk
-    gives q_marked + (2^N - 1) * q_unmarked.  Both are sums of nonnegative
-    terms.  At N = 1 the bulk is empty and the two-level block is the whole
-    chain, so the bulk's value there is no eigenvalue's (:func:`_gap_per_n`
-    leaves it out).
+    log space; the (2^N - 2)-fold unmarked bulk gives
+    q_marked + (2^N - 1) * q_unmarked.  Both are sums of nonnegative terms.
+    At N = 1 the bulk is empty, and :func:`_gap_per_n` drops its value.
     """
     n = np.asarray(n_spins)
     weight = _per_n(n, lambda k: math.exp(
@@ -366,9 +359,7 @@ def _gap_from_blocks(*deltas: float) -> float:
 
 
 def _gap_per_n(n_spins, two_level, bulk):
-    """:func:`_gap_from_blocks` at each N of ``n_spins`` from its two-level
-    and bulk values, the bulk left out at N = 1: a float at one N, or a list
-    over an array of N."""
+    """:func:`_gap_from_blocks` at each N (a float at one N, else a list)."""
     rows = zip(*(np.ravel(v).tolist() for v in (n_spins, two_level, bulk)))
     gaps = [_gap_from_blocks(*((a,) if n == 1 else (a, b)))
             for n, a, b in rows]
@@ -377,9 +368,8 @@ def _gap_per_n(n_spins, two_level, bulk):
 
 def grover_gap_closed_form(n_spins, alpha: float, beta: float, h, t: float):
     """Exact gap 1 - max|lambda| of the grover-mixed chain, over the two-level
-    block and the unmarked bulk (empty at N = 1): a float at one N, or a list
-    over a 1-D array of N (h one field or one per N) from one pass of the
-    closed form."""
+    block and the unmarked bulk (empty at N = 1), at one N or, as a list,
+    over an array of N (with h one field or one per N)."""
     cf = _grover_values(n_spins, alpha, h, t)
     return _gap_per_n(n_spins, *_grover_gaps(n_spins, alpha, beta, cf))
 
@@ -390,9 +380,7 @@ def grover_gap_closed_form(n_spins, alpha: float, beta: float, h, t: float):
 @dataclass(frozen=True)
 class AveragingScheme:
     """(h, t) randomization used when parameters are redrawn each MCMC step:
-    ``h`` is a fixed field, ``"resonance"`` (at each N the fixed field
-    :func:`~qemcmc.quantum.resonance_field`), or an (lo, hi) range of
-    fields."""
+    ``h`` is a fixed field, ``"resonance"`` or an (lo, hi) range of fields."""
 
     h: float | str | tuple
     t_range: tuple
@@ -413,11 +401,9 @@ class AveragingScheme:
                              "perfect square")
 
     def grid(self, n_spins, alpha: float):
-        """The samples' fields and times at N = ``n_spins``: h and t, which
-        broadcast to shape (sample_count,) at one N and to (N count,
-        sample_count) over a 1-D array of N.  ``sample_count`` times on
-        ``t_range`` at a fixed h, or a square grid over the h range x
-        ``t_range``; alpha sets the resonance field."""
+        """h and t of the samples at each N, broadcasting over (N, sample):
+        ``sample_count`` times on ``t_range`` at a fixed h (at resonance, that
+        of each N), or a square grid over the h range x ``t_range``."""
         t0, t1 = self.t_range
         if isinstance(self.h, tuple):
             side = math.isqrt(self.sample_count)
@@ -428,25 +414,22 @@ class AveragingScheme:
         if self.h != "resonance":
             return self.h, ts
         n = np.expand_dims(n_spins, -1)
-        return _per_n(n, partial(resonance_field, alpha)), ts
+        return _per_n(n, lambda k: resonance_field(alpha, k)), ts
 
     def values(self, n_spins, alpha: float) -> GroverClosedForm:
-        """The four grover proposal probabilities over the samples at N =
-        ``n_spins``: one pass of the closed form over the (N, sample) grid,
-        arrays of shape (sample_count,) at one N or (N count, sample_count)
-        over a 1-D array of N, each row in sample order."""
+        """The closed form over the (N, sample) grid in one pass: arrays of
+        shape (sample_count,) at one N, or one row per N of an array."""
         return _grover_values(np.expand_dims(n_spins, -1), alpha,
                               *self.grid(n_spins, alpha))
 
 
 def time_averaged_kernel(h_c: MarkedStateHamiltonian,
                          values: GroverClosedForm) -> StructuredMarkedKernel:
-    """Mean grover proposal kernel over the samples whose closed-form values
-    ``values`` holds at h_c's N (:meth:`AveragingScheme.values` at that N, or
-    its row of a grid over N), hence symmetric and doubly stochastic: the
-    mean of the four values, each sample's clamped as a kernel table clamps
-    it and summed in sample order, so it equals the mean of the per-sample
-    tables to the bit.
+    """Mean grover proposal kernel over one N's samples, whose closed-form
+    ``values`` are a row of :meth:`AveragingScheme.values`, hence symmetric
+    and doubly stochastic: each sample's values clamped as a kernel table
+    clamps them and summed in sample order, so it equals the mean of the
+    per-sample tables to the bit.
     """
     n = h_c.n_spins
     stack = np.stack(values, axis=-1)   # shape (samples, 4)
@@ -457,15 +440,12 @@ def time_averaged_kernel(h_c: MarkedStateHamiltonian,
 
 def averaged_grover_gap(n_spins, alpha: float, beta: float,
                         values: GroverClosedForm):
-    """Gap of the chain driven by the averaged grover kernel at N =
-    ``n_spins``, whose samples' closed-form values ``values`` holds
-    (:meth:`AveragingScheme.values`): a float at one N, or a list over a 1-D
-    array of N.
+    """Gap of the chain driven by the averaged grover kernel, from
+    :meth:`AveragingScheme.values` at ``n_spins``, one N or an array of N.
 
     Both block gaps are linear in the proposal probabilities, so each is
     averaged over the samples before the smaller is taken; this equals the
-    gap of the chain driven by the averaged kernel.  The mean runs along the
-    contiguous sample axis, the pairwise sum of a 1-D np.mean.
+    gap of the chain driven by the averaged kernel.
     """
     blocks = _grover_gaps(np.expand_dims(n_spins, -1), alpha, beta, values)
     return _gap_per_n(n_spins, *(np.mean(b, axis=-1) for b in blocks))

@@ -172,6 +172,9 @@ def test_weight_classes_match_loop_reference():
         loop = np.array([[[math.comb(a, c) * math.comb(n - a, b - c) if c <= b else 0
                            for c in w] for b in w] for a in w], dtype=float)
         assert np.array_equal(weight_classes(n), loop), n
+        # the strided factor is a read-only view
+        _, rest = proposal._pair_factors(proposal._binomials(n), n)
+        assert not rest.flags.writeable and rest.base is not None
     # one N past 101, where the pair counts of a block's m = N spins pass
     # 2^20 entries
     assert np.array_equal(weight_classes(103), _comb_counts(103))
