@@ -75,12 +75,17 @@ def marked_state_bound(column, n_spins: int, alpha: float,
     :func:`~qemcmc.quantum.transverse_marked_column`.  Moves into the
     marked state are always downhill, so the acceptance factor is 1 and the
     escape mass is the off-marked column sum, sum_{w >= 1} C(N, w) Q(x|k),
-    summed directly to avoid the 1 - Q(k|k) cancellation, in O(N).
+    summed directly to avoid the 1 - Q(k|k) cancellation, in O(N).  From
+    N = 1024, where 2^N and then C(N, w) overflow a double, it raises
+    ValueError naming N.
     """
     col = np.asarray(column, dtype=float)
     if col.shape != (n_spins + 1,):
         raise ValueError(f"column has shape {col.shape}, "
                          f"expected ({n_spins + 1},)")
+    if n_spins >= 1024:
+        raise ValueError(f"marked-state bound not finite at N = {n_spins}: "
+                         "2^N overflows a double")
     # Q(x|k) = col[w] for each of the C(N, w) states x at distance w
     col = _binomial_row(n_spins) * col
     if np.min(col) < -1e-12 or abs(col.sum() - 1.0) > 1e-8:

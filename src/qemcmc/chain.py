@@ -12,12 +12,16 @@ marked state and a cut of the spins by one builder
 (:func:`_lumped_chain`): the exact gap
 (:func:`qemcmc.spectral.spectral_gap_blocks`, block 0 at the empty cut),
 the exact mixing time (every cut, each serving two starts) and the sampled
-chain (:func:`sample_chain`, O(N) per move, not per step) read them.
+chain (:func:`sample_chain`, O(N) per move, not per step) read them.  The
+sampled chain draws its uniforms one at a time, as it uses them, from the
+standard library's seeded Mersenne Twister (``random.Random``).
 """
 
 from __future__ import annotations
 
 import math
+import operator
+import random
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -41,9 +45,6 @@ from .proposal import (
     weight_classes,
 )
 
-# most moves whose uniforms sample_chain draws at once; its blocks double up
-# to this from 1, so a chain that rarely moves draws few rows
-_DRAW_BLOCK = 4096
 # largest kernel asymmetry a chain is assembled from; the pair-class assembly
 # holds the kernel's column sums to it as well
 SYMMETRY_TOL = 1e-9
@@ -66,13 +67,19 @@ class TransitionMatrix:
 class ChainState:
     current: int
     step_count: int
-    rng_stream: np.random.Generator
+    rng_stream: random.Random
 
 
 def make_chain(start: int, seed: int) -> ChainState:
-    """Fresh chain with a counter-based (Philox) stream keyed by seed."""
+    """Fresh chain whose stream is ``random.Random(seed)``: Python keeps the
+    ``random()`` sequence of an integer seed across versions, so a seed
+    fixes the path.  The seed is a non-negative integer (the stream would
+    read -s as s)."""
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError(f"chain seed must be non-negative, not {seed}")
     return ChainState(current=start, step_count=0,
-                      rng_stream=np.random.Generator(np.random.Philox(seed)))
+                      rng_stream=random.Random(seed))
 
 
 def _check_kernel(kernel: ProposalKernel, measure: GibbsMeasure) -> None:
@@ -180,9 +187,11 @@ def sample_chain(state: ChainState, kernel: ProposalKernel,
     next move is geometric with P(stay) = stay[i]: one uniform u draws the
     whole run by inversion, floor(log(1-u) / log stay[i]), capped at the
     steps left.  The move then draws the pair class (j, t) of the next state
-    from the masses count[i, j, t] * move[i, j, t], and y uniformly inside
-    its class: t of the i spins where x differs from k keep differing, and
-    j - t of the other N - i spins flip.  A distance with no move mass is
+    from the masses count[i, j, t] * move[i, j, t], with a second uniform,
+    and y uniformly inside its class, with one uniform per spin examined:
+    t of the i spins where x differs from k keep differing, and j - t of the
+    other N - i spins flip.  Each uniform is drawn from the chain's
+    ``random.Random`` stream as it is used.  A distance with no move mass is
     absorbing.  Rejected moves count as steps.
     """
     n = kernel.n_spins
@@ -197,47 +206,45 @@ def sample_chain(state: ChainState, kernel: ProposalKernel,
     # log stay[i], accurate when stay[i] is close to 1; 0 marks an absorbing
     # distance.  A distance with off >= 1 always moves and never reads it.
     log_stay = [math.log1p(-o) if o < 1.0 else -math.inf for o in off]
-    rng = state.rng_stream
+    uniform = state.rng_stream.random
     z = int(state.current ^ kernel.marked)     # the spins where x differs from k
     i = z.bit_count()
     # the path as runs: values[r] held for counts[r] steps; z has held for
     # `held` steps so far
     values, counts = [], []
-    left, held, block = n_steps, 0, 1
+    left, held = n_steps, 0
     while left:
-        for u in rng.random((min(block, left), n + 2)).tolist():
-            # the rejections before the next move, by inversion; there are
-            # none when u < 1 - stay[i], which needs no logarithm
-            if u[0] < off[i]:
-                run = 0
-            elif log_stay[i] == 0.0:
-                run = left
-            else:
-                run = int(min(left, math.log1p(-u[0]) / log_stay[i]))
-            if run == left:
-                held += left
-                left = 0
-                break
-            values.append(z)
-            counts.append(held + run)
-            left -= run + 1
-            held = 1
-            j, t = divmod(bisect_right(cdf[i], u[1] * off[i], 0, last[i]),
-                          n + 1)
-            # selection sampling, one uniform per spin: j - t of the spins
-            # outside supp(z) flip in, i - t of those inside out; once both
-            # are placed no later spin can flip
-            need, remaining = [j - t, i - t], [n - i, i]
-            for b in range(n):
-                inside = z >> b & 1
-                if u[b + 2] * remaining[inside] < need[inside]:
-                    z ^= 1 << b
-                    need[inside] -= 1
-                    if not (need[0] or need[1]):
-                        break
-                remaining[inside] -= 1
-            i = j
-        block = min(2 * block, _DRAW_BLOCK)
+        # the rejections before the next move, by inversion; there are none
+        # when u < 1 - stay[i], which needs no logarithm
+        u = uniform()
+        if u < off[i]:
+            run = 0
+        elif log_stay[i] == 0.0:
+            run = left
+        else:
+            run = int(min(left, math.log1p(-u) / log_stay[i]))
+        if run == left:
+            held += left
+            break
+        values.append(z)
+        counts.append(held + run)
+        left -= run + 1
+        held = 1
+        j, t = divmod(bisect_right(cdf[i], uniform() * off[i], 0, last[i]),
+                      n + 1)
+        # selection sampling, one uniform per spin: j - t of the spins
+        # outside supp(z) flip in, i - t of those inside out; once both are
+        # placed no later spin can flip
+        need, remaining = [j - t, i - t], [n - i, i]
+        for b in range(n):
+            inside = z >> b & 1
+            if uniform() * remaining[inside] < need[inside]:
+                z ^= 1 << b
+                need[inside] -= 1
+                if not (need[0] or need[1]):
+                    break
+            remaining[inside] -= 1
+        i = j
     values.append(z)
     counts.append(held)
     visited = np.repeat(np.array(values, dtype=np.int64), counts)
@@ -362,11 +369,15 @@ def exact_mixing_time(kernel: ProposalKernel, measure: GibbsMeasure,
         pi = np.exp(log_pi)
         # the point masses on the classes (w, 0) and (0, N - w): the starts
         # at distance w and N - w (mirror images at w = N/2, both kept)
-        starts = np.eye(pi.size)[[w * (n - w + 1), n - w]]
+        starts = np.zeros((2, pi.size))
+        starts[0, w * (n - w + 1)] = starts[1, n - w] = 1.0
         # d is non-increasing: one probe at the running worst settles both
-        # starts' t <= worst, and only a later crossing runs the search past it
+        # starts' t <= worst, and only a later crossing runs the search past
+        # it.  Both starts' total variation in one reduction, clamped as in
+        # total_variation
         worst = _first_crossing(
             lumped, starts,
-            lambda rows: max(total_variation(row, pi) for row in rows),
+            lambda rows: min(1.0, 0.5 * float(
+                np.abs(rows - pi).sum(axis=1).max())),
             epsilon, _MAX_STEPS, worst)
     return worst

@@ -192,6 +192,19 @@ def test_marked_bound_validates_distribution():
         marked_state_bound(np.full(16, 1.0 / 16), 4, 1.0, 1.0)
 
 
+@pytest.mark.parametrize("n", [1023, 1024, 1030])
+def test_marked_bound_past_a_double_names_n(n):
+    # the single-flip column; 2^N overflows a double from N = 1024, and
+    # C(N, N/2) from N = 1030
+    col = np.zeros(n + 1)
+    col[1] = 1.0 / n
+    if n < 1024:
+        assert marked_state_bound(col, n, 1.0, 0.0) == 1.0
+    else:
+        with pytest.raises(ValueError, match=f"not finite at N = {n}:"):
+            marked_state_bound(col, n, 1.0, 0.0)
+
+
 def _table_and_column_bounds(kern, n, alpha, beta, marked):
     """The O(N) bound off the table's row T[0, w, 0], and the same bound
     summed over the 2^N column gathered from the table."""

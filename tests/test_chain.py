@@ -268,6 +268,14 @@ def test_chain_reproducible():
     assert np.array_equal(a, b)
 
 
+def test_make_chain_refuses_a_negative_seed():
+    # random.Random reads a seed -s as s: two CSV seeds, one path
+    with pytest.raises(ValueError, match="non-negative, not -3"):
+        make_chain(0, seed=-3)
+    assert make_chain(0, seed=np.int64(3)).rng_stream.random() == \
+        make_chain(0, seed=3).rng_stream.random()
+
+
 def test_total_variation():
     assert total_variation(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 1.0
     assert total_variation(np.array([0.5, 0.5]), np.array([0.5, 0.5])) == 0.0

@@ -497,9 +497,10 @@ def test_field_time_beyond_double_precision_exits_2(argv, capsys):
     assert cli.main(argv + ["--h", "1e6"]) == 0
 
 
-def test_experiments_load_no_scipy():
-    # numpy alone serves the experiments; scipy is the dense cross-check's,
-    # and the validate checks are loaded by validate alone
+@pytest.fixture(scope="module")
+def experiment_modules():
+    """The modules a fresh interpreter holds after figure-a, figure-b and a
+    transverse sample."""
     code = textwrap.dedent("""
         import sys
         from qemcmc import cli
@@ -509,9 +510,7 @@ def test_experiments_load_no_scipy():
                       "--n-min", "4", "--n-max", "4", "--steps", "200"]):
             csv_text, status = cli.run(cli.build_config(argv))
             assert status == 0 and csv_text.count("\\n") > 1
-        assert "qemcmc.validation" not in sys.modules
-        print(sorted(m for m in sys.modules
-                     if m == "scipy" or m.startswith("scipy.")))
+        print(*sorted(sys.modules), sep="\\n")
     """)
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -519,7 +518,22 @@ def test_experiments_load_no_scipy():
                           text=True, timeout=120,
                           env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.split()
+
+
+def test_experiments_load_no_scipy(experiment_modules):
+    # numpy alone serves the experiments; scipy is the dense cross-check's,
+    # and the validate checks are loaded by validate alone
+    assert "qemcmc.validation" not in experiment_modules
+    assert [m for m in experiment_modules
+            if m == "scipy" or m.startswith("scipy.")] == []
+
+
+def test_experiments_load_no_numpy_random(experiment_modules):
+    # the sampled chain draws from the standard library's stream; only
+    # validate's Philox draws need numpy.random
+    assert [m for m in experiment_modules
+            if m == "numpy.random" or m.startswith("numpy.random.")] == []
 
 
 def test_figure_b_forms_no_proposal_column(monkeypatch, capsys):
