@@ -71,10 +71,9 @@ class ChainState:
 
 
 def make_chain(start: int, seed: int) -> ChainState:
-    """Fresh chain whose stream is ``random.Random(seed)``: Python keeps the
-    ``random()`` sequence of an integer seed across versions, so a seed
-    fixes the path.  The seed is a non-negative integer (the stream would
-    read -s as s)."""
+    """Fresh chain with the stream ``random.Random(seed)``, whose sequence
+    Python keeps across versions for an integer seed; a negative seed, which
+    the stream would read as -seed, is a ValueError."""
     seed = operator.index(seed)
     if seed < 0:
         raise ValueError(f"chain seed must be non-negative, not {seed}")
@@ -371,13 +370,11 @@ def exact_mixing_time(kernel: ProposalKernel, measure: GibbsMeasure,
         # at distance w and N - w (mirror images at w = N/2, both kept)
         starts = np.zeros((2, pi.size))
         starts[0, w * (n - w + 1)] = starts[1, n - w] = 1.0
-        # d is non-increasing: one probe at the running worst settles both
-        # starts' t <= worst, and only a later crossing runs the search past
-        # it.  Both starts' total variation in one reduction, clamped as in
-        # total_variation
+        # d (the larger total variation, clamped as in total_variation) is
+        # non-increasing: one probe at the running worst settles both starts'
+        # t <= worst, and only a later crossing runs the search past it
         worst = _first_crossing(
             lumped, starts,
-            lambda rows: min(1.0, 0.5 * float(
-                np.abs(rows - pi).sum(axis=1).max())),
+            lambda rows: min(1.0, 0.5 * float(np.abs(rows - pi).sum(1).max())),
             epsilon, _MAX_STEPS, worst)
     return worst
