@@ -11,7 +11,9 @@ over those classes as stored and with no 2^N object, and lumped about the
 marked state and a cut of the spins by one builder
 (:func:`_lumped_chain`): the exact gap
 (:func:`qemcmc.spectral.spectral_gap_blocks`, block 0 at the empty cut),
-the exact mixing time (every cut, each serving two starts) and the sampled
+the exact mixing time (the empty cut, the distance chain, for every start;
+another cut, serving two starts, only where the distance chain's bound does
+not settle them) and the sampled
 chain (:func:`sample_chain`, O(N) per move, not per step) read them.  The
 sampled chain draws its uniforms one at a time, as it uses them, from the
 standard library's seeded Mersenne Twister (``random.Random``).
@@ -332,6 +334,16 @@ def _lumped_chain(move: np.ndarray, stay: np.ndarray, measure: GibbsMeasure,
     return lumped.reshape(dist.size, -1), (log_size + log_pi[dist]).ravel()
 
 
+def _distance_bound(distance: np.ndarray, pi: np.ndarray, t: int):
+    """U_x(t) >= d_x(t) for a start x at each distance from the marked state
+    k, from the distance chain and its pi (:func:`_lumped_chain` at w = 0):
+    d = sum_y (pi_y - P^t(x, y))^+ is read exactly on the one-state classes
+    k and its antipode, and every other y adds at most pi_y."""
+    p_t = np.linalg.matrix_power(distance, t)
+    return (np.maximum(pi[0] - p_t[:, 0], 0.0)
+            + np.maximum(pi[-1] - p_t[:, -1], 0.0) + pi[1:-1].sum())
+
+
 def exact_mixing_time(kernel: ProposalKernel, measure: GibbsMeasure,
                       epsilon: float) -> int:
     """Worst-start mixing time, max over starts x of min{t : d_x(t) <= epsilon},
@@ -343,11 +355,16 @@ def exact_mixing_time(kernel: ProposalKernel, measure: GibbsMeasure,
     cover every start.  One search (:func:`_first_crossing`) runs in full on
     cut 0 (distances 0 and N), each probe one product of the two start rows
     with a cached squaring, d the larger of their total variations, and
-    gives the running worst T.  Every other cut's search begins at T: d is
-    non-increasing, so d(T) <= epsilon settles both starts with one probe,
-    and only otherwise does the search lift past T and raise it; the order
-    of the cuts decides only how many searches run.  The largest gather,
-    (w+1)^3 (N-w+1)^3 entries at w = N/2, limits N to 30.
+    gives the running worst T.  d is non-increasing, so a start with
+    d(T) <= epsilon is settled at T.  Every other cut is first bounded at T
+    from the distance chain alone (:func:`_distance_bound`, formed again
+    whenever T rises): when both its starts' bounds are within epsilon it is
+    settled and never built.  Otherwise its chain is built and its search
+    begins at T, where one probe settles both starts, and only a later
+    crossing lifts the search past T and raises it.  The bound decides only
+    which cuts are built, and the order of the cuts only how many searches
+    run.  Any cut may be built, so the largest gather, (w+1)^3 (N-w+1)^3
+    entries at w = N/2, limits N to 30, and that is checked first.
 
     A chain that has not mixed within ``_MAX_STEPS`` raises NoConvergence:
     the cap marks how far the integer t_mix is reproducible, as each route
@@ -362,9 +379,20 @@ def exact_mixing_time(kernel: ProposalKernel, measure: GibbsMeasure,
     _check_entries("mixing-time gather", n,
                    ((n // 2 + 1) * (n - n // 2 + 1)) ** 3)
     move, stay, _ = _class_chain(kernel, measure)
-    worst = 0
+    distance, log_pi = _lumped_chain(move, stay, measure, 0)
+    pi_distance = np.exp(log_pi)
+    worst, formed = 0, None
     for w in range(n // 2 + 1):
-        lumped, log_pi = _lumped_chain(move, stay, measure, w)
+        lumped = distance
+        if w:
+            # a cut whose two starts are bounded within epsilon at the running
+            # worst is settled there, without its chain
+            if formed != worst:
+                formed, bound = worst, _distance_bound(distance, pi_distance,
+                                                       worst)
+            if max(bound[w], bound[n - w]) <= epsilon:
+                continue
+            lumped, log_pi = _lumped_chain(move, stay, measure, w)
         pi = np.exp(log_pi)
         # the point masses on the classes (w, 0) and (0, N - w): the starts
         # at distance w and N - w (mirror images at w = N/2, both kept)

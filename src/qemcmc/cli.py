@@ -122,6 +122,8 @@ class ExperimentConfig:
                              f"not {self.mixer!r}")
         if self.avg_samples < 1:
             raise ValueError("avg-samples must be >= 1")
+        if self.max_dense_n < 0:
+            raise ValueError(f"max-dense-n must be >= 0, not {self.max_dense_n}")
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
         h_spec, t_spec = self.h_spec, self.t_spec

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from qemcmc import chain
 from qemcmc.chain import (
     TransitionMatrix,
     _class_chain,
+    _distance_bound,
     _first_crossing,
     _lumped_chain,
     build_transition_matrix,
@@ -565,21 +567,102 @@ def test_mixing_time_matches_the_per_start_reference():
     assert unmixed and later_worst, (unmixed, later_worst)
 
 
+def test_mixing_time_settles_cuts_by_the_distance_bound(monkeypatch):
+    # the per-start reference's chains, run again with its assertions: every
+    # cut w >= 1 the search reaches is either settled by the distance
+    # chain's bound without its lumped chain or built, and both happen
+    events = []                        # (N, w) per chain built, None per raise
+
+    def lumping(move, stay, measure, w):
+        events.append((move.shape[0] - 1, w))
+        return _lumped_chain(move, stay, measure, w)
+
+    def searching(*args):
+        try:
+            return _first_crossing(*args)
+        except NoConvergence:
+            events.append(None)
+            raise
+
+    monkeypatch.setattr(chain, "_lumped_chain", lumping)
+    monkeypatch.setattr(chain, "_first_crossing", searching)
+    test_mixing_time_matches_the_per_start_reference()
+    settled = built = 0
+    for i, event in enumerate(events):
+        if event is None or event[1]:
+            continue
+        # one exact_mixing_time call: cut 0, then its other cuts built, and
+        # None if a search raised, after which no later cut is reached
+        call = list(itertools.takewhile(lambda e: e is None or e[1],
+                                        events[i + 1:]))
+        cuts = [e[1] for e in call if e is not None]
+        reached = (cuts[-1] if cuts else 0) if None in call else event[0] // 2
+        settled += reached - len(cuts)
+        built += len(cuts)
+    assert settled and built, (settled, built)
+
+
+def _stochastic_power(p, t):
+    """p^t by repeated squaring, each product's rows scaled back to sum 1 as
+    the exact power's do, so that its rounding does not double with each
+    squaring (numpy's matrix_power drifts by up to 3e-9 at t = 10^6 on
+    these chains)."""
+    power, square = np.eye(len(p)), p
+    while t:
+        if t & 1:
+            power = power @ square
+            power /= power.sum(axis=1, keepdims=True)
+        t >>= 1
+        square = square @ square
+        square /= square.sum(axis=1, keepdims=True)
+    return power
+
+
+def test_distance_bound_holds_over_every_start():
+    # U_x(t) from the distance chain is at least the dense total variation
+    # of every start x, at random chains of both mixers, uniform and single
+    # flip; up to 1e-12 and t eps, the rounding of the distance chain's own
+    # power, which grows with t as any power's by squaring does
+    rng = np.random.Generator(np.random.Philox(33))
+    for n in range(1, 9):
+        for kind in ("grover", "transverse", "uniform", "single flip"):
+            alpha, beta = rng.uniform(0.5, 2.0), rng.uniform(0.0, 5.0)
+            if kind == "uniform":
+                h_c = MarkedStateHamiltonian(n, alpha)
+                kern = uniform_kernel(n)
+            elif kind == "single flip":
+                h_c = MarkedStateHamiltonian(n, alpha)
+                kern = single_flip_kernel(n)
+            else:
+                h_c = MarkedStateHamiltonian(n, alpha, int(rng.integers(1 << n)))
+                kern = quantum_kernel(h_c, MixerSpec(kind, rng.uniform(-2, 2)),
+                                      rng.uniform(0.0, 3.0))
+            measure = gibbs_measure(h_c, beta)
+            move, stay, _ = _class_chain(kern, measure)
+            distance, log_pi = _lumped_chain(move, stay, measure, 0)
+            p = build_transition_matrix(kern, measure)
+            pi = measure.probabilities()
+            dist = np.array([(x ^ h_c.marked).bit_count()
+                             for x in range(p.dim)])
+            for t in (0, 1, 10, 10**3, 10**6):
+                bound = _distance_bound(distance, np.exp(log_pi), t)
+                tv = 0.5 * np.abs(_stochastic_power(p.p, t) - pi).sum(axis=1)
+                tol = 1e-12 + t * np.finfo(float).eps
+                assert np.all(tv <= bound[dist] + tol), (n, kind, t)
+
+
 @pytest.mark.parametrize("variant, n", [("transverse", 10), ("grover", 12)])
 def test_mixing_time_searches_once_on_the_sample_chains(monkeypatch, variant,
                                                         n):
-    # the sample workload's chains (beta 5, h at resonance, t 0.3): one
-    # lumped chain per cut w = 0..N/2, each serving the starts at distance w
-    # and N - w; the first cut searched holds the worst start (distance N),
-    # so each other cut ends at its one probe at the running worst and only
-    # the first search lifts past where it began
-    begun, lifted, cuts = [], [], []
+    # the sample workload's chains (beta 5, h at resonance, t 0.3): the
+    # search of cut 0 on the distance chain gives t_mix, and the distance
+    # chain's bound settles every other cut there, so no other lumped chain
+    # is built and one search runs
+    begun, cuts = [], []
 
     def counting(p, rows, tv, epsilon, max_steps, t):
-        t_w = _first_crossing(p, rows, tv, epsilon, max_steps, t)
         begun.append(t)
-        lifted.append(t_w > t)
-        return t_w
+        return _first_crossing(p, rows, tv, epsilon, max_steps, t)
 
     def lumping(move, stay, measure, w):
         cuts.append(w)
@@ -591,9 +674,9 @@ def test_mixing_time_searches_once_on_the_sample_chains(monkeypatch, variant,
     kern = quantum_kernel(h_c, MixerSpec(variant, resonance_field(1.0, n)),
                           0.3)
     t_mix = exact_mixing_time(kern, gibbs_measure(h_c, 5.0), 0.01)
-    assert begun == [0] + [t_mix] * (n // 2)
-    assert lifted == [True] + [False] * (n // 2)
-    assert cuts == list(range(n // 2 + 1))
+    assert t_mix == {10: 15_746, 12: 5_964_947}[n]
+    assert begun == [0]
+    assert cuts == [0]
 
 
 def test_class_mixing_time_needs_an_invariant_kernel():

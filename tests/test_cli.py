@@ -321,6 +321,22 @@ def test_sample_without_steps_exits_2(capsys):
     assert "steps" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("experiment", ["sample", "figure-a", "figure-b"])
+def test_negative_max_dense_n_exits_2(capsys, experiment):
+    # a negative cap would drop every exact, tv and tmix row; 0 is valid and
+    # leaves figure-b its bound rows only
+    argv = ["--experiment", experiment, "--n-min", "4", "--n-max", "4"]
+    assert cli.main(argv + ["--max-dense-n", "-5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("configuration error: max-dense-n must be "
+                                   ">= 0, not -5")
+    if experiment == "figure-b":
+        assert cli.main(argv + ["--max-dense-n", "0"]) == 0
+        quantities = [r[6] for r in _rows(capsys.readouterr().out)]
+        assert quantities == ["bound"]
+
+
 def test_figure_b_exact_row_past_dense_kernel_budget():
     # the block route reads the kernel's table, never its dense matrix
     csv_text, status = _run(["--experiment", "figure-b", "--n-min", "15",
