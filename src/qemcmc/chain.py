@@ -338,8 +338,10 @@ def _distance_bound(distance: np.ndarray, pi: np.ndarray, t: int):
     """U_x(t) >= d_x(t) for a start x at each distance from the marked state
     k, from the distance chain and its pi (:func:`_lumped_chain` at w = 0):
     d = sum_y (pi_y - P^t(x, y))^+ is read exactly on the one-state classes
-    k and its antipode, and every other y adds at most pi_y."""
+    k and its antipode, and every other y adds at most pi_y.  The rows are
+    scaled back to sum 1, since the squarings' rounding drifts their sums."""
     p_t = np.linalg.matrix_power(distance, t)
+    p_t /= p_t.sum(1, keepdims=True)
     return (np.maximum(pi[0] - p_t[:, 0], 0.0)
             + np.maximum(pi[-1] - p_t[:, -1], 0.0) + pi[1:-1].sum())
 
