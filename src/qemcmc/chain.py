@@ -8,15 +8,15 @@ the cross-checks.  A chain whose kernel is invariant under permutations of
 the spins about the marked state is also assembled once on its pair classes
 (:func:`_class_chain`, with the same kernel checks), from the kernel's table
 over those classes as stored and with no 2^N object, and lumped about the
-marked state and a cut of the spins by one builder
-(:func:`_lumped_chain`): the exact gap
-(:func:`qemcmc.spectral.spectral_gap_blocks`, block 0 at the empty cut),
-the exact mixing time (the empty cut, the distance chain, for every start;
-another cut, serving two starts, only where the distance chain's bound does
-not settle them) and the sampled
-chain (:func:`sample_chain`, O(N) per move, not per step) read them.  The
-sampled chain draws its uniforms one at a time, as it uses them, from the
-standard library's seeded Mersenne Twister (``random.Random``).
+marked state and a cut of the spins by one builder (:func:`_lumped_chain`):
+the exact gap (:func:`qemcmc.spectral.spectral_gap_blocks`, block 0 at the
+empty cut), the exact mixing time (the empty cut, the distance chain, for
+every start; another cut, serving two starts, only where the distance
+chain's bound does not settle them) and the sampled chain
+(:func:`sample_chain`, O(N) per move, not per step) read them.  The mixing
+time powers a chain from its row-rescaled squarings (:func:`_squaring`).
+The sampled chain draws its uniforms one at a time, as it uses them, from
+the standard library's seeded Mersenne Twister (``random.Random``).
 """
 
 from __future__ import annotations
@@ -130,11 +130,11 @@ def build_transition_matrix(kernel: ProposalKernel,
 
 
 def total_variation(p: np.ndarray, q: np.ndarray) -> float:
-    """Half the l1 distance, clamped to 1: for disjoint supports the rounded
-    sum can land a few ulps above it.  The absolute value is taken in place
-    on the difference, so a 2^N pair holds one temporary."""
+    """Half the l1 distance, clamped to 1 (for disjoint supports the rounded
+    sum can land a few ulps above it); of a stack of rows p, the largest.
+    |p - q| is taken in place, so a 2^N pair holds one temporary."""
     diff = p - q
-    return min(1.0, 0.5 * float(np.abs(diff, out=diff).sum()))
+    return min(1.0, 0.5 * float(np.abs(diff, out=diff).sum(-1).max()))
 
 
 # ---------------------------------------------------------------------------
@@ -260,46 +260,52 @@ def sample_chain(state: ChainState, kernel: ProposalKernel,
 
 def _squaring(squarings: list, j: int) -> np.ndarray:
     """p^(2^j) from the cache [p, p^2, p^4, ...], squared up to j on first
-    use."""
+    use, each square's rows scaled back to sum 1 as the exact power's are."""
     while len(squarings) <= j:
         squarings.append(squarings[-1] @ squarings[-1])
+        squarings[-1] /= squarings[-1].sum(1, keepdims=True)
     return squarings[j]
 
 
-def _first_crossing(p: np.ndarray, rows: np.ndarray, tv, epsilon: float,
-                    max_steps: int, t: int = 0) -> int:
-    """First integer t' >= t with tv(rows @ p^t') <= epsilon, using the
-    monotonicity of d(t): max(t, the first crossing).  NoConvergence if that
-    exceeds ``max_steps``.
-
-    Binary lifting over cached squarings p^(2^j).  The held row starts at
-    step t, formed over t's binary digits, and one probe there settles a
-    crossing at or before t.  While d(t) > epsilon the held row then
-    advances by the largest power of two not above t (steps 1, 1, 2, 4, ...
-    from t = 0), and from the last held row each lower power of two is taken
-    when d stays above epsilon.  Every probe is one product of the held row
-    with one squaring.
-    """
-    squarings = [p]
+def _power_rows(squarings: list, rows: np.ndarray, t: int) -> np.ndarray:
+    """rows @ p^t over t's binary digits, from :func:`_squaring`'s cache."""
     for k in range(t.bit_length() - 1, -1, -1):
         if t >> k & 1:
             rows = rows @ _squaring(squarings, k)
-    if tv(rows) <= epsilon:
+    return rows
+
+
+def _first_crossing(squarings: list, rows: np.ndarray, pi: np.ndarray,
+                    epsilon: float, t: int = 0) -> int:
+    """First integer t' >= t with d(t') = total_variation(rows @ p^t', pi)
+    <= epsilon, p the chain of the cache ``squarings`` (:func:`_squaring`):
+    max(t, the first crossing), as d is non-increasing.  NoConvergence if
+    that exceeds ``_MAX_STEPS``.
+
+    Binary lifting.  The held rows start at step t (:func:`_power_rows`),
+    and one probe there settles a crossing at or before t.  While d > epsilon
+    they then advance by the largest power of two not above t (steps 1, 1,
+    2, 4, ... from t = 0), and from the last held rows each lower power of
+    two is taken when d stays above epsilon.  Every probe is one product of
+    the held rows with one cached squaring.
+    """
+    rows = _power_rows(squarings, rows, t)
+    if total_variation(rows, pi) <= epsilon:
         return t
-    while t < max_steps:             # d(t) > epsilon at the held row
+    while t < _MAX_STEPS:            # d(t) > epsilon at the held rows
         j = max(t.bit_length() - 1, 0)
         row = rows @ _squaring(squarings, j)
-        if tv(row) <= epsilon:       # crossed within 2^j steps
+        if total_variation(row, pi) <= epsilon:   # crossed within 2^j steps
             for k in range(j - 1, -1, -1):
                 row = rows @ squarings[k]
-                if tv(row) > epsilon:
+                if total_variation(row, pi) > epsilon:
                     rows, t = row, t + (1 << k)
-            if t < max_steps:
+            if t < _MAX_STEPS:
                 return t + 1
             break
         rows, t = row, t + (1 << j)
     raise NoConvergence(
-        f"total variation still above {epsilon} after {max_steps} steps"
+        f"total variation still above {epsilon} after {_MAX_STEPS} steps"
     )
 
 
@@ -334,14 +340,13 @@ def _lumped_chain(move: np.ndarray, stay: np.ndarray, measure: GibbsMeasure,
     return lumped.reshape(dist.size, -1), (log_size + log_pi[dist]).ravel()
 
 
-def _distance_bound(distance: np.ndarray, pi: np.ndarray, t: int):
+def _distance_bound(squarings: list, pi: np.ndarray, t: int):
     """U_x(t) >= d_x(t) for a start x at each distance from the marked state
-    k, from the distance chain and its pi (:func:`_lumped_chain` at w = 0):
-    d = sum_y (pi_y - P^t(x, y))^+ is read exactly on the one-state classes
-    k and its antipode, and every other y adds at most pi_y.  The rows are
-    scaled back to sum 1, since the squarings' rounding drifts their sums."""
-    p_t = np.linalg.matrix_power(distance, t)
-    p_t /= p_t.sum(1, keepdims=True)
+    k, from the distance chain's cache of :func:`_squaring` and its pi
+    (:func:`_lumped_chain` at w = 0): d = sum_y (pi_y - P^t(x, y))^+ is read
+    exactly on the one-state classes k and its antipode, and every other y
+    adds at most pi_y."""
+    p_t = _power_rows(squarings, np.eye(pi.size), t)
     return (np.maximum(pi[0] - p_t[:, 0], 0.0)
             + np.maximum(pi[-1] - p_t[:, -1], 0.0) + pi[1:-1].sum())
 
@@ -359,21 +364,19 @@ def exact_mixing_time(kernel: ProposalKernel, measure: GibbsMeasure,
     with a cached squaring, d the larger of their total variations, and
     gives the running worst T.  d is non-increasing, so a start with
     d(T) <= epsilon is settled at T.  Every other cut is first bounded at T
-    from the distance chain alone (:func:`_distance_bound`, formed again
-    whenever T rises): when both its starts' bounds are within epsilon it is
-    settled and never built.  Otherwise its chain is built and its search
-    begins at T, where one probe settles both starts, and only a later
-    crossing lifts the search past T and raises it.  The bound decides only
-    which cuts are built, and the order of the cuts only how many searches
-    run.  Any cut may be built, so the largest gather, (w+1)^3 (N-w+1)^3
-    entries at w = N/2, limits N to 30, and that is checked first.
+    from the distance chain's cached squarings (:func:`_distance_bound`,
+    formed again whenever T rises): when both its starts' bounds are within
+    epsilon it is settled and never built.  Otherwise its chain is built and
+    its search begins at T, where one probe settles both starts, and only a
+    later crossing lifts the search past T and raises it.  The bound decides
+    only which cuts are built, and the order of the cuts only how many
+    searches run.  Any cut may be built, so the largest gather, (w+1)^3
+    (N-w+1)^3 entries at w = N/2, limits N to 30, and that is checked first.
 
     A chain that has not mixed within ``_MAX_STEPS`` raises NoConvergence:
-    the cap marks how far the integer t_mix is reproducible, as each route
-    rounds its powers its own way.  Within 10^7 steps this route and the
-    dense rows of P^t (the tests' reference) agree on every chain the tests
-    draw; past it a grover chain at N = 8 gives 318 958 889 here and
-    318 958 621 there.
+    a chain that never mixes needs the cap to end its search.  The tests
+    hold this route to the dense rows of P^t, their reference and powered
+    from the same kind of cache, up to the cap and on one chain past it.
     """
     if not 0 < epsilon:
         raise ValueError("epsilon must be positive")
@@ -382,29 +385,26 @@ def exact_mixing_time(kernel: ProposalKernel, measure: GibbsMeasure,
                    ((n // 2 + 1) * (n - n // 2 + 1)) ** 3)
     move, stay, _ = _class_chain(kernel, measure)
     distance, log_pi = _lumped_chain(move, stay, measure, 0)
-    pi_distance = np.exp(log_pi)
+    distance_powers, pi_distance = [distance], np.exp(log_pi)
     worst, formed = 0, None
     for w in range(n // 2 + 1):
-        lumped = distance
+        squarings, pi = distance_powers, pi_distance
         if w:
             # a cut whose two starts are bounded within epsilon at the running
             # worst is settled there, without its chain
             if formed != worst:
-                formed, bound = worst, _distance_bound(distance, pi_distance,
-                                                       worst)
+                formed, bound = worst, _distance_bound(distance_powers,
+                                                       pi_distance, worst)
             if max(bound[w], bound[n - w]) <= epsilon:
                 continue
             lumped, log_pi = _lumped_chain(move, stay, measure, w)
-        pi = np.exp(log_pi)
+            squarings, pi = [lumped], np.exp(log_pi)
         # the point masses on the classes (w, 0) and (0, N - w): the starts
         # at distance w and N - w (mirror images at w = N/2, both kept)
         starts = np.zeros((2, pi.size))
         starts[0, w * (n - w + 1)] = starts[1, n - w] = 1.0
-        # d (the larger total variation, clamped as in total_variation) is
+        # d, the larger of the two starts' total variations, is
         # non-increasing: one probe at the running worst settles both starts'
         # t <= worst, and only a later crossing runs the search past it
-        worst = _first_crossing(
-            lumped, starts,
-            lambda rows: min(1.0, 0.5 * float(np.abs(rows - pi).sum(1).max())),
-            epsilon, _MAX_STEPS, worst)
+        worst = _first_crossing(squarings, starts, pi, epsilon, worst)
     return worst

@@ -218,7 +218,10 @@ def run_figure_a(cfg: ExperimentConfig):
     digits."""
     t_range = cfg.t_spec if isinstance(cfg.t_spec, tuple) else (cfg.t_spec,) * 2
     scheme = AveragingScheme(cfg.h_spec, t_range, cfg.avg_samples)
-    values = scheme.values(cfg.n_values, cfg.alpha)   # the (N, sample) grid
+    try:   # the (N, sample) grid
+        values = scheme.values(cfg.n_values, cfg.alpha)
+    except BudgetExceeded as exc:
+        raise ValueError(f"--avg-samples {cfg.avg_samples}: {exc}") from None
     gaps = averaged_grover_gap(cfg.n_values, cfg.alpha, cfg.beta, values)
     rows = []
     for i, n in enumerate(cfg.n_values):

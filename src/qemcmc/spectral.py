@@ -417,8 +417,10 @@ class AveragingScheme:
         return _per_n(n, lambda k: resonance_field(alpha, k)), ts
 
     def values(self, n_spins, alpha: float) -> GroverClosedForm:
-        """The closed form over the (N, sample) grid in one pass: arrays of
-        shape (sample_count,) at one N, or one row per N of an array."""
+        """The closed form over the (N, sample) grid in one pass, under the
+        size rule: (sample_count,) arrays at one N, a row per N of an array."""
+        _check_entries("averaging grid", np.max(n_spins),
+                       np.size(n_spins) * self.sample_count)
         return _grover_values(np.expand_dims(n_spins, -1), alpha,
                               *self.grid(n_spins, alpha))
 

@@ -11,6 +11,7 @@ from qemcmc.chain import (
     _distance_bound,
     _first_crossing,
     _lumped_chain,
+    _squaring,
     build_transition_matrix,
     exact_mixing_time,
     make_chain,
@@ -54,15 +55,11 @@ def tv_distance_curve(p: TransitionMatrix, start: int, max_t: int) -> np.ndarray
     return curve
 
 
-def _dense_mixing_time(p: TransitionMatrix, epsilon, max_steps):
+def _dense_mixing_time(p: TransitionMatrix, epsilon):
     """Worst-start mixing time from the rows of the dense P^t: the
     independent cross-check of the lumping in exact_mixing_time."""
-    pi = p.stationary.probabilities()
-
-    def tv(rows):
-        return float(np.max(0.5 * np.abs(rows - pi).sum(axis=1)))
-
-    return _first_crossing(p.p, np.eye(p.dim), tv, epsilon, max_steps)
+    return _first_crossing([p.p], np.eye(p.dim), p.stationary.probabilities(),
+                           epsilon)
 
 
 def _uniform_chain(n, alpha, beta):
@@ -288,6 +285,21 @@ def test_total_variation():
     assert 1.0 - 1e-12 < total_variation(point, pi) <= 1.0
 
 
+def test_total_variation_of_a_stack():
+    # of a stack of rows, the largest row's distance to the bit; the point
+    # masses off the marked state, where pi sits almost wholly, round above
+    # 1 and clamp there together, as disjoint supports do
+    pi = gibbs_measure(MarkedStateHamiltonian(8, 1.0), 5.0).probabilities()
+    rows = np.random.Generator(np.random.Philox(34)).dirichlet(
+        np.full(256, 0.1), size=5)
+    assert total_variation(rows, pi) == max(total_variation(r, pi)
+                                            for r in rows)
+    points = np.eye(256)[1:]
+    assert 0.5 * np.abs(points - pi).sum(axis=1).max() > 1.0
+    assert total_variation(points, pi) == 1.0
+    assert total_variation(np.eye(2), np.array([0.0, 1.0])) == 1.0
+
+
 def test_tv_curve_from_stationary():
     p = _uniform_chain(3, 1.0, 2.0)
     pi = p.stationary.probabilities()
@@ -344,45 +356,44 @@ def test_mixing_time_step_cap_decides_only_convergence(monkeypatch):
 
 @pytest.mark.parametrize("epsilon", [0.4, 0.1, 0.01, 1e-6])
 @pytest.mark.parametrize("f", [0.003, 0.01, 0.1, 0.3, 0.49, 0.6, 0.97])
-def test_first_crossing_two_state_closed_form(f, epsilon):
+def test_first_crossing_two_state_closed_form(monkeypatch, f, epsilon):
     # from one end of [[1-f, f], [f, 1-f]], d(t) = |1-2f|^t / 2: the search
     # must cross at its result and not one step before, and a cap at the
     # result must return it while a cap one lower raises
     p = np.array([[1.0 - f, f], [f, 1.0 - f]])
-    start = np.array([1.0, 0.0])
+    start, pi = np.array([1.0, 0.0]), np.full(2, 0.5)
 
     def tv(row):
-        return total_variation(row, np.full(2, 0.5))
+        return total_variation(row, pi)
 
-    t_mix = _first_crossing(p, start, tv, epsilon, 10_000_000)
+    t_mix = _first_crossing([p], start, pi, epsilon)
     assert t_mix >= 1
     assert tv(start @ np.linalg.matrix_power(p, t_mix)) <= epsilon
     assert tv(start @ np.linalg.matrix_power(p, t_mix - 1)) > epsilon
-    assert _first_crossing(p, start, tv, epsilon, t_mix) == t_mix
+    monkeypatch.setattr(chain, "_MAX_STEPS", t_mix)
+    assert _first_crossing([p], start, pi, epsilon) == t_mix
+    monkeypatch.setattr(chain, "_MAX_STEPS", t_mix - 1)
     with pytest.raises(NoConvergence):
-        _first_crossing(p, start, tv, epsilon, t_mix - 1)
+        _first_crossing([p], start, pi, epsilon)
 
 
 @pytest.mark.parametrize("epsilon", [0.1, 1e-6])
 @pytest.mark.parametrize("f", [0.01, 0.3, 0.97])
-def test_first_crossing_from_a_later_step(f, epsilon):
+def test_first_crossing_from_a_later_step(monkeypatch, f, epsilon):
     # begun at step t, the search returns max(t, t_mix): the crossing of the
     # search from step 0 when t is before it, and t itself from then on; a
     # cap one below the crossing still raises
     p = np.array([[1.0 - f, f], [f, 1.0 - f]])
-    start = np.array([1.0, 0.0])
-
-    def tv(row):
-        return total_variation(row, np.full(2, 0.5))
-
-    t_mix = _first_crossing(p, start, tv, epsilon, 10_000_000)
+    start, pi = np.array([1.0, 0.0]), np.full(2, 0.5)
+    t_mix = _first_crossing([p], start, pi, epsilon)
     for t in {1, 2, 3, t_mix // 3, t_mix // 2, t_mix - 1, t_mix, t_mix + 5,
               2 * t_mix + 1}:
-        assert _first_crossing(p, start, tv, epsilon, 10_000_000,
-                               t) == max(t, t_mix)
+        assert _first_crossing([p], start, pi, epsilon, t) == max(t, t_mix)
         if t < t_mix:
-            with pytest.raises(NoConvergence):
-                _first_crossing(p, start, tv, epsilon, t_mix - 1, t)
+            with monkeypatch.context() as capped:
+                capped.setattr(chain, "_MAX_STEPS", t_mix - 1)
+                with pytest.raises(NoConvergence):
+                    _first_crossing([p], start, pi, epsilon, t)
 
 
 def test_lumped_matches_dense_powering():
@@ -409,7 +420,7 @@ def test_mixing_time_dense_fallback():
         q[(y - 1) % dim, y] += 0.25
     measure = gibbs_measure(MarkedStateHamiltonian(3, 1.0), 1.0)
     p = build_transition_matrix(DenseKernel(q, 3), measure)
-    t_mix = _dense_mixing_time(p, 0.05, 10_000_000)
+    t_mix = _dense_mixing_time(p, 0.05)
     assert t_mix >= 2
     # every start must have crossed epsilon by the worst-start mixing time
     for start in range(dim):
@@ -437,9 +448,23 @@ def test_class_mixing_time_matches_dense(variant):
             kern = quantum_kernel(h_c, MixerSpec(variant, h), t)
             measure = gibbs_measure(h_c, beta)
             ref = _mixing_or_none(lambda: _dense_mixing_time(
-                build_transition_matrix(kern, measure), 0.01, 10_000_000))
+                build_transition_matrix(kern, measure), 0.01))
             t_mix = _mixing_or_none(lambda: exact_mixing_time(kern, measure, 0.01))
             assert t_mix == ref, (n, variant)
+
+
+def test_class_mixing_time_matches_dense_past_the_cap(monkeypatch):
+    # the grover N = 8 draw of the test above that has not mixed within
+    # 10^7 steps: with the cap lifted, the class route and the dense rows,
+    # each squaring scaled back to row sum 1, cross at the same step
+    monkeypatch.setattr(chain, "_MAX_STEPS", 1 << 40)
+    h_c = MarkedStateHamiltonian(8, 1.3544820833082076, 232)
+    kern = quantum_kernel(h_c, MixerSpec("grover", -0.03534872357755292),
+                          0.7111237844250727)
+    measure = gibbs_measure(h_c, 4.5009711418004015)
+    assert exact_mixing_time(kern, measure, 0.01) == 318_958_885
+    assert _dense_mixing_time(build_transition_matrix(kern, measure),
+                              0.01) == 318_958_885
 
 
 def _lumped_chain_cases():
@@ -532,8 +557,7 @@ def _per_start_mixing_times(kernel, measure, epsilon):
         start = np.zeros(size)
         start[w * (n - w + 1)] = 1.0
         times.append(_mixing_or_none(lambda: _first_crossing(
-            lumped, start, lambda row: total_variation(row, pi), epsilon,
-            chain._MAX_STEPS)))
+            [lumped], start, pi, epsilon)))
     return times
 
 
@@ -618,10 +642,9 @@ def _stochastic_power(p, t):
     return power
 
 
-def test_distance_bound_holds_over_every_start():
-    # U_x(t) from the distance chain is at least the dense total variation
-    # of every start x, at random chains of both mixers, uniform and single
-    # flip, up to 1e-12
+def _distance_bound_cases():
+    """(kind, kernel, measure) at random chains of both mixers, uniform and
+    single flip, at N <= 8."""
     rng = np.random.Generator(np.random.Philox(33))
     for n in range(1, 9):
         for kind in ("grover", "transverse", "uniform", "single flip"):
@@ -636,17 +659,41 @@ def test_distance_bound_holds_over_every_start():
                 h_c = MarkedStateHamiltonian(n, alpha, int(rng.integers(1 << n)))
                 kern = quantum_kernel(h_c, MixerSpec(kind, rng.uniform(-2, 2)),
                                       rng.uniform(0.0, 3.0))
-            measure = gibbs_measure(h_c, beta)
-            move, stay, _ = _class_chain(kern, measure)
-            distance, log_pi = _lumped_chain(move, stay, measure, 0)
-            p = build_transition_matrix(kern, measure)
-            pi = measure.probabilities()
-            dist = np.array([(x ^ h_c.marked).bit_count()
-                             for x in range(p.dim)])
-            for t in (0, 1, 10, 10**3, 10**6):
-                bound = _distance_bound(distance, np.exp(log_pi), t)
-                tv = 0.5 * np.abs(_stochastic_power(p.p, t) - pi).sum(axis=1)
-                assert np.all(tv <= bound[dist] + 1e-12), (n, kind, t)
+            yield kind, kern, gibbs_measure(h_c, beta)
+
+
+def test_distance_bound_holds_over_every_start():
+    # U_x(t) from the distance chain is at least the dense total variation
+    # of every start x, at random chains of both mixers, uniform and single
+    # flip, up to 1e-12
+    for kind, kern, measure in _distance_bound_cases():
+        n = kern.n_spins
+        move, stay, _ = _class_chain(kern, measure)
+        distance, log_pi = _lumped_chain(move, stay, measure, 0)
+        squarings = [distance]
+        p = build_transition_matrix(kern, measure)
+        pi = measure.probabilities()
+        dist = np.array([(x ^ measure.marked).bit_count()
+                         for x in range(p.dim)])
+        for t in (0, 1, 10, 10**3, 10**6):
+            bound = _distance_bound(squarings, np.exp(log_pi), t)
+            tv = 0.5 * np.abs(_stochastic_power(p.p, t) - pi).sum(axis=1)
+            assert np.all(tv <= bound[dist] + 1e-12), (n, kind, t)
+
+
+def test_cached_squares_stay_stochastic():
+    # every row of each cached square p^(2^j), j <= 20, of the distance
+    # chains and the dense matrices sums to 1 within 1e-13: plain squaring
+    # drifts by up to 1.5e-10 and 2.9e-9 on them by j = 20
+    for kind, kern, measure in _distance_bound_cases():
+        move, stay, _ = _class_chain(kern, measure)
+        for p in (_lumped_chain(move, stay, measure, 0)[0],
+                  build_transition_matrix(kern, measure).p):
+            squarings = [p]
+            _squaring(squarings, 20)
+            for j, square in enumerate(squarings[1:], 1):
+                drift = np.max(np.abs(square.sum(axis=1) - 1.0))
+                assert drift <= 1e-13, (kern.n_spins, kind, j, drift)
 
 
 @pytest.mark.parametrize("variant, n", [("transverse", 10), ("grover", 12)])
@@ -658,9 +705,9 @@ def test_mixing_time_searches_once_on_the_sample_chains(monkeypatch, variant,
     # is built and one search runs
     begun, cuts = [], []
 
-    def counting(p, rows, tv, epsilon, max_steps, t):
+    def counting(squarings, rows, pi, epsilon, t):
         begun.append(t)
-        return _first_crossing(p, rows, tv, epsilon, max_steps, t)
+        return _first_crossing(squarings, rows, pi, epsilon, t)
 
     def lumping(move, stay, measure, w):
         cuts.append(w)

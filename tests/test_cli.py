@@ -189,7 +189,7 @@ def test_sample_tmix_matches_dense_powering(mixer):
         kern = quantum_kernel_dense(
             h_c, MixerSpec(mixer, resonance_field(1.0, n)), 0.3)
         p = build_transition_matrix(kern, gibbs_measure(h_c, 1.0))
-        assert value == _dense_mixing_time(p, 0.01, 10_000_000), n
+        assert value == _dense_mixing_time(p, 0.01), n
 
 
 @pytest.mark.parametrize("mixer,n_max,expected", [
@@ -766,6 +766,30 @@ def test_figure_a_builds_no_kernel_for_a_refused_row(monkeypatch, capsys):
     assert built[0]._table is not None and built[1]._table is None
     # a 41^3 table is 551 KB: the refused rows allocate none
     assert len(peaks) == 2 and max(peaks) < 1 << 17
+
+
+def test_figure_a_refuses_an_averaging_grid_past_the_size_rule(monkeypatch,
+                                                               capsys):
+    # with the cap lowered to 2^16 entries: two N of 32768 samples fill the
+    # (N, sample) grid to the cap and run; one more sample is refused before
+    # the grid is formed, and the run exits 2 naming the setting
+    from qemcmc import proposal
+
+    def unreachable(*args):
+        raise AssertionError("averaging grid formed")
+
+    monkeypatch.setattr(proposal, "_ENTRIES_MAX", 1 << 16)
+    base = ["--experiment", "figure-a", "--n-min", "10", "--n-max", "11",
+            "--max-dense-n", "0"]
+    csv_text, status = _run(base + ["--avg-samples", "32768"])
+    assert status == 0 and len(_rows(csv_text)) == 2
+    monkeypatch.setattr(cli.AveragingScheme, "grid", unreachable)
+    assert cli.main(base + ["--avg-samples", "32769"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "configuration error: --avg-samples 32769: averaging grid refused at "
+        "N = 11: 65538 entries, above the cap of 65536\n")
 
 
 def test_exact_rows_past_n_75_are_emitted_when_precise(capsys):
