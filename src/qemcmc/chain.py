@@ -7,12 +7,12 @@ expression, so rejection mass is absorbed exactly; this dense matrix serves
 the cross-checks.  A chain whose kernel is invariant under permutations of
 the spins about the marked state is also assembled once on its pair classes
 (:func:`_class_chain`, with the same kernel checks), from the kernel's table
-over those classes as stored and with no 2^N object, and lumped about the
-marked state and a cut of the spins by one builder (:func:`_lumped_chain`):
-the exact gap (:func:`qemcmc.spectral.spectral_gap_blocks`, block 0 at the
-empty cut), the exact mixing time (the empty cut, the distance chain, for
-every start; another cut, serving two starts, only where the distance
-chain's bound does not settle them) and the sampled chain
+over those classes as stored and with no 2^N object, with the distance
+chain, its lumping onto the N+1 distances from the marked state: the exact
+gap (:func:`qemcmc.spectral.spectral_gap_blocks`, block 0's Dirichlet
+forms), the exact mixing time (every start, from the distance chain; a cut
+of w >= 1 spins lumped by :func:`_lumped_chain` only where that chain's
+bound leaves its two starts open) and the sampled chain
 (:func:`sample_chain`, O(N) per move, not per step) read them.  The mixing
 time powers a chain from its row-rescaled squarings (:func:`_squaring`).
 The sampled chain draws its uniforms one at a time, as it uses them, from
@@ -146,12 +146,15 @@ def _class_chain(kernel: PermutationInvariantKernel, measure: GibbsMeasure):
 
     For x at distance i from the marked state and y != x at distance j, with
     overlap t, ``move[i, j, t]`` is P(x,y) = Q(y|x) min(1, pi_j/pi_i); it is 0
-    on the class y = x, whose rejection mass is ``stay[i]``.  ``x`` holds the
-    entries x^t_{i,j} of L = D^1/2 (I - P) D^-1/2 over (i, j, t): off the
-    diagonal -Q(y|x) exp(-|lw_i - lw_j|/2), which cannot overflow; on it, the
-    off-diagonal row mass; lw_i is the measure's class log weight at distance
-    i.  The checks of :func:`build_transition_matrix` hold here on the
-    classes, and the measure must be about the kernel's marked state.
+    on the class y = x, whose rejection mass is ``stay[i]``.  ``distance`` is
+    the chain lumped onto the N+1 distances, sum_t count[i, j, t] move[i, j, t]
+    plus ``stay`` on its diagonal, and ``log_pi`` its log C(N, i) + (lw_i -
+    log Z).  ``x`` holds the entries x^t_{i,j} of L = D^1/2 (I - P) D^-1/2
+    over (i, j, t): off the diagonal -Q(y|x) exp(-|lw_i - lw_j|/2), which
+    cannot overflow; on it, the off-diagonal row mass; lw_i is the measure's
+    class log weight at distance i.  The checks of
+    :func:`build_transition_matrix` hold here on the classes, and the measure
+    must be about the kernel's marked state.
     """
     if not isinstance(kernel, PermutationInvariantKernel):
         raise TypeError("the class route needs a PermutationInvariantKernel, "
@@ -167,16 +170,19 @@ def _class_chain(kernel: PermutationInvariantKernel, measure: GibbsMeasure):
     q[w, w, w] = 0.0                             # y = x
     step = lw[None, :] - lw[:, None]
     move = q * np.exp(np.minimum(0.0, step))[:, :, None]
-    off_mass = np.einsum("ijt,ijt->ij", weight_classes(n), move).sum(axis=1)
-    rejection = 1.0 - off_mass
-    if np.min(rejection) < -1e-10:
+    distance = np.einsum("ijt,ijt->ij", weight_classes(n), move)
+    off_mass = distance.sum(axis=1)
+    stay = 1.0 - off_mass
+    if np.min(stay) < -1e-10:
         raise NegativeDiagonal(
-            f"rejection mass {np.min(rejection):.3e} negative: defective kernel"
+            f"rejection mass {np.min(stay):.3e} negative: defective kernel"
         )
+    distance[w, w] += np.clip(stay, 0.0, None, out=stay)
+    log_pi = np.log(_binomials(n)[n]) + (lw - measure.log_partition)
     x = np.negative(q, out=q)                   # q's buffer holds x
     x *= np.exp(-0.5 * np.abs(step))[:, :, None]
     x[w, w, w] = off_mass
-    return move, np.clip(rejection, 0.0, None), x
+    return move, stay, x, distance, log_pi
 
 
 def sample_chain(state: ChainState, kernel: ProposalKernel,
@@ -197,7 +203,7 @@ def sample_chain(state: ChainState, kernel: ProposalKernel,
     """
     n = kernel.n_spins
     _check_entries("sample path", n, n_steps)
-    move, _, _ = _class_chain(kernel, measure)
+    move, *_ = _class_chain(kernel, measure)
     # (i, j * (N+1) + t); the class y = x holds no move mass
     mass = (weight_classes(n) * move).reshape(n + 1, -1)
     cdf = np.cumsum(mass, axis=1).tolist()
@@ -317,7 +323,7 @@ def _lumped_chain(move: np.ndarray, stay: np.ndarray, measure: GibbsMeasure,
     from k in a of the w spins and in b of the others.  The chain is
     invariant under the permutations that fix k and the cut, so the lumping
     is exact; the cut at N - w is the same chain with (a, b) read as (b, a),
-    and at w = 0 or N the classes are the N+1 distances from k."""
+    and the cut at 0 or N is the distance chain of :func:`_class_chain`."""
     n = move.shape[0] - 1
     # hankel[i, j, t1, t2] = move[i, j, t1 + t2] over t1 <= w, t2 <= N - w:
     # a strided view of the contiguous move, every read inside it as
@@ -331,8 +337,7 @@ def _lumped_chain(move: np.ndarray, stay: np.ndarray, measure: GibbsMeasure,
     pair = hankel[dist[:, :, None, None], dist]
     binom = _binomials(n)
     # the cached weight_classes is N's alone: a cut's counts are formed here
-    counts = [weight_classes(m) if m == n else
-              np.multiply(*_pair_factors(binom, m)) for m in (w, n - w)]
+    counts = [np.multiply(*_pair_factors(binom, m)) for m in (w, n - w)]
     lumped = np.einsum("act,bds,abcdts->abcd", *counts, pair)
     lumped.flat[::dist.size + 1] += stay[dist].ravel()
     log_size = np.log(np.outer(binom[w, :w + 1], binom[n - w, :n - w + 1]))
@@ -343,7 +348,7 @@ def _lumped_chain(move: np.ndarray, stay: np.ndarray, measure: GibbsMeasure,
 def _distance_bound(squarings: list, pi: np.ndarray, t: int):
     """U_x(t) >= d_x(t) for a start x at each distance from the marked state
     k, from the distance chain's cache of :func:`_squaring` and its pi
-    (:func:`_lumped_chain` at w = 0): d = sum_y (pi_y - P^t(x, y))^+ is read
+    (both of :func:`_class_chain`): d = sum_y (pi_y - P^t(x, y))^+ is read
     exactly on the one-state classes k and its antipode, and every other y
     adds at most pi_y."""
     p_t = _power_rows(squarings, np.eye(pi.size), t)
@@ -357,21 +362,22 @@ def exact_mixing_time(kernel: ProposalKernel, measure: GibbsMeasure,
     of the MH chain of a permutation-invariant kernel, with no 2^N x 2^N matrix.
 
     d_x(t) is the total variation of the chain lumped about the marked state
-    k and the cut {supp(x^k), its complement} (:func:`_lumped_chain`); the
-    starts at distance w and N - w share that chain, so the cuts w = 0..N/2
-    cover every start.  One search (:func:`_first_crossing`) runs in full on
-    cut 0 (distances 0 and N), each probe one product of the two start rows
-    with a cached squaring, d the larger of their total variations, and
-    gives the running worst T.  d is non-increasing, so a start with
-    d(T) <= epsilon is settled at T.  Every other cut is first bounded at T
-    from the distance chain's cached squarings (:func:`_distance_bound`,
-    formed again whenever T rises): when both its starts' bounds are within
-    epsilon it is settled and never built.  Otherwise its chain is built and
-    its search begins at T, where one probe settles both starts, and only a
-    later crossing lifts the search past T and raises it.  The bound decides
-    only which cuts are built, and the order of the cuts only how many
-    searches run.  Any cut may be built, so the largest gather, (w+1)^3
-    (N-w+1)^3 entries at w = N/2, limits N to 30, and that is checked first.
+    k and the cut {supp(x^k), its complement} (:func:`_lumped_chain`; at
+    w = 0, the distance chain); the starts at distance w and N - w share that
+    chain, so the cuts w = 0..N/2 cover every start.  One search
+    (:func:`_first_crossing`) runs in full on cut 0 (distances 0 and N), each
+    probe one product of the two start rows with a cached squaring, d the
+    larger of their total variations, and gives the running worst T.  d is
+    non-increasing, so a start with d(T) <= epsilon is settled at T.  Every
+    other cut is first bounded at T from the distance chain's squarings
+    (:func:`_distance_bound`, formed again whenever T rises): when both its
+    starts' bounds are within epsilon it is settled and never built.
+    Otherwise its chain is built and its search begins at T, where one probe
+    settles both starts, and only a later crossing lifts the search past T
+    and raises it.  The bound decides only which cuts are built, and the
+    order of the cuts only how many searches run.  Any cut may be built, so
+    the largest gather, (w+1)^3 (N-w+1)^3 entries at w = N/2, limits N to 30,
+    checked first.
 
     A chain that has not mixed within ``_MAX_STEPS`` raises NoConvergence:
     a chain that never mixes needs the cap to end its search.  The tests
@@ -383,8 +389,7 @@ def exact_mixing_time(kernel: ProposalKernel, measure: GibbsMeasure,
     n = kernel.n_spins
     _check_entries("mixing-time gather", n,
                    ((n // 2 + 1) * (n - n // 2 + 1)) ** 3)
-    move, stay, _ = _class_chain(kernel, measure)
-    distance, log_pi = _lumped_chain(move, stay, measure, 0)
+    move, stay, _, distance, log_pi = _class_chain(kernel, measure)
     distance_powers, pi_distance = [distance], np.exp(log_pi)
     worst, formed = 0, None
     for w in range(n // 2 + 1):

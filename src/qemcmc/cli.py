@@ -422,12 +422,11 @@ def build_config(argv=None) -> ExperimentConfig:
         options.update(_read_config_file(args.config))
         if "experiment" in options:
             raise ValueError("--experiment cannot come from a config file")
-    for key in ("n_min", "n_max", "alpha", "beta", "mixer", "h", "t",
-                "avg_samples", "seed", "out", "max_dense_n", "steps"):
-        value = getattr(args, key)
-        if value is not None:
-            options[key] = value
     fields = ExperimentConfig.__dataclass_fields__
+    for key in fields:   # every field has its flag; --experiment is set apart
+        value = getattr(args, key)
+        if key != "experiment" and value is not None:
+            options[key] = value
     unknown = set(options) - set(fields)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")

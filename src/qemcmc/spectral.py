@@ -34,8 +34,8 @@ sign: the difference) and by their overlap r on R (the weights: the pair
 counts of R, as in :func:`~qemcmc.proposal.weight_classes`).  Every
 weight is positive; the only signed step differences the entries of x,
 which are at most 1, so no float cancels a large binomial.  Block 0 is the
-symmetrized chain lumped onto the N+1 distances: the one lumped chain of
-:mod:`qemcmc.chain`, which the exact mixing time reads at every cut.
+symmetrized distance chain, the chain lumped onto the N+1 distances that
+:func:`~qemcmc.chain._class_chain` forms and the exact mixing time reads.
 
 An eigenvalue read off a float64 eigensolver is good only to about
 eps * |I - P|, the largest eigenvalue, however small the gap.  So the dense
@@ -73,12 +73,13 @@ from .quantum import (
     quantum_kernel,  # perfbench traces this name here
     resonance_field,
 )
-from .chain import TransitionMatrix, _class_chain, _lumped_chain
+from .chain import TransitionMatrix, _class_chain
 
 _LN2 = math.log(2.0)
 _REVERSIBILITY_TOL = 1e-9    # largest relative detailed-balance deviation
 _GAP_RTOL = math.sqrt(np.finfo(float).eps)   # half the digits of a double
 _ROUTE_ARRAYS = 6            # (N+1)^3 arrays the block route holds at once
+_GRID_ARRAYS = 23            # (N, sample) arrays the averaging pass holds
 
 
 def mixing_time_bounds(delta: float, log_pi_min: float, epsilon: float):
@@ -249,8 +250,9 @@ def _symmetry_blocks(x: np.ndarray):
     each the positive C(m,l) C(l,r) C(m-l,l'-r) / sqrt(C(m,l) C(m,l')) of
     that formula and symmetric in l and l', are built for that block alone
     from the pair counts of its m unpaired spins (:func:`_pair_factors`).
-    The blocks' asymmetry is the reversibility certificate; the blocks
-    returned are symmetrized.
+    Block 0, the symmetrized distance chain, stays one case of that formula.
+    The blocks' asymmetry is the reversibility certificate, block 0's too;
+    the blocks returned are symmetrized.
     """
     n = x.shape[0] - 1
     binom = _binomials(n)
@@ -275,9 +277,10 @@ def _symmetry_blocks(x: np.ndarray):
 
 
 def check_block_route(n_spins: int) -> None:
-    """BudgetExceeded unless the six (N+1)^3 arrays that
-    :func:`spectral_gap_blocks` holds at once keep the size rule together
-    (N <= 139): a caller checks it before it builds a table for that route."""
+    """BudgetExceeded unless ``_ROUTE_ARRAYS`` (N+1)^3 arrays, a bound on
+    those :func:`spectral_gap_blocks` holds at once, keep the size rule
+    together (N <= 139): a caller checks it before it builds a table for
+    that route."""
     _check_entries("symmetry-block route", n_spins,
                    _ROUTE_ARRAYS * (n_spins + 1) ** 3)
 
@@ -287,8 +290,8 @@ def spectral_gap_blocks(kernel: ProposalKernel,
     """Gap 1 - |lambda_2| of the MH chain of a permutation-invariant kernel,
     from the chain's floor(N/2)+1 symmetry blocks, with no 2^N x 2^N matrix.
 
-    Block 0 is the chain lumped onto the distances from the marked state
-    (:func:`~qemcmc.chain._lumped_chain` at w = 0); as in
+    Block 0 is the distance chain of :func:`~qemcmc.chain._class_chain`,
+    lumped onto the distances from the marked state; as in
     :func:`spectral_gap_dense`, each end of its spectrum is the Rayleigh
     quotient of its Ritz vector in Dirichlet form on that chain, so a gap
     far below the rest of the spectrum keeps the relative accuracy of the
@@ -301,19 +304,17 @@ def spectral_gap_blocks(kernel: ProposalKernel,
     (nearly periodic transverse chains, h t near pi/2) raises below about
     3e-8.
 
-    The route holds up to six (N+1)^3 float64 arrays at once (the kernel's
-    table, the pair counts, move, x, and the lumped gather of move, or two
-    differences of x or a difference and a block's weights); together they
-    keep the one size rule (:func:`check_block_route`), checked before the
-    kernel's table is read or filled.
+    The route holds up to five (N+1)^3 float64 arrays at once (the kernel's
+    table, the pair counts, and move and x, or x and two differences of x or
+    a difference and a block's weights); the one size rule counts six
+    together (:func:`check_block_route`), checked before the kernel's table
+    is read or filled.
     """
     check_block_route(kernel.n_spins)
-    move, stay, x = _class_chain(kernel, measure)
-    lumped, log_pi = _lumped_chain(move, stay, measure, 0)
-    del move
+    _, _, x, distance, log_pi = _class_chain(kernel, measure)   # move freed
     block0, *rest = _symmetry_blocks(x)
     _, vec = np.linalg.eigh(block0)
-    ends = list(_dirichlet_forms(lumped, log_pi, vec[:, :2], vec[:, -1]))
+    ends = list(_dirichlet_forms(distance, log_pi, vec[:, :2], vec[:, -1]))
     for block in rest:
         lam = np.linalg.eigvalsh(block)
         err = np.finfo(float).eps * float(np.max(np.abs(lam)))
@@ -418,9 +419,11 @@ class AveragingScheme:
 
     def values(self, n_spins, alpha: float) -> GroverClosedForm:
         """The closed form over the (N, sample) grid in one pass, under the
-        size rule: (sample_count,) arrays at one N, a row per N of an array."""
+        size rule: (sample_count,) arrays at one N, a row per N of an array,
+        ``_GRID_ARRAYS`` of them at once (tracemalloc's peak: 20.2 at
+        N = 10..20, 22.2 at one N with an h range)."""
         _check_entries("averaging grid", np.max(n_spins),
-                       np.size(n_spins) * self.sample_count)
+                       _GRID_ARRAYS * np.size(n_spins) * self.sample_count)
         return _grover_values(np.expand_dims(n_spins, -1), alpha,
                               *self.grid(n_spins, alpha))
 

@@ -1,4 +1,3 @@
-import itertools
 import math
 
 import numpy as np
@@ -39,7 +38,11 @@ from qemcmc.quantum import (
     resonance_field,
     structured_grover_kernel,
 )
-from qemcmc.spectral import mixing_time_bounds, uniform_gap_closed_form
+from qemcmc.spectral import (
+    mixing_time_bounds,
+    spectral_gap_blocks,
+    uniform_gap_closed_form,
+)
 
 
 def tv_distance_curve(p: TransitionMatrix, start: int, max_t: int) -> np.ndarray:
@@ -186,7 +189,7 @@ def test_sample_chain_stays_at_the_marked_state(beta):
     kern = quantum_kernel(h_c, MixerSpec("transverse", resonance_field(1.0, 6)),
                           0.3)
     measure = gibbs_measure(h_c, beta)
-    move, stay, _ = _class_chain(kern, measure)
+    move, stay, *_ = _class_chain(kern, measure)
     assert 1.0 - stay[0] < 1e-13
     assert move[0].any() == (beta == 5.0)
     state = make_chain(h_c.marked, seed=3)
@@ -490,7 +493,7 @@ def test_lumped_chain_is_stochastic_and_reversible():
     # pi_a P(a, b) = pi_b P(b, a) entry by entry
     for kern, measure in _lumped_chain_cases():
         n = kern.n_spins
-        move, stay, _ = _class_chain(kern, measure)
+        move, stay, *_ = _class_chain(kern, measure)
         for w in range(n + 1):
             lumped, log_pi = _lumped_chain(move, stay, measure, w)
             size = (w + 1) * (n - w + 1)
@@ -506,11 +509,24 @@ def test_lumped_chain_at_either_end_is_the_distance_chain():
     # (a, 0)) every class is one distance from the marked state
     for kern, measure in _lumped_chain_cases():
         n = kern.n_spins
-        move, stay, _ = _class_chain(kern, measure)
+        move, stay, *_ = _class_chain(kern, measure)
         at_k, log_pi_k = _lumped_chain(move, stay, measure, 0)
         at_far, log_pi_far = _lumped_chain(move, stay, measure, n)
         np.testing.assert_array_equal(at_far, at_k)
         np.testing.assert_array_equal(log_pi_far, log_pi_k)
+
+
+def test_class_chain_forms_the_distance_chain():
+    # the class chain's distance chain is the lumped chain at w = 0 and at
+    # w = N, whose classes are the N+1 distances, up to the order of its
+    # sums; its log pi is theirs to the bit
+    for kern, measure in _lumped_chain_cases():
+        n = kern.n_spins
+        move, stay, _, distance, log_pi = _class_chain(kern, measure)
+        for w in (0, n):
+            lumped, log_pi_w = _lumped_chain(move, stay, measure, w)
+            np.testing.assert_allclose(distance, lumped, rtol=0.0, atol=1e-15)
+            np.testing.assert_array_equal(log_pi, log_pi_w)
 
 
 def test_lumped_chain_is_one_chain_per_cut():
@@ -518,7 +534,7 @@ def test_lumped_chain_is_one_chain_per_cut():
     # classes (a, b) read as (b, a) the two lumped chains agree
     for kern, measure in _lumped_chain_cases():
         n = kern.n_spins
-        move, stay, _ = _class_chain(kern, measure)
+        move, stay, *_ = _class_chain(kern, measure)
         for w in range(n + 1):
             lumped, log_pi = _lumped_chain(move, stay, measure, w)
             mirror, log_pi_mirror = _lumped_chain(move, stay, measure, n - w)
@@ -537,7 +553,7 @@ def _per_start_mixing_times(kernel, measure, epsilon):
     arrays (None where a start has not mixed within the step cap): the
     per-start reference of exact_mixing_time, whose maximum it returns."""
     n = kernel.n_spins
-    move, stay, _ = _class_chain(kernel, measure)
+    move, stay, *_ = _class_chain(kernel, measure)
     log_pi = measure.class_log_weights - measure.log_partition
     times = []
     for w in range(n + 1):
@@ -595,32 +611,34 @@ def test_mixing_time_settles_cuts_by_the_distance_bound(monkeypatch):
     # the per-start reference's chains, run again with its assertions: every
     # cut w >= 1 the search reaches is either settled by the distance
     # chain's bound without its lumped chain or built, and both happen
-    events = []                        # (N, w) per chain built, None per raise
+    # per exact_mixing_time call: [N, each cut built, None per raise]
+    calls = []
+
+    def assembling(kernel, measure):
+        calls.append([kernel.n_spins])
+        return _class_chain(kernel, measure)
 
     def lumping(move, stay, measure, w):
-        events.append((move.shape[0] - 1, w))
+        calls[-1].append(w)
         return _lumped_chain(move, stay, measure, w)
 
     def searching(*args):
         try:
             return _first_crossing(*args)
         except NoConvergence:
-            events.append(None)
+            calls[-1].append(None)
             raise
 
+    monkeypatch.setattr(chain, "_class_chain", assembling)
     monkeypatch.setattr(chain, "_lumped_chain", lumping)
     monkeypatch.setattr(chain, "_first_crossing", searching)
     test_mixing_time_matches_the_per_start_reference()
     settled = built = 0
-    for i, event in enumerate(events):
-        if event is None or event[1]:
-            continue
-        # one exact_mixing_time call: cut 0, then its other cuts built, and
-        # None if a search raised, after which no later cut is reached
-        call = list(itertools.takewhile(lambda e: e is None or e[1],
-                                        events[i + 1:]))
-        cuts = [e[1] for e in call if e is not None]
-        reached = (cuts[-1] if cuts else 0) if None in call else event[0] // 2
+    for n, *call in calls:
+        # the cuts built after cut 0, and None if a search raised, after
+        # which no later cut is reached
+        cuts = [w for w in call if w is not None]
+        reached = (cuts[-1] if cuts else 0) if None in call else n // 2
         settled += reached - len(cuts)
         built += len(cuts)
     assert settled and built, (settled, built)
@@ -668,8 +686,7 @@ def test_distance_bound_holds_over_every_start():
     # flip, up to 1e-12
     for kind, kern, measure in _distance_bound_cases():
         n = kern.n_spins
-        move, stay, _ = _class_chain(kern, measure)
-        distance, log_pi = _lumped_chain(move, stay, measure, 0)
+        *_, distance, log_pi = _class_chain(kern, measure)
         squarings = [distance]
         p = build_transition_matrix(kern, measure)
         pi = measure.probabilities()
@@ -686,8 +703,7 @@ def test_cached_squares_stay_stochastic():
     # chains and the dense matrices sums to 1 within 1e-13: plain squaring
     # drifts by up to 1.5e-10 and 2.9e-9 on them by j = 20
     for kind, kern, measure in _distance_bound_cases():
-        move, stay, _ = _class_chain(kern, measure)
-        for p in (_lumped_chain(move, stay, measure, 0)[0],
+        for p in (_class_chain(kern, measure)[3],
                   build_transition_matrix(kern, measure).p):
             squarings = [p]
             _squaring(squarings, 20)
@@ -701,8 +717,8 @@ def test_mixing_time_searches_once_on_the_sample_chains(monkeypatch, variant,
                                                         n):
     # the sample workload's chains (beta 5, h at resonance, t 0.3): the
     # search of cut 0 on the distance chain gives t_mix, and the distance
-    # chain's bound settles every other cut there, so no other lumped chain
-    # is built and one search runs
+    # chain's bound settles every other cut there, so no lumped chain is
+    # built and one search runs
     begun, cuts = [], []
 
     def counting(squarings, rows, pi, epsilon, t):
@@ -721,7 +737,24 @@ def test_mixing_time_searches_once_on_the_sample_chains(monkeypatch, variant,
     t_mix = exact_mixing_time(kern, gibbs_measure(h_c, 5.0), 0.01)
     assert t_mix == {10: 15_746, 12: 5_964_947}[n]
     assert begun == [0]
-    assert cuts == [0]
+    assert cuts == []
+
+
+@pytest.mark.parametrize("variant, n", [("transverse", 10), ("grover", 12)])
+def test_sample_chains_read_the_distance_chain_alone(monkeypatch, variant, n):
+    # on the sample workload's chains neither the block gap nor the mixing
+    # time lumps a cut: both read the class chain's distance chain
+    def unreachable(*args):
+        raise AssertionError("lumped chain built")
+
+    monkeypatch.setattr(chain, "_lumped_chain", unreachable)
+    h_c = MarkedStateHamiltonian(n, 1.0)
+    kern = quantum_kernel(h_c, MixerSpec(variant, resonance_field(1.0, n)),
+                          0.3)
+    measure = gibbs_measure(h_c, 5.0)
+    assert 0.0 < spectral_gap_blocks(kern, measure) <= 1.0
+    assert exact_mixing_time(kern, measure, 0.01) == {10: 15_746,
+                                                      12: 5_964_947}[n]
 
 
 def test_class_mixing_time_needs_an_invariant_kernel():

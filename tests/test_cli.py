@@ -770,9 +770,10 @@ def test_figure_a_builds_no_kernel_for_a_refused_row(monkeypatch, capsys):
 
 def test_figure_a_refuses_an_averaging_grid_past_the_size_rule(monkeypatch,
                                                                capsys):
-    # with the cap lowered to 2^16 entries: two N of 32768 samples fill the
-    # (N, sample) grid to the cap and run; one more sample is refused before
-    # the grid is formed, and the run exits 2 naming the setting
+    # with the cap lowered to 2^16 entries: the rule counts the pass's 23
+    # arrays of the (N, sample) grid, so two N of 1424 samples keep within
+    # the cap and run; one more sample is refused before the grid is formed,
+    # and the run exits 2 naming the setting
     from qemcmc import proposal
 
     def unreachable(*args):
@@ -781,15 +782,15 @@ def test_figure_a_refuses_an_averaging_grid_past_the_size_rule(monkeypatch,
     monkeypatch.setattr(proposal, "_ENTRIES_MAX", 1 << 16)
     base = ["--experiment", "figure-a", "--n-min", "10", "--n-max", "11",
             "--max-dense-n", "0"]
-    csv_text, status = _run(base + ["--avg-samples", "32768"])
+    csv_text, status = _run(base + ["--avg-samples", "1424"])
     assert status == 0 and len(_rows(csv_text)) == 2
     monkeypatch.setattr(cli.AveragingScheme, "grid", unreachable)
-    assert cli.main(base + ["--avg-samples", "32769"]) == 2
+    assert cli.main(base + ["--avg-samples", "1425"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        "configuration error: --avg-samples 32769: averaging grid refused at "
-        "N = 11: 65538 entries, above the cap of 65536\n")
+        "configuration error: --avg-samples 1425: averaging grid refused at "
+        "N = 11: 65550 entries, above the cap of 65536\n")
 
 
 def test_exact_rows_past_n_75_are_emitted_when_precise(capsys):

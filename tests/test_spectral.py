@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -47,6 +48,7 @@ from qemcmc.spectral import (
     grover_gap_closed_form,
     mixing_time_bounds,
     _GAP_RTOL,
+    _ROUTE_ARRAYS,
     _gap_from_blocks,
     _grover_gaps,
     _symmetry_blocks,
@@ -241,6 +243,26 @@ def test_sector_arrays_stop_at_the_real_cap():
         spectral_gap_blocks(kern, gibbs_measure(
             MarkedStateHamiltonian(140, 1.0), 1.0))
     assert kern._table is None
+
+
+@pytest.mark.parametrize("n", [60, 100])
+def test_block_route_holds_its_counted_arrays(n):
+    # with the kernel's table and the pair counts built first, the route's
+    # own peak and those two keep within the _ROUTE_ARRAYS (N+1)^3 arrays
+    # that its size rule counts (about 4.95 of them at N = 60 and 100)
+    h_c = MarkedStateHamiltonian(n, 1.0)
+    kern = quantum_kernel(h_c, MixerSpec("transverse", 1.0), 1.0)
+    measure = gibbs_measure(h_c, 0.5)
+    kern.table()
+    weight_classes(n)
+    array = 8 * (n + 1) ** 3
+    tracemalloc.start()
+    try:
+        spectral_gap_blocks(kern, measure)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 2 * array + peak <= _ROUTE_ARRAYS * array, peak / array
 
 
 def test_scaling_fit_exact_slope():
@@ -574,7 +596,7 @@ def test_block_spectrum_matches_dense(variant):
         sym = -np.sqrt(p * p.T)
         np.fill_diagonal(sym, 1.0 - np.diag(p))
         ref = np.linalg.eigvalsh(sym)
-        _, _, x = _class_chain(kern, measure)
+        _, _, x, *_ = _class_chain(kern, measure)
         blocks = list(zip(_symmetry_blocks(x), _multiplicities(n)))
         assert sum(mult * len(b) for b, mult in blocks) == 1 << n
         lam = np.sort(np.concatenate([np.repeat(np.linalg.eigvalsh(b), mult)
@@ -683,7 +705,7 @@ def test_block_coefficients_match_exact_reference(n):
               out=coef, where=(norm > 0)[..., None])
     for kern in _reference_kernels(n):
         for inverse_temperature in (0.5, 1.0, 5.0):
-            _, _, x = _class_chain(kern, gibbs_measure(
+            _, _, x, *_ = _class_chain(kern, gibbs_measure(
                 MarkedStateHamiltonian(n, 1.0), inverse_temperature))
             full = np.einsum("kijt,ijt->kij", coef, x)
             blocks = _symmetry_blocks(x)
@@ -709,7 +731,7 @@ def test_blocks_past_the_old_coefficient_rule(n):
     for index, kern in enumerate(_reference_kernels(n)):
         for inverse_temperature in (0.5, 1.0, 5.0):
             measure = gibbs_measure(h_c, inverse_temperature)
-            _, _, x = _class_chain(kern, measure)
+            _, _, x, *_ = _class_chain(kern, measure)
             blocks = list(zip(_symmetry_blocks(x), _multiplicities(n)))
             trace = sum(float(mult) * float(np.trace(b)) for b, mult in blocks)
             frob = sum(float(mult) * float(np.sum(b * b)) for b, mult in blocks)
@@ -796,7 +818,7 @@ def test_block_gap_nearly_periodic(n, alpha):
     ref = spectral_gap_dense(build_transition_matrix(kern, measure))
     delta = spectral_gap_blocks(kern, measure)
     assert abs(delta - ref) <= 1e-10 * ref
-    _, _, x = _class_chain(kern, measure)
+    _, _, x, *_ = _class_chain(kern, measure)
     block0, block1, *_ = _symmetry_blocks(x)
     lam0, lam1 = np.linalg.eigvalsh(block0), np.linalg.eigvalsh(block1)
     assert abs(2.0 - lam1[-1] - delta) <= 1e-10 * ref
@@ -910,7 +932,7 @@ def test_mixing_time_rejects_negative_rejection_mass(monkeypatch):
 def test_block_route_rejects_irreversible_chain(monkeypatch):
     h_c, table = _transverse_table()
     # a NaN entry fails the certificate instead of passing it
-    _, _, x = _class_chain(PermutationInvariantKernel(5, 9, table),
+    _, _, x, *_ = _class_chain(PermutationInvariantKernel(5, 9, table),
                            gibbs_measure(h_c, 2.0))
     x[2, 3, 2] = np.nan
     with pytest.raises(NotReversible):
@@ -919,7 +941,7 @@ def test_block_route_rejects_irreversible_chain(monkeypatch):
     # catches the asymmetric table
     monkeypatch.setattr(chain, "SYMMETRY_TOL", 1.0)
     table[2, 1, 0] += 1e-3
-    _, _, x = _class_chain(PermutationInvariantKernel(5, 9, table),
+    _, _, x, *_ = _class_chain(PermutationInvariantKernel(5, 9, table),
                            gibbs_measure(h_c, 2.0))
     with pytest.raises(NotReversible):
         _symmetry_blocks(x)
