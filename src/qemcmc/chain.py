@@ -6,15 +6,20 @@ are always completed from row stochasticity rather than any closed-form
 expression, so rejection mass is absorbed exactly; this dense matrix serves
 the cross-checks.  A chain whose kernel is invariant under permutations of
 the spins about the marked state is also assembled once on its pair classes
-(:func:`_class_chain`, with the same kernel checks), from the kernel's table
+(:func:`class_chain`, with the same kernel checks), from the kernel's table
 over those classes as stored and with no 2^N object, with the distance
-chain, its lumping onto the N+1 distances from the marked state: the exact
-gap (:func:`qemcmc.spectral.spectral_gap_blocks`, block 0's Dirichlet
-forms), the exact mixing time (every start, from the distance chain; a cut
-of w >= 1 spins lumped by :func:`_lumped_chain` only where that chain's
-bound leaves its two starts open) and the sampled chain
-(:func:`sample_chain`, O(N) per move, not per step) read them.  The mixing
-time powers a chain from its row-rescaled squarings (:func:`_squaring`).
+chain, its lumping onto the N+1 distances from the marked state, and the
+class entries of L = D^1/2 (I - P) D^-1/2.  Those entries give the
+floor(N/2)+1 symmetry blocks of L (:func:`_symmetry_blocks`), and the blocks
+give them back (:func:`_class_entries`, the block map's adjoint).  The exact
+gap (:func:`qemcmc.spectral.spectral_gap_blocks`, block 0's Dirichlet forms
+on the distance chain), the exact mixing time (every start: the marked
+state and its antipode on the distance chain, any other from the blocks of
+S^t = D^1/2 P^t D^-1/2 taken back to classes, only where the distance
+chain's bound leaves it open) and the sampled chain (:func:`sample_chain`,
+O(N) per move, not per step) read them; a caller that samples the chain and
+reads its mixing time passes one assembly to both.  The mixing time powers
+the distance chain from its row-rescaled squarings (:func:`_squaring`).
 The sampled chain draws its uniforms one at a time, as it uses them, from
 the standard library's seeded Mersenne Twister (``random.Random``).
 """
@@ -34,6 +39,7 @@ from .errors import (
     MismatchedDimensions,
     NegativeDiagonal,
     NoConvergence,
+    NotReversible,
     NotStochastic,
 )
 from .model import GibbsMeasure
@@ -52,6 +58,8 @@ from .proposal import (
 SYMMETRY_TOL = 1e-9
 # the step cap of exact_mixing_time: how far its integer t_mix is reproducible
 _MAX_STEPS = 10_000_000
+_REVERSIBILITY_TOL = 1e-9    # largest relative detailed-balance deviation
+_ROUTE_ARRAYS = 6            # (N+1)^3 arrays the block routes hold at once
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,7 +148,7 @@ def total_variation(p: np.ndarray, q: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 # the chain on its pair classes
 
-def _class_chain(kernel: PermutationInvariantKernel, measure: GibbsMeasure):
+def class_chain(kernel: PermutationInvariantKernel, measure: GibbsMeasure):
     """The Metropolis-Hastings chain of ``kernel`` on its pair classes, the
     class twin of :func:`build_transition_matrix`.
 
@@ -186,24 +194,26 @@ def _class_chain(kernel: PermutationInvariantKernel, measure: GibbsMeasure):
 
 
 def sample_chain(state: ChainState, kernel: ProposalKernel,
-                 measure: GibbsMeasure, n_steps: int) -> np.ndarray:
+                 measure: GibbsMeasure, n_steps: int, *,
+                 chain=None) -> np.ndarray:
     """Run the chain n_steps and return the visited configurations, a path
     that keeps the size rule (checked before any draw).  The chain is the
-    one :func:`_class_chain` assembles, drawn one move at a time.  From x at
-    distance i from the marked state k, the number of rejections before the
-    next move is geometric with P(stay) = stay[i]: one uniform u draws the
-    whole run by inversion, floor(log(1-u) / log stay[i]), capped at the
-    steps left.  The move then draws the pair class (j, t) of the next state
-    from the masses count[i, j, t] * move[i, j, t], with a second uniform,
-    and y uniformly inside its class, with one uniform per spin examined:
-    t of the i spins where x differs from k keep differing, and j - t of the
-    other N - i spins flip.  Each uniform is drawn from the chain's
-    ``random.Random`` stream as it is used.  A distance with no move mass is
-    absorbing.  Rejected moves count as steps.
+    one :func:`class_chain` assembles (``chain``, when a caller that also
+    reads the mixing time has assembled it), drawn one move at a time.
+    From x at distance i from the marked state k, the number of rejections
+    before the next move is geometric with P(stay) = stay[i]: one uniform u
+    draws the whole run by inversion, floor(log(1-u) / log stay[i]), capped
+    at the steps left.  The move then draws the pair class (j, t) of the
+    next state from the masses count[i, j, t] * move[i, j, t], with a second
+    uniform, and y uniformly inside its class, with one uniform per spin
+    examined: t of the i spins where x differs from k keep differing, and
+    j - t of the other N - i spins flip.  Each uniform is drawn from the
+    chain's ``random.Random`` stream as it is used.  A distance with no move
+    mass is absorbing.  Rejected moves count as steps.
     """
     n = kernel.n_spins
     _check_entries("sample path", n, n_steps)
-    move, *_ = _class_chain(kernel, measure)
+    move, *_ = chain or class_chain(kernel, measure)
     # (i, j * (N+1) + t); the class y = x holds no move mass
     mass = (weight_classes(n) * move).reshape(n + 1, -1)
     cdf = np.cumsum(mass, axis=1).tolist()
@@ -262,6 +272,94 @@ def sample_chain(state: ChainState, kernel: ProposalKernel,
 
 
 # ---------------------------------------------------------------------------
+# the symmetry blocks and their inverse
+
+def _block_weights(binom: np.ndarray, m: int) -> np.ndarray:
+    """W[l, l', r] = C(m,l) C(l,r) C(m-l,l'-r) / sqrt(C(m,l) C(m,l')) over
+    [0, m]^3, the weights of a block with m unpaired spins: positive,
+    symmetric in l and l', and built from the pair counts of those m spins
+    (:func:`_pair_factors`), read from ``binom``, a table of
+    :func:`_binomials` of order at least m."""
+    c_lr, c_rest = _pair_factors(binom, m)
+    size = binom[m, :m + 1, None, None]
+    weight = size * c_lr * c_rest
+    weight /= np.sqrt(size * size[:, 0])
+    return weight
+
+
+def _symmetry_blocks(x: np.ndarray):
+    """Blocks B_k of L from its class entries x^t_{i,j}, k = 0..floor(N/2),
+    by the difference form of :mod:`qemcmc.spectral`'s docstring.
+
+    Block k reads the k-th forward difference of x along t, weighted by
+    :func:`_block_weights` at m = N - 2k, built for that block alone.
+    Block 0, the symmetrized distance chain, stays one case of that formula.
+    The blocks' asymmetry is the reversibility certificate, block 0's too;
+    the blocks returned are symmetrized.
+    """
+    n = x.shape[0] - 1
+    binom = _binomials(n)
+    blocks, d = [], x
+    for k in range(n // 2 + 1):
+        m = n - 2 * k
+        if k:   # D^k x at t <= m, all that this and later blocks read
+            d = d[1:-1, 1:-1, 1:m + 2] - d[1:-1, 1:-1, :m + 1]
+        weight = _block_weights(binom, m)
+        blocks.append(np.einsum("ijr,ijr->ij", weight, d))
+        del weight   # freed before the next difference is formed
+    scale = max(max(float(np.max(np.abs(b))) for b in blocks), 1e-300)
+    asym = max(float(np.max(np.abs(b - b.T))) for b in blocks) / scale
+    if not asym <= _REVERSIBILITY_TOL:   # NaN fails too
+        raise NotReversible(
+            f"block asymmetry {asym:.3e} exceeds {_REVERSIBILITY_TOL:.1e}"
+        )
+    return [0.5 * (b + b.T) for b in blocks]
+
+
+def _class_entries(blocks) -> np.ndarray:
+    """The symmetric class function x^t_{i,j} over (i, j, t) whose blocks
+    (:func:`_symmetry_blocks`) are ``blocks``, B_k over [0, N - 2k]^2.
+
+    The block map is an isometry: sum_c size_c x_c y_c =
+    sum_k mult_k <B_k(x), B_k(y)>, with size_c = C(N,i) count[i,j,t] the
+    ordered state pairs of class c (:func:`weight_classes`) and
+    mult_k = C(N,k) - C(N,k-1) the multiplicity of block k.  So its inverse
+    is its adjoint, x = size^-1 F^T (mult B).  F^T weights each block as F
+    does; the adjoint of the k-th forward difference is
+    sum_s (-1)^(k-s) C(k,s) shifts along t, taken from the last block to
+    block 0 as one shift of the sum so far per block (Horner's scheme).
+    Classes no pair realizes hold 0.
+    """
+    n = blocks[0].shape[0] - 1
+    binom = _binomials(n)
+    mult = np.diff(binom[n], prepend=0.0)
+    x = None
+    for k in range(len(blocks) - 1, -1, -1):
+        m = n - 2 * k
+        term = _block_weights(binom, m)
+        term *= mult[k] * blocks[k][:, :, None]
+        if x is not None:   # the adjoint of block k + 1's difference
+            term[1:-1, 1:-1, 1:m] += x
+            term[1:-1, 1:-1, :m - 1] -= x
+        x = term
+    x /= binom[n, :, None, None]
+    count = weight_classes(n)
+    return np.divide(x, count, out=x, where=count > 0)
+
+
+def check_block_route(n_spins: int) -> None:
+    """BudgetExceeded unless ``_ROUTE_ARRAYS`` (N+1)^3 arrays, a bound on
+    those either symmetry-block route holds at once (tracemalloc's peak,
+    with the kernel's table and the pair counts: 4.95 for the gap,
+    :func:`qemcmc.spectral.spectral_gap_blocks`, and up to 5.33 for the
+    mixing time, :func:`exact_mixing_time`, at N = 60 and 100), keep the
+    size rule together (N <= 139): a caller checks it before it builds a
+    table for those routes."""
+    _check_entries("symmetry-block route", n_spins,
+                   _ROUTE_ARRAYS * (n_spins + 1) ** 3)
+
+
+# ---------------------------------------------------------------------------
 # exact mixing time
 
 def _squaring(squarings: list, j: int) -> np.ndarray:
@@ -273,111 +371,127 @@ def _squaring(squarings: list, j: int) -> np.ndarray:
     return squarings[j]
 
 
-def _power_rows(squarings: list, rows: np.ndarray, t: int) -> np.ndarray:
-    """rows @ p^t over t's binary digits, from :func:`_squaring`'s cache."""
+def _advanced(step, held, t: int):
+    """``held`` advanced t steps over t's binary digits, ``step(held, j)``
+    advancing it 2^j steps."""
     for k in range(t.bit_length() - 1, -1, -1):
         if t >> k & 1:
-            rows = rows @ _squaring(squarings, k)
-    return rows
+            held = step(held, k)
+    return held
 
 
-def _first_crossing(squarings: list, rows: np.ndarray, pi: np.ndarray,
-                    epsilon: float, t: int = 0) -> int:
-    """First integer t' >= t with d(t') = total_variation(rows @ p^t', pi)
-    <= epsilon, p the chain of the cache ``squarings`` (:func:`_squaring`):
-    max(t, the first crossing), as d is non-increasing.  NoConvergence if
-    that exceeds ``_MAX_STEPS``.
+def _lifted_crossing(step, distance, held, epsilon: float, t: int) -> int:
+    """First integer t' >= t with distance(held advanced t' steps) <=
+    epsilon, ``step`` as in :func:`_advanced`: max(t, the first crossing),
+    for a non-increasing distance.  NoConvergence if that exceeds
+    ``_MAX_STEPS``.
 
-    Binary lifting.  The held rows start at step t (:func:`_power_rows`),
-    and one probe there settles a crossing at or before t.  While d > epsilon
-    they then advance by the largest power of two not above t (steps 1, 1,
-    2, 4, ... from t = 0), and from the last held rows each lower power of
-    two is taken when d stays above epsilon.  Every probe is one product of
-    the held rows with one cached squaring.
+    Binary lifting.  The held state starts at step t, and one probe there
+    settles a crossing at or before t.  While d > epsilon it then advances
+    by the largest power of two not above t (steps 1, 1, 2, 4, ... from
+    t = 0), and from the last held state each lower power of two is taken
+    when d stays above epsilon.  Every probe is one step of the held state.
     """
-    rows = _power_rows(squarings, rows, t)
-    if total_variation(rows, pi) <= epsilon:
+    held = _advanced(step, held, t)
+    if distance(held) <= epsilon:
         return t
-    while t < _MAX_STEPS:            # d(t) > epsilon at the held rows
+    while t < _MAX_STEPS:            # d(t) > epsilon at the held state
         j = max(t.bit_length() - 1, 0)
-        row = rows @ _squaring(squarings, j)
-        if total_variation(row, pi) <= epsilon:   # crossed within 2^j steps
+        ahead = step(held, j)
+        if distance(ahead) <= epsilon:   # crossed within 2^j steps
             for k in range(j - 1, -1, -1):
-                row = rows @ squarings[k]
-                if total_variation(row, pi) > epsilon:
-                    rows, t = row, t + (1 << k)
+                ahead = step(held, k)
+                if distance(ahead) > epsilon:
+                    held, t = ahead, t + (1 << k)
             if t < _MAX_STEPS:
                 return t + 1
             break
-        rows, t = row, t + (1 << j)
+        held, t = ahead, t + (1 << j)
     raise NoConvergence(
         f"total variation still above {epsilon} after {_MAX_STEPS} steps"
     )
 
 
-def _lumped_chain(move: np.ndarray, stay: np.ndarray, measure: GibbsMeasure,
-                  w: int):
-    """The chain of :func:`_class_chain` (its ``move`` and ``stay``) lumped
-    about the marked state k and a cut of the spins into w and N - w, and its
-    log pi, over the classes (a, b) in row order: the states that differ
-    from k in a of the w spins and in b of the others.  The chain is
-    invariant under the permutations that fix k and the cut, so the lumping
-    is exact; the cut at N - w is the same chain with (a, b) read as (b, a),
-    and the cut at 0 or N is the distance chain of :func:`_class_chain`."""
-    n = move.shape[0] - 1
-    # hankel[i, j, t1, t2] = move[i, j, t1 + t2] over t1 <= w, t2 <= N - w:
-    # a strided view of the contiguous move, every read inside it as
-    # t1 + t2 <= N
-    hankel = np.ndarray((n + 1, n + 1, w + 1, n - w + 1), move.dtype, move,
-                        0, move.strides + move.strides[2:])
-    hankel.flags.writeable = False
-    dist = np.add.outer(np.arange(w + 1), np.arange(n - w + 1))   # a + b
-    # move over (a, b, a', b', t1, t2), with overlap t1 inside the w spins
-    # and t2 outside them
-    pair = hankel[dist[:, :, None, None], dist]
-    binom = _binomials(n)
-    # the cached weight_classes is N's alone: a cut's counts are formed here
-    counts = [np.multiply(*_pair_factors(binom, m)) for m in (w, n - w)]
-    lumped = np.einsum("act,bds,abcdts->abcd", *counts, pair)
-    lumped.flat[::dist.size + 1] += stay[dist].ravel()
-    log_size = np.log(np.outer(binom[w, :w + 1], binom[n - w, :n - w + 1]))
-    log_pi = measure.class_log_weights - measure.log_partition
-    return lumped.reshape(dist.size, -1), (log_size + log_pi[dist]).ravel()
+def _rows_step(squarings: list):
+    """step(rows, j) = rows @ p^(2^j), p the chain of the cache
+    ``squarings`` (:func:`_squaring`)."""
+    return lambda rows, j: rows @ _squaring(squarings, j)
 
 
-def _distance_bound(squarings: list, pi: np.ndarray, t: int):
+def _first_crossing(squarings: list, rows: np.ndarray, pi: np.ndarray,
+                    epsilon: float, t: int = 0) -> int:
+    """First integer t' >= t with d(t') = total_variation(rows @ p^t', pi)
+    <= epsilon, p the chain of the cache ``squarings`` (:func:`_squaring`),
+    by :func:`_lifted_crossing`: each probe one product of the held rows
+    with one cached squaring."""
+    return _lifted_crossing(_rows_step(squarings),
+                            lambda rows: total_variation(rows, pi),
+                            rows, epsilon, t)
+
+
+def _distance_bound(rows: np.ndarray, pi: np.ndarray) -> np.ndarray:
     """U_x(t) >= d_x(t) for a start x at each distance from the marked state
-    k, from the distance chain's cache of :func:`_squaring` and its pi
-    (both of :func:`_class_chain`): d = sum_y (pi_y - P^t(x, y))^+ is read
-    exactly on the one-state classes k and its antipode, and every other y
-    adds at most pi_y."""
-    p_t = _power_rows(squarings, np.eye(pi.size), t)
-    return (np.maximum(pi[0] - p_t[:, 0], 0.0)
-            + np.maximum(pi[-1] - p_t[:, -1], 0.0) + pi[1:-1].sum())
+    k, from the distance chain's P^t (``rows``) and its pi (both of
+    :func:`class_chain`): d = sum_y (pi_y - P^t(x, y))^+ is read exactly on
+    the one-state classes k and its antipode, and every other y adds at most
+    pi_y."""
+    return (np.maximum(pi[0] - rows[:, 0], 0.0)
+            + np.maximum(pi[-1] - rows[:, -1], 0.0) + pi[1:-1].sum())
+
+
+def _start_distances(rows: np.ndarray, powers: list, log_pi: np.ndarray,
+                     log_state: np.ndarray) -> np.ndarray:
+    """d_x(t) for a start x at each distance 1..N-1 from the marked state k,
+    from the distance chain's P^t (``rows``, its log pi ``log_pi``) and the
+    blocks (I - B_k)^t, k >= 1 (``powers``), of S^t = D^1/2 P^t D^-1/2;
+    ``log_state`` is log pi of one state at each distance.
+
+    Block 0 of S^t is the distance chain's own D^1/2 P^t D^-1/2, each entry
+    taken from the side whose factor is at most 1, as S^t is symmetric.
+    :func:`_class_entries` gives S^t on the classes, and
+    P^t(x, y) = sqrt(pi_j / pi_i) S^t(x, y) (Levin, Peres and Wilmer, ch.
+    12).  The two one-state targets, k and its antipode, are read off the
+    distance chain, where that factor would scale up an entry far below the
+    inverse's rounding.
+    """
+    half = 0.5 * log_pi
+    order = half[:, None] <= half
+    s0 = np.where(order, rows, rows.T) * np.exp(-np.abs(half[:, None] - half))
+    entries = _class_entries([s0, *powers])
+    inner = log_state[1:-1]
+    p_t = entries[1:-1, 1:-1]
+    p_t *= np.exp(0.5 * (inner - inner[:, None]))[:, :, None]
+    p_t -= np.exp(inner)[None, :, None]
+    n = rows.shape[0] - 1
+    pi = np.exp(log_pi)
+    return 0.5 * (np.einsum("ijt,ijt->i", weight_classes(n)[1:-1, 1:-1],
+                            np.abs(p_t, out=p_t))
+                  + np.abs(rows[1:-1, 0] - pi[0])
+                  + np.abs(rows[1:-1, -1] - pi[-1]))
 
 
 def exact_mixing_time(kernel: ProposalKernel, measure: GibbsMeasure,
-                      epsilon: float) -> int:
+                      epsilon: float, *, chain=None) -> int:
     """Worst-start mixing time, max over starts x of min{t : d_x(t) <= epsilon},
-    of the MH chain of a permutation-invariant kernel, with no 2^N x 2^N matrix.
+    of the MH chain of a permutation-invariant kernel, with no 2^N x 2^N
+    matrix; ``chain``, when given, is :func:`class_chain` of ``kernel`` and
+    ``measure``, assembled by a caller that also samples the chain.
 
-    d_x(t) is the total variation of the chain lumped about the marked state
-    k and the cut {supp(x^k), its complement} (:func:`_lumped_chain`; at
-    w = 0, the distance chain); the starts at distance w and N - w share that
-    chain, so the cuts w = 0..N/2 cover every start.  One search
-    (:func:`_first_crossing`) runs in full on cut 0 (distances 0 and N), each
-    probe one product of the two start rows with a cached squaring, d the
-    larger of their total variations, and gives the running worst T.  d is
-    non-increasing, so a start with d(T) <= epsilon is settled at T.  Every
-    other cut is first bounded at T from the distance chain's squarings
-    (:func:`_distance_bound`, formed again whenever T rises): when both its
-    starts' bounds are within epsilon it is settled and never built.
-    Otherwise its chain is built and its search begins at T, where one probe
-    settles both starts, and only a later crossing lifts the search past T
-    and raises it.  The bound decides only which cuts are built, and the
-    order of the cuts only how many searches run.  Any cut may be built, so
-    the largest gather, (w+1)^3 (N-w+1)^3 entries at w = N/2, limits N to 30,
-    checked first.
+    The blocks' size rule (:func:`check_block_route`) is checked first.  One
+    search (:func:`_first_crossing`) on the distance chain from the marked
+    state and its antipode, the two starts that are single distances, gives
+    the running worst T; d is non-increasing, so a start with d(T) <=
+    epsilon is settled at T.  The other starts are bounded at T from the
+    distance chain's P^T (:func:`_distance_bound`), and when every bound is
+    within epsilon T is returned.  Otherwise one block probe at T reads
+    every start's d_x(T) from the blocks of S^T (:func:`_start_distances`):
+    block 0 from the distance chain's cache, and (I - B_k)^T, k >= 1, by
+    repeated squaring with no rescale (they hold no stationary vector),
+    formed afresh at each probe, as a cache of their squares held about 3.4
+    more (N+1)^3 arrays at N = 60 and t_mix ~ 6.5e6.  Only while a start the
+    bound left open stays above epsilon does the same binary lifting
+    (:func:`_lifted_crossing`) run on from T.  The bound decides only
+    whether the probe runs.
 
     A chain that has not mixed within ``_MAX_STEPS`` raises NoConvergence:
     a chain that never mixes needs the cap to end its search.  The tests
@@ -387,29 +501,27 @@ def exact_mixing_time(kernel: ProposalKernel, measure: GibbsMeasure,
     if not 0 < epsilon:
         raise ValueError("epsilon must be positive")
     n = kernel.n_spins
-    _check_entries("mixing-time gather", n,
-                   ((n // 2 + 1) * (n - n // 2 + 1)) ** 3)
-    move, stay, _, distance, log_pi = _class_chain(kernel, measure)
-    distance_powers, pi_distance = [distance], np.exp(log_pi)
-    worst, formed = 0, None
-    for w in range(n // 2 + 1):
-        squarings, pi = distance_powers, pi_distance
-        if w:
-            # a cut whose two starts are bounded within epsilon at the running
-            # worst is settled there, without its chain
-            if formed != worst:
-                formed, bound = worst, _distance_bound(distance_powers,
-                                                       pi_distance, worst)
-            if max(bound[w], bound[n - w]) <= epsilon:
-                continue
-            lumped, log_pi = _lumped_chain(move, stay, measure, w)
-            squarings, pi = [lumped], np.exp(log_pi)
-        # the point masses on the classes (w, 0) and (0, N - w): the starts
-        # at distance w and N - w (mirror images at w = N/2, both kept)
-        starts = np.zeros((2, pi.size))
-        starts[0, w * (n - w + 1)] = starts[1, n - w] = 1.0
-        # d, the larger of the two starts' total variations, is
-        # non-increasing: one probe at the running worst settles both starts'
-        # t <= worst, and only a later crossing runs the search past it
-        worst = _first_crossing(squarings, starts, pi, epsilon, worst)
-    return worst
+    check_block_route(n)
+    _, _, x, distance, log_pi = chain or class_chain(kernel, measure)
+    squarings, pi = [distance], np.exp(log_pi)
+    worst = _first_crossing(squarings, np.eye(n + 1)[[0, n]], pi, epsilon)
+    rows_step = _rows_step(squarings)
+    rows = _advanced(rows_step, np.eye(n + 1), worst)
+    open_starts = _distance_bound(rows, pi)[1:-1] > epsilon
+    if not open_starts.any():
+        return worst
+    blocks = [np.eye(len(b)) - b for b in _symmetry_blocks(x)[1:]]
+    del x
+    log_state = measure.class_log_weights - measure.log_partition
+
+    def step(held, j):
+        rows, t = held
+        return rows_step(rows, j), t + (1 << j)
+
+    def probe(held):
+        rows, t = held
+        powers = [np.linalg.matrix_power(b, t) for b in blocks]
+        d = _start_distances(rows, powers, log_pi, log_state)
+        return float(np.max(d[open_starts]))
+
+    return _lifted_crossing(step, probe, (np.eye(n + 1), 0), epsilon, worst)

@@ -34,6 +34,7 @@ import numpy as np
 from .bottleneck import marked_state_bound
 from .chain import (
     build_transition_matrix,  # the dense cross-check; perfbench traces this name here
+    class_chain,
     exact_mixing_time,
     make_chain,
     sample_chain,
@@ -291,8 +292,9 @@ def run_scan(cfg: ExperimentConfig):
 def run_sample(cfg: ExperimentConfig):
     """Finite-sample chain runs: empirical total variation at checkpoints and
     the exact mixing time up to max_dense_n; rows past the size rule of the
-    kernel table (both), the 2^N target or the path (tv) or the mixing-time
-    search (tmix) are skipped."""
+    kernel table (both), the 2^N target or the path (tv) or the symmetry
+    blocks (tmix) are skipped.  An N whose tv rows run assembles its class
+    chain once, for the sampled chain and the mixing time."""
     checkpoints = sorted({max(1, cfg.steps * k // 4) for k in range(1, 5)})
     rows = []
     for n in cfg.n_values:
@@ -311,10 +313,13 @@ def run_sample(cfg: ExperimentConfig):
             _skip("tmix", n, refused)
             continue
         measure = gibbs_measure(h_c, cfg.beta)
+        chain = None
         try:
             pi = measure.probabilities()
             state = make_chain(start=(h_c.marked + 1) % h_c.dim, seed=cfg.seed)
-            visited = sample_chain(state, kern, measure, cfg.steps)
+            chain = class_chain(kern, measure)
+            visited = sample_chain(state, kern, measure, cfg.steps,
+                                   chain=chain)
         except BudgetExceeded as exc:
             _skip("tv", n, exc)
         else:
@@ -325,7 +330,7 @@ def run_sample(cfg: ExperimentConfig):
                 rows.append(("sample", n, cfg.alpha, cfg.beta, h, stop,
                              "tv", tv, "empirical", cfg.seed))
         try:
-            t_mix = exact_mixing_time(kern, measure, 0.01)
+            t_mix = exact_mixing_time(kern, measure, 0.01, chain=chain)
         except (NoConvergence, BudgetExceeded) as exc:
             _skip("tmix", n, exc)
             continue

@@ -7,7 +7,7 @@ w = |x XOR k| from the marked state k, so it is carried on the N+1 distances.
 All probability mass is stored and combined in log space, so the measure is
 finite for any finite ``beta * alpha * n_spins``.  The chain's moves out of
 the marked state, Q e^{-beta alpha N} (``move`` of
-:func:`~qemcmc.chain._class_chain`), underflow past beta * alpha * N ~ 745.
+:func:`~qemcmc.chain.class_chain`), underflow past beta * alpha * N ~ 745.
 """
 
 from __future__ import annotations

@@ -16,13 +16,13 @@ Every large array of the package keeps one size rule, :func:`_check_entries`:
 no more than 2^24 float64 entries (128 MiB).  So N <= 12 for a 2^N x 2^N
 matrix (a dense kernel, the dense Hamiltonian, the dense gap), N <= 24 for a
 2^N vector (a column, a Gibbs vector), N <= 255 for a four-value or
-single-flip kernel table, and N <= 202, 139 and 30 for the transverse
-kernel table, the six (N+1)^3 arrays of the symmetry-block route together
-and the mixing-time gather.
+single-flip kernel table, and N <= 202 and 139 for the transverse kernel
+table and the six (N+1)^3 arrays of the symmetry-block routes (the gap and
+the mixing time) together.
 The binomials C(n, b) are exact rows, :func:`_binomial_row`, which the
 cached :func:`_binomials` stacks.  The pair counts C(i, t) C(m - i, j - t)
-have one construction, :func:`_pair_factors`, for the pair classes, the
-symmetry blocks and the cuts of the lumped chain.
+have one construction, :func:`_pair_factors`, for the pair classes and the
+weights of the symmetry blocks and of their inverse.
 """
 
 from __future__ import annotations

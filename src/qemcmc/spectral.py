@@ -35,7 +35,11 @@ counts of R, as in :func:`~qemcmc.proposal.weight_classes`).  Every
 weight is positive; the only signed step differences the entries of x,
 which are at most 1, so no float cancels a large binomial.  Block 0 is the
 symmetrized distance chain, the chain lumped onto the N+1 distances that
-:func:`~qemcmc.chain._class_chain` forms and the exact mixing time reads.
+:func:`~qemcmc.chain.class_chain` forms and the exact mixing time reads.
+The blocks (:func:`~qemcmc.chain._symmetry_blocks`) and the block map's
+inverse, its adjoint (:func:`~qemcmc.chain._class_entries`, with which the
+exact mixing time reads every start's distance from powers of the blocks),
+live beside the class chain and read one weight builder.
 
 An eigenvalue read off a float64 eigensolver is good only to about
 eps * |I - P|, the largest eigenvalue, however small the gap.  So the dense
@@ -61,10 +65,8 @@ from .model import GibbsMeasure, MarkedStateHamiltonian, _log_pow2m1
 from .proposal import (
     ProposalKernel,
     StructuredMarkedKernel,
-    _binomials,
     _check_entries,
     _clamped,
-    _pair_factors,
 )
 from .quantum import (
     GroverClosedForm,
@@ -73,12 +75,16 @@ from .quantum import (
     quantum_kernel,  # perfbench traces this name here
     resonance_field,
 )
-from .chain import TransitionMatrix, _class_chain
+from .chain import (
+    _REVERSIBILITY_TOL,
+    TransitionMatrix,
+    _symmetry_blocks,
+    check_block_route,
+    class_chain,
+)
 
 _LN2 = math.log(2.0)
-_REVERSIBILITY_TOL = 1e-9    # largest relative detailed-balance deviation
 _GAP_RTOL = math.sqrt(np.finfo(float).eps)   # half the digits of a double
-_ROUTE_ARRAYS = 6            # (N+1)^3 arrays the block route holds at once
 _GRID_ARRAYS = 23            # (N, sample) arrays the averaging pass holds
 
 
@@ -242,55 +248,12 @@ def _checked_gap(ends) -> float:
 # ---------------------------------------------------------------------------
 # symmetry blocks
 
-def _symmetry_blocks(x: np.ndarray):
-    """Blocks B_k of L from its class entries x^t_{i,j}, k = 0..floor(N/2),
-    by the difference form of the module docstring.
-
-    Block k reads the k-th forward difference of x along t.  Its weights,
-    each the positive C(m,l) C(l,r) C(m-l,l'-r) / sqrt(C(m,l) C(m,l')) of
-    that formula and symmetric in l and l', are built for that block alone
-    from the pair counts of its m unpaired spins (:func:`_pair_factors`).
-    Block 0, the symmetrized distance chain, stays one case of that formula.
-    The blocks' asymmetry is the reversibility certificate, block 0's too;
-    the blocks returned are symmetrized.
-    """
-    n = x.shape[0] - 1
-    binom = _binomials(n)
-    blocks, d = [], x
-    for k in range(n // 2 + 1):
-        m = n - 2 * k
-        if k:   # D^k x at t <= m, all that this and later blocks read
-            d = d[1:-1, 1:-1, 1:m + 2] - d[1:-1, 1:-1, :m + 1]
-        c_lr, c_rest = _pair_factors(binom, m)
-        size = binom[m, :m + 1, None, None]
-        weight = size * c_lr * c_rest
-        weight /= np.sqrt(size * size[:, 0])
-        blocks.append(np.einsum("ijr,ijr->ij", weight, d))
-        del weight   # freed before the next difference is formed
-    scale = max(max(float(np.max(np.abs(b))) for b in blocks), 1e-300)
-    asym = max(float(np.max(np.abs(b - b.T))) for b in blocks) / scale
-    if not asym <= _REVERSIBILITY_TOL:   # NaN fails too
-        raise NotReversible(
-            f"block asymmetry {asym:.3e} exceeds {_REVERSIBILITY_TOL:.1e}"
-        )
-    return [0.5 * (b + b.T) for b in blocks]
-
-
-def check_block_route(n_spins: int) -> None:
-    """BudgetExceeded unless ``_ROUTE_ARRAYS`` (N+1)^3 arrays, a bound on
-    those :func:`spectral_gap_blocks` holds at once, keep the size rule
-    together (N <= 139): a caller checks it before it builds a table for
-    that route."""
-    _check_entries("symmetry-block route", n_spins,
-                   _ROUTE_ARRAYS * (n_spins + 1) ** 3)
-
-
 def spectral_gap_blocks(kernel: ProposalKernel,
                         measure: GibbsMeasure) -> float:
     """Gap 1 - |lambda_2| of the MH chain of a permutation-invariant kernel,
     from the chain's floor(N/2)+1 symmetry blocks, with no 2^N x 2^N matrix.
 
-    Block 0 is the distance chain of :func:`~qemcmc.chain._class_chain`,
+    Block 0 is the distance chain of :func:`~qemcmc.chain.class_chain`,
     lumped onto the distances from the marked state; as in
     :func:`spectral_gap_dense`, each end of its spectrum is the Rayleigh
     quotient of its Ritz vector in Dirichlet form on that chain, so a gap
@@ -306,12 +269,13 @@ def spectral_gap_blocks(kernel: ProposalKernel,
 
     The route holds up to five (N+1)^3 float64 arrays at once (the kernel's
     table, the pair counts, and move and x, or x and two differences of x or
-    a difference and a block's weights); the one size rule counts six
-    together (:func:`check_block_route`), checked before the kernel's table
-    is read or filled.
+    a difference and a block's weights; tracemalloc's peak: 4.95 at N = 60
+    and 100).  The one size rule of both block routes counts six together
+    (:func:`check_block_route`; the mixing time's peak is up to 5.33),
+    checked before the kernel's table is read or filled.
     """
     check_block_route(kernel.n_spins)
-    _, _, x, distance, log_pi = _class_chain(kernel, measure)   # move freed
+    _, _, x, distance, log_pi = class_chain(kernel, measure)   # move freed
     block0, *rest = _symmetry_blocks(x)
     _, vec = np.linalg.eigh(block0)
     ends = list(_dirichlet_forms(distance, log_pi, vec[:, :2], vec[:, -1]))

@@ -6,12 +6,15 @@ import pytest
 from qemcmc import chain
 from qemcmc.chain import (
     TransitionMatrix,
-    _class_chain,
+    _class_entries,
     _distance_bound,
     _first_crossing,
-    _lumped_chain,
+    _lifted_crossing,
     _squaring,
+    _start_distances,
+    _symmetry_blocks,
     build_transition_matrix,
+    class_chain,
     exact_mixing_time,
     make_chain,
     sample_chain,
@@ -115,7 +118,7 @@ def test_mismatched_dimensions_rejected_on_both_routes():
     with pytest.raises(MismatchedDimensions):
         build_transition_matrix(kern, measure)
     with pytest.raises(MismatchedDimensions):
-        _class_chain(kern, measure)
+        class_chain(kern, measure)
 
 
 def test_detailed_balance_and_stationarity():
@@ -189,7 +192,7 @@ def test_sample_chain_stays_at_the_marked_state(beta):
     kern = quantum_kernel(h_c, MixerSpec("transverse", resonance_field(1.0, 6)),
                           0.3)
     measure = gibbs_measure(h_c, beta)
-    move, stay, *_ = _class_chain(kern, measure)
+    move, stay, *_ = class_chain(kern, measure)
     assert 1.0 - stay[0] < 1e-13
     assert move[0].any() == (beta == 5.0)
     state = make_chain(h_c.marked, seed=3)
@@ -470,7 +473,7 @@ def test_class_mixing_time_matches_dense_past_the_cap(monkeypatch):
                               0.01) == 318_958_885
 
 
-def _lumped_chain_cases():
+def _class_chain_cases():
     """(kernel, measure) for grover, transverse and single flip at N <= 12,
     at random marked states, temperatures, fields and times."""
     rng = np.random.Generator(np.random.Philox(20))
@@ -488,63 +491,34 @@ def _lumped_chain_cases():
             yield kern, gibbs_measure(h_c, beta)
 
 
-def test_lumped_chain_is_stochastic_and_reversible():
-    # at every start distance w: rows sum to 1, pi sums to 1, and
-    # pi_a P(a, b) = pi_b P(b, a) entry by entry
-    for kern, measure in _lumped_chain_cases():
-        n = kern.n_spins
-        move, stay, *_ = _class_chain(kern, measure)
-        for w in range(n + 1):
-            lumped, log_pi = _lumped_chain(move, stay, measure, w)
-            size = (w + 1) * (n - w + 1)
-            assert lumped.shape == (size, size) and log_pi.shape == (size,)
-            assert np.max(np.abs(lumped.sum(axis=1) - 1.0)) <= 1e-12, (n, w)
-            assert abs(np.exp(log_pi).sum() - 1.0) <= 1e-12, (n, w)
-            flux = np.exp(log_pi)[:, None] * lumped
-            np.testing.assert_allclose(flux, flux.T, rtol=1e-12, atol=0.0)
-
-
-def test_lumped_chain_at_either_end_is_the_distance_chain():
-    # about a start at w = 0 (the classes (0, b)) or w = N (the classes
-    # (a, 0)) every class is one distance from the marked state
-    for kern, measure in _lumped_chain_cases():
-        n = kern.n_spins
-        move, stay, *_ = _class_chain(kern, measure)
-        at_k, log_pi_k = _lumped_chain(move, stay, measure, 0)
-        at_far, log_pi_far = _lumped_chain(move, stay, measure, n)
-        np.testing.assert_array_equal(at_far, at_k)
-        np.testing.assert_array_equal(log_pi_far, log_pi_k)
-
-
 def test_class_chain_forms_the_distance_chain():
-    # the class chain's distance chain is the lumped chain at w = 0 and at
-    # w = N, whose classes are the N+1 distances, up to the order of its
-    # sums; its log pi is theirs to the bit
-    for kern, measure in _lumped_chain_cases():
+    # the distance chain is stochastic and reversible, its pi sums to 1,
+    # and D^1/2 P D^-1/2, symmetrized, is I - B_0, block 0 of the class
+    # entries, to the last bit of its largest entries
+    for kern, measure in _class_chain_cases():
         n = kern.n_spins
-        move, stay, _, distance, log_pi = _class_chain(kern, measure)
-        for w in (0, n):
-            lumped, log_pi_w = _lumped_chain(move, stay, measure, w)
-            np.testing.assert_allclose(distance, lumped, rtol=0.0, atol=1e-15)
-            np.testing.assert_array_equal(log_pi, log_pi_w)
+        _, _, x, distance, log_pi = class_chain(kern, measure)
+        pi = np.exp(log_pi)
+        assert np.max(np.abs(distance.sum(axis=1) - 1.0)) <= 1e-12, n
+        assert abs(pi.sum() - 1.0) <= 1e-12, n
+        flux = pi[:, None] * distance
+        np.testing.assert_allclose(flux, flux.T, rtol=1e-12, atol=0.0)
+        s = np.exp(0.5 * (log_pi[:, None] - log_pi)) * distance
+        np.testing.assert_allclose(np.eye(n + 1) - _symmetry_blocks(x)[0],
+                                   0.5 * (s + s.T), rtol=0.0, atol=2e-16)
 
 
-def test_lumped_chain_is_one_chain_per_cut():
-    # the cuts at w and N - w are one partition of the spins, so with the
-    # classes (a, b) read as (b, a) the two lumped chains agree
-    for kern, measure in _lumped_chain_cases():
-        n = kern.n_spins
-        move, stay, *_ = _class_chain(kern, measure)
-        for w in range(n + 1):
-            lumped, log_pi = _lumped_chain(move, stay, measure, w)
-            mirror, log_pi_mirror = _lumped_chain(move, stay, measure, n - w)
-            # class (a, b) of the cut at w is (b, a) of the cut at N - w
-            swap = np.arange(mirror.shape[0]).reshape(
-                n - w + 1, w + 1).T.ravel()
-            np.testing.assert_allclose(mirror[np.ix_(swap, swap)], lumped,
-                                       rtol=0.0, atol=1e-15)
-            np.testing.assert_allclose(log_pi_mirror[swap], log_pi,
-                                       rtol=0.0, atol=1e-15)
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 12, 20, 30])
+def test_class_entries_invert_the_symmetry_blocks(n):
+    # random symmetric class functions, 0 on the classes no pair realizes,
+    # come back from their blocks; the alternating sums of the adjoint
+    # difference lose about 2^(N/2) eps (at most 1.1 of it measured)
+    rng = np.random.Generator(np.random.Philox(n))
+    f = rng.standard_normal((n + 1,) * 3)
+    f += f.transpose(1, 0, 2)
+    f[weight_classes(n) == 0] = 0.0
+    error = np.max(np.abs(_class_entries(_symmetry_blocks(f)) - f))
+    assert error <= 4.0 * np.finfo(float).eps * 2.0 ** (n / 2), error
 
 
 def _per_start_mixing_times(kernel, measure, epsilon):
@@ -553,7 +527,7 @@ def _per_start_mixing_times(kernel, measure, epsilon):
     arrays (None where a start has not mixed within the step cap): the
     per-start reference of exact_mixing_time, whose maximum it returns."""
     n = kernel.n_spins
-    move, stay, *_ = _class_chain(kernel, measure)
+    move, stay, *_ = class_chain(kernel, measure)
     log_pi = measure.class_log_weights - measure.log_partition
     times = []
     for w in range(n + 1):
@@ -608,40 +582,32 @@ def test_mixing_time_matches_the_per_start_reference():
 
 
 def test_mixing_time_settles_cuts_by_the_distance_bound(monkeypatch):
-    # the per-start reference's chains, run again with its assertions: every
-    # cut w >= 1 the search reaches is either settled by the distance
-    # chain's bound without its lumped chain or built, and both happen
-    # per exact_mixing_time call: [N, each cut built, None per raise]
-    calls = []
+    # the per-start reference's chains, run again with its assertions: a
+    # start whose distance-chain bound is within epsilon at the running
+    # worst is settled there, with no probe when every start is; otherwise
+    # one block probe runs there, and a block search lifts on from it only
+    # while an open start stays above epsilon; all three happen
+    calls = []   # per exact_mixing_time call: [settled, left open, probes]
 
-    def assembling(kernel, measure):
-        calls.append([kernel.n_spins])
-        return _class_chain(kernel, measure)
+    def bounding(rows, pi):
+        bound = _distance_bound(rows, pi)
+        inner = bound[1:-1]
+        calls.append([int(np.sum(inner <= 0.01)), int(np.sum(inner > 0.01)),
+                      0])
+        return bound
 
-    def lumping(move, stay, measure, w):
-        calls[-1].append(w)
-        return _lumped_chain(move, stay, measure, w)
+    def probing(*args):
+        calls[-1][2] += 1
+        return _start_distances(*args)
 
-    def searching(*args):
-        try:
-            return _first_crossing(*args)
-        except NoConvergence:
-            calls[-1].append(None)
-            raise
-
-    monkeypatch.setattr(chain, "_class_chain", assembling)
-    monkeypatch.setattr(chain, "_lumped_chain", lumping)
-    monkeypatch.setattr(chain, "_first_crossing", searching)
+    monkeypatch.setattr(chain, "_distance_bound", bounding)
+    monkeypatch.setattr(chain, "_start_distances", probing)
     test_mixing_time_matches_the_per_start_reference()
-    settled = built = 0
-    for n, *call in calls:
-        # the cuts built after cut 0, and None if a search raised, after
-        # which no later cut is reached
-        cuts = [w for w in call if w is not None]
-        reached = (cuts[-1] if cuts else 0) if None in call else n // 2
-        settled += reached - len(cuts)
-        built += len(cuts)
-    assert settled and built, (settled, built)
+    for settled, left_open, probes in calls:
+        assert (probes > 0) == (left_open > 0), (settled, left_open, probes)
+    assert any(settled and not left_open for settled, left_open, _ in calls)
+    assert any(settled and left_open for settled, left_open, _ in calls)
+    assert any(probes > 1 for *_, probes in calls)
 
 
 def _stochastic_power(p, t):
@@ -686,14 +652,14 @@ def test_distance_bound_holds_over_every_start():
     # flip, up to 1e-12
     for kind, kern, measure in _distance_bound_cases():
         n = kern.n_spins
-        *_, distance, log_pi = _class_chain(kern, measure)
-        squarings = [distance]
+        *_, distance, log_pi = class_chain(kern, measure)
         p = build_transition_matrix(kern, measure)
         pi = measure.probabilities()
         dist = np.array([(x ^ measure.marked).bit_count()
                          for x in range(p.dim)])
         for t in (0, 1, 10, 10**3, 10**6):
-            bound = _distance_bound(squarings, np.exp(log_pi), t)
+            bound = _distance_bound(_stochastic_power(distance, t),
+                                    np.exp(log_pi))
             tv = 0.5 * np.abs(_stochastic_power(p.p, t) - pi).sum(axis=1)
             assert np.all(tv <= bound[dist] + 1e-12), (n, kind, t)
 
@@ -703,7 +669,7 @@ def test_cached_squares_stay_stochastic():
     # chains and the dense matrices sums to 1 within 1e-13: plain squaring
     # drifts by up to 1.5e-10 and 2.9e-9 on them by j = 20
     for kind, kern, measure in _distance_bound_cases():
-        for p in (_class_chain(kern, measure)[3],
+        for p in (class_chain(kern, measure)[3],
                   build_transition_matrix(kern, measure).p):
             squarings = [p]
             _squaring(squarings, 20)
@@ -712,42 +678,147 @@ def test_cached_squares_stay_stochastic():
                 assert drift <= 1e-13, (kern.n_spins, kind, j, drift)
 
 
+def _block_distances(kern, measure, t):
+    """d_x(t) at each distance 1..N-1 as exact_mixing_time's probe reads it
+    at step t: the distance chain's P^t and the blocks' plain powers."""
+    _, _, x, distance, log_pi = class_chain(kern, measure)
+    powers = [np.linalg.matrix_power(np.eye(len(b)) - b, t)
+              for b in _symmetry_blocks(x)[1:]]
+    log_state = measure.class_log_weights - measure.log_partition
+    return _start_distances(_stochastic_power(distance, t), powers, log_pi,
+                            log_state)
+
+
+def test_block_distances_match_dense_rows():
+    # every start's total variation from the dense rows of P^t agrees with
+    # the blocks' value at its distance, at random chains of both mixers,
+    # uniform and single flip at N <= 8 (within 9.5e-15 measured)
+    for kind, kern, measure in _distance_bound_cases():
+        n = kern.n_spins
+        if n == 1:
+            continue
+        p = build_transition_matrix(kern, measure)
+        pi = measure.probabilities()
+        dist = np.array([(x ^ measure.marked).bit_count()
+                         for x in range(p.dim)])
+        inner = (dist > 0) & (dist < n)
+        for t in (0, 1, 10, 10**3, 10**6):
+            tv = 0.5 * np.abs(_stochastic_power(p.p, t) - pi).sum(axis=1)
+            blocks = _block_distances(kern, measure, t)
+            np.testing.assert_allclose(blocks[dist[inner] - 1], tv[inner],
+                                       rtol=0.0, atol=1e-13,
+                                       err_msg=f"{kind} N={n} t={t}")
+
+
+def _cut_chain(move, stay, measure, w):
+    """The chain of ``move`` and ``stay`` (:func:`class_chain`) lumped about
+    the marked state and a cut of the spins into w and N - w, over the
+    classes (a, b), a of the w spins and b of the others differing from the
+    marked state, and its pi: an independent reference for the blocks'
+    per-start distances, gathered one pair (a, c) of the w side at a time
+    so that N = 60 needs no (w+1)^3 (N-w+1)^3 array."""
+    n = move.shape[0] - 1
+    inside, outside = weight_classes(w), weight_classes(n - w)
+    b = np.arange(n - w + 1)
+    overlap = np.add.outer(np.arange(w + 1), b)             # t1 + t2
+    lumped = np.empty((w + 1, n - w + 1, w + 1, n - w + 1))
+    for a in range(w + 1):
+        for c in range(w + 1):
+            pair = move[(a + b)[:, None, None, None],
+                        (c + b)[None, :, None, None], overlap]
+            lumped[a, :, c] = np.einsum("t,bds,bdts->bd", inside[a, c],
+                                        outside, pair)
+    size = (w + 1) * (n - w + 1)
+    lumped = lumped.reshape(size, size)
+    dist = np.add.outer(np.arange(w + 1), b).ravel()
+    lumped[np.arange(size), np.arange(size)] += stay[dist]
+    log_size = np.log([math.comb(w, u) * math.comb(n - w, v)
+                       for u in range(w + 1) for v in b])
+    log_pi = measure.class_log_weights - measure.log_partition
+    return lumped, np.exp(log_size + log_pi[dist])
+
+
+@pytest.mark.parametrize("n", [40, 60])
+def test_block_distances_match_the_cut_chain_past_the_old_rule(n):
+    # d_w(t) at w = 1..3 from the blocks against the chain lumped about the
+    # cut of w spins, past N = 30, where the mixing time's lumped gather was
+    # refused (within 2.9e-15 measured)
+    h_c = MarkedStateHamiltonian(n, 1.0)
+    for kern, beta in ((quantum_kernel(h_c, MixerSpec("transverse", 1.0), 1.0),
+                        0.2), (single_flip_kernel(n), 0.5)):
+        measure = gibbs_measure(h_c, beta)
+        move, stay, *_ = class_chain(kern, measure)
+        for w in (1, 2, 3):
+            lumped, pi = _cut_chain(move, stay, measure, w)
+            start = w * (n - w + 1)                 # the class (w, 0)
+            for t in (1, 10, 100, 10**4):
+                row = _stochastic_power(lumped, t)[start]
+                d = _block_distances(kern, measure, t)[w - 1]
+                assert d == pytest.approx(0.5 * np.abs(row - pi).sum(),
+                                          rel=0.0, abs=3e-14), (w, t)
+
+
+@pytest.mark.parametrize("n", [40, 60])
+def test_mixing_time_past_the_old_rule_keeps_the_sandwich(monkeypatch, n):
+    # transverse chains at beta 0 and 0.2, each settled by a block probe:
+    # t_mix lies inside the relaxation sandwich of the block gap
+    probes = []
+
+    def probing(*args):
+        probes.append(args)
+        return _start_distances(*args)
+
+    monkeypatch.setattr(chain, "_start_distances", probing)
+    h_c = MarkedStateHamiltonian(n, 1.0)
+    kern = quantum_kernel(h_c, MixerSpec("transverse", 1.0), 1.0)
+    for beta in (0.0, 0.2):
+        measure = gibbs_measure(h_c, beta)
+        probes.clear()
+        t_mix = exact_mixing_time(kern, measure, 0.25)
+        assert probes, beta
+        lower, upper = mixing_time_bounds(spectral_gap_blocks(kern, measure),
+                                          measure.log_pi_min, 0.25)
+        assert lower <= t_mix <= upper, (beta, t_mix, lower, upper)
+
+
 @pytest.mark.parametrize("variant, n", [("transverse", 10), ("grover", 12)])
 def test_mixing_time_searches_once_on_the_sample_chains(monkeypatch, variant,
                                                         n):
     # the sample workload's chains (beta 5, h at resonance, t 0.3): the
-    # search of cut 0 on the distance chain gives t_mix, and the distance
-    # chain's bound settles every other cut there, so no lumped chain is
-    # built and one search runs
-    begun, cuts = [], []
+    # search on the distance chain from the marked state and its antipode
+    # gives t_mix, and the distance chain's bound settles every other start
+    # there, so one search runs
+    begun, lifted = [], []
 
-    def counting(squarings, rows, pi, epsilon, t):
+    def counting(squarings, rows, pi, epsilon, t=0):
         begun.append(t)
         return _first_crossing(squarings, rows, pi, epsilon, t)
 
-    def lumping(move, stay, measure, w):
-        cuts.append(w)
-        return _lumped_chain(move, stay, measure, w)
+    def lifting(*args):
+        lifted.append(args[-1])
+        return _lifted_crossing(*args)
 
     monkeypatch.setattr(chain, "_first_crossing", counting)
-    monkeypatch.setattr(chain, "_lumped_chain", lumping)
+    monkeypatch.setattr(chain, "_lifted_crossing", lifting)
     h_c = MarkedStateHamiltonian(n, 1.0)
     kern = quantum_kernel(h_c, MixerSpec(variant, resonance_field(1.0, n)),
                           0.3)
     t_mix = exact_mixing_time(kern, gibbs_measure(h_c, 5.0), 0.01)
     assert t_mix == {10: 15_746, 12: 5_964_947}[n]
     assert begun == [0]
-    assert cuts == []
+    assert lifted == [0]
 
 
 @pytest.mark.parametrize("variant, n", [("transverse", 10), ("grover", 12)])
 def test_sample_chains_read_the_distance_chain_alone(monkeypatch, variant, n):
-    # on the sample workload's chains neither the block gap nor the mixing
-    # time lumps a cut: both read the class chain's distance chain
+    # on the sample workload's chains the mixing time takes no block probe
+    # and forms no blocks: the block gap and the mixing time both read the
+    # class chain's distance chain, and no start is left to the blocks
     def unreachable(*args):
-        raise AssertionError("lumped chain built")
+        raise AssertionError("block probe taken")
 
-    monkeypatch.setattr(chain, "_lumped_chain", unreachable)
+    monkeypatch.setattr(chain, "_start_distances", unreachable)
+    monkeypatch.setattr(chain, "_symmetry_blocks", unreachable)
     h_c = MarkedStateHamiltonian(n, 1.0)
     kern = quantum_kernel(h_c, MixerSpec(variant, resonance_field(1.0, n)),
                           0.3)
@@ -763,16 +834,16 @@ def test_class_mixing_time_needs_an_invariant_kernel():
         exact_mixing_time(DenseKernel(np.full((8, 8), 0.125), 3), measure, 0.01)
 
 
-@pytest.mark.parametrize("n", [31, 68])
+@pytest.mark.parametrize("n", [140, 255])
 def test_mixing_time_refused_past_the_size_rule(monkeypatch, n):
-    # the gather at w = N/2 holds ((N/2+1)(N-N/2+1))^3 entries: 2^24 at
-    # N = 30, above it from N = 31; refused before the class chain is built,
-    # at N = 68 too, where its binomials pass 2^64
+    # the symmetry-block routes' six (N+1)^3 arrays break the size rule from
+    # N = 140: refused before the class chain is built, at N = 255 too,
+    # where a single-flip table still keeps the rule
     def unreachable(*args):
         raise AssertionError("class chain assembled")
 
-    monkeypatch.setattr(chain, "_class_chain", unreachable)
+    monkeypatch.setattr(chain, "class_chain", unreachable)
     measure = gibbs_measure(MarkedStateHamiltonian(n, 1.0), 0.0)
     with pytest.raises(BudgetExceeded,
-                       match=f"^mixing-time gather refused at N = {n}:"):
+                       match=f"^symmetry-block route refused at N = {n}:"):
         exact_mixing_time(single_flip_kernel(n), measure, 0.01)

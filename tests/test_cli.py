@@ -708,7 +708,7 @@ def test_figure_a_refuses_its_row_before_the_chain(monkeypatch, capsys):
         raise AssertionError("class chain assembled")
 
     monkeypatch.setattr(proposal, "_ENTRIES_MAX", 1 << 16)
-    monkeypatch.setattr(spectral, "_class_chain", unreachable)
+    monkeypatch.setattr(spectral, "class_chain", unreachable)
     for n, what in ((40, "kernel table"), (22, "symmetry-block route")):
         assert cli.main(["--experiment", "figure-a", "--n-min", str(n),
                          "--n-max", str(n), "--max-dense-n", str(n),
@@ -881,22 +881,25 @@ def test_four_value_table_refused_past_the_size_rule(capsys):
 
 def test_sample_skips_rows_past_the_size_rule(monkeypatch, capsys):
     # with the cap lowered to 2^16 entries the Gibbs vector refuses N = 17
-    # and the mixing-time gather N = 11 ((6 * 7)^3 entries): N = 17 loses its
-    # tv rows and N = 11..17 their tmix rows, each with a note, and the run
-    # exits 0
+    # and the symmetry-block routes N = 22 (6 * 23^3 entries): N = 17..22
+    # lose their tv rows and N = 22 its tmix row, each with a note, the
+    # transverse chain at beta 0 keeps its tmix rows past the tv rows, and
+    # the run exits 0
     from qemcmc import proposal
 
     monkeypatch.setattr(proposal, "_ENTRIES_MAX", 1 << 16)
-    assert cli.main(["--experiment", "sample", "--n-min", "10",
-                     "--n-max", "17", "--max-dense-n", "17", "--steps", "100",
-                     "--beta", "1"]) == 0
+    assert cli.main(["--experiment", "sample", "--mixer", "transverse",
+                     "--h", "1", "--t", "1", "--n-min", "16", "--n-max", "22",
+                     "--max-dense-n", "22", "--steps", "100",
+                     "--beta", "0"]) == 0
     captured = capsys.readouterr()
     keys = sorted({(int(r[1]), r[6]) for r in _rows(captured.out)})
-    assert keys == sorted([(n, "tv") for n in range(10, 17)] + [(10, "tmix")])
+    assert keys == sorted([(16, "tv")] + [(n, "tmix") for n in range(16, 22)])
     notes = [line.split(":")[0] for line in captured.err.splitlines()]
-    assert notes == ([f"skipped tmix at N={n}" for n in range(11, 17)]
-                     + ["skipped tv at N=17", "skipped tmix at N=17"])
+    assert notes == ([f"skipped tv at N={n}" for n in range(17, 23)]
+                     + ["skipped tmix at N=22"])
     assert "Gibbs vector refused at N = 17" in captured.err
+    assert "symmetry-block route refused at N = 22" in captured.err
 
 
 def test_sample_skips_a_refused_path(capsys):

@@ -334,18 +334,18 @@ def _refused_before_allocation(monkeypatch, call, what, n):
         gibbs_measure(MarkedStateHamiltonian(22, 1.0), 1.0))),
     ("Gibbs vector", 17, lambda: gibbs_measure(
         MarkedStateHamiltonian(17, 1.0), 1.0).probabilities),
-    ("mixing-time gather", 12, lambda: partial(
-        exact_mixing_time, single_flip_kernel(12),
-        gibbs_measure(MarkedStateHamiltonian(12, 1.0), 1.0), 0.01)),
+    ("symmetry-block route", 22, lambda: partial(
+        exact_mixing_time, single_flip_kernel(22),
+        gibbs_measure(MarkedStateHamiltonian(22, 1.0), 1.0), 0.01)),
 ], ids=["hamiltonian", "kernel", "column", "table", "four-value",
         "single-flip", "blocks", "gibbs", "mixing"])
 def test_dense_routes_refuse_past_the_cap(monkeypatch, what, n, prepare):
     # a 2^9 x 2^9 matrix, a 2^17 vector, the 2(N+1)^3 floats of the complex
     # table amplitudes and the (N+1)^3 of a four-value or single-flip table
-    # at N = 40, the 6(N+1)^3 floats the symmetry-block route holds at N = 22
-    # (refused before the lazily filled table is read) and the (7 * 7)^3
-    # entries of the mixing time's gather at N = 12 are past a cap of 2^16
-    # entries
+    # at N = 40 and the 6(N+1)^3 floats the symmetry-block routes hold at
+    # N = 22 (the gap's refused before the lazily filled table is read, the
+    # mixing time's before the class chain is assembled) are past a cap of
+    # 2^16 entries
     _refused_before_allocation(monkeypatch, prepare(), what, n)
 
 

@@ -10,9 +10,11 @@ import pytest
 from qemcmc import chain
 from qemcmc.bottleneck import marked_state_bound
 from qemcmc.chain import (
+    _ROUTE_ARRAYS,
     TransitionMatrix,
-    _class_chain,
+    _symmetry_blocks,
     build_transition_matrix,
+    class_chain,
     exact_mixing_time,
 )
 from qemcmc.errors import (
@@ -48,10 +50,8 @@ from qemcmc.spectral import (
     grover_gap_closed_form,
     mixing_time_bounds,
     _GAP_RTOL,
-    _ROUTE_ARRAYS,
     _gap_from_blocks,
     _grover_gaps,
-    _symmetry_blocks,
     scaling_fit,
     spectral_gap_blocks,
     spectral_gap_dense,
@@ -259,6 +259,29 @@ def test_block_route_holds_its_counted_arrays(n):
     tracemalloc.start()
     try:
         spectral_gap_blocks(kern, measure)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 2 * array + peak <= _ROUTE_ARRAYS * array, peak / array
+
+
+@pytest.mark.parametrize("n, beta", [(60, 0.0), (60, 0.2), (100, 0.0)])
+def test_mixing_route_holds_its_counted_arrays(n, beta):
+    # the mixing time of the block-gap test's chains at temperatures where
+    # a block probe settles them, at t_mix = 41, 6 477 132 and 69: with the
+    # kernel's table and the pair counts built first, the route's own peak
+    # and those two keep within the same _ROUTE_ARRAYS (about 5.05, 5.33
+    # and 5.02 of them; the distance chain's cached squarings are the
+    # difference)
+    h_c = MarkedStateHamiltonian(n, 1.0)
+    kern = quantum_kernel(h_c, MixerSpec("transverse", 1.0), 1.0)
+    measure = gibbs_measure(h_c, beta)
+    kern.table()
+    weight_classes(n)
+    array = 8 * (n + 1) ** 3
+    tracemalloc.start()
+    try:
+        exact_mixing_time(kern, measure, 0.25)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -596,7 +619,7 @@ def test_block_spectrum_matches_dense(variant):
         sym = -np.sqrt(p * p.T)
         np.fill_diagonal(sym, 1.0 - np.diag(p))
         ref = np.linalg.eigvalsh(sym)
-        _, _, x, *_ = _class_chain(kern, measure)
+        _, _, x, *_ = class_chain(kern, measure)
         blocks = list(zip(_symmetry_blocks(x), _multiplicities(n)))
         assert sum(mult * len(b) for b, mult in blocks) == 1 << n
         lam = np.sort(np.concatenate([np.repeat(np.linalg.eigvalsh(b), mult)
@@ -705,7 +728,7 @@ def test_block_coefficients_match_exact_reference(n):
               out=coef, where=(norm > 0)[..., None])
     for kern in _reference_kernels(n):
         for inverse_temperature in (0.5, 1.0, 5.0):
-            _, _, x, *_ = _class_chain(kern, gibbs_measure(
+            _, _, x, *_ = class_chain(kern, gibbs_measure(
                 MarkedStateHamiltonian(n, 1.0), inverse_temperature))
             full = np.einsum("kijt,ijt->kij", coef, x)
             blocks = _symmetry_blocks(x)
@@ -731,7 +754,7 @@ def test_blocks_past_the_old_coefficient_rule(n):
     for index, kern in enumerate(_reference_kernels(n)):
         for inverse_temperature in (0.5, 1.0, 5.0):
             measure = gibbs_measure(h_c, inverse_temperature)
-            _, _, x, *_ = _class_chain(kern, measure)
+            _, _, x, *_ = class_chain(kern, measure)
             blocks = list(zip(_symmetry_blocks(x), _multiplicities(n)))
             trace = sum(float(mult) * float(np.trace(b)) for b, mult in blocks)
             frob = sum(float(mult) * float(np.sum(b * b)) for b, mult in blocks)
@@ -818,7 +841,7 @@ def test_block_gap_nearly_periodic(n, alpha):
     ref = spectral_gap_dense(build_transition_matrix(kern, measure))
     delta = spectral_gap_blocks(kern, measure)
     assert abs(delta - ref) <= 1e-10 * ref
-    _, _, x, *_ = _class_chain(kern, measure)
+    _, _, x, *_ = class_chain(kern, measure)
     block0, block1, *_ = _symmetry_blocks(x)
     lam0, lam1 = np.linalg.eigvalsh(block0), np.linalg.eigvalsh(block1)
     assert abs(2.0 - lam1[-1] - delta) <= 1e-10 * ref
@@ -883,7 +906,7 @@ def test_block_route_rejects_negative_rejection_mass(monkeypatch):
     h_c, table = _transverse_table()
     _scale_moves(table, 1.5)
     with pytest.raises(NegativeDiagonal):
-        _class_chain(PermutationInvariantKernel(5, 9, table),
+        class_chain(PermutationInvariantKernel(5, 9, table),
                      gibbs_measure(h_c, 2.0))
 
 
@@ -932,7 +955,7 @@ def test_mixing_time_rejects_negative_rejection_mass(monkeypatch):
 def test_block_route_rejects_irreversible_chain(monkeypatch):
     h_c, table = _transverse_table()
     # a NaN entry fails the certificate instead of passing it
-    _, _, x, *_ = _class_chain(PermutationInvariantKernel(5, 9, table),
+    _, _, x, *_ = class_chain(PermutationInvariantKernel(5, 9, table),
                            gibbs_measure(h_c, 2.0))
     x[2, 3, 2] = np.nan
     with pytest.raises(NotReversible):
@@ -941,7 +964,7 @@ def test_block_route_rejects_irreversible_chain(monkeypatch):
     # catches the asymmetric table
     monkeypatch.setattr(chain, "SYMMETRY_TOL", 1.0)
     table[2, 1, 0] += 1e-3
-    _, _, x, *_ = _class_chain(PermutationInvariantKernel(5, 9, table),
+    _, _, x, *_ = class_chain(PermutationInvariantKernel(5, 9, table),
                            gibbs_measure(h_c, 2.0))
     with pytest.raises(NotReversible):
         _symmetry_blocks(x)
