@@ -386,8 +386,8 @@ def _lifted_crossing(step, distance, held, epsilon: float, t: int) -> int:
     for a non-increasing distance.  NoConvergence if that exceeds
     ``_MAX_STEPS``.
 
-    Binary lifting.  The held state starts at step t, and one probe there
-    settles a crossing at or before t.  While d > epsilon it then advances
+    Binary lifting.  ``held``, the state at step 0, is first advanced to
+    step t, and one probe there settles a crossing at or before t.  While d > epsilon it then advances
     by the largest power of two not above t (steps 1, 1, 2, 4, ... from
     t = 0), and from the last held state each lower power of two is taken
     when d stays above epsilon.  Every probe is one step of the held state.
