@@ -387,10 +387,11 @@ def _lifted_crossing(step, distance, held, epsilon: float, t: int) -> int:
     ``_MAX_STEPS``.
 
     Binary lifting.  ``held``, the state at step 0, is first advanced to
-    step t, and one probe there settles a crossing at or before t.  While d > epsilon it then advances
-    by the largest power of two not above t (steps 1, 1, 2, 4, ... from
-    t = 0), and from the last held state each lower power of two is taken
-    when d stays above epsilon.  Every probe is one step of the held state.
+    step t, and one probe there settles a crossing at or before t.  While
+    d > epsilon it then advances by the largest power of two not above t
+    (steps 1, 1, 2, 4, ... from t = 0), and from the last held state each
+    lower power of two is taken when d stays above epsilon.  Every probe
+    is one step of the held state.
     """
     held = _advanced(step, held, t)
     if distance(held) <= epsilon:
